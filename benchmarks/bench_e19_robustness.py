@@ -4,8 +4,8 @@ Runs the E19 experiment through the orchestrator (drop/crash sweeps with
 per-scenario invariants and the engine-parity-under-faults verify hook in
 ``repro.experiments.defs_robustness``), then asserts the *cost* contract of
 the adversary layer: installing the identity :class:`NoAdversary` must add
-less than ``E19_MAX_OVERHEAD`` (default 10%) to the E18-style batch-engine
-fast path versus passing no adversary at all.  ``NoAdversary`` binds to no
+less than ``E19_MAX_OVERHEAD`` (default 10%) to the E18-style stepped
+columnar path versus passing no adversary at all.  ``NoAdversary`` binds to no
 delivery filter, so the engines literally execute their unmodified hot
 loops — the guard pins that this stays true as the seam evolves.  Like
 E16/E18, the threshold is an environment knob so CI can relax it on noisy
@@ -20,7 +20,7 @@ from repro.distributed import NoAdversary
 from repro.experiments import bench_experiment
 from repro.experiments.families import build_graph
 
-#: The adversary seam's admissible no-fault slowdown on the batch fast path.
+#: The adversary seam's admissible no-fault slowdown on the stepped columnar path.
 MAX_NO_ADVERSARY_OVERHEAD = float(os.environ.get("E19_MAX_OVERHEAD", "0.10"))
 
 #: E18's n=20000 instance, trimmed to 5 rounds: large enough that per-message
@@ -30,12 +30,17 @@ _ROUNDS = 5
 
 
 def _best_of(graph, repeats: int, adversary) -> float:
-    """Best wall time of ``repeats`` batch-engine flood-max runs on ``graph``."""
+    """Best wall time of ``repeats`` stepped columnar flood-max runs on ``graph``."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         result = run_flood_max(
-            graph, rounds=_ROUNDS, seed=3, engine="batch", adversary=adversary
+            graph,
+            rounds=_ROUNDS,
+            seed=3,
+            engine="columnar",
+            adversary=adversary,
+            vectorize=False,
         )
         best = min(best, time.perf_counter() - start)
         assert result.rounds == _ROUNDS
@@ -53,7 +58,7 @@ def test_e19_robustness(benchmark):
     # headline assertion visible here too).
     assert (
         results["floodmax drop=0.05"]["metrics.adversary_dropped_messages"]
-        == results["floodmax drop=0.05 batch"]["metrics.adversary_dropped_messages"]
+        == results["floodmax drop=0.05 columnar"]["metrics.adversary_dropped_messages"]
     )
 
     # NoAdversary overhead guard: one shared graph, best-of-3 each to shed
@@ -64,6 +69,6 @@ def test_e19_robustness(benchmark):
     overhead = identity / baseline - 1.0
     benchmark.extra_info["no_adversary_overhead"] = overhead
     assert overhead < MAX_NO_ADVERSARY_OVERHEAD, (
-        f"NoAdversary added {overhead:.1%} to the batch fast path "
+        f"NoAdversary added {overhead:.1%} to the stepped columnar path "
         f"(allowed {MAX_NO_ADVERSARY_OVERHEAD:.0%})"
     )

@@ -8,7 +8,7 @@ agrees on one leader.  Messages are single integer labels, comfortably
 inside the O(log n)-bit broadcast-CONGEST budget, and every node broadcasts
 every round — which makes this the densest pure-broadcast traffic pattern
 the simulator can produce and therefore the E18 scale workload for the
-``batch`` engine fast path.
+stepped ``columnar`` engine.
 
 Two variants ship: the classic fixed-round-budget :class:`FloodMaxProgram`
 (assumes reliable links) and the retransmitting
@@ -120,7 +120,7 @@ def run_flood_max(
 
     ``model`` defaults to an enforcing broadcast-CONGEST policy (integer
     labels always fit the budget); ``engine`` selects the simulator engine —
-    the workload is pure broadcast, so all four engines accept it.  An
+    the workload is pure broadcast, so all three engines accept it.  An
     ``adversary`` injects faults; the fixed round budget then may no longer
     cover the effective diameter, so check ``converged`` (or use
     :func:`run_robust_flood_max`, which retransmits until locally stable).

@@ -1,24 +1,26 @@
 """Columnar simulator engine: flat-array delivery kernels over CSR rows.
 
-The ``batch`` engine (PR 4) collapsed per-message work into per-sender work
-but still runs one Python loop iteration per *delivery* (inbox dict insert
-per receiver).  This module removes that loop too: one round of broadcast
-traffic becomes a handful of flat-array operations —
+Broadcast rounds obey one admission invariant — one identical payload per
+sender per round — so per-message work collapses into per-sender work, and
+per-delivery work (one inbox dict insert per receiver) disappears too: one
+round of broadcast traffic becomes a handful of flat-array operations —
 
 * **gather** — each sender's interned payload is drained into persistent
   per-round columns: a ``sent`` flag byte per node, a 64-bit size slot
-  (``bits_col``) and the shared single-payload list the batch engine also
-  interns;
+  (``bits_col``) and the payload object column;
 * **size table** — payload sizes come from a run-lifetime
   :class:`~repro.distributed.encoding.PayloadSizeTable` keyed by
   ``(exact type, value)`` (with a dedicated exact-``int`` fast dictionary),
   so :func:`~repro.distributed.encoding.estimate_bits` runs once per
   distinct payload value per run, not once per sender per round;
-* **accounting kernels** — messages / bits / cut / overlay / violation
-  totals are mask dot-products over preallocated per-node count columns
-  (NumPy when importable, a tight stdlib loop otherwise) deposited in a
-  preallocated :class:`~repro.distributed.metrics.RoundTally` that is
-  flushed into :class:`~repro.distributed.metrics.Metrics` once per round;
+* **accounting** — :class:`BroadcastAccounting`, the one kernel both the
+  stepped collect and lowered rounds
+  (:class:`~repro.distributed.vectorize.EngineView`) call once per pass:
+  messages / bits / cut / overlay / violation totals are mask dot-products
+  over preallocated per-node count columns (NumPy when importable, a tight
+  stdlib loop otherwise) deposited in a preallocated
+  :class:`~repro.distributed.metrics.RoundTally` that is flushed into
+  :class:`~repro.distributed.metrics.Metrics` once per round;
 * **delivery** — no inbox dicts are built: every receiver owns one
   persistent :class:`ColumnarInbox` view over the shared round state.  In
   the common every-node-broadcasts round the payload lists of *all*
@@ -50,15 +52,16 @@ details of the broadcast kernels:
 * adversaries — an active delivery filter is consulted once per sender via
   :meth:`~repro.distributed.adversary.DeliveryFilter.deliver_mask` (for
   drops, a keyed-hash mask over ``(round, src, dst)``), and delivery falls
-  back to eager batch-style inbox dicts so stateful filters observe every
+  back to eager per-receiver inbox dicts so stateful filters observe every
   decision; decisions are order-independent by the adversary design rules,
   so counters and inboxes match the indexed engine exactly;
 * enforcement — when a payload exceeds an enforcing model's budget the
   engine re-walks the senders in order and raises
-  :class:`~repro.distributed.errors.BandwidthExceededError` with exactly
-  the batch engine's partially-flushed metrics and message text.
+  :class:`~repro.distributed.errors.BandwidthExceededError` naming the
+  first violating sender's first link, with the metrics flushed up to and
+  including that sender.
 
-Like the batch engine, the single-payload inbox lists are *shared* between
+The single-payload inbox lists are *shared* between
 receivers, and the inbox views are valid only for the round they were
 collected for (the engine reuses the underlying buffers): programs must
 treat inboxes as read-only and must not stash them across rounds — which
@@ -70,6 +73,7 @@ from __future__ import annotations
 import os
 from array import array
 from collections.abc import Mapping
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.distributed.encoding import PayloadSizeTable, estimate_bits
@@ -137,7 +141,9 @@ class _RoundState:
         "build_row_max",
     )
 
-    def __init__(self, n: int, labels: list[Any], index: dict[Any, int]) -> None:
+    def __init__(
+        self, n: int, labels: list[Any], index: dict[Any, int], sent: bytearray
+    ) -> None:
         # Initialised to 0 (an int), not None: isolated vertices never send,
         # so their column slots must stay convertible when the whole column
         # is lowered to an int64 array for the reduceat fold kernel.
@@ -145,7 +151,7 @@ class _RoundState:
         self.plists: list[list[Any] | None] = [None] * n
         self.plists_valid = False
         self.senders: list[int] = []
-        self.sent = bytearray(n)
+        self.sent = sent
         self.labels = labels
         self.index = index
         self.all_sent = False
@@ -160,8 +166,8 @@ class _RoundState:
     def ensure_plists(self) -> list[list[Any] | None]:
         """Materialise the round's per-sender singleton payload lists.
 
-        Like the batch engine, one list per sender is shared by all its
-        receivers.  Entries of non-senders may be stale from an earlier
+        One list per sender is shared by all its receivers.  Entries of
+        non-senders may be stale from an earlier
         round; every consumer filters through the ``sent`` flags (or, on
         all-sent rounds, touches sender rows only), so they are never
         observed.
@@ -190,8 +196,7 @@ class ColumnarInbox(Mapping):
 
     Views alias buffers the engine rewrites each round: read them only
     during the round they were handed to ``on_round`` for, and treat the
-    (receiver-shared) payload lists as read-only — the batch engine's
-    existing inbox contract.
+    (receiver-shared) payload lists as read-only.
     """
 
     __slots__ = ("_row", "_lo", "_hi", "_i", "_st")
@@ -278,9 +283,9 @@ class ColumnarInbox(Mapping):
         vertex labels): the fold runs as one C-level ``max`` over a slice
         of the round's flat *payload* column, skipping the Mapping
         facade's singleton-list materialisation entirely.  Engine-agnostic
-        programs dispatch on the inbox type — dict inboxes (indexed /
-        batch / reference engines and the columnar adversary path) take
-        the generic itertools fold, columnar views take this accessor —
+        programs dispatch on the inbox type — dict inboxes (indexed and
+        reference engines, the columnar adversary path) take the generic
+        itertools fold, columnar views take this accessor —
         and the result is identical either way, which the engine-parity
         tests pin down.
         """
@@ -348,87 +353,283 @@ def _virtual_counts(topo, graph_sets) -> array:
     return counts
 
 
+class BroadcastAccounting:
+    """One columnar run's broadcast columns and its per-pass accounting kernel.
+
+    Built once per run by the columnar engine and handed to both of its
+    round drivers — the stepped collect (:func:`build_columnar_collect`)
+    and, when the run lowers, :class:`~repro.distributed.vectorize.EngineView`
+    — so the two can never account a broadcast pass differently.  It owns:
+
+    * the run-lifetime columns: ascending-sorted neighbour rows, degrees,
+      ``n_connected`` (the positive-degree vertex count: degree-0 vertices
+      never send and sit in no receiver's row, so ``sent_count ==
+      n_connected`` is an all-senders pass), the cut-crossing and overlay
+      per-node count columns, and under an adversary the sorted neighbour
+      *label* rows ``deliver_mask`` takes; with NumPy also their zero-copy
+      views, the concatenated sorted rows ``all_rows_np`` (sliceable by
+      CSR ``indptr`` bounds) and the per-receiver segment starts
+      ``reduce_idx`` for ``reduceat`` (clipped in range, so entries of
+      empty rows are garbage — consumers gate on degree);
+    * the send state of the pass being collected, filled by the round driver:
+      the ``sent`` flag byte and ``bits_col`` payload size per sender,
+      ``sent_count``, and the ascending ``senders`` list (``None`` until
+      :meth:`sender_list` derives it from the flags);
+    * the kernel itself, :meth:`account`, run once per collection pass.
+    """
+
+    __slots__ = (
+        "sim",
+        "metrics",
+        "graph_sets",
+        "filt",
+        "np",
+        "n",
+        "labels",
+        "index",
+        "indptr",
+        "indices",
+        "rows",
+        "degrees",
+        "n_connected",
+        "cut_counts",
+        "virtual_counts",
+        "mask_rows",
+        "budget",
+        "enforce",
+        "broadcast_only",
+        "model_name",
+        "tally",
+        "sent",
+        "bits_col",
+        "sent_count",
+        "senders",
+        "deg_np",
+        "bits_np",
+        "sent_np",
+        "cut_np",
+        "virt_np",
+        "all_rows_np",
+        "reduce_idx",
+    )
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        metrics: Metrics,
+        graph_sets,
+        filt: "DeliveryFilter | None",
+    ) -> None:
+        np = _np  # snapshot per run; tests monkeypatch the module global
+        topo = sim.topology
+        model = sim.model
+        n = topo.n
+        labels = topo.labels
+        indptr = topo.indptr
+        self.sim = sim
+        self.metrics = metrics
+        self.graph_sets = graph_sets
+        self.filt = filt
+        self.np = np
+        self.n = n
+        self.labels = labels
+        self.index = topo.index
+        self.indptr = indptr
+        self.indices = topo.indices
+        rows = self.rows = topo.sorted_neighbor_rows()
+        self.degrees = list(topo.degrees)
+        self.n_connected = sum(1 for deg in self.degrees if deg)
+        cut = sim.cut
+        self.cut_counts = (
+            _crossing_counts(topo, [labels[i] in cut for i in range(n)])
+            if cut is not None
+            else None
+        )
+        self.virtual_counts = (
+            _virtual_counts(topo, graph_sets) if graph_sets is not None else None
+        )
+        self.mask_rows = (
+            [[labels[j] for j in row] for row in rows] if filt is not None else None
+        )
+        self.budget = model.bandwidth_bits
+        self.enforce = model.enforce
+        self.broadcast_only = model.broadcast_only
+        self.model_name = model.name
+        self.tally = RoundTally()
+        self.sent = bytearray(n)
+        self.bits_col = array("q", [0]) * n
+        self.sent_count = 0
+        self.senders: list[int] | None = None
+
+        self.deg_np = self.bits_np = self.sent_np = None
+        self.cut_np = self.virt_np = self.all_rows_np = self.reduce_idx = None
+        if np is not None:
+            self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
+            self.bits_np = np.frombuffer(self.bits_col, dtype=np.int64)
+            # Zero-copy boolean view of the sent column; the bytearray is
+            # never resized, so the exported buffer stays valid all run.
+            self.sent_np = np.frombuffer(self.sent, dtype=np.uint8).view(np.bool_)
+            if self.cut_counts is not None:
+                self.cut_np = np.frombuffer(self.cut_counts, dtype=np.int64)
+            if self.virtual_counts is not None:
+                self.virt_np = np.frombuffer(self.virtual_counts, dtype=np.int64)
+            arcs = indptr[n]
+            self.all_rows_np = np.fromiter(
+                chain.from_iterable(rows), dtype=np.int64, count=arcs
+            )
+            if arcs:
+                self.reduce_idx = np.minimum(
+                    np.fromiter((indptr[i] for i in range(n)), np.int64, n), arcs - 1
+                )
+
+    def sender_list(self) -> list[int]:
+        """Ascending sender indices of the pass (derived from ``sent`` once)."""
+        senders = self.senders
+        if senders is None:
+            sent = self.sent
+            senders = self.senders = [i for i in range(self.n) if sent[i]]
+        return senders
+
+    def _walk(self, senders: list[int]) -> tuple:
+        """Ordered per-sender accumulation; raises on an enforced violation.
+
+        Both the stdlib kernel and the enforcement path: senders are walked
+        in ascending order, so when an enforcing model's budget is exceeded
+        the partially-flushed metrics and the message text name the first
+        violating sender exactly as a per-sender oracle would.
+        """
+        bits_col = self.bits_col
+        degrees = self.degrees
+        cut_counts = self.cut_counts
+        virtual_counts = self.virtual_counts
+        budget = self.budget
+        messages = 0
+        bits_total = 0
+        max_bits = self.tally.counts[RoundTally.MAX_BITS]
+        cut_messages = 0
+        cut_bits = 0
+        violations = 0
+        virtual = 0
+        for k in range(len(senders)):
+            src_i = senders[k]
+            bits = bits_col[src_i]
+            deg = degrees[src_i]
+            messages += deg
+            bits_total += deg * bits
+            if bits > max_bits:
+                max_bits = bits
+            if cut_counts is not None:
+                crossing = cut_counts[src_i]
+                if crossing:
+                    cut_messages += crossing
+                    cut_bits += crossing * bits
+            if virtual_counts is not None:
+                virtual += virtual_counts[src_i]
+            if budget is not None and bits > budget:
+                violations += deg
+                if self.enforce:
+                    flush_round_tally(
+                        self.metrics, messages, bits_total, max_bits, cut_messages,
+                        cut_bits, violations,
+                        (k + 1) if self.broadcast_only else 0, virtual,
+                    )
+                    labels = self.labels
+                    first = labels[self.indices[self.indptr[src_i]]]
+                    raise BandwidthExceededError(
+                        f"message(s) on link {labels[src_i]!r}->{first!r} use "
+                        f"{bits} bits, budget is {budget} "
+                        f"({self.model_name})"
+                    )
+        return messages, bits_total, max_bits, cut_messages, cut_bits, violations, virtual
+
+    def account(self) -> None:
+        """Charge the queued pass to the run's metrics (one tally flush).
+
+        With NumPy the totals are mask dot-products over the count columns
+        (an over-budget sender under an enforcing model re-runs the ordered
+        walk, which raises); without it the ordered walk is the kernel.
+        The tally is flushed on every pass, empty ones included.
+        """
+        metrics = self.metrics
+        tally = self.tally
+        tally.reset(metrics.max_message_bits)
+        counts = tally.counts
+        if self.sent_count:
+            np = self.np
+            if np is not None:
+                mask = self.sent_np
+                bits_np = self.bits_np
+                deg_np = self.deg_np
+                budget = self.budget
+                if budget is not None:
+                    over = (bits_np > budget) & mask
+                    if over.any():
+                        if self.enforce:
+                            self._walk(self.sender_list())  # raises
+                        counts[RoundTally.VIOLATIONS] = int(deg_np.dot(over))
+                counts[RoundTally.MESSAGES] = int(deg_np.dot(mask))
+                counts[RoundTally.BITS] = int((bits_np * deg_np).dot(mask))
+                max_bits = int((bits_np * mask).max())
+                if max_bits > counts[RoundTally.MAX_BITS]:
+                    counts[RoundTally.MAX_BITS] = max_bits
+                if self.cut_np is not None:
+                    counts[RoundTally.CUT_MESSAGES] = int(self.cut_np.dot(mask))
+                    counts[RoundTally.CUT_BITS] = int((bits_np * self.cut_np).dot(mask))
+                if self.virt_np is not None:
+                    counts[RoundTally.VIRTUAL] = int(self.virt_np.dot(mask))
+            else:
+                (
+                    counts[RoundTally.MESSAGES], counts[RoundTally.BITS],
+                    counts[RoundTally.MAX_BITS], counts[RoundTally.CUT_MESSAGES],
+                    counts[RoundTally.CUT_BITS], counts[RoundTally.VIOLATIONS],
+                    counts[RoundTally.VIRTUAL],
+                ) = self._walk(self.sender_list())
+            if self.broadcast_only:
+                counts[RoundTally.BROADCASTS] = self.sent_count
+        tally.flush(metrics)
+
+
 def build_columnar_collect(
-    sim: "Simulator",
+    accounting: BroadcastAccounting,
     contexts: list[NodeContext],
-    metrics: Metrics,
-    graph_sets,
-    filt: "DeliveryFilter | None",
     tsignal: list[bool] | None = None,
 ) -> Callable[[Iterable[int]], list[Any]]:
-    """Build the columnar engine's per-round ``collect`` callable.
+    """Build the columnar engine's stepped per-round ``collect`` callable.
 
-    Precomputes the run-lifetime columns (sorted neighbour rows, degree /
-    cut-crossing / overlay count arrays, the payload size table, the
-    per-receiver inbox views and the
-    :class:`~repro.distributed.metrics.RoundTally`) and returns the closure
+    ``accounting`` is the run's :class:`BroadcastAccounting` (columns,
+    model, cut, metrics and delivery filter).  On top of it this builds the
+    stepped-only state — the payload size table, the per-receiver inbox
+    views and their bulk-gather kernels — and returns the closure
     :meth:`~repro.distributed.simulator.Simulator._drive` calls once per
-    round.  ``sim`` supplies the compiled topology, model and cut exactly
-    as the other engines see them.  ``tsignal`` is the contexts' shared
-    targeted-traffic signal cell: rounds that saw a ``ctx.send`` delegate
-    to the shared targeted fast path
-    (:func:`~repro.distributed.targeted.build_targeted_collect`, built
-    lazily on first use and sharing this engine's payload size table).
+    round.  ``tsignal`` is the contexts' shared targeted-traffic signal
+    cell: rounds that saw a ``ctx.send`` delegate to the shared targeted
+    fast path (:func:`~repro.distributed.targeted.build_targeted_collect`,
+    built lazily on first use and sharing this run's payload size table).
     """
-    np = _np  # snapshot per run; tests monkeypatch the module global
-    topo = sim.topology
-    model = sim.model
-    n = topo.n
-    labels = topo.labels
-    index = topo.index
-    cut = sim.cut
-    budget = model.bandwidth_bits
-    enforce = model.enforce
-    broadcast_only = model.broadcast_only
-    indptr, indices = topo.indptr, topo.indices
-
-    rows = topo.sorted_neighbor_rows()
-    degrees = list(topo.degrees)
-    # Degree-0 vertices are skipped by the gather loop *and* appear in no
-    # receiver's row, so the all-sent fast path triggers whenever every
-    # positive-degree vertex broadcast — not only when all ``n`` did.
-    n_connected = sum(1 for deg in degrees if deg)
-
-    cut_counts = None
-    if cut is not None:
-        cut_counts = _crossing_counts(topo, [labels[i] in cut for i in range(n)])
-    virtual_counts = None
-    if graph_sets is not None:
-        virtual_counts = _virtual_counts(topo, graph_sets)
+    np = accounting.np
+    n = accounting.n
+    labels = accounting.labels
+    indptr = accounting.indptr
+    rows = accounting.rows
+    degrees = accounting.degrees
+    metrics = accounting.metrics
+    filt = accounting.filt
+    account = accounting.account
 
     size_table = PayloadSizeTable()
     int_sizes = size_table.int_sizes
     size_cap = size_table.cap
     measure = size_table.measure
-    tally = RoundTally()
-    MESSAGES, BITS, MAX_BITS = RoundTally.MESSAGES, RoundTally.BITS, RoundTally.MAX_BITS
-    CUT_MESSAGES, CUT_BITS = RoundTally.CUT_MESSAGES, RoundTally.CUT_BITS
-    VIOLATIONS, BROADCASTS = RoundTally.VIOLATIONS, RoundTally.BROADCASTS
-    VIRTUAL = RoundTally.VIRTUAL
 
-    # Persistent per-round columns: the sent-flag byte per node, the payload
-    # size slot per node and the payload object column (the Mapping
-    # facade's singleton lists materialise lazily from it, see
-    # ``_RoundState.ensure_plists``).
-    state = _RoundState(n, labels, index)
+    # Persistent per-round columns: the shared sent-flag and size columns,
+    # plus the payload object column (the Mapping facade's singleton lists
+    # materialise lazily from it, see ``_RoundState.ensure_plists``).
+    state = _RoundState(n, labels, accounting.index, accounting.sent)
     sent = state.sent
     pays = state.pays
-    bits_col = array("q", [0]) * n
+    bits_col = accounting.bits_col
     zero_bytes = bytes(n)
     none_list: list[Any] = [None] * n
-
-    deg_np = cut_np = virt_np = None
-    sent_np = bits_np = obj_np = all_rows_np = None
-    if np is not None:
-        deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
-        bits_np = np.frombuffer(bits_col, dtype=np.int64)
-        # Zero-copy boolean view of the sent column; the bytearray is never
-        # resized, so the exported buffer stays valid for the whole run.
-        sent_np = np.frombuffer(sent, dtype=np.uint8).view(np.bool_)
-        if cut_counts is not None:
-            cut_np = np.frombuffer(cut_counts, dtype=np.int64)
-        if virtual_counts is not None:
-            virt_np = np.frombuffer(virtual_counts, dtype=np.int64)
 
     views: list[ColumnarInbox] | None = None
     if filt is None:
@@ -440,11 +641,8 @@ def build_columnar_collect(
             for i in range(n)
         ]
         if np is not None:
-            from itertools import chain
-
-            all_rows_np = np.fromiter(
-                chain.from_iterable(rows), dtype=np.int64, count=indptr[n]
-            )
+            all_rows_np = accounting.all_rows_np
+            reduce_idx = accounting.reduce_idx
             obj_np = np.empty(n, dtype=object)
 
             def build_flat() -> list[list[Any]]:
@@ -462,16 +660,7 @@ def build_columnar_collect(
             state.build_flat = build_flat
             state.build_pays_flat = build_pays_flat
 
-            if indptr[n]:
-                # Segment starts for the per-receiver max kernel.  reduceat
-                # requires in-range indices, so empty rows (isolated
-                # vertices, including a possible trailing one) are clipped;
-                # their garbage entries are never read — ``max_heard``
-                # guards on an empty row first.
-                reduce_idx = np.minimum(
-                    np.fromiter((indptr[i] for i in range(n)), np.int64, n),
-                    indptr[n] - 1,
-                )
+            if reduce_idx is not None:
 
                 def build_row_max() -> list[int] | None:
                     """Per-receiver payload maxima in one C reduction.
@@ -495,60 +684,11 @@ def build_columnar_collect(
                 state.build_row_max = build_row_max
 
     # Adversary path only: neighbour label rows handed to deliver_mask.
-    mask_rows: list[list[Any]] | None = None
-    if filt is not None:
-        mask_rows = [[labels[j] for j in row] for row in rows]
-
-    def accumulate_ordered(senders: list[int]) -> tuple:
-        """Batch-order accumulation; raises mid-walk on an enforced violation.
-
-        This is both the stdlib accounting kernel and the enforcement path:
-        it walks senders in ascending order exactly like the batch engine's
-        per-sender loop, so when an enforcing model's budget is exceeded the
-        partially-flushed metrics and the raised message text are
-        bit-for-bit the batch engine's.
-        """
-        messages = 0
-        bits_total = 0
-        max_bits = tally.counts[MAX_BITS]
-        cut_messages = 0
-        cut_bits = 0
-        violations = 0
-        virtual = 0
-        for k in range(len(senders)):
-            src_i = senders[k]
-            bits = bits_col[src_i]
-            deg = degrees[src_i]
-            messages += deg
-            bits_total += deg * bits
-            if bits > max_bits:
-                max_bits = bits
-            if cut_counts is not None:
-                crossing = cut_counts[src_i]
-                if crossing:
-                    cut_messages += crossing
-                    cut_bits += crossing * bits
-            if virtual_counts is not None:
-                virtual += virtual_counts[src_i]
-            if budget is not None and bits > budget:
-                violations += deg
-                if enforce:
-                    flush_round_tally(
-                        metrics, messages, bits_total, max_bits, cut_messages,
-                        cut_bits, violations,
-                        (k + 1) if broadcast_only else 0, virtual,
-                    )
-                    src = labels[src_i]
-                    first = labels[indices[indptr[src_i]]]
-                    raise BandwidthExceededError(
-                        f"message(s) on link {src!r}->{first!r} use "
-                        f"{bits} bits, budget is {budget} "
-                        f"({model.name})"
-                    )
-        return messages, bits_total, max_bits, cut_messages, cut_bits, violations, virtual
+    mask_rows = accounting.mask_rows
 
     # The degree-0 guard in the gather loop exists only for graphs that
     # actually contain isolated vertices; compile it out otherwise.
+    n_connected = accounting.n_connected
     has_isolated = n_connected != n
 
     # Targeted fast path, built on first use so broadcast-only programs
@@ -566,7 +706,8 @@ def build_columnar_collect(
                 from repro.distributed.targeted import build_targeted_collect
 
                 targeted = targeted_collect[0] = build_targeted_collect(
-                    sim, contexts, metrics, graph_sets, filt, size_table
+                    accounting.sim, contexts, metrics, accounting.graph_sets, filt,
+                    size_table,
                 )
             return targeted(sender_ids)
         # ---- reset the persistent round columns.  Stale ``pays``/
@@ -626,38 +767,11 @@ def build_columnar_collect(
         state.senders = senders
         state.ints_only = ints_only
 
-        # ---- accounting kernels -> RoundTally, flushed once.
-        tally.reset(metrics.max_message_bits)
-        counts = tally.counts
-        if senders:
-            if np is not None:
-                mask = sent_np
-                if budget is not None:
-                    over = (bits_np > budget) & mask
-                    if over.any():
-                        if enforce:
-                            accumulate_ordered(senders)  # raises
-                        counts[VIOLATIONS] = int(deg_np.dot(over))
-                counts[MESSAGES] = int(deg_np.dot(mask))
-                weighted = bits_np * deg_np
-                counts[BITS] = int(weighted.dot(mask))
-                max_bits = int((bits_np * mask).max())
-                if max_bits > counts[MAX_BITS]:
-                    counts[MAX_BITS] = max_bits
-                if cut_np is not None:
-                    counts[CUT_MESSAGES] = int(cut_np.dot(mask))
-                    counts[CUT_BITS] = int((bits_np * cut_np).dot(mask))
-                if virt_np is not None:
-                    counts[VIRTUAL] = int(virt_np.dot(mask))
-            else:
-                (
-                    counts[MESSAGES], counts[BITS], counts[MAX_BITS],
-                    counts[CUT_MESSAGES], counts[CUT_BITS],
-                    counts[VIOLATIONS], counts[VIRTUAL],
-                ) = accumulate_ordered(senders)
-            if broadcast_only:
-                counts[BROADCASTS] = len(senders)
-        tally.flush(metrics)
+        accounting.senders = senders
+        accounting.sent_count = len(senders)
+
+        # ---- accounting: the shared kernel, one RoundTally flush.
+        account()
 
         # ---- delivery: persistent lazy views (fault-free) or masked dicts.
         if not senders:
@@ -666,7 +780,7 @@ def build_columnar_collect(
             state.all_sent = len(senders) == n_connected
             return views
         # Adversary seam: one deliver_mask call per sender (keyed-hash mask
-        # for drops, a deliver() loop otherwise), then batch-style eager
+        # for drops, a deliver() loop otherwise), then eager per-receiver
         # insertion so every engine observes identical inbox contents.
         # Filter before the liveness check, exactly as the other engines do.
         halted = [ctx.halted for ctx in contexts]
@@ -677,8 +791,7 @@ def build_columnar_collect(
                 src = labels[src_i]
                 bits = bits_col[src_i]
                 mask = deliver_mask(src, mask_rows[src_i], bits)
-                # One singleton list per sender, shared by all its receivers
-                # — exactly the batch engine's interning.
+                # One singleton list per sender, shared by all its receivers.
                 plist = [pays[src_i]]
                 row = rows[src_i]
                 for pos in range(len(row)):
@@ -722,4 +835,4 @@ def build_columnar_collect(
     return collect
 
 
-__all__ = ["ColumnarInbox", "build_columnar_collect", "have_numpy"]
+__all__ = ["BroadcastAccounting", "ColumnarInbox", "build_columnar_collect", "have_numpy"]

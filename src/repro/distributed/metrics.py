@@ -2,9 +2,9 @@
 
 :class:`Metrics` is the aggregate counter block every engine fills in;
 :class:`LinkLedger` is the preallocated per-link bit ledger the indexed
-engine charges CONGEST bandwidth against (the batch engine needs no ledger:
-one broadcast payload per sender per round means a link's round total *is*
-the payload size).  :class:`RoundTally` is the columnar engine's
+engine charges CONGEST bandwidth against (columnar broadcast rounds need
+no ledger: one broadcast payload per sender per round means a link's round
+total *is* the payload size).  :class:`RoundTally` is the columnar engine's
 preallocated flat per-round counter block — kernels write slots of one
 64-bit array and :meth:`RoundTally.flush` folds them into :class:`Metrics`
 once per round, through the same :func:`flush_round_tally` seam the other
@@ -59,11 +59,12 @@ def flush_round_tally(
 ) -> None:
     """Fold one delivery pass's locally-accumulated counters into ``metrics``.
 
-    The indexed and batch engines accumulate per-pass counts in plain locals
-    (the hot loops must not pay attribute access per message) and flush them
-    here — once per round, and once more before an enforcement raise.  Both
-    engines sharing this function is part of the bit-for-bit engine-parity
-    contract: a counter added for one engine is necessarily added for both.
+    The indexed engine and the columnar enforcement walks accumulate
+    per-pass counts in plain locals (the hot loops must not pay attribute
+    access per message) and flush them here — once per round, and once more
+    before an enforcement raise.  Every engine sharing this function is part
+    of the bit-for-bit engine-parity contract: a counter added for one
+    engine is necessarily added for all.
     """
     metrics.messages_sent += messages
     metrics.bits_sent += bits_total

@@ -32,13 +32,13 @@ class NodeContext:
     model, never to an engine — every engine accepts every admission-legal
     program.
 
-    Under a batch-collecting simulator engine (``batch=True`` — the
-    ``batch`` and ``columnar`` engines) the context collects traffic in
-    struct-of-arrays form instead of materialising one ``(dst, payload)``
-    tuple per message: the round's single broadcast payload is interned by
-    reference (one broadcast per round is admitted regardless of the
-    communication model — those engines intern the payload once per
-    sender), and targeted sends append into the per-sender grouped outbox
+    Under the batch-collecting ``columnar`` engine (``batch=True``) the
+    context collects traffic in struct-of-arrays form instead of
+    materialising one ``(dst, payload)`` tuple per message: the round's
+    single broadcast payload is interned by reference (one broadcast per
+    round is admitted regardless of the communication model — the engine
+    interns the payload once per sender), and targeted sends append into
+    the per-sender grouped outbox
     (``_t_dsts`` / ``_t_pays`` parallel columns) consumed by the shared
     targeted-delivery fast path (:mod:`repro.distributed.targeted`).
     ``_t_bpos`` records where in that stream the broadcast was issued, so
@@ -48,7 +48,7 @@ class NodeContext:
 
     The class is slotted: contexts sit on every engine's per-round hot path
     (``round``/``halted`` reads in the driver, ``_batch_payload`` and the
-    targeted columns in the batch engines), and at E20 scale a million
+    targeted columns in the columnar engine), and at E20 scale a million
     instances exist at once.
     """
 
@@ -84,7 +84,7 @@ class NodeContext:
         graph_neighbors: frozenset[Node] | None = None,
         broadcast_only: bool = False,
         batch: bool = False,
-        engine_label: str = "batch",
+        engine_label: str = "columnar",
         model_name: str = "LOCAL",
     ) -> None:
         self.node_id = node_id
@@ -114,12 +114,12 @@ class NodeContext:
         self._last_broadcast_round = -1
         self._outbox: list[tuple[Node, Any]] = []
         self._batch_payload: Any = NO_BROADCAST
-        # Per-sender grouped outbox of the batch-collecting engines:
+        # Per-sender grouped outbox of the batch-collecting engine:
         # parallel destination/payload columns (struct of arrays), the
         # broadcast's interleave position, and the engine's shared
         # round-had-targeted-traffic signal cell (a one-element list, so
         # flagging it is one store — no per-round scan over all contexts).
-        # The cell is never None — batch engines overwrite it with their
+        # The cell is never None — the columnar engine overwrites it with its
         # shared cell, and the private default keeps the send hot path
         # branch-free for directly constructed contexts.
         self._t_dsts: list[Node] = []

@@ -16,7 +16,7 @@ clique) decouple the *communication* topology from the input graph: messages
 travel on a virtual complete graph while programs still compute on the input
 graph exposed as ``ctx.graph_neighbors``.
 
-Four engines share the public API and produce identical results:
+Three engines share the public API and produce identical results:
 
 * ``indexed`` (default) — runs on the model's compiled communication
   topology (:meth:`~repro.distributed.models.CommunicationModel.communication_topology`):
@@ -26,34 +26,21 @@ Four engines share the public API and produce identical results:
   :class:`~repro.distributed.metrics.LinkLedger` indexed by CSR arc
   position, and message sizes are measured once per distinct payload object
   per round (:class:`~repro.distributed.encoding.BitsMemo`).
-* ``batch`` — a struct-of-arrays fast path.  Broadcast rounds exploit the
-  broadcast-admission invariant (one identical payload per sender per
-  round, the rule :class:`~repro.distributed.models.BroadcastCongestModel`
-  enforces and every broadcast-style workload obeys): each round's payload
-  is interned once per sender, sized once, and delivered by CSR slice over
-  the compiled topology instead of constructing one ``(dst, payload)``
-  message object per neighbour, with cut/overlay/bandwidth accounting
-  collapsed to per-sender arithmetic on preallocated per-node count
-  arrays.  Rounds with targeted traffic (``ctx.send`` appends into
-  per-sender grouped struct-of-arrays outboxes) are collected by the
-  shared targeted fast path (:mod:`repro.distributed.targeted`): flat
-  per-round columns, run-lifetime payload sizing, vectorised per-link
-  admission accounting and scatter delivery.  Bit-for-bit identical to
-  ``indexed`` for any program under every communication model.
 * ``columnar`` — the mega-scale flat-array engine
-  (:mod:`repro.distributed.columnar`).  On broadcast rounds the remaining
-  per-delivery Python loop is gone too: accounting reduces over
-  preallocated per-node count columns (NumPy kernels when importable,
-  stdlib ``array`` otherwise — identical results), payload sizes come
-  from a run-lifetime
-  :class:`~repro.distributed.encoding.PayloadSizeTable`, per-round
-  counters flush once through a
-  :class:`~repro.distributed.metrics.RoundTally`, and fault-free delivery
-  hands each receiver a lazy CSR-backed inbox view instead of building
-  dicts.  Rounds with targeted traffic take the same shared targeted fast
-  path as the batch engine (sharing the columnar size table).  Bit-for-bit
-  identical to ``indexed`` for any program, including under every
-  adversary.
+  (:mod:`repro.distributed.columnar`).  Broadcast rounds exploit the
+  broadcast-admission invariant (one identical payload per sender per
+  round): each sender's payload is interned once and sized from a
+  run-lifetime :class:`~repro.distributed.encoding.PayloadSizeTable`,
+  accounting reduces over preallocated per-node count columns (NumPy
+  kernels when importable, stdlib ``array`` otherwise — identical results)
+  into one :class:`~repro.distributed.metrics.RoundTally` flush per round,
+  and fault-free delivery hands each receiver a lazy CSR-backed inbox view
+  instead of building dicts.  Runs of an opted-in
+  :class:`~repro.distributed.vectorize.VectorProgram` lower whole rounds
+  to array kernels over the same accounting.  Rounds with targeted traffic
+  take the targeted fast path (:mod:`repro.distributed.targeted`).
+  Bit-for-bit identical to ``indexed`` for any program, including under
+  every adversary.
 * ``reference`` — the original dict-of-dicts engine, kept as the
   differential-testing oracle and as the baseline the throughput benchmark
   (E16) measures speedups against.
@@ -77,24 +64,18 @@ check at every seam.
 from __future__ import annotations
 
 import random
-from array import array
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
 from repro.distributed.adversary import Adversary, DeliveryFilter
-from repro.distributed.columnar import build_columnar_collect
-from repro.distributed.encoding import (
-    BitsMemo,
-    PayloadSizeTable,
-    congest_budget_bits,
-)
+from repro.distributed.columnar import BroadcastAccounting, build_columnar_collect
+from repro.distributed.encoding import BitsMemo, congest_budget_bits
 from repro.distributed.errors import BandwidthExceededError, RoundLimitExceededError
 from repro.distributed.metrics import LinkLedger, Metrics, flush_round_tally
 from repro.distributed.models import CommunicationModel, LocalModel, Model, ModelConfig
-from repro.distributed.node import NO_BROADCAST, NodeContext
+from repro.distributed.node import NodeContext
 from repro.distributed.program import NodeProgram
-from repro.distributed.targeted import build_targeted_collect
 from repro.distributed.vectorize import try_lower
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
@@ -102,7 +83,7 @@ from repro.graphs.graph import Graph
 Node = Hashable
 ProgramFactory = Callable[[Node], NodeProgram]
 
-ENGINES = ("indexed", "batch", "columnar", "reference")
+ENGINES = ("indexed", "columnar", "reference")
 
 
 @dataclass
@@ -157,7 +138,6 @@ class Simulator:
         (used by the lower-bound reduction harness).
     engine:
         ``"indexed"`` (the compiled-topology engine, default),
-        ``"batch"`` (the struct-of-arrays fast path),
         ``"columnar"`` (the mega-scale flat-array engine; NumPy-accelerated
         when NumPy is importable, stdlib otherwise) or ``"reference"``
         (the original dict-based engine).  All engines produce identical
@@ -217,7 +197,10 @@ class Simulator:
         vectorize: bool = True,
     ) -> None:
         if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+            retired = " (batch was retired: use 'columnar')" if engine == "batch" else ""
+            raise ValueError(
+                f"unknown engine {engine!r}; expected one of {ENGINES}{retired}"
+            )
         self.graph = graph
         self.program_factory = program_factory
         self.model = model if model is not None else LocalModel(graph.number_of_nodes())
@@ -233,7 +216,7 @@ class Simulator:
     def _new_metrics(self) -> Metrics:
         """Fresh metrics block for one run, honouring ``streaming_metrics``.
 
-        The single construction point for all four engines, so the
+        The single construction point for all three engines, so the
         streaming knob can never apply to one engine and not another.
         """
         return Metrics(streaming=True) if self.streaming_metrics else Metrics()
@@ -261,8 +244,6 @@ class Simulator:
         self.lowered = False
         if self.engine == "reference":
             return self._run_reference(max_rounds, raise_on_limit)
-        if self.engine == "batch":
-            return self._run_batch(max_rounds, raise_on_limit)
         if self.engine == "columnar":
             return self._run_columnar(max_rounds, raise_on_limit)
         return self._run_indexed(max_rounds, raise_on_limit)
@@ -329,18 +310,18 @@ class Simulator:
     ]:
         """Seed RNGs and build contexts/programs for the list-indexed engines.
 
-        Shared by the indexed and batch engines so that the master-RNG
+        Shared by the indexed and columnar engines so that the master-RNG
         consumption order, the overlay adjacency derivation and the context
         wiring can never diverge between them (the bit-for-bit engine-parity
         contract depends on all three).  Overlay models expose the input
         graph's adjacency separately: overlay labels reuse ``graph.freeze()``
         order, hence the index spaces coincide.
 
-        For batch-collecting engines the contexts additionally share one
-        targeted-traffic signal cell (returned as the fourth element):
-        ``ctx.send`` flags it, so those engines learn in O(1) whether a
-        round needs the targeted collection path — pure-broadcast rounds
-        never pay a per-sender scan.
+        With ``batch`` (the columnar engine's batch-collecting contexts) the
+        contexts additionally share one targeted-traffic signal cell
+        (returned as the fourth element): ``ctx.send`` flags it, so the
+        engine learns in O(1) whether a round needs the targeted collection
+        path — pure-broadcast rounds never pay a per-sender scan.
         """
         topo = self.topology
         model = self.model
@@ -508,233 +489,25 @@ class Simulator:
             ledger.reset_round()
         return inboxes
 
-    # --------------------------------------------------------- batch engine
-    def _run_batch(self, max_rounds: int, raise_on_limit: bool) -> RunResult:
-        """Struct-of-arrays fast path.
-
-        Broadcast rounds exploit the broadcast-admission invariant — one
-        identical payload per sender per round — to collapse per-message
-        work into per-sender work: the payload is interned once (no
-        per-neighbour ``(dst, payload)`` tuples), sized once with
-        :func:`~repro.distributed.encoding.estimate_bits`, and delivered by
-        CSR slice.  Cut-crossing and overlay accounting use per-node
-        neighbour counts precomputed once per run, and CONGEST enforcement
-        reduces to a single ``bits > budget`` comparison per sender (a
-        link's round total equals the payload size, so no
-        :class:`~repro.distributed.metrics.LinkLedger` is needed).
-
-        Rounds with targeted traffic — contexts flag the shared signal cell
-        in ``ctx.send``, so pure-broadcast rounds never pay for the check —
-        are collected by the shared targeted fast path
-        (:func:`~repro.distributed.targeted.build_targeted_collect`, built
-        lazily on first use), which also handles any broadcast issued in
-        the same round.
-
-        Bit-for-bit identical to the indexed engine for any program under
-        every communication model.  One deliberate representation
-        difference: the single-payload inbox lists of one broadcast are
-        *shared* between its receivers (the indexed engine allocates one
-        list per receiver), so programs must treat inbox values as
-        read-only — which every shipped program and
-        :class:`~repro.distributed.program.BroadcastNodeProgram` already
-        do.
-        """
-        topo = self.topology
-        model = self.model
-        n = topo.n
-        labels = topo.labels
-        contexts, programs, graph_sets, tsignal = self._build_contexts(batch=True)
-        broadcast_only = model.broadcast_only
-
-        metrics = self._new_metrics()
-        model.init_metrics(metrics)
-        filt = self._bind_adversary(metrics)
-        budget = model.bandwidth_bits
-        enforce = model.enforce
-        indptr, indices = topo.indptr, topo.indices
-        cut = self.cut
-
-        # Materialise each sender's CSR slice as a plain list once per run:
-        # iterating a list of cached int objects beats re-decoding array("q")
-        # entries on every delivery, and the delivery loop is the hot path.
-        nbr_lists: list[list[int]] = [
-            list(indices[indptr[i] : indptr[i + 1]]) for i in range(n)
-        ]
-
-        # Per-sender accounting collapses to precomputed neighbour counts:
-        # a broadcast from ``i`` crosses the cut ``cut_counts[i]`` times and
-        # uses ``virtual_counts[i]`` non-input-graph overlay links, no
-        # matter what the payload is.
-        cut_counts: array | None = None
-        if cut is not None:
-            side = [labels[i] in cut for i in range(n)]
-            cut_counts = array("q", [0]) * n
-            for i in range(n):
-                mine = side[i]
-                cut_counts[i] = sum(
-                    1 for pos in range(indptr[i], indptr[i + 1]) if side[indices[pos]] != mine
-                )
-        virtual_counts: array | None = None
-        if graph_sets is not None:
-            virtual_counts = array("q", [0]) * n
-            for i in range(n):
-                gset = graph_sets[i]
-                virtual_counts[i] = sum(
-                    1
-                    for pos in range(indptr[i], indptr[i + 1])
-                    if labels[indices[pos]] not in gset
-                )
-
-        # The targeted fast path is built on first use, so broadcast-only
-        # programs never construct it.
-        targeted_collect = None
-
-        # Run-lifetime value-keyed size cache (identical to estimate_bits on
-        # every input): one dict probe per sender per round instead of one
-        # recursive estimate per payload.
-        sizes = PayloadSizeTable()
-        measure = sizes.measure
-
-        def collect(sender_ids: Iterable[int]) -> list[dict[Node, list[Any]] | None]:
-            if tsignal[0]:
-                # At least one ctx.send this round: the whole round (any
-                # broadcasts included, replayed at their outbox positions)
-                # goes through the shared targeted-delivery path.
-                tsignal[0] = False
-                nonlocal targeted_collect
-                if targeted_collect is None:
-                    targeted_collect = build_targeted_collect(
-                        self, contexts, metrics, graph_sets, filt
-                    )
-                return targeted_collect(sender_ids)
-            inboxes: list[dict[Node, list[Any]] | None] = [None] * n
-            # Halting only changes between collection passes, so one dense
-            # snapshot replaces a per-message attribute dereference.
-            halted = [ctx.halted for ctx in contexts]
-            transforms = filt is not None and filt.transforms
-
-            messages = 0
-            bits_total = 0
-            max_bits = metrics.max_message_bits
-            cut_messages = 0
-            cut_bits = 0
-            violations = 0
-            broadcast_payloads = 0
-            virtual_messages = 0
-
-            def flush() -> None:
-                flush_round_tally(
-                    metrics, messages, bits_total, max_bits, cut_messages,
-                    cut_bits, violations, broadcast_payloads, virtual_messages,
-                )
-
-            for src_i in sender_ids:
-                ctx = contexts[src_i]
-                payload = ctx._batch_payload
-                if payload is NO_BROADCAST:
-                    continue
-                ctx._batch_payload = NO_BROADCAST
-                nbrs = nbr_lists[src_i]
-                deg = len(nbrs)
-                if not deg:
-                    # A degree-0 broadcast delivers nothing (matches the
-                    # indexed engine's empty outbox: no metrics, no counter).
-                    continue
-                bits = measure(payload)
-                messages += deg
-                bits_total += deg * bits
-                if bits > max_bits:
-                    max_bits = bits
-                if broadcast_only:
-                    broadcast_payloads += 1
-                if cut_counts is not None:
-                    crossing = cut_counts[src_i]
-                    if crossing:
-                        cut_messages += crossing
-                        cut_bits += crossing * bits
-                if virtual_counts is not None:
-                    virtual_messages += virtual_counts[src_i]
-                if budget is not None and bits > budget:
-                    violations += deg
-                    if enforce:
-                        flush()
-                        src = labels[src_i]
-                        raise BandwidthExceededError(
-                            f"message(s) on link {src!r}->{labels[nbrs[0]]!r} use "
-                            f"{bits} bits, budget is {budget} "
-                            f"({model.name})"
-                        )
-                src = labels[src_i]
-                if filt is None:
-                    # One payload list shared by every receiver (read-only
-                    # inbox contract; saves an allocation per delivery).
-                    plist = [payload]
-                    for dst_i in nbrs:
-                        if halted[dst_i]:
-                            continue
-                        box = inboxes[dst_i]
-                        if box is None:
-                            inboxes[dst_i] = {src: plist}
-                        else:
-                            box[src] = plist
-                elif not transforms:
-                    # Adversary seam, branched outside the hot loop so the
-                    # fault-free fast path pays nothing.  Filter before the
-                    # liveness check, exactly as the indexed engine does.
-                    plist = [payload]
-                    for dst_i in nbrs:
-                        if not filt.deliver(src, labels[dst_i], bits):
-                            continue
-                        if halted[dst_i]:
-                            continue
-                        box = inboxes[dst_i]
-                        if box is None:
-                            inboxes[dst_i] = {src: plist}
-                        else:
-                            box[src] = plist
-                else:
-                    # Transforming adversary: the broadcast may arrive
-                    # differently at each neighbour, so the shared-payload
-                    # fan-out is invalid — materialize one list per edge.
-                    transform = filt.transform
-                    for dst_i in nbrs:
-                        dst = labels[dst_i]
-                        if not filt.deliver(src, dst, bits):
-                            continue
-                        tpay = transform(src, dst, payload, bits)
-                        if halted[dst_i]:
-                            continue
-                        box = inboxes[dst_i]
-                        if box is None:
-                            inboxes[dst_i] = {src: [tpay]}
-                        else:
-                            box[src] = [tpay]
-
-            flush()
-            return inboxes
-
-        active = self._drive(
-            contexts, programs, collect, metrics, max_rounds, raise_on_limit, filt
-        )
-        outputs = {labels[i]: contexts[i].output for i in range(n)}
-        return RunResult(outputs=outputs, metrics=metrics, completed=not active)
-
     # ------------------------------------------------------- columnar engine
     def _run_columnar(self, max_rounds: int, raise_on_limit: bool) -> RunResult:
         """Flat-array mega-scale engine (see :mod:`repro.distributed.columnar`).
 
-        Same shell as the batch engine — shared context construction, shared
-        round loop, shared adversary binding — with the per-round collection
-        pass swapped for the columnar kernels built by
-        :func:`~repro.distributed.columnar.build_columnar_collect`:
-        vectorised accounting over per-node count columns, a run-lifetime
-        payload size table, one metrics flush per round, and lazy CSR-backed
-        inbox views in place of per-delivery dict inserts.  Rounds with
-        targeted traffic delegate to the shared targeted fast path
-        (:func:`~repro.distributed.targeted.build_targeted_collect`),
-        sharing this engine's payload size table.  Bit-for-bit identical to
-        the indexed engine for every program under every communication
-        model and adversary.
+        Same shell as the indexed engine — shared context construction,
+        shared round loop, shared adversary binding — with one
+        :class:`~repro.distributed.columnar.BroadcastAccounting` built per
+        run: the broadcast columns and the accounting kernel both round
+        drivers charge every collection pass through.  A lowerable run
+        executes as whole-round kernels
+        (:func:`~repro.distributed.vectorize.try_lower`); otherwise the
+        per-round collection pass is the stepped columnar collect
+        (:func:`~repro.distributed.columnar.build_columnar_collect`): a
+        run-lifetime payload size table and lazy CSR-backed inbox views in
+        place of per-delivery dict inserts, with rounds of targeted traffic
+        delegated to the targeted fast path
+        (:func:`~repro.distributed.targeted.build_targeted_collect`).
+        Bit-for-bit identical to the indexed engine for every program under
+        every communication model and adversary.
         """
         topo = self.topology
         n = topo.n
@@ -745,23 +518,18 @@ class Simulator:
         self.model.init_metrics(metrics)
         filt = self._bind_adversary(metrics)
 
+        accounting = BroadcastAccounting(self, metrics, graph_sets, filt)
         # Program lowering (the E23 fast path): when every program is the
         # same opted-in VectorProgram class and the run admits it, whole
         # rounds execute as array kernels with zero per-node Python calls —
         # bit-for-bit identical to the stepped path below.  ``lowered``
         # records the decision for callers (benchmarks, the E23 twins).
-        lowered = (
-            try_lower(self, contexts, programs, metrics, graph_sets, filt)
-            if self.vectorize
-            else None
-        )
+        lowered = try_lower(accounting, contexts, programs) if self.vectorize else None
         self.lowered = lowered is not None
         if lowered is not None:
             active = lowered.execute(max_rounds, raise_on_limit)
         else:
-            collect = build_columnar_collect(
-                self, contexts, metrics, graph_sets, filt, tsignal
-            )
+            collect = build_columnar_collect(accounting, contexts, tsignal)
             active = self._drive(
                 contexts, programs, collect, metrics, max_rounds, raise_on_limit, filt
             )

@@ -1,13 +1,11 @@
-"""Targeted-send fast path shared by the batch-collecting engines.
+"""Targeted-send fast path of the columnar engine.
 
-Until PR 7 the ``batch`` and ``columnar`` engines rejected targeted sends
-outright, which locked the fast engines out of every Congested Clique
-workload — the setting the source paper actually lives in.  This module is
-the removal of that restriction: one collection path, shared by both
-engines, that consumes the per-sender grouped outboxes
+Without it the columnar engine could not carry targeted sends, which would
+lock the fast engine out of every Congested Clique workload — the setting
+the source paper actually lives in.  This module is one collection path
+that consumes the per-sender grouped outboxes
 (:class:`~repro.distributed.node.NodeContext` ``_t_dsts`` / ``_t_pays``
-struct-of-arrays columns) which ``ctx.send`` now appends to instead of
-raising.
+struct-of-arrays columns) which ``ctx.send`` appends to.
 
 A round that saw at least one targeted send (the contexts flag a shared
 one-element signal cell, so pure-broadcast rounds pay nothing) is collected
@@ -46,17 +44,17 @@ metrics, the PR 5 adversary seam consulted per message
 (:meth:`~repro.distributed.adversary.DeliveryFilter.deliver`, or one
 :meth:`~repro.distributed.adversary.DeliveryFilter.deliver_mask` call for
 a broadcast segment's uniform-size row) *before* the receiver-liveness
-check — and builds eager batch-style inbox dicts.  The NumPy kernels must
+check — and builds eager per-receiver inbox dicts.  The NumPy kernels must
 agree with it exactly; when a violation must raise under an enforcing
 model, the vectorised path detects it cheaply and re-runs the ordered walk
 so the raised error and the partially flushed metrics match the oracle.
 
 Parity contract (the gate the fast path ships under): for any program, on
-rounds containing targeted traffic, batch and columnar runs are bit-for-bit
+rounds containing targeted traffic, columnar runs are bit-for-bit
 identical to the ``indexed`` engine — outputs, ``Metrics.as_dict()``,
 ``bits_per_round`` — under all communication models that admit targeted
 sends and under every adversary.  Two deliberate representation
-differences, both inherited from the PR 4/6 contracts: fault-free NumPy
+differences, both part of the columnar inbox contract: fault-free NumPy
 rounds hand receivers :class:`TargetedInbox` views (not dicts), and
 payload lists may be shared between receivers of one broadcast — programs
 treat inboxes as read-only and do not stash them across rounds.  One
@@ -126,8 +124,7 @@ class TargetedInbox(Mapping):
 
     Views alias the round's scatter columns and are valid only for the
     round they were handed to ``on_round`` for; payload lists are shared
-    with the engine — the batch engines' existing read-only inbox
-    contract.
+    with the engine — the columnar engine's read-only inbox contract.
     """
 
     __slots__ = ("_srcs", "_pays", "_lo", "_hi", "_items")
@@ -215,12 +212,11 @@ def build_targeted_collect(
 ) -> Callable[[Iterable[int]], list[Any]]:
     """Build the shared targeted-round ``collect`` callable.
 
-    Invoked lazily by the batch and columnar engines the first time a run
-    actually sees a targeted send (broadcast-only runs never pay for it).
-    ``sim`` supplies the compiled topology, model and cut exactly as the
-    engines see them; ``size_table`` lets the columnar engine share its
-    run-lifetime payload size cache with this path (the batch engine passes
-    ``None`` and gets a private table).
+    Invoked lazily by the columnar engine the first time a run actually
+    sees a targeted send (broadcast-only runs never pay for it).  ``sim``
+    supplies the compiled topology, model and cut exactly as the engines
+    see them; ``size_table`` lets the columnar engine share its run-lifetime
+    payload size cache with this path (``None`` builds a private table).
     """
     np = _np  # snapshot per run; tests monkeypatch the module global
     topo = sim.topology

@@ -1,6 +1,6 @@
 """Program lowering: whole-round vectorized node-program kernels (E23).
 
-The columnar engine (PR 6) made delivery and accounting flat-array work,
+The columnar engine made delivery and accounting flat-array work,
 but every round still re-enters Python once per node: ``on_round`` runs
 ``n`` times per round, so a mega-scale flood-max run spends most of its
 wall time in interpreter dispatch, not physics.  This module removes that
@@ -36,12 +36,12 @@ columnar run (and hence to the indexed oracle) — outputs,
 raises — under all four communication models and under drop/crash
 adversaries.  The load-bearing details:
 
-* accounting reuses the columnar engine's kernels verbatim: mask
+* accounting *is* the stepped engine's: the view runs the run's one
+  :class:`~repro.distributed.columnar.BroadcastAccounting` kernel — mask
   dot-products over per-node degree/cut/overlay count columns, one
   :class:`~repro.distributed.metrics.RoundTally` flush per collection pass
-  (including the round-0 pass and the final empty pass), absolute
-  ``max_message_bits`` store, and the batch-ordered enforcement walk with
-  the batch engine's partially-flushed metrics and message text;
+  (including the round-0 pass and the final empty pass), and the ordered
+  enforcement walk with its partially-flushed metrics and message text;
 * payload sizes come from closed forms (:func:`int_payload_bits`,
   :func:`repetition_frame_bits`) pinned by tests to equal
   :func:`~repro.distributed.encoding.estimate_bits` on every value the
@@ -54,38 +54,22 @@ adversaries.  The load-bearing details:
   force-halt contexts there), and ``deliver_mask`` is called once per
   sender, in ascending sender order, with the sorted neighbour label row;
 * NumPy is an optional accelerator, never a dependency: with NumPy absent
-  or disabled (``REPRO_DISABLE_NUMPY``) the stdlib-``array`` kernels
-  produce identical results — slower, never different.
+  or disabled (``REPRO_DISABLE_NUMPY``, or the columnar module's ``_np``
+  global monkeypatched to ``None``) the stdlib-``array`` kernels produce
+  identical results — slower, never different.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from itertools import chain
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.distributed.columnar import _crossing_counts, _virtual_counts
-from repro.distributed.errors import BandwidthExceededError, RoundLimitExceededError
-from repro.distributed.metrics import Metrics, RoundTally, flush_round_tally
+from repro.distributed.columnar import BroadcastAccounting
+from repro.distributed.errors import RoundLimitExceededError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.distributed.adversary import DeliveryFilter
     from repro.distributed.node import NodeContext
     from repro.distributed.program import NodeProgram
-    from repro.distributed.simulator import Simulator
-
-# NumPy is an optional accelerator, never a dependency: absent (or disabled
-# through the environment) the stdlib kernels take over with identical
-# results.  The module global is re-read on every run so tests can
-# monkeypatch it to exercise the fallback.
-if os.environ.get("REPRO_DISABLE_NUMPY"):  # pragma: no cover - env-driven
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - depends on environment
-        _np = None
 
 #: int64 bounds: labels outside this range decline lowering, and the
 #: minimum doubles as the "nothing heard" fold identity (safe because the
@@ -203,131 +187,77 @@ class EngineView:
     ``degrees``, ``labels``), the NumPy module snapshot (``np``, possibly
     ``None``), the liveness column (``alive`` plus ``alive_np``), the fold
     primitive :meth:`fold_max`, the broadcast queue
-    (:meth:`queue_broadcast_alive` over the ``best_bits`` column) and the
-    retirement seam :meth:`retire` (the only per-node Python in a lowered
-    run: each node is touched once when it halts).  Everything else —
-    accounting kernels, adversary masks, the round loop — is internal.
+    (:meth:`queue_broadcast_alive` over the ``bits_col`` size column) and
+    the retirement seam :meth:`retire` (the only per-node Python in a
+    lowered run: each node is touched once when it halts).  The columns
+    and the accounting kernel belong to the run's
+    :class:`~repro.distributed.columnar.BroadcastAccounting` — the same
+    instance the stepped path would have used — and everything else (the
+    adversary masks, the round loop) is internal.
     """
 
     __slots__ = (
-        "sim",
+        "accounting",
         "contexts",
-        "metrics",
-        "graph_sets",
         "filt",
         "np",
         "n",
         "labels",
-        "index",
         "rows",
         "indptr",
-        "indices",
         "degrees",
-        "n_connected",
         "alive",
         "alive_count",
-        "sent",
-        "sent_count",
         "bits_col",
         "heard_col",
-        "senders_list",
         "round",
-        "cut_counts",
-        "virtual_counts",
-        "mask_rows",
         "mask_flat",
-        "tally",
         "_kernel",
         "_ninf_template",
         "_zero_bytes",
         "_zero_arcs",
         "alive_np",
-        "sent_np",
         "bits_np",
-        "deg_np",
-        "cut_np",
-        "virt_np",
         "nonempty_np",
-        "all_rows_np",
-        "reduce_idx",
         "t_idx",
     )
 
     def __init__(
-        self,
-        sim: "Simulator",
-        contexts: "list[NodeContext]",
-        metrics: Metrics,
-        graph_sets,
-        filt: "DeliveryFilter | None",
+        self, accounting: BroadcastAccounting, contexts: "list[NodeContext]"
     ) -> None:
-        np = _np  # snapshot per run; tests monkeypatch the module global
-        self.sim = sim
+        np = accounting.np
+        filt = accounting.filt
+        n = accounting.n
+        indptr = accounting.indptr
+        self.accounting = accounting
         self.contexts = contexts
-        self.metrics = metrics
-        self.graph_sets = graph_sets
         self.filt = filt
         self.np = np
-        topo = sim.topology
-        n = topo.n
         self.n = n
-        self.labels = topo.labels
-        self.index = topo.index
-        self.rows = topo.sorted_neighbor_rows()
-        self.indptr = topo.indptr
-        self.indices = topo.indices
-        self.degrees = list(topo.degrees)
-        self.n_connected = sum(1 for deg in self.degrees if deg)
+        self.labels = accounting.labels
+        self.rows = accounting.rows
+        self.indptr = indptr
+        self.degrees = accounting.degrees
+        self.bits_col = accounting.bits_col
+        self.bits_np = accounting.bits_np
         self.alive = bytearray(n)
         self.alive_count = 0
-        self.sent = bytearray(n)
-        self.sent_count = 0
-        self.bits_col = array("q", [0]) * n
         self.heard_col = array("q", [0]) * n
-        self.senders_list: list[int] | None = None
         self.round = 0
-        cut = sim.cut
-        self.cut_counts = (
-            _crossing_counts(topo, [self.labels[i] in cut for i in range(n)])
-            if cut is not None
-            else None
-        )
-        self.virtual_counts = (
-            _virtual_counts(topo, graph_sets) if graph_sets is not None else None
-        )
-        self.mask_rows: list[list[Any]] | None = None
-        self.mask_flat: bytearray | None = None
-        self.tally = RoundTally()
         self._kernel: VectorKernel | None = None
         self._ninf_template = array("q", [INT64_MIN]) * n
         self._zero_bytes = bytes(n)
-        self._zero_arcs = bytes(self.indptr[n])
+        self.mask_flat: bytearray | None = None
+        self._zero_arcs: bytes | None = None
         if filt is not None:
-            self.mask_rows = [[self.labels[j] for j in row] for row in self.rows]
-            self.mask_flat = bytearray(self.indptr[n])
+            self.mask_flat = bytearray(indptr[n])
+            self._zero_arcs = bytes(indptr[n])
 
-        self.alive_np = self.sent_np = self.bits_np = self.deg_np = None
-        self.cut_np = self.virt_np = self.nonempty_np = None
-        self.all_rows_np = self.reduce_idx = self.t_idx = None
+        self.alive_np = self.nonempty_np = self.t_idx = None
         if np is not None:
-            self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
-            self.bits_np = np.frombuffer(self.bits_col, dtype=np.int64)
             self.alive_np = np.frombuffer(self.alive, dtype=np.uint8).view(np.bool_)
-            self.sent_np = np.frombuffer(self.sent, dtype=np.uint8).view(np.bool_)
-            self.nonempty_np = self.deg_np > 0
-            if self.cut_counts is not None:
-                self.cut_np = np.frombuffer(self.cut_counts, dtype=np.int64)
-            if self.virtual_counts is not None:
-                self.virt_np = np.frombuffer(self.virtual_counts, dtype=np.int64)
-            m2 = self.indptr[n]
-            self.all_rows_np = np.fromiter(
-                chain.from_iterable(self.rows), dtype=np.int64, count=m2
-            )
-            if m2:
-                self.reduce_idx = np.minimum(
-                    np.fromiter((self.indptr[i] for i in range(n)), np.int64, n),
-                    m2 - 1,
-                )
+            self.nonempty_np = accounting.deg_np > 0
+            m2 = indptr[n]
             if filt is not None and m2:
                 # Receiver-side arc p (receiver i, neighbour j) maps to
                 # sender-side arc t_idx[p] (sender j's sorted row, entry i):
@@ -335,9 +265,9 @@ class EngineView:
                 # sender-major order, i.e. exactly the deliver_mask layout.
                 rec = np.repeat(
                     np.arange(n, dtype=np.int64),
-                    np.diff(np.asarray(self.indptr, dtype=np.int64)),
+                    np.diff(np.asarray(indptr, dtype=np.int64)),
                 )
-                perm = np.lexsort((rec, self.all_rows_np))
+                perm = np.lexsort((rec, accounting.all_rows_np))
                 t_idx = np.empty(m2, dtype=np.int64)
                 t_idx[perm] = np.arange(m2, dtype=np.int64)
                 self.t_idx = t_idx
@@ -363,34 +293,38 @@ class EngineView:
         *is* the wire size of the folded max payload, and kernels can
         refresh sizes with no per-node Python at all.
         """
-        if not self.sent_count:
+        accounting = self.accounting
+        sent_count = accounting.sent_count
+        if not sent_count:
             return None
         np = self.np
         best = self._kernel.payload_column()
         if np is not None:
-            if self.all_rows_np is None or not len(self.all_rows_np):
+            all_rows_np = accounting.all_rows_np
+            if not len(all_rows_np):
                 return None
-            gathered = best[self.all_rows_np]
+            reduce_idx = accounting.reduce_idx
+            gathered = best[all_rows_np]
             dmask = None
             if self.filt is not None:
                 dmask = (
                     np.frombuffer(self.mask_flat, dtype=np.uint8)
                     .view(np.bool_)[self.t_idx]
                 )
-            elif self.sent_count != self.n_connected:
-                dmask = self.sent_np[self.all_rows_np]
+            elif sent_count != accounting.n_connected:
+                dmask = accounting.sent_np[all_rows_np]
             vals = gathered if dmask is None else np.where(dmask, gathered, INT64_MIN)
-            heard = np.maximum.reduceat(vals, self.reduce_idx)
+            heard = np.maximum.reduceat(vals, reduce_idx)
             if bits is None:
                 return heard
-            gathered_bits = bits[self.all_rows_np]
+            gathered_bits = bits[all_rows_np]
             if dmask is not None:
                 gathered_bits = np.where(dmask, gathered_bits, 0)
-            return heard, np.maximum.reduceat(gathered_bits, self.reduce_idx)
+            return heard, np.maximum.reduceat(gathered_bits, reduce_idx)
         heard = self.heard_col
         heard[:] = self._ninf_template
         rows = self.rows
-        senders = self._senders()
+        senders = accounting.sender_list()
         if self.filt is None:
             for j in senders:
                 v = best[j]
@@ -437,12 +371,14 @@ class EngineView:
         broadcasts as no-ops (no metrics, no payload counter).
         """
         np = self.np
+        accounting = self.accounting
         if np is not None:
-            self.sent_np[:] = self.alive_np & self.nonempty_np
-            self.sent_count = int(np.count_nonzero(self.sent_np))
-            self.senders_list = None
+            sent_np = accounting.sent_np
+            sent_np[:] = self.alive_np & self.nonempty_np
+            accounting.sent_count = int(np.count_nonzero(sent_np))
+            accounting.senders = None
             return
-        sent = self.sent
+        sent = accounting.sent
         sent[:] = self._zero_bytes
         alive = self.alive
         degrees = self.degrees
@@ -452,145 +388,41 @@ class EngineView:
             if alive[i] and degrees[i]:
                 sent[i] = 1
                 append(i)
-        self.senders_list = senders
-        self.sent_count = len(senders)
+        accounting.senders = senders
+        accounting.sent_count = len(senders)
 
     def clear_broadcasts(self) -> None:
         """Queue nothing for the next delivery pass (terminal rounds)."""
-        self.sent[:] = self._zero_bytes
-        self.sent_count = 0
-        self.senders_list = []
+        accounting = self.accounting
+        accounting.sent[:] = self._zero_bytes
+        accounting.sent_count = 0
+        accounting.senders = []
 
     # ------------------------------------------------------------- internals
-    def _senders(self) -> list[int]:
-        """Ascending sender indices of the queued pass (built lazily)."""
-        senders = self.senders_list
-        if senders is None:
-            sent = self.sent
-            senders = self.senders_list = [i for i in range(self.n) if sent[i]]
-        return senders
-
-    def _accumulate_ordered(self, senders: list[int]) -> tuple:
-        """Batch-order accounting walk; raises on an enforced violation.
-
-        A verbatim twin of the stepped columnar engine's ordered kernel, so
-        enforcement raises carry bit-for-bit the same partially-flushed
-        metrics and message text.
-        """
-        sim = self.sim
-        model = sim.model
-        budget = model.bandwidth_bits
-        enforce = model.enforce
-        broadcast_only = model.broadcast_only
-        metrics = self.metrics
-        tally = self.tally
-        bits_col = self.bits_col
-        degrees = self.degrees
-        cut_counts = self.cut_counts
-        virtual_counts = self.virtual_counts
-        labels = self.labels
-        indptr, indices = self.indptr, self.indices
-        messages = 0
-        bits_total = 0
-        max_bits = tally.counts[RoundTally.MAX_BITS]
-        cut_messages = 0
-        cut_bits = 0
-        violations = 0
-        virtual = 0
-        for k in range(len(senders)):
-            src_i = senders[k]
-            bits = bits_col[src_i]
-            deg = degrees[src_i]
-            messages += deg
-            bits_total += deg * bits
-            if bits > max_bits:
-                max_bits = bits
-            if cut_counts is not None:
-                crossing = cut_counts[src_i]
-                if crossing:
-                    cut_messages += crossing
-                    cut_bits += crossing * bits
-            if virtual_counts is not None:
-                virtual += virtual_counts[src_i]
-            if budget is not None and bits > budget:
-                violations += deg
-                if enforce:
-                    flush_round_tally(
-                        metrics, messages, bits_total, max_bits, cut_messages,
-                        cut_bits, violations,
-                        (k + 1) if broadcast_only else 0, virtual,
-                    )
-                    src = labels[src_i]
-                    first = labels[indices[indptr[src_i]]]
-                    raise BandwidthExceededError(
-                        f"message(s) on link {src!r}->{first!r} use "
-                        f"{bits} bits, budget is {budget} "
-                        f"({model.name})"
-                    )
-        return messages, bits_total, max_bits, cut_messages, cut_bits, violations, virtual
-
     def _collect(self) -> None:
-        """One delivery pass: accounting flush plus adversary mask capture.
+        """One delivery pass: the shared accounting kernel plus mask capture.
 
-        The lowered twin of the columnar engine's ``collect``: same
-        accounting kernels over the same columns, same unconditional
-        per-pass tally flush, same per-sender ``deliver_mask`` seam (in
-        ascending sender order, sorted label rows) — only inbox
-        materialisation is replaced by the flat delivery mask
-        :meth:`fold_max` consumes next round.
+        The lowered counterpart of the stepped columnar ``collect``: the
+        run's :meth:`~repro.distributed.columnar.BroadcastAccounting.account`
+        charges the queued pass (one tally flush per pass, round 0 and the
+        final empty pass included), then an active filter's per-sender
+        ``deliver_mask`` (ascending sender order, sorted label rows) fills
+        the flat delivery mask :meth:`fold_max` consumes next round in place
+        of inbox materialisation.
         """
-        np = self.np
-        metrics = self.metrics
-        tally = self.tally
-        model = self.sim.model
-        budget = model.bandwidth_bits
-        tally.reset(metrics.max_message_bits)
-        counts = tally.counts
-        scount = self.sent_count
-        if scount:
-            if np is not None:
-                mask = self.sent_np
-                bits_np = self.bits_np
-                deg_np = self.deg_np
-                if budget is not None:
-                    over = (bits_np > budget) & mask
-                    if over.any():
-                        if model.enforce:
-                            self._accumulate_ordered(self._senders())  # raises
-                        counts[RoundTally.VIOLATIONS] = int(deg_np.dot(over))
-                counts[RoundTally.MESSAGES] = int(deg_np.dot(mask))
-                weighted = bits_np * deg_np
-                counts[RoundTally.BITS] = int(weighted.dot(mask))
-                max_bits = int((bits_np * mask).max())
-                if max_bits > counts[RoundTally.MAX_BITS]:
-                    counts[RoundTally.MAX_BITS] = max_bits
-                if self.cut_np is not None:
-                    counts[RoundTally.CUT_MESSAGES] = int(self.cut_np.dot(mask))
-                    counts[RoundTally.CUT_BITS] = int((bits_np * self.cut_np).dot(mask))
-                if self.virt_np is not None:
-                    counts[RoundTally.VIRTUAL] = int(self.virt_np.dot(mask))
-            else:
-                (
-                    counts[RoundTally.MESSAGES], counts[RoundTally.BITS],
-                    counts[RoundTally.MAX_BITS], counts[RoundTally.CUT_MESSAGES],
-                    counts[RoundTally.CUT_BITS], counts[RoundTally.VIOLATIONS],
-                    counts[RoundTally.VIRTUAL],
-                ) = self._accumulate_ordered(self._senders())
-            if model.broadcast_only:
-                counts[RoundTally.BROADCASTS] = scount
-        tally.flush(metrics)
-
+        accounting = self.accounting
+        accounting.account()
         filt = self.filt
         if filt is not None:
             mask_flat = self.mask_flat
             mask_flat[:] = self._zero_arcs
-            if scount:
+            if accounting.sent_count:
                 deliver_mask = filt.deliver_mask
                 labels = self.labels
-                mask_rows = self.mask_rows
+                mask_rows = accounting.mask_rows
                 bits_col = self.bits_col
                 indptr = self.indptr
-                for src_i in self._senders():
+                for src_i in accounting.sender_list():
                     row_mask = deliver_mask(
                         labels[src_i], mask_rows[src_i], bits_col[src_i]
                     )
@@ -624,7 +456,7 @@ class EngineView:
         per-pass metrics flush cadence, same adversary hook placement.
         """
         kernel = self._kernel
-        metrics = self.metrics
+        metrics = self.accounting.metrics
         filt = self.filt
         kernel.on_start(self)
         self._collect()
@@ -838,12 +670,9 @@ class MaxFloodKernel(VectorKernel):
 
 
 def try_lower(
-    sim: "Simulator",
+    accounting: BroadcastAccounting,
     contexts: "list[NodeContext]",
     programs: "list[NodeProgram]",
-    metrics: Metrics,
-    graph_sets,
-    filt: "DeliveryFilter | None",
 ) -> EngineView | None:
     """Attempt to lower a columnar run; returns the armed view or ``None``.
 
@@ -852,7 +681,8 @@ def try_lower(
     supplies the kernel), the delivery filter is absent or
     non-transforming, and every vertex label is an exact 64-bit ``int``.
     Any refusal returns ``None`` and the caller runs the stepped columnar
-    path — the per-node fallback the protocol guarantees is exact.
+    path over the same ``accounting`` — the per-node fallback the protocol
+    guarantees is exact.
     """
     if not programs:
         return None
@@ -863,12 +693,13 @@ def try_lower(
     for program in programs:
         if program.__class__ is not cls:
             return None
+    filt = accounting.filt
     if filt is not None and filt.transforms:
         return None
-    for lbl in sim.topology.labels:
+    for lbl in accounting.labels:
         if lbl.__class__ is not int or not (INT64_MIN <= lbl <= INT64_MAX):
             return None
-    view = EngineView(sim, contexts, metrics, graph_sets, filt)
+    view = EngineView(accounting, contexts)
     kernel = cls.vector_kernel(programs, view)
     if kernel is None:
         return None

@@ -12,8 +12,7 @@ Subcommands::
         --json PATH               write the stable JSON report
         --cache DIR               on-disk result cache keyed by spec hash
         --engine NAME             pin engine-aware scenarios to one simulator
-                                  engine (reference / indexed / batch /
-                                  columnar)
+                                  engine (indexed / columnar / reference)
         --adversary SPEC          pin adversary-aware scenarios to one fault
                                   policy (none / drop:RATE / crash:N@R,... /
                                   budget:BITS)

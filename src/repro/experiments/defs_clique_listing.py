@@ -1,8 +1,8 @@
 """Registry definition for E21 — the clique-listing / targeted-traffic tier.
 
 E21 is the first experiment family whose traffic is *targeted* end to end,
-exercising the fast path that lets the ``batch`` and ``columnar`` engines
-carry ``ctx.send`` traffic (PR 7):
+exercising the fast path that lets the ``columnar`` engine carry
+``ctx.send`` traffic:
 
 * **listing** — partition-based triangle listing
   (:mod:`repro.core.clique_listing`, per arXiv 2205.09245) on a seeded
@@ -19,7 +19,7 @@ carry ``ctx.send`` traffic (PR 7):
 The same workload runs on several engines so the cross-scenario ``verify``
 hook can pin bit-for-bit physics agreement — the targeted counterpart of
 the E18/E20 anchors.  As with those tiers, wall time lives under
-``timing.*`` and the batch-vs-indexed speedup *assertion* lives in
+``timing.*`` and the columnar-vs-indexed speedup *assertion* lives in
 ``benchmarks/bench_e21_clique_listing.py`` behind the ``E21_MIN_SPEEDUP``
 knob; the registry only pins physics so CLI sweeps never flake on loaded
 machines.
@@ -46,12 +46,10 @@ _FANOUT_ROUNDS = 24
 #: scenario name -> (workload, engine, mode-or-None).
 _E21_SCENARIOS: dict[str, tuple[str, str, str | None]] = {
     "listing direct indexed": ("listing", "indexed", "direct"),
-    "listing direct batch": ("listing", "batch", "direct"),
     "listing direct columnar": ("listing", "columnar", "direct"),
     "listing routed indexed": ("listing", "indexed", "routed"),
-    "listing routed batch": ("listing", "batch", "routed"),
+    "listing routed columnar": ("listing", "columnar", "routed"),
     "fanout indexed": ("fanout", "indexed", None),
-    "fanout batch": ("fanout", "batch", None),
     "fanout columnar": ("fanout", "columnar", None),
 }
 

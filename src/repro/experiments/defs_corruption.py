@@ -23,7 +23,7 @@ variants, the documented soundness failure for the plain program, and
 spanner validity (:func:`repro.spanner.is_k_spanner`) for the
 checksummed-attach spanner where the plain one is pinned invalid.  The
 cross-scenario ``verify`` pins zero-rate identity (``corrupt:0.0`` ==
-fault-free modulo zero-valued fault counters), four-engine bit-for-bit
+fault-free modulo zero-valued fault counters), three-engine bit-for-bit
 parity under one corruption seed, corrupted-fraction monotonicity in the
 rate, and that both codes pay strictly more bits than the plain program.
 """
@@ -227,7 +227,7 @@ def _verify_e22(results) -> dict[str, Any]:
     ``run --adversary`` rewrites every scenario to one fault policy, which
     collapses the sweep; checks comparing *different* adversaries or codes
     are therefore guarded on the labels actually present, while the
-    four-engine differential (same adversary, different engines) holds
+    three-engine differential (same adversary, different engines) holds
     under any pin.
     """
     (
@@ -238,7 +238,6 @@ def _verify_e22(results) -> dict[str, Any]:
         rep_none,
         rep_lo,
         rep_hi,
-        rep_hi_batch,
         rep_hi_columnar,
         rep_hi_reference,
         sum_none,
@@ -248,9 +247,9 @@ def _verify_e22(results) -> dict[str, Any]:
         span_plain_hi,
         span_coded_hi,
     ) = results
-    # Four-engine differential under the same corruption seed: every
+    # Three-engine differential under the same corruption seed: every
     # non-timing key must agree bit-for-bit, fault counters included.
-    for other in (rep_hi_batch, rep_hi_columnar, rep_hi_reference):
+    for other in (rep_hi_columnar, rep_hi_reference):
         for key in rep_hi:
             if key.startswith("timing.") or key == "engine":
                 continue
@@ -390,12 +389,6 @@ register(
             _flood_spec("floodmax repetition none", "repetition", None),
             _flood_spec("floodmax repetition corrupt=0.05", "repetition", _CORRUPT_LO),
             _flood_spec("floodmax repetition corrupt=0.10", "repetition", _CORRUPT_HI),
-            _flood_spec(
-                "floodmax repetition corrupt=0.10 batch",
-                "repetition",
-                _CORRUPT_HI,
-                engine="batch",
-            ),
             _flood_spec(
                 "floodmax repetition corrupt=0.10 columnar",
                 "repetition",

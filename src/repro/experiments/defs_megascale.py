@@ -3,11 +3,11 @@
 E20 pushes the pure-broadcast flood-max workload (``repro.core.flood_max``)
 through the ``columnar`` engine at n = 2*10^5, 5*10^5 and 10^6 on the
 freeze-direct ``sparse_gnp_csr`` family (average degree ~12–14, connectivity
-patched, so a 12-round budget always covers the diameter).  Two n = 20000
-twins on the *exact* E18 graph — one columnar, one batch — anchor the tier
-to the existing differential baseline: their physics must be bit-for-bit
-identical, which ties the mega-scale runs back to the engine-parity
-contract without paying an indexed-engine run at 10^6.
+patched, so a 12-round budget always covers the diameter).  An n = 20000
+point on the *exact* E18 graph anchors the tier: its physics equal E18's
+stepped and indexed runs of that graph, which ties the mega-scale runs back
+to the engine-parity contract without paying an indexed-engine run at
+10^6.
 
 Mega-scale scenarios opt into ``streaming_metrics`` (bounded
 ``bits_per_round`` history; scalar counters stay exact), so a full E20 run
@@ -15,7 +15,7 @@ at n = 10^6 holds peak RSS to the graph + columns, not to a
 per-round-history that grows with the run.
 
 As with E16/E18, wall time lives under ``timing.*`` — excluded from the
-determinism contract — and the columnar-vs-batch speedup *assertion* lives
+determinism contract — and the columnar-vs-indexed speedup *assertion* lives
 in ``benchmarks/bench_e20_columnar.py`` behind the ``E20_MIN_SPEEDUP``
 knob; the registry ``verify`` hook only pins physics so CLI sweeps on
 loaded machines never flake.
@@ -34,14 +34,13 @@ from repro.experiments.spec import ScenarioSpec
 _E20_SEED = 3
 
 #: scenario name -> (family tuple, engine, round budget, streaming metrics).
-#: The n=20000 twins reuse the E18 graph verbatim (same family/seed) so the
-#: columnar twin is directly comparable against the E18 baselines; the mega
+#: The n=20000 point reuses the E18 graph verbatim (same family/seed) so it
+#: is directly comparable against the E18 baselines; the mega
 #: points use the freeze-direct CSR family with p giving average degree
 #: ~12–14 (diameter well under the 12-round budget after the connectivity
 #: patch).
 _E20_SCENARIOS: dict[str, tuple[tuple[Any, ...], str, int, bool]] = {
     "n=20000 columnar": (("sparse_connected_gnp", 20000, 0.0005, 18), "columnar", 10, False),
-    "n=20000 batch": (("sparse_connected_gnp", 20000, 0.0005, 18), "batch", 10, False),
     "n=200000": (("sparse_gnp_csr", 200000, 6e-5, 20), "columnar", 12, True),
     "n=500000": (("sparse_gnp_csr", 500000, 2.6e-5, 21), "columnar", 12, True),
     "n=1000000": (("sparse_gnp_csr", 1000000, 1.4e-5, 22), "columnar", 12, True),
@@ -99,19 +98,6 @@ def _run_e20(spec: ScenarioSpec) -> dict[str, Any]:
 
 def _verify_e20(results) -> dict[str, Any]:
     by_name = {result["scenario"]: result for result in results}
-    columnar20 = by_name.get("n=20000 columnar")
-    batch20 = by_name.get("n=20000 batch")
-    if columnar20 is not None and batch20 is not None:
-        # The anchor: identical physics on the exact E18 graph ties the tier
-        # to the engine-parity contract without an indexed run at 10^6.
-        for key in columnar20:
-            if key.startswith("timing.") or key in ("engine", "scenario"):
-                continue
-            check(
-                columnar20[key] == batch20[key],
-                f"n=20000: engines disagree on {key}: "
-                f"{columnar20[key]!r} != {batch20[key]!r}",
-            )
     summary: dict[str, Any] = {}
     for name, result in by_name.items():
         if result["n"] >= 100_000:

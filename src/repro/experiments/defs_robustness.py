@@ -18,7 +18,7 @@ Per-scenario ``check()`` invariants pin termination bounds, correct output
 with the configured drop rate; the cross-scenario ``verify`` pins that a
 zero-rate :class:`~repro.distributed.adversary.DropAdversary` reproduces
 fault-free physics bit-for-bit (only zero-valued fault counters appear) and
-that the indexed and batch engines agree bit-for-bit *under the same
+that the indexed and columnar engines agree bit-for-bit *under the same
 adversary*.  The ``NoAdversary`` overhead guard lives in the benchmark
 wrapper (``benchmarks/bench_e19_robustness.py``), not here, following the
 E16/E18 precedent.
@@ -263,22 +263,22 @@ def _verify_e19(results) -> dict[str, Any]:
         flood_none,
         flood_zero,
         flood_d5,
-        flood_d5_batch,
+        flood_d5_columnar,
         flood_d20,
         flood_crash,
         span_none,
         span_d5,
         span_crash,
     ) = results
-    # Engine differential under the same adversary: indexed vs batch must be
+    # Engine differential under the same adversary: indexed vs columnar must be
     # bit-for-bit identical, fault counters included.
     for key in flood_d5:
         if key.startswith("timing.") or key == "engine":
             continue
         check(
-            flood_d5[key] == flood_d5_batch[key],
+            flood_d5[key] == flood_d5_columnar[key],
             f"engines disagree under {flood_d5['adversary']} on {key}: "
-            f"{flood_d5[key]!r} != {flood_d5_batch[key]!r}",
+            f"{flood_d5[key]!r} != {flood_d5_columnar[key]!r}",
         )
     if flood_none["adversary"] == "none" and flood_zero["adversary"] == "drop:0.0":
         # A zero-rate DropAdversary must reproduce fault-free physics
@@ -355,8 +355,8 @@ register(
             ),
             ScenarioSpec.make(
                 "E19",
-                "floodmax drop=0.05 batch",
-                engine="batch",
+                "floodmax drop=0.05 columnar",
+                engine="columnar",
                 adversary="drop:0.05",
                 workload="floodmax",
                 graph=_FLOOD_GRAPH,

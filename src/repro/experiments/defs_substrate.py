@@ -1,6 +1,6 @@
 """Registry definitions for the substrate experiments: E16 (indexed-engine
-throughput), E17 (Congested Clique vs CONGEST) and E18 (batch-engine scale
-sweep).
+throughput), E17 (Congested Clique vs CONGEST) and E18 (stepped columnar
+scale sweep).
 
 E16 and E18 measure wall time by design, so their timing lives under
 ``timing.*`` result keys — the one namespace the determinism contract
@@ -8,15 +8,16 @@ excludes (see :func:`repro.experiments.runner.strip_timing`); physics
 (rounds, edges, metrics) must still be bit-for-bit identical across engines
 and runs.  The engine-speedup *assertions* stay in the pytest wrappers
 (``benchmarks/bench_e16_simulator_throughput.py`` /
-``benchmarks/bench_e18_batch_engine.py``) where the environment knobs live;
+``benchmarks/bench_e18_scale.py``) where the environment knobs live;
 the registry ``verify`` hooks only pin physics equality so CLI sweeps on
 loaded machines never flake.
 
 E17 compares edge sets across scenarios through a canonical hash instead of
 embedding every edge list in the report.  E18 pushes a pure-broadcast
 flood-max workload (``repro.core.flood_max``) to n >= 20000 on the
-``batch`` engine, with an indexed-engine twin at n = 20000 as the
-differential/throughput baseline.
+*stepped* ``columnar`` engine (lowering off, so every round runs the
+per-node programs and the columnar collect), with an indexed-engine twin
+at n = 20000 as the differential/throughput baseline.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ register(
 
 
 # --------------------------------------------------------------------------
-# E18 — batch-engine scale sweep: flood-max broadcast traffic at n >= 20000
+# E18 — stepped columnar scale sweep: flood-max broadcast at n >= 20000
 # --------------------------------------------------------------------------
 
 _E18_ROUNDS = 10
@@ -231,7 +232,10 @@ def _run_e18(spec: ScenarioSpec) -> dict[str, Any]:
     engine = spec.engine or "indexed"
     rounds = spec.param("rounds")
     start = time.perf_counter()
-    result = run_flood_max(graph, rounds=rounds, seed=spec.param("run_seed"), engine=engine)
+    # Stepped on purpose: E20/E23 cover the lowered path.
+    result = run_flood_max(
+        graph, rounds=rounds, seed=spec.param("run_seed"), engine=engine, vectorize=False
+    )
     elapsed = time.perf_counter() - start
     check(
         result.converged,
@@ -261,30 +265,31 @@ def _run_e18(spec: ScenarioSpec) -> dict[str, Any]:
 
 
 def _verify_e18(results) -> dict[str, Any]:
-    batch20, indexed20, batch50 = results
-    # Identical physics for batch vs indexed at n=20000; the batch-vs-indexed
-    # throughput floor is asserted by the benchmark wrapper (E18_MIN_SPEEDUP),
-    # not here, so CLI sweeps stay noise-proof.
-    for key in batch20:
+    columnar20, indexed20, columnar50 = results
+    # Identical physics for columnar vs indexed at n=20000; the
+    # columnar-vs-indexed throughput floor is asserted by the benchmark
+    # wrapper (E18_MIN_SPEEDUP), not here, so CLI sweeps stay noise-proof.
+    for key in columnar20:
         if key.startswith("timing.") or key == "engine":
             continue
         check(
-            batch20[key] == indexed20[key],
-            f"n=20000: engines disagree on {key}: {batch20[key]!r} != {indexed20[key]!r}",
+            columnar20[key] == indexed20[key],
+            f"n=20000: engines disagree on {key}: "
+            f"{columnar20[key]!r} != {indexed20[key]!r}",
         )
-    check(batch50["n"] >= 20000, "the scale scenario must cover n >= 20000")
+    check(columnar50["n"] >= 20000, "the scale scenario must cover n >= 20000")
     return {
-        "n=20000.messages": batch20["metrics.messages_sent"],
-        "n=50000.messages": batch50["metrics.messages_sent"],
-        "n=50000.leader": batch50["leader"],
+        "n=20000.messages": columnar20["metrics.messages_sent"],
+        "n=50000.messages": columnar50["metrics.messages_sent"],
+        "n=50000.leader": columnar50["leader"],
     }
 
 
 register(
     Experiment(
         id="E18",
-        title="batch-engine scale sweep: flood-max broadcast up to n=50000",
-        headline="struct-of-arrays batch engine vs indexed on pure-broadcast traffic",
+        title="stepped columnar scale sweep: flood-max broadcast up to n=50000",
+        headline="stepped columnar engine vs indexed on pure-broadcast traffic",
         columns=(
             ("n", "n", None),
             ("m", "m", None),
@@ -304,9 +309,9 @@ register(
                 run_seed=_E18_SEED,
             )
             for instance, engine in [
-                ("n=20000", "batch"),
+                ("n=20000", "columnar"),
                 ("n=20000", "indexed"),
-                ("n=50000", "batch"),
+                ("n=50000", "columnar"),
             ]
         ],
         run_scenario=_run_e18,

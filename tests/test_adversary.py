@@ -61,12 +61,12 @@ def _run_all_engines(graph, factory, model, adversary, seed=9, cut=None):
             engine=engine,
             adversary=adversary,
         ).run()
-        for engine in ("indexed", "batch", "reference")
+        for engine in ("indexed", "columnar", "reference")
     }
 
 
 class TestEngineParityUnderFaults:
-    """indexed == batch == reference under the same adversary, all models."""
+    """indexed == columnar == reference under the same adversary, all models."""
 
     @pytest.mark.parametrize("model_factory", ALL_MODELS)
     @pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a.spec())
@@ -75,19 +75,19 @@ class TestEngineParityUnderFaults:
         runs = _run_all_engines(
             g, lambda v: FloodMaxProgram(v, 6), model_factory(40), adversary
         )
-        indexed, batch, reference = (
+        indexed, columnar, reference = (
             runs["indexed"],
-            runs["batch"],
+            runs["columnar"],
             runs["reference"],
         )
-        assert batch.outputs == indexed.outputs == reference.outputs
+        assert columnar.outputs == indexed.outputs == reference.outputs
         assert (
-            batch.metrics.as_dict()
+            columnar.metrics.as_dict()
             == indexed.metrics.as_dict()
             == reference.metrics.as_dict()
         )
-        assert batch.metrics.bits_per_round == indexed.metrics.bits_per_round
-        assert batch.completed is indexed.completed is reference.completed
+        assert columnar.metrics.bits_per_round == indexed.metrics.bits_per_round
+        assert columnar.completed is indexed.completed is reference.completed
 
     @pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a.spec())
     def test_cut_accounting_identical_across_engines(self, adversary):
@@ -99,7 +99,7 @@ class TestEngineParityUnderFaults:
         )
         assert (
             faulty["indexed"].metrics.as_dict()
-            == faulty["batch"].metrics.as_dict()
+            == faulty["columnar"].metrics.as_dict()
             == faulty["reference"].metrics.as_dict()
         )
         assert faulty["indexed"].metrics.cut_bits > 0
@@ -133,7 +133,7 @@ class TestEngineParityUnderFaults:
             run_robust_flood_max(
                 g, patience=5, seed=3, engine=engine, adversary=DropAdversary(0.15)
             )
-            for engine in ("indexed", "batch", "reference")
+            for engine in ("indexed", "columnar", "reference")
         ]
         assert results[0].node_outputs == results[1].node_outputs == results[2].node_outputs
         assert (
@@ -169,7 +169,7 @@ class TestEngineParityUnderFaults:
 class TestNoAdversaryIdentity:
     """None and NoAdversary are byte-for-byte the fault-free behaviour."""
 
-    @pytest.mark.parametrize("engine", ["indexed", "batch", "reference"])
+    @pytest.mark.parametrize("engine", ["indexed", "columnar", "reference"])
     def test_metrics_dict_shape_unchanged(self, engine):
         g = gnp_random_graph(25, 0.2, seed=3)
         plain = run_program(
@@ -431,7 +431,7 @@ class TestAdversarySpecs:
             engine: run_clique_two_spanner(
                 g, seed=4, engine=engine, adversary=DropAdversary(0.1)
             )
-            for engine in ("indexed", "batch", "reference")
+            for engine in ("indexed", "columnar", "reference")
         }
-        assert runs["indexed"].edges == runs["batch"].edges == runs["reference"].edges
+        assert runs["indexed"].edges == runs["columnar"].edges == runs["reference"].edges
         assert is_k_spanner(g, runs["indexed"].edges, 2)

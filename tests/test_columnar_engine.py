@@ -1,12 +1,14 @@
-"""Differential, size-table and fallback tests for the columnar engine.
+"""Differential, admission, size-table and fallback tests for the columnar engine.
 
-The columnar engine ships under the same gate as the batch engine, tightened
-by PR scope: bit-for-bit identity with the indexed engine (outputs,
-``Metrics.as_dict()``, ``bits_per_round``) for broadcast-only programs across
-all four communication models *and* under the drop/crash/budget adversaries,
-including an n=20000 differential on the mega-scale workload itself; the
-payload size table must agree with ``estimate_bits`` on every payload shape;
-and the stdlib-``array`` kernels must produce identical results with NumPy
+The gate the columnar engine ships under: bit-for-bit identity with the
+indexed engine (outputs, ``Metrics.as_dict()``, ``bits_per_round``) for
+broadcast-only programs across all four communication models — including
+cut accounting, per-model counters and bandwidth-violation counting — *and*
+under the drop/crash/budget adversaries, including an n=20000 differential
+on the mega-scale workload itself; admission rejections only where the model
+or the one-broadcast-per-round interning demands them; the payload size
+table must agree with ``estimate_bits`` on every payload shape; and the
+stdlib-``array`` kernels must produce identical results with NumPy
 monkeypatched away.
 """
 
@@ -16,6 +18,7 @@ from repro.core import run_clique_two_spanner, run_flood_max
 from repro.core.flood_max import FloodMaxProgram
 from repro.distributed import (
     BandwidthExceededError,
+    BroadcastNodeProgram,
     ENGINES,
     FunctionProgram,
     MessageAdmissionError,
@@ -77,6 +80,20 @@ class MappingConsumer(NodeProgram):
             ctx.broadcast((self.v, "tag"))
 
 
+class EchoOnce(BroadcastNodeProgram):
+    """Broadcast one payload at start, record the senders heard, halt."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def on_start(self, ctx):
+        ctx.broadcast(self.payload)
+
+    def on_broadcast_round(self, ctx, heard):
+        ctx.set_output(sorted(heard, key=repr))
+        ctx.halt()
+
+
 class BigLabelFloodMax(NodeProgram):
     """Flood-max over labels far above int64: the reduceat overflow fallback."""
 
@@ -106,10 +123,23 @@ class BigLabelFloodMax(NodeProgram):
             ctx.broadcast(best)
 
 
-def _run(graph, factory, model, engine, seed=1, cut=None, adversary=None):
+#: Columnar runs both ways a vectorizable program can take: the stepped
+#: per-node collect and the lowered whole-round kernel.  Both sit on the
+#: same broadcast-accounting kernel, so both must match the oracle.
+PATHS = pytest.mark.parametrize("vectorize", [False, True], ids=["stepped", "lowered"])
+
+
+def _run(graph, factory, model, engine, seed=1, cut=None, adversary=None, vectorize=True):
     adv = build_adversary(adversary) if adversary else None
     return Simulator(
-        graph, factory, model=model, seed=seed, cut=cut, engine=engine, adversary=adv
+        graph,
+        factory,
+        model=model,
+        seed=seed,
+        cut=cut,
+        engine=engine,
+        adversary=adv,
+        vectorize=vectorize,
     ).run()
 
 
@@ -124,18 +154,33 @@ def _assert_identical(a, b):
 class TestColumnarDifferential:
     """Bit-for-bit identity with the indexed oracle, all models, all faults."""
 
+    @PATHS
     @pytest.mark.parametrize("model_factory", ALL_MODELS)
-    def test_flood_max_identical_across_engines(self, model_factory):
+    def test_flood_max_identical_across_engines(self, model_factory, vectorize):
         g = gnp_random_graph(40, 0.15, seed=5)
         runs = {
             engine: _run(
-                g, lambda v: FloodMaxProgram(v, 5), model_factory(40), engine, seed=9
+                g,
+                lambda v: FloodMaxProgram(v, 5),
+                model_factory(40),
+                engine,
+                seed=9,
+                vectorize=vectorize,
             )
-            for engine in ("indexed", "columnar", "batch", "reference")
+            for engine in ("indexed", "columnar", "reference")
         }
         _assert_identical(runs["columnar"], runs["indexed"])
-        _assert_identical(runs["columnar"], runs["batch"])
         _assert_identical(runs["columnar"], runs["reference"])
+
+    @pytest.mark.parametrize("model_factory", ALL_MODELS)
+    def test_echo_program_identical_across_engines(self, model_factory):
+        # A BroadcastNodeProgram with a tuple payload, one round of traffic.
+        g = gnp_random_graph(25, 0.3, seed=2)
+        runs = {
+            engine: _run(g, lambda v: EchoOnce(("x", 7)), model_factory(25), engine)
+            for engine in ("indexed", "columnar")
+        }
+        _assert_identical(runs["columnar"], runs["indexed"])
 
     @pytest.mark.parametrize("model_factory", ALL_MODELS)
     def test_mapping_consumer_identical_across_engines(self, model_factory):
@@ -146,9 +191,10 @@ class TestColumnarDifferential:
         }
         _assert_identical(runs["columnar"], runs["indexed"])
 
+    @PATHS
     @pytest.mark.parametrize("model_factory", ALL_MODELS)
     @pytest.mark.parametrize("adversary", ADVERSARIES)
-    def test_adversaries_identical_across_engines(self, model_factory, adversary):
+    def test_adversaries_identical_across_engines(self, model_factory, adversary, vectorize):
         # Fresh adversary per engine (they are stateful); same spec, same
         # seed, so decisions — and hence inboxes and fault counters — must
         # coincide exactly.
@@ -161,12 +207,14 @@ class TestColumnarDifferential:
                 engine,
                 seed=4,
                 adversary=adversary,
+                vectorize=vectorize,
             )
             for engine in ("indexed", "columnar")
         }
         _assert_identical(runs["columnar"], runs["indexed"])
 
-    def test_cut_accounting_identical(self):
+    @PATHS
+    def test_cut_accounting_identical(self, vectorize):
         g = gnp_random_graph(30, 0.25, seed=4)
         cut = set(range(15))
         runs = {
@@ -176,6 +224,7 @@ class TestColumnarDifferential:
                 congest_model(30, enforce=False),
                 engine,
                 cut=cut,
+                vectorize=vectorize,
             )
             for engine in ("indexed", "columnar")
         }
@@ -452,7 +501,15 @@ class TestColumnarAdmission:
     """Admission is the model's job: only semantic rejections remain."""
 
     def test_registered_engine(self):
-        assert ENGINES == ("indexed", "batch", "columnar", "reference")
+        assert ENGINES == ("indexed", "columnar", "reference")
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            Simulator(path_graph(3), lambda v: FloodMaxProgram(v, 1), engine="bogus")
+
+    def test_retired_batch_engine_rejected_naming_columnar(self):
+        with pytest.raises(ValueError, match="batch was retired: use 'columnar'"):
+            Simulator(path_graph(3), lambda v: FloodMaxProgram(v, 1), engine="batch")
 
     def test_targeted_send_accepted_and_matches_indexed(self):
         # Since the targeted fast path the columnar engine admits targeted
@@ -499,7 +556,7 @@ class TestColumnarAdmission:
                 engine="columnar",
             )
 
-    def test_enforced_bandwidth_violation_raises_like_batch(self):
+    def test_enforced_bandwidth_violation_raises_like_indexed(self):
         big = tuple(range(10_000))
 
         def on_start(ctx):
@@ -515,7 +572,34 @@ class TestColumnarAdmission:
                 )
             return str(info.value)
 
-        assert attempt("columnar") == attempt("batch")
+        message = "message(s) on link 0->1 use 153620 bits, budget is 64 (CONGEST)"
+        assert attempt("columnar") == attempt("indexed") == message
+
+
+class TestFloodMax:
+    """The E18 workload itself, on the stepped and lowered columnar paths."""
+
+    @pytest.mark.parametrize("engine", ["indexed", "columnar", "reference"])
+    def test_converges_to_max_label(self, engine):
+        g = gnp_random_graph(50, 0.2, seed=11)
+        result = run_flood_max(g, rounds=6, seed=1, engine=engine, vectorize=False)
+        assert result.converged
+        assert result.leader == 49
+        assert result.rounds == 6
+
+    @PATHS
+    def test_insufficient_rounds_do_not_converge(self, vectorize):
+        g = path_graph(30)  # diameter 29 >> 2 rounds
+        result = run_flood_max(g, rounds=2, seed=1, engine="columnar", vectorize=vectorize)
+        assert not result.converged
+        assert result.leader is None
+
+    @PATHS
+    def test_zero_rounds_outputs_own_label(self, vectorize):
+        g = path_graph(3)
+        result = run_flood_max(g, rounds=0, seed=1, engine="columnar", vectorize=vectorize)
+        assert result.node_outputs == {0: 0, 1: 1, 2: 2}
+        assert result.metrics.messages_sent == 0
 
 
 class TestStreamingMetrics:

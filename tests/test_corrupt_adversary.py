@@ -267,7 +267,7 @@ def _outcome(engine, model_key, mix, adversary=CORRUPT):
 
 @pytest.mark.parametrize("mix", [False, True], ids=["targeted", "mixed"])
 @pytest.mark.parametrize("model_key", sorted(MODELS))
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
+@pytest.mark.parametrize("engine", ["columnar", "reference"])
 def test_engine_matches_indexed_bit_for_bit_under_corruption(
     engine, model_key, mix
 ):
@@ -304,17 +304,17 @@ def test_reference_engine_full_metric_parity_on_broadcast_traffic():
             engine=engine,
             adversary=build_adversary("corrupt:0.2"),
         )
-        for engine in ("indexed", "batch", "columnar", "reference")
+        for engine in ("indexed", "columnar", "reference")
     }
     indexed = runs["indexed"]
     assert indexed.metrics.per_adversary["adversary_corrupted_messages"] > 0
-    for engine in ("batch", "columnar", "reference"):
+    for engine in ("columnar", "reference"):
         assert runs[engine].outputs == indexed.outputs
         assert runs[engine].metrics.as_dict() == indexed.metrics.as_dict()
         assert runs[engine].completed is indexed.completed
 
 
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
+@pytest.mark.parametrize("engine", ["columnar"])
 def test_no_numpy_fallback_matches_numpy_path(engine, monkeypatch):
     with_numpy = _outcome(engine, "clique", True)
     monkeypatch.setattr(targeted_module, "_np", None)

@@ -96,11 +96,11 @@ class TestEngineSelection:
     """The first-class ``engine`` field and its override plumbing."""
 
     def test_engine_round_trips(self):
-        spec = ScenarioSpec.make("EXX", "s", engine="batch", seed=1)
-        assert spec.engine == "batch"
-        assert spec.as_dict()["engine"] == "batch"
+        spec = ScenarioSpec.make("EXX", "s", engine="columnar", seed=1)
+        assert spec.engine == "columnar"
+        assert spec.as_dict()["engine"] == "columnar"
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec and clone.engine == "batch"
+        assert clone == spec and clone.engine == "columnar"
         assert clone.spec_hash() == spec.spec_hash()
 
     def test_default_engine_omitted_from_canonical_json(self):
@@ -112,24 +112,24 @@ class TestEngineSelection:
 
     def test_engine_changes_spec_hash(self):
         base = ScenarioSpec.make("EXX", "s", seed=1)
-        assert base.with_engine("batch").spec_hash() != base.spec_hash()
-        assert base.with_engine("batch") != base.with_engine("indexed")
+        assert base.with_engine("columnar").spec_hash() != base.spec_hash()
+        assert base.with_engine("columnar") != base.with_engine("indexed")
         assert base.with_engine(None) == base
 
     def test_runner_engine_override_reaches_report(self):
-        report = run_experiments(["E17"], jobs=1, engine="batch")
+        report = run_experiments(["E17"], jobs=1, engine="columnar")
         scenarios = report["experiments"][0]["scenarios"]
         assert scenarios, "E17 has scenarios"
         for scenario in scenarios:
-            assert scenario["spec"]["engine"] == "batch"
+            assert scenario["spec"]["engine"] == "columnar"
 
-    def test_batch_override_on_targeted_send_experiment_matches_indexed(self):
-        # E16's two-spanner sends targeted messages; since the targeted
-        # fast path the batch engine runs it bit-for-bit like the oracle.
-        batch = run_experiments(["E16"], jobs=1, engine="batch")
+    def test_columnar_override_on_targeted_send_experiment_matches_indexed(self):
+        # E16's two-spanner sends targeted messages; the columnar engine's
+        # targeted fast path runs it bit-for-bit like the oracle.
+        columnar = run_experiments(["E16"], jobs=1, engine="columnar")
         indexed = run_experiments(["E16"], jobs=1, engine="indexed")
         for b, i in zip(
-            batch["experiments"][0]["scenarios"],
+            columnar["experiments"][0]["scenarios"],
             indexed["experiments"][0]["scenarios"],
         ):
             b_result = {
@@ -144,7 +144,7 @@ class TestEngineSelection:
 
     def test_e18_specs_carry_engines(self):
         engines = [spec.engine for spec in get_experiment("E18").scenarios]
-        assert engines == ["batch", "indexed", "batch"]
+        assert engines == ["columnar", "indexed", "columnar"]
 
 
 class TestAdversarySelection:
@@ -357,9 +357,9 @@ class TestCLI:
         for entry in by_id.values():
             assert "engines" in entry and "max_n" in entry
             assert entry["engines"] == sorted(entry["engines"])
-        assert by_id["E20"]["engines"] == ["batch", "columnar"]
+        assert by_id["E20"]["engines"] == ["columnar"]
         assert by_id["E20"]["max_n"] == 1_000_000
-        assert by_id["E18"]["engines"] == ["batch", "indexed"]
+        assert by_id["E18"]["engines"] == ["columnar", "indexed"]
         assert by_id["E18"]["max_n"] == 50_000
         # Experiments whose specs carry no size stay discoverable as None.
         assert by_id["E10"]["max_n"] is None
@@ -377,7 +377,7 @@ class TestCLI:
             # never hard-codes that.
             assert entry["engine_support"] == {
                 engine: True
-                for engine in ("indexed", "batch", "columnar", "reference")
+                for engine in ("indexed", "columnar", "reference")
             }
         assert by_id["E21"]["targeted"] is True
         assert by_id["E18"]["targeted"] is False
@@ -395,21 +395,22 @@ class TestCLI:
         proc = self._run("run")
         assert proc.returncode != 0
 
-    def test_run_engine_batch_works(self, tmp_path):
+    def test_run_engine_columnar_works(self, tmp_path):
         out = tmp_path / "report.json"
         proc = self._run(
-            "run", "E17", "--engine", "batch", "--jobs", "1",
+            "run", "E17", "--engine", "columnar", "--jobs", "1",
             "--json", str(out), "--no-tables", "--strip-timing",
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
         for scenario in report["experiments"][0]["scenarios"]:
-            assert scenario["spec"]["engine"] == "batch"
+            assert scenario["spec"]["engine"] == "columnar"
 
     def test_run_engine_rejects_unknown(self):
-        proc = self._run("run", "E17", "--engine", "warp")
-        assert proc.returncode != 0
-        assert "invalid choice" in proc.stderr
+        for engine in ("warp", "batch"):  # batch: the retired engine
+            proc = self._run("run", "E17", "--engine", engine)
+            assert proc.returncode != 0
+            assert "invalid choice" in proc.stderr
 
     def test_run_adversary_override_works(self, tmp_path):
         out = tmp_path / "report.json"
@@ -438,7 +439,7 @@ class TestCLI:
         assert report["scenario_filter"] == "n=20000"
         entry = report["experiments"][0]
         names = [scenario["spec"]["name"] for scenario in entry["scenarios"]]
-        assert names == ["n=20000 batch", "n=20000 indexed"]
+        assert names == ["n=20000 columnar", "n=20000 indexed"]
         # verify hooks are written against complete result lists: skipped.
         assert entry["summary"] == {}
 
@@ -474,46 +475,33 @@ class TestE20Registration:
     def test_scenarios_and_anchor(self):
         e20 = get_experiment("E20")
         names = [spec.name for spec in e20.scenarios]
-        assert names == [
-            "n=20000 columnar", "n=20000 batch",
-            "n=200000", "n=500000", "n=1000000",
-        ]
-        engines = {spec.name: spec.engine for spec in e20.scenarios}
-        assert engines["n=20000 batch"] == "batch"
-        assert all(
-            engine == "columnar"
-            for name, engine in engines.items()
-            if name != "n=20000 batch"
-        )
-        # The twins anchor E20 to E18's exact differential graph.
+        assert names == ["n=20000 columnar", "n=200000", "n=500000", "n=1000000"]
+        assert all(spec.engine == "columnar" for spec in e20.scenarios)
+        # The n=20000 point anchors E20 to E18's exact differential graph.
         e18_graph = next(
             spec.param("graph")
             for spec in get_experiment("E18").scenarios
-            if spec.name == "n=20000 batch"
+            if spec.name == "n=20000 columnar"
         )
-        for name in ("n=20000 columnar", "n=20000 batch"):
-            spec = next(s for s in e20.scenarios if s.name == name)
-            assert spec.param("graph") == e18_graph
+        assert e20.scenarios[0].param("graph") == e18_graph
         # Mega points stream their metrics (bounded bits_per_round history).
         for name in ("n=200000", "n=500000", "n=1000000"):
             spec = next(s for s in e20.scenarios if s.name == name)
             assert spec.param("streaming") is True
             assert spec.param("graph")[0] == "sparse_gnp_csr"
 
-    def test_twin_scenarios_run_and_agree(self):
-        # The two n=20000 anchors plus the cross-engine verify — the only
-        # E20 slice cheap enough for tier-1.
-        report = run_experiments(["E20"], jobs=1, scenario_filter="n=20000 ")
-        entry = report["experiments"][0]
-        results = {
-            scenario["spec"]["name"]: scenario["result"]
-            for scenario in entry["scenarios"]
-        }
-        assert set(results) == {"n=20000 columnar", "n=20000 batch"}
-        columnar, batch = results["n=20000 columnar"], results["n=20000 batch"]
-        for key in columnar:
-            if key.startswith("timing.") or key in ("engine", "scenario"):
-                continue
-            assert columnar[key] == batch[key], key
-        assert columnar["leader"] == 19999
-        assert columnar["metrics.messages_sent"] == 10 * 2 * columnar["m"]
+    def test_anchor_scenario_matches_the_e18_stepped_run(self):
+        # E20's n=20000 point (lowered) against E18's stepped columnar run
+        # of the same graph — the only E20 slice cheap enough for tier-1.
+        def results(experiment, name):
+            report = run_experiments([experiment], jobs=1, scenario_filter=name)
+            (scenario,) = report["experiments"][0]["scenarios"]
+            return scenario["result"]
+
+        lowered = results("E20", "n=20000 ")
+        stepped = results("E18", "n=20000 columnar")
+        for key in stepped:
+            if not key.startswith("timing."):
+                assert lowered[key] == stepped[key], key
+        assert lowered["leader"] == 19999
+        assert lowered["metrics.messages_sent"] == 10 * 2 * lowered["m"]

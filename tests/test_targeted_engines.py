@@ -1,13 +1,12 @@
-"""Differential and unit tests for the targeted-send fast path (PR 7).
+"""Differential and unit tests for the targeted-send fast path.
 
-The contract under test is the tentpole's: the ``batch`` and ``columnar``
-engines carry ``ctx.send`` traffic bit-for-bit identically to the indexed
-oracle — outputs, ``Metrics.as_dict()`` (hence per-round bit tallies) and
+The contract under test: the ``columnar`` and ``reference`` engines carry
+``ctx.send`` traffic bit-for-bit identically to the indexed oracle —
+outputs, ``Metrics.as_dict()`` (hence per-round bit tallies) and
 completion — across all four communication models, for pure-targeted and
 mixed targeted/broadcast rounds, under every adversary class (whose keyed
 hashes must therefore fire on exactly the same (src, dst, round) links on
-every engine), and with NumPy monkeypatched away.  ``reference`` joins the
-matrix at output/completion level (its metrics are the dict oracle's own).
+every engine), and with NumPy monkeypatched away.
 
 Plus unit coverage for :class:`~repro.distributed.targeted.TargetedInbox`,
 the lazy Mapping view the fault-free NumPy kernel hands receivers.
@@ -111,7 +110,7 @@ def _outcome(engine, model_key, mix, adversary):
 @pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "fault-free")
 @pytest.mark.parametrize("mix", [False, True], ids=["targeted", "mixed"])
 @pytest.mark.parametrize("model_key", sorted(MODELS))
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
+@pytest.mark.parametrize("engine", ["columnar", "reference"])
 def test_engine_matches_indexed_bit_for_bit(engine, model_key, mix, adversary):
     expected = _outcome("indexed", model_key, mix, adversary)
     got = _outcome(engine, model_key, mix, adversary)
@@ -137,7 +136,7 @@ def test_reference_engine_agrees_on_outputs(model_key, mix):
 
 
 @pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "fault-free")
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
+@pytest.mark.parametrize("engine", ["columnar"])
 def test_no_numpy_fallback_matches_numpy_path(engine, adversary, monkeypatch):
     with_numpy = _outcome(engine, "clique", True, adversary)
     monkeypatch.setattr(targeted_module, "_np", None)
@@ -149,7 +148,7 @@ def test_no_numpy_fallback_matches_numpy_path(engine, adversary, monkeypatch):
         assert without == with_numpy
 
 
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
+@pytest.mark.parametrize("engine", ["indexed", "columnar", "reference"])
 def test_broadcast_only_model_rejects_send_semantically(engine):
     class Sender(NodeProgram):
         def __init__(self, v):

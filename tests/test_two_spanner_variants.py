@@ -30,6 +30,7 @@ from repro.spanner import (
     is_client_server_2_spanner,
     is_k_spanner,
     is_k_spanner_directed,
+    lp_lower_bound_2spanner_directed,
     minimum_client_server_2_spanner_exact,
     minimum_k_spanner_exact,
     minimum_k_spanner_exact_directed,
@@ -152,8 +153,11 @@ class TestDirectedVariant:
         d = bidirect(complete_graph(7))
         result = run_directed_two_spanner(d, seed=9)
         assert is_k_spanner_directed(d, result.arcs, 2)
-        opt = minimum_k_spanner_exact_directed(d, 2)
-        assert len(result.arcs) <= 16 * max(1, len(opt))
+        # The LP bound is at most OPT, so this is stricter than comparing
+        # against the exact optimum (whose branch-and-bound on bidirected K7
+        # takes minutes; test_ratio_against_exact_small covers the solver).
+        lp = math.ceil(lp_lower_bound_2spanner_directed(d) - 1e-9)
+        assert len(result.arcs) <= 16 * max(1, lp)
 
     def test_ratio_against_exact_small(self):
         d = random_digraph(10, 0.35, seed=10)

@@ -30,7 +30,6 @@ from repro.distributed import (
     local_model,
 )
 from repro.distributed import columnar as columnar_module
-from repro.distributed import vectorize as vectorize_module
 from repro.distributed.adversary import build_adversary
 from repro.distributed.encoding import estimate_bits
 from repro.distributed.vectorize import (
@@ -261,7 +260,6 @@ class TestNumpyAbsentLowering:
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS), ids=str)
     def test_identical_without_numpy(self, monkeypatch, workload):
-        monkeypatch.setattr(vectorize_module, "_np", None)
         monkeypatch.setattr(columnar_module, "_np", None)
         g = gnp_random_graph(30, 0.2, seed=12)
         factory = WORKLOADS[workload]
@@ -274,7 +272,6 @@ class TestNumpyAbsentLowering:
 
     @pytest.mark.parametrize("adversary", ["drop:0.2", "crash:3@1,11@2"])
     def test_adversaries_without_numpy(self, monkeypatch, adversary):
-        monkeypatch.setattr(vectorize_module, "_np", None)
         monkeypatch.setattr(columnar_module, "_np", None)
         g = gnp_random_graph(28, 0.2, seed=7)
         sim, fallback = _run(

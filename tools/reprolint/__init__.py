@@ -1,7 +1,7 @@
 """reprolint: AST-based determinism and hot-path invariant checker.
 
 The repo's engine-parity guarantees (bit-for-bit identity across the
-indexed/batch/columnar/targeted engines, seeded adversary determinism,
+indexed/columnar/targeted engine paths, seeded adversary determinism,
 NumPy-optional kernel equality) are enforced *dynamically* by the
 differential test suite.  ``reprolint`` is the *static* half of that
 contract: a small, dependency-free framework that walks the Python AST of
