@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import countOf
 from typing import Any
 
 from repro.distributed.adversary import Adversary
@@ -147,10 +148,14 @@ def run_flood_max(
 
 def _summarise(run) -> FloodMaxResult:
     """Fold a flood-max :class:`RunResult` into the leader/convergence record."""
-    values = set(run.outputs.values())
-    converged = len(values) == 1
+    # One equality scan instead of a set build: converged runs share their
+    # output object (the lowered kernels retire a leader once), so almost
+    # every comparison is an identity hit.
+    values = run.outputs.values()
+    first = next(iter(values), None)
+    converged = bool(values) and countOf(values, first) == len(values)
     return FloodMaxResult(
-        leader=next(iter(values)) if converged else None,
+        leader=first if converged else None,
         converged=converged,
         rounds=run.rounds,
         metrics=run.metrics,

@@ -73,7 +73,6 @@ from __future__ import annotations
 import os
 from array import array
 from collections.abc import Mapping
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.distributed.encoding import PayloadSizeTable, estimate_bits
@@ -361,16 +360,21 @@ class BroadcastAccounting:
     and, when the run lowers, :class:`~repro.distributed.vectorize.EngineView`
     — so the two can never account a broadcast pass differently.  It owns:
 
-    * the run-lifetime columns: ascending-sorted neighbour rows, degrees,
-      ``n_connected`` (the positive-degree vertex count: degree-0 vertices
-      never send and sit in no receiver's row, so ``sent_count ==
-      n_connected`` is an all-senders pass), the cut-crossing and overlay
-      per-node count columns, and under an adversary the sorted neighbour
-      *label* rows ``deliver_mask`` takes; with NumPy also their zero-copy
-      views, the concatenated sorted rows ``all_rows_np`` (sliceable by
-      CSR ``indptr`` bounds) and the per-receiver segment starts
-      ``reduce_idx`` for ``reduceat`` (clipped in range, so entries of
-      empty rows are garbage — consumers gate on degree);
+    * the run-lifetime columns: degrees, ``n_connected`` (the
+      positive-degree vertex count: degree-0 vertices never send and sit in
+      no receiver's row, so ``sent_count == n_connected`` is an all-senders
+      pass), the cut-crossing and overlay per-node count columns, and under
+      an adversary the sorted neighbour *label* rows ``deliver_mask`` takes;
+      with NumPy also their zero-copy views, the concatenated sorted rows
+      ``all_rows_np`` (sliceable by CSR ``indptr`` bounds, derived from the
+      CSR arrays by one sort of ``row * n + column`` arc keys) and the
+      per-receiver segment starts ``reduce_idx`` for ``reduceat`` (clipped
+      in range, so entries of empty rows are garbage — consumers gate on
+      degree);
+    * the ascending-sorted neighbour tuple rows (:attr:`rows`), built on
+      first access only: the stepped collect, the stdlib fold and the
+      adversary label rows read them, a fault-free NumPy lowered run never
+      does;
     * the send state of the pass being collected, filled by the round driver:
       the ``sent`` flag byte and ``bits_col`` payload size per sender,
       ``sent_count``, and the ascending ``senders`` list (``None`` until
@@ -389,7 +393,6 @@ class BroadcastAccounting:
         "index",
         "indptr",
         "indices",
-        "rows",
         "degrees",
         "n_connected",
         "cut_counts",
@@ -436,7 +439,6 @@ class BroadcastAccounting:
         self.index = topo.index
         self.indptr = indptr
         self.indices = topo.indices
-        rows = self.rows = topo.sorted_neighbor_rows()
         self.degrees = list(topo.degrees)
         self.n_connected = sum(1 for deg in self.degrees if deg)
         cut = sim.cut
@@ -449,7 +451,9 @@ class BroadcastAccounting:
             _virtual_counts(topo, graph_sets) if graph_sets is not None else None
         )
         self.mask_rows = (
-            [[labels[j] for j in row] for row in rows] if filt is not None else None
+            [[labels[j] for j in row] for row in self.rows]
+            if filt is not None
+            else None
         )
         self.budget = model.bandwidth_bits
         self.enforce = model.enforce
@@ -464,7 +468,7 @@ class BroadcastAccounting:
         self.deg_np = self.bits_np = self.sent_np = None
         self.cut_np = self.virt_np = self.all_rows_np = self.reduce_idx = None
         if np is not None:
-            self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
+            deg_np = self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
             self.bits_np = np.frombuffer(self.bits_col, dtype=np.int64)
             # Zero-copy boolean view of the sent column; the bytearray is
             # never resized, so the exported buffer stays valid all run.
@@ -474,13 +478,20 @@ class BroadcastAccounting:
             if self.virtual_counts is not None:
                 self.virt_np = np.frombuffer(self.virtual_counts, dtype=np.int64)
             arcs = indptr[n]
-            self.all_rows_np = np.fromiter(
-                chain.from_iterable(rows), dtype=np.int64, count=arcs
-            )
+            # Sorting every arc by its (row, column) key concatenates the
+            # sorted neighbour rows — the column order ``rows`` yields.
+            keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg_np)
+            keys += np.frombuffer(topo.indices, dtype=np.int64)
+            keys.sort()
+            self.all_rows_np = keys % n
             if arcs:
-                self.reduce_idx = np.minimum(
-                    np.fromiter((indptr[i] for i in range(n)), np.int64, n), arcs - 1
-                )
+                indptr_np = np.frombuffer(indptr, dtype=np.int64)
+                self.reduce_idx = np.minimum(indptr_np[:n], arcs - 1)
+
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        """Ascending-sorted neighbour index rows (the topology's cached tuples)."""
+        return self.sim.topology.sorted_neighbor_rows()
 
     def sender_list(self) -> list[int]:
         """Ascending sender indices of the pass (derived from ``sent`` once)."""

@@ -300,28 +300,39 @@ class Simulator:
             active = [i for i in active if not contexts[i].halted]
         return active
 
+    def _build_programs(self) -> list[NodeProgram]:
+        """One program instance per vertex, in compiled-topology index order."""
+        factory = self.program_factory
+        return [factory(label) for label in self.topology.labels]
+
+    def _graph_sets(self) -> list[frozenset[Node]] | None:
+        """Input-graph neighbour sets under overlay models, else ``None``.
+
+        Overlay models expose the input graph's adjacency separately from
+        the communication links; overlay labels reuse ``graph.freeze()``
+        order, hence the index spaces coincide.
+        """
+        if not self.model.uses_overlay:
+            return None
+        graph_topo = self.graph.freeze()
+        return [graph_topo.neighbor_label_set(i) for i in range(self.topology.n)]
+
     def _build_contexts(
-        self, batch: bool
-    ) -> tuple[
-        list[NodeContext],
-        list[NodeProgram],
-        list[frozenset[Node]] | None,
-        list[bool] | None,
-    ]:
-        """Seed RNGs and build contexts/programs for the list-indexed engines.
+        self, graph_sets: list[frozenset[Node]] | None
+    ) -> tuple[list[NodeContext], list[bool] | None]:
+        """Seed RNGs and build the per-node contexts of the list-indexed engines.
 
         Shared by the indexed and columnar engines so that the master-RNG
-        consumption order, the overlay adjacency derivation and the context
-        wiring can never diverge between them (the bit-for-bit engine-parity
-        contract depends on all three).  Overlay models expose the input
-        graph's adjacency separately: overlay labels reuse ``graph.freeze()``
-        order, hence the index spaces coincide.
+        consumption order and the context wiring can never diverge between
+        them (the bit-for-bit engine-parity contract depends on both).
+        Programs are built separately (:meth:`_build_programs`): the columnar
+        engine decides lowering from them before any context exists.
 
-        With ``batch`` (the columnar engine's batch-collecting contexts) the
-        contexts additionally share one targeted-traffic signal cell
-        (returned as the fourth element): ``ctx.send`` flags it, so the
-        engine learns in O(1) whether a round needs the targeted collection
-        path — pure-broadcast rounds never pay a per-sender scan.
+        Columnar contexts collect traffic in batch form and additionally
+        share one targeted-traffic signal cell (returned as the second
+        element): ``ctx.send`` flags it, so the engine learns in O(1)
+        whether a round needs the targeted collection path — pure-broadcast
+        rounds never pay a per-sender scan.
         """
         topo = self.topology
         model = self.model
@@ -330,16 +341,12 @@ class Simulator:
         master = random.Random(self.seed)
         node_seeds = [master.randrange(2**63) for _ in range(n)]
 
-        graph_sets: list[frozenset[Node]] | None = None
-        if model.uses_overlay:
-            graph_topo = self.graph.freeze()
-            graph_sets = [graph_topo.neighbor_label_set(i) for i in range(n)]
         broadcast_only = model.broadcast_only
         model_name = model.name
+        batch = self.engine == "columnar"
         tsignal: list[bool] | None = [False] if batch else None
 
         contexts: list[NodeContext] = []
-        programs: list[NodeProgram] = []
         for i in range(n):
             ctx = NodeContext(
                 node_id=labels[i],
@@ -355,8 +362,7 @@ class Simulator:
             if tsignal is not None:
                 ctx._t_signal = tsignal
             contexts.append(ctx)
-            programs.append(self.program_factory(labels[i]))
-        return contexts, programs, graph_sets, tsignal
+        return contexts, tsignal
 
     # -------------------------------------------------------- indexed engine
     def _run_indexed(self, max_rounds: int, raise_on_limit: bool) -> RunResult:
@@ -364,7 +370,9 @@ class Simulator:
         model = self.model
         n = topo.n
         labels = topo.labels
-        contexts, programs, graph_sets, _ = self._build_contexts(batch=False)
+        programs = self._build_programs()
+        graph_sets = self._graph_sets()
+        contexts, _ = self._build_contexts(graph_sets)
 
         metrics = self._new_metrics()
         model.init_metrics(metrics)
@@ -499,7 +507,9 @@ class Simulator:
         run: the broadcast columns and the accounting kernel both round
         drivers charge every collection pass through.  A lowerable run
         executes as whole-round kernels
-        (:func:`~repro.distributed.vectorize.try_lower`); otherwise the
+        (:func:`~repro.distributed.vectorize.try_lower`, decided from the
+        programs before any context exists; fault-free lowered runs build
+        none and report the view's output column); otherwise the
         per-round collection pass is the stepped columnar collect
         (:func:`~repro.distributed.columnar.build_columnar_collect`): a
         run-lifetime payload size table and lazy CSR-backed inbox views in
@@ -509,10 +519,9 @@ class Simulator:
         Bit-for-bit identical to the indexed engine for every program under
         every communication model and adversary.
         """
-        topo = self.topology
-        n = topo.n
-        labels = topo.labels
-        contexts, programs, graph_sets, tsignal = self._build_contexts(batch=True)
+        labels = self.topology.labels
+        programs = self._build_programs()
+        graph_sets = self._graph_sets()
 
         metrics = self._new_metrics()
         self.model.init_metrics(metrics)
@@ -524,16 +533,24 @@ class Simulator:
         # rounds execute as array kernels with zero per-node Python calls —
         # bit-for-bit identical to the stepped path below.  ``lowered``
         # records the decision for callers (benchmarks, the E23 twins).
-        lowered = try_lower(accounting, contexts, programs) if self.vectorize else None
+        # The decision comes before any per-node context exists: a
+        # fault-free lowered run never builds one, and its outputs are the
+        # view's output column.
+        lowered = try_lower(accounting, programs) if self.vectorize else None
         self.lowered = lowered is not None
         if lowered is not None:
+            if filt is not None:
+                # The filter's round hook halts *contexts* (crash schedules).
+                lowered.contexts, _ = self._build_contexts(graph_sets)
             active = lowered.execute(max_rounds, raise_on_limit)
+            outputs = dict(zip(labels, lowered.outputs))
         else:
+            contexts, tsignal = self._build_contexts(graph_sets)
             collect = build_columnar_collect(accounting, contexts, tsignal)
             active = self._drive(
                 contexts, programs, collect, metrics, max_rounds, raise_on_limit, filt
             )
-        outputs = {labels[i]: contexts[i].output for i in range(n)}
+            outputs = {label: ctx.output for label, ctx in zip(labels, contexts)}
         return RunResult(outputs=outputs, metrics=metrics, completed=not active)
 
     # ------------------------------------------------------ reference engine

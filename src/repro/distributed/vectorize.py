@@ -47,8 +47,15 @@ adversaries.  The load-bearing details:
   :func:`~repro.distributed.encoding.estimate_bits` on every value the
   kernels emit — ``estimate_bits`` itself never runs inside
   ``vector_round`` (reprolint REP006 enforces this);
-* the master RNG is consumed by the ordinary context construction before
-  lowering is attempted, so seeded behaviour matches the stepped engines;
+* lowering is decided from the program instances alone, before any
+  per-node context exists: a fault-free lowered run builds no
+  :class:`~repro.distributed.node.NodeContext`, draws no per-node seeds from
+  the master RNG and materialises no neighbour sets — the kernels never
+  read them, and with no context in existence no program can observe the
+  skipped draws.  Outputs live in the view's output column
+  (:attr:`EngineView.outputs`).  Under a drop or crash adversary the
+  engine builds the contexts after lowering (the filter's round hook halts
+  contexts), exactly as the stepped path would;
 * adversary seams fire exactly like the stepped columnar engine: the
   filter sees each round begin before any state updates (crash schedules
   force-halt contexts there), and ``deliver_mask`` is called once per
@@ -124,15 +131,27 @@ def _np_payload_bits(np, values, copies: int | None):
     return 2 + copies * (2 + payload)
 
 
+def _shared_ints(values) -> list[int]:
+    """``values.tolist()``, sharing one int object when all entries agree.
+
+    A converged flood retires every node with the same label: one shared
+    object instead of ``n`` equal ones keeps the outputs small and makes
+    later equality folds over them (a leader check) identity hits.
+    """
+    if len(values) > 1 and values.min() == values.max():
+        return [int(values[0])] * len(values)
+    return values.tolist()
+
+
 class VectorProgram:
     """Opt-in mixin: a node program class that can lower whole rounds.
 
     Subclasses override :meth:`vector_kernel`.  The columnar engine calls
-    it once per run (after building contexts and binding the adversary)
-    when every program instance is the exact same class; returning ``None``
-    declines lowering and the run proceeds on the stepped per-node path —
-    the program's ``on_round`` is the exact fallback, so declining is
-    always safe.
+    it once per run (after binding the adversary, before any per-node
+    context is built) when every program instance is the exact same class;
+    returning ``None`` declines lowering and the run proceeds on the
+    stepped per-node path — the program's ``on_round`` is the exact
+    fallback, so declining is always safe.
     """
 
     __slots__ = ()
@@ -183,27 +202,29 @@ class VectorKernel:
 class EngineView:
     """Engine-side state of one lowered columnar run.
 
-    Exposes to kernels: the CSR topology (``rows``, ``indptr``,
-    ``degrees``, ``labels``), the NumPy module snapshot (``np``, possibly
-    ``None``), the liveness column (``alive`` plus ``alive_np``), the fold
-    primitive :meth:`fold_max`, the broadcast queue
-    (:meth:`queue_broadcast_alive` over the ``bits_col`` size column) and
-    the retirement seam :meth:`retire` (the only per-node Python in a
-    lowered run: each node is touched once when it halts).  The columns
-    and the accounting kernel belong to the run's
-    :class:`~repro.distributed.columnar.BroadcastAccounting` — the same
-    instance the stepped path would have used — and everything else (the
-    adversary masks, the round loop) is internal.
+    Exposes to kernels: the CSR topology (``indptr``, ``degrees``,
+    ``labels``), the NumPy module snapshot (``np``, possibly ``None``), the
+    liveness column (``alive`` plus ``alive_np``), the fold primitive
+    :meth:`fold_max`, the broadcast queue (:meth:`queue_broadcast_alive`
+    over the ``bits_col`` size column) and the retirement seam
+    :meth:`retire` (the only per-node Python in a lowered run: each node is
+    touched once when it halts), which fills the ``outputs`` column the
+    engine reports.  The columns and the accounting kernel belong to the
+    run's :class:`~repro.distributed.columnar.BroadcastAccounting` — the
+    same instance the stepped path would have used — and everything else
+    (the adversary masks, the round loop) is internal.  ``contexts`` stays
+    ``None`` unless the engine attaches per-node contexts for an adversary
+    to halt.
     """
 
     __slots__ = (
         "accounting",
         "contexts",
+        "outputs",
         "filt",
         "np",
         "n",
         "labels",
-        "rows",
         "indptr",
         "degrees",
         "alive",
@@ -222,20 +243,18 @@ class EngineView:
         "t_idx",
     )
 
-    def __init__(
-        self, accounting: BroadcastAccounting, contexts: "list[NodeContext]"
-    ) -> None:
+    def __init__(self, accounting: BroadcastAccounting) -> None:
         np = accounting.np
         filt = accounting.filt
         n = accounting.n
         indptr = accounting.indptr
         self.accounting = accounting
-        self.contexts = contexts
+        self.contexts: "list[NodeContext] | None" = None
+        self.outputs: list[Any] = [None] * n
         self.filt = filt
         self.np = np
         self.n = n
         self.labels = accounting.labels
-        self.rows = accounting.rows
         self.indptr = indptr
         self.degrees = accounting.degrees
         self.bits_col = accounting.bits_col
@@ -323,7 +342,7 @@ class EngineView:
             return heard, np.maximum.reduceat(gathered_bits, reduce_idx)
         heard = self.heard_col
         heard[:] = self._ninf_template
-        rows = self.rows
+        rows = accounting.rows
         senders = accounting.sender_list()
         if self.filt is None:
             for j in senders:
@@ -346,20 +365,26 @@ class EngineView:
         return heard
 
     def retire(self, node_ids: list[int], outputs: list[Any]) -> None:
-        """Halt ``node_ids`` voluntarily with ``outputs`` (context sync).
+        """Halt ``node_ids`` voluntarily with ``outputs``.
 
         The one per-node Python seam of a lowered run: each node passes
-        through here exactly once, when it halts.  Crash-stopped nodes
-        never do (the adversary halts their contexts directly and they
-        keep output ``None``, exactly like the stepped engines).
+        through here exactly once, when it halts, and its output lands in
+        the ``outputs`` column (and its context, when contexts exist).
+        Crash-stopped nodes never do (the adversary halts their contexts
+        directly and they keep output ``None``, exactly like the stepped
+        engines).
         """
-        contexts = self.contexts
+        column = self.outputs
         alive = self.alive
         for i, out in zip(node_ids, outputs):
-            ctx = contexts[i]
-            ctx.output = out
-            ctx.halted = True
+            column[i] = out
             alive[i] = 0
+        contexts = self.contexts
+        if contexts is not None:
+            for i, out in zip(node_ids, outputs):
+                ctx = contexts[i]
+                ctx.output = out
+                ctx.halted = True
         self.alive_count -= len(node_ids)
 
     def queue_broadcast_alive(self) -> None:
@@ -619,11 +644,11 @@ class MaxFloodKernel(VectorKernel):
                 halters = alive & (stable >= self.patience)
                 if halters.any():
                     view.retire(
-                        np.nonzero(halters)[0].tolist(), best[halters].tolist()
+                        np.nonzero(halters)[0].tolist(), _shared_ints(best[halters])
                     )
             elif view.round >= self.rounds:
                 idxs = np.nonzero(alive)[0].tolist()
-                view.retire(idxs, best[alive].tolist())
+                view.retire(idxs, _shared_ints(best[alive]))
                 view.clear_broadcasts()
                 return
             view.queue_broadcast_alive()
@@ -670,9 +695,7 @@ class MaxFloodKernel(VectorKernel):
 
 
 def try_lower(
-    accounting: BroadcastAccounting,
-    contexts: "list[NodeContext]",
-    programs: "list[NodeProgram]",
+    accounting: BroadcastAccounting, programs: "list[NodeProgram]"
 ) -> EngineView | None:
     """Attempt to lower a columnar run; returns the armed view or ``None``.
 
@@ -682,7 +705,9 @@ def try_lower(
     non-transforming, and every vertex label is an exact 64-bit ``int``.
     Any refusal returns ``None`` and the caller runs the stepped columnar
     path over the same ``accounting`` — the per-node fallback the protocol
-    guarantees is exact.
+    guarantees is exact.  Only the programs are consulted: the decision
+    precedes per-node context construction, which a fault-free lowered run
+    skips altogether.
     """
     if not programs:
         return None
@@ -699,7 +724,7 @@ def try_lower(
     for lbl in accounting.labels:
         if lbl.__class__ is not int or not (INT64_MIN <= lbl <= INT64_MAX):
             return None
-    view = EngineView(accounting, contexts)
+    view = EngineView(accounting)
     kernel = cls.vector_kernel(programs, view)
     if kernel is None:
         return None

@@ -10,6 +10,7 @@ weighted variants.
 from __future__ import annotations
 
 import math
+import os
 import random
 from array import array
 from collections.abc import Sequence
@@ -17,6 +18,24 @@ from collections.abc import Sequence
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.graphs.topology import CompiledTopology, FrozenGraph
+
+# NumPy (with SciPy's connected components) is an optional accelerator of
+# the mega-scale CSR generator, never a dependency: absent, or disabled
+# through the environment, the stdlib loop builds byte-identical arrays.
+# Imported here rather than inside the build so a first cold build does not
+# pay the import; the module global is the tests' switch between the paths.
+if os.environ.get("REPRO_DISABLE_NUMPY"):  # pragma: no cover - env-driven
+    _np = None
+else:
+    try:
+        import numpy as _np
+        from scipy.sparse import csr_matrix as _csr_matrix
+        from scipy.sparse.csgraph import connected_components as _components
+    except ImportError:  # pragma: no cover - depends on environment
+        _np = None
+
+#: Skip-stream doubles drawn per NumPy batch (bounds the transient columns).
+_SKIP_BATCH = 1 << 20
 
 
 def _rng(seed: int | random.Random | None) -> random.Random:
@@ -229,10 +248,17 @@ def sparse_gnp_csr(
     Dense regimes are out of scope: ``p`` must be in ``[0, 1)`` (a complete
     graph in CSR form at this scale would be astronomically large).  Nodes
     are labelled ``0..n-1`` and every edge has weight 1.0.
+
+    With NumPy and SciPy importable (and a plain :class:`random.Random` or
+    seed) the build runs in bulk (:func:`_sparse_gnp_csr_numpy`): same
+    doubles, same per-draw ``math.log``, byte-identical CSR arrays, and the
+    caller's RNG left in exactly the state the stdlib loop below leaves.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("p must be in [0, 1) for the CSR generator")
     rng = _rng(seed)
+    if _np is not None and rng.__class__ is random.Random:
+        return _sparse_gnp_csr_numpy(n, p, rng, connect)
     esrc = array("q")
     edst = array("q")
     if p > 0.0:
@@ -323,6 +349,125 @@ def sparse_gnp_csr(
     edge_count = len(esrc) + len(chain)
     topo = CompiledTopology(
         list(range(n)), indptr, indices, weights, edge_count, directed=False
+    )
+    return FrozenGraph(topo)
+
+
+def _gnp_pair_positions(n: int, p: float, rng: random.Random):
+    """Linear pair indices of the geometric-skip stream, drawn in bulk.
+
+    Pairs ``(v, w)`` with ``w < v`` are numbered ``v(v-1)/2 + w`` in the
+    lexicographic order the stdlib loop walks.  A legacy NumPy
+    ``RandomState`` loaded with ``rng``'s MT19937 state yields exactly
+    ``rng.random()``'s doubles; ``log(1 - u)`` stays the per-draw
+    ``math.log`` (NumPy's ``log`` may differ from libm by an ulp, which
+    could flip an ``int`` truncation), mapped lazily over each batch.
+    Skips are clamped to the pair count before the ``int64`` cast — a
+    skip that long ends the stream either way.  ``rng`` is finally
+    advanced by exactly the stdlib loop's draw count: one per sampled edge
+    plus the draw that overshoots the last pair.
+    """
+    np = _np
+    pairs = n * (n - 1) // 2
+    if p == 0.0 or not pairs:
+        return np.empty(0, dtype=np.int64)
+    log_q = math.log(1.0 - p)
+    if log_q == 0.0:
+        # p below float resolution: the stdlib loop's first draw divides by 0.
+        raise ZeroDivisionError("float division by zero")
+    version, internal, gauss = rng.getstate()
+    mt = np.random.RandomState()
+    mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    log = math.log
+    batch = min(_SKIP_BATCH, int(p * pairs * 1.01) + 64)
+    cap = float(pairs)
+    chunks = []
+    last = -1
+    while True:
+        before = mt.get_state()
+        u = mt.random_sample(batch)
+        np.subtract(1.0, u, out=u)
+        skip = np.frombuffer(array("d", map(log, memoryview(u))), dtype=np.float64)
+        np.divide(skip, log_q, out=skip)
+        np.minimum(skip, cap, out=skip)
+        pos = skip.astype(np.int64)
+        pos += 1
+        np.cumsum(pos, out=pos)
+        pos += last
+        past = pos >= pairs
+        if past.any():
+            k = int(past.argmax())
+            chunks.append(pos[:k])
+            break
+        chunks.append(pos)
+        last = int(pos[-1])
+    # Rewind to the last batch and redraw only the doubles the loop used.
+    mt.set_state(before)
+    mt.random_sample(k + 1)
+    _, key, index = mt.get_state()[:3]
+    rng.setstate((version, (*key.tolist(), int(index)), gauss))
+    return np.concatenate(chunks)
+
+
+def _sparse_gnp_csr_numpy(
+    n: int, p: float, rng: random.Random, connect: bool
+) -> FrozenGraph:
+    """:func:`sparse_gnp_csr`, built with array kernels instead of loops.
+
+    The skip stream (:func:`_gnp_pair_positions`) is decoded to ``(v, w)``
+    with an exact integer fix-up of a float square root; the connectivity
+    patch takes its component minima from SciPy's connected components and
+    shuffles them with ``rng`` like the stdlib path; and the CSR arrays come
+    from one sort of ``row * n + column`` arc keys — every row ascending,
+    which is exactly what the stdlib's counting scatter (plus its re-sort of
+    chain-touched rows) produces.
+    """
+    np = _np
+    pos = _gnp_pair_positions(n, p, rng)
+    v = ((1.0 + np.sqrt(8.0 * pos + 1.0)) * 0.5).astype(np.int64)
+    while True:
+        base = v * (v - 1) // 2
+        over = base > pos
+        if over.any():
+            v[over] -= 1
+            continue
+        under = base + v <= pos
+        if under.any():
+            v[under] += 1
+            continue
+        break
+    w = pos - base
+    del pos, base
+    m = len(v)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(v, n, out=keys[:m])
+    keys[:m] += w
+    np.multiply(w, n, out=keys[m:])
+    keys[m:] += v
+    del v, w
+    keys.sort()
+    # Row i's arcs are the keys in [i*n, (i+1)*n): CSR offsets by bisection.
+    row_starts = np.arange(n + 1, dtype=np.int64) * n
+    if connect and n > 1:
+        core_indptr = np.searchsorted(keys, row_starts)
+        core = _csr_matrix(
+            (np.ones(2 * m, dtype=np.int8), keys % n, core_indptr), shape=(n, n)
+        )
+        _, comp = _components(core, directed=False)
+        # First occurrence of each component label = its minimum member.
+        reps = np.sort(np.unique(comp, return_index=True)[1]).tolist()
+        if len(reps) > 1:
+            rng.shuffle(reps)
+            a = np.array(reps[:-1], dtype=np.int64)
+            b = np.array(reps[1:], dtype=np.int64)
+            chain = np.sort(np.concatenate((a * n + b, b * n + a)))
+            keys = np.insert(keys, np.searchsorted(keys, chain), chain)
+
+    indptr = array("q", np.searchsorted(keys, row_starts).tobytes())
+    indices = array("q", (keys % n).tobytes())
+    weights = array("d", [1.0]) * len(keys)
+    topo = CompiledTopology(
+        list(range(n)), indptr, indices, weights, len(keys) // 2, directed=False
     )
     return FrozenGraph(topo)
 

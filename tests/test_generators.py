@@ -231,3 +231,124 @@ class TestSparseGnpCsr:
         result = run_flood_max(g, rounds=8, seed=3, engine="columnar")
         assert result.converged
         assert result.leader == 1499
+
+
+# ------------------------------------------------ bulk CSR build byte-identity
+def _registry_csr_tuples() -> list[tuple]:
+    """Every ``sparse_gnp_csr`` family tuple of the E20/E23 scenario specs."""
+    from repro.experiments import get_experiment
+
+    tuples: list[tuple] = []
+    for experiment in ("E20", "E23"):
+        for spec in get_experiment(experiment).scenarios:
+            graph = tuple(spec.param("graph"))
+            if graph[0] == "sparse_gnp_csr" and graph not in tuples:
+                tuples.append(graph)
+    return tuples
+
+
+#: Largest n the stdlib side of the identity check builds in tier-1; larger
+#: registry tuples are shrunk to it at the same expected degree.
+IDENTITY_MAX_N = 20000
+
+
+def _tier1_identity_tuples() -> list[tuple]:
+    tuples = []
+    for family, n, p, seed in _registry_csr_tuples():
+        if n > IDENTITY_MAX_N:
+            n, p = IDENTITY_MAX_N, p * n / IDENTITY_MAX_N
+        tuples.append((family, n, p, seed))
+    return tuples
+
+
+def _full_size_identity_tuples() -> list[tuple]:
+    """Registry tuples whose n is listed in ``REPRO_CSR_IDENTITY_N`` (CI only).
+
+    Their stdlib builds take seconds to tens of seconds, too slow for
+    tier-1; the CI bench job sets the variable to run them unshrunk.
+    """
+    import os
+
+    wanted = {int(n) for n in os.environ.get("REPRO_CSR_IDENTITY_N", "").split()}
+    return [t for t in _registry_csr_tuples() if t[1] in wanted]
+
+
+def _build_csr(monkeypatch, n, p, seed, connect, numpy):
+    """Build through one path; return the CSR bytes and the caller RNG's next draw."""
+    import random
+
+    from repro.graphs import generators
+
+    rng = random.Random(seed)
+    with monkeypatch.context() as patch:
+        if not numpy:
+            patch.setattr(generators, "_np", None)
+        graph = generators.sparse_gnp_csr(n, p, seed=rng, connect=connect)
+    topo = graph.freeze()
+    return (
+        topo.indptr.tobytes(),
+        topo.indices.tobytes(),
+        topo.weights.tobytes(),
+        topo.edge_count,
+        rng.random(),
+    )
+
+
+def _assert_paths_identical(monkeypatch, n, p, seed, connect=True):
+    bulk = _build_csr(monkeypatch, n, p, seed, connect, numpy=True)
+    loop = _build_csr(monkeypatch, n, p, seed, connect, numpy=False)
+    assert bulk[3] == loop[3], "edge_count"
+    assert bulk[:3] == loop[:3], "CSR bytes"
+    assert bulk[4] == loop[4], "caller RNG state"
+
+
+#: Generated edge cases: tiny n, p = 0, a p so small every float skip
+#: overshoots the pair count (clamped before the int64 cast), a sparse
+#: regime with hundreds of components to chain, connect on and off.
+EDGE_CASES = [
+    (n, p, seed, connect)
+    for n in (0, 1, 2)
+    for p in (0.0, 0.5)
+    for seed in (1, 3)
+    for connect in (True, False)
+] + [
+    (50, 1e-12, 2, True),
+    (50, 1e-12, 2, False),
+    (300, 0.0, 4, True),
+    (3000, 2e-4, 5, True),
+    (400, 0.03, 11, False),
+    (2000, 0.002, 5, True),
+]
+
+
+class TestSparseGnpCsrBulkIdentity:
+    """The NumPy build is byte-identical to the stdlib loop, RNG state included."""
+
+    def test_registry_has_csr_tuples(self):
+        assert len(_registry_csr_tuples()) >= 3
+
+    @pytest.mark.parametrize("family", _tier1_identity_tuples(), ids=str)
+    def test_registry_tuples(self, monkeypatch, family):
+        _, n, p, seed = family
+        _assert_paths_identical(monkeypatch, n, p, seed)
+
+    if _full_size_identity_tuples():  # defined only when CI asks for it
+
+        @pytest.mark.parametrize("family", _full_size_identity_tuples(), ids=str)
+        def test_full_size_registry_tuples(self, monkeypatch, family):
+            _, n, p, seed = family
+            _assert_paths_identical(monkeypatch, n, p, seed)
+
+    @pytest.mark.parametrize("n, p, seed, connect", EDGE_CASES)
+    def test_edge_cases(self, monkeypatch, n, p, seed, connect):
+        _assert_paths_identical(monkeypatch, n, p, seed, connect)
+
+    def test_p_below_float_resolution_raises_like_the_loop(self, monkeypatch):
+        from repro.graphs import generators
+
+        for numpy in (True, False):
+            with monkeypatch.context() as patch:
+                if not numpy:
+                    patch.setattr(generators, "_np", None)
+                with pytest.raises(ZeroDivisionError):
+                    generators.sparse_gnp_csr(10, 1e-17, seed=1)

@@ -30,8 +30,10 @@ from repro.distributed import (
     local_model,
 )
 from repro.distributed import columnar as columnar_module
+from repro.distributed import simulator as simulator_module
 from repro.distributed.adversary import build_adversary
 from repro.distributed.encoding import estimate_bits
+from repro.distributed.node import NodeContext
 from repro.distributed.vectorize import (
     _np_payload_bits,
     int_payload_bits,
@@ -292,6 +294,93 @@ class TestNumpyAbsentLowering:
         )
         assert sim.lowered
         _assert_identical(fallback, indexed)
+
+
+class TestContextFreeLowering:
+    """Fault-free lowered runs set up straight from CSR: no per-node contexts.
+
+    Contexts are counted at their one construction site; runs that need
+    them — stepped runs, and lowered runs whose drop/crash filter halts
+    contexts — still build one per node, and the context-free outputs
+    (key order included) equal the stepped twin's.
+    """
+
+    N = 40
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counter = [0]
+
+        class CountingContext(NodeContext):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                counter[0] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "NodeContext", CountingContext)
+        return counter
+
+    def _graph(self):
+        # Reverse insertion order: output key order is the topology's label
+        # order, not ascending labels.
+        base = gnp_random_graph(self.N, 0.15, seed=3)
+        g = Graph()
+        g.add_nodes_from(reversed(range(self.N)))
+        for u, v in base.edges():
+            g.add_edge(u, v)
+        return g
+
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "stdlib"])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS), ids=str)
+    def test_fault_free_lowered_run_builds_no_contexts(
+        self, built, monkeypatch, numpy, workload
+    ):
+        if not numpy:
+            monkeypatch.setattr(columnar_module, "_np", None)
+        g = self._graph()
+        model = broadcast_congest_model(self.N)
+        sim, lowered = _run(g, WORKLOADS[workload], model, "columnar", seed=8)
+        assert sim.lowered
+        assert built[0] == 0
+        stepped_sim, stepped = _run(
+            g, WORKLOADS[workload], model, "columnar", seed=8, vectorize=False
+        )
+        assert not stepped_sim.lowered
+        assert built[0] == self.N
+        assert list(lowered.outputs.items()) == list(stepped.outputs.items())
+        assert lowered.as_dict() == stepped.as_dict()
+        _assert_identical(lowered, stepped)
+
+    def test_flood_max_entry_point_builds_no_contexts(self, built):
+        result = run_flood_max(self._graph(), 8, seed=2, engine="columnar")
+        assert built[0] == 0
+        assert result.converged and result.leader == self.N - 1
+
+    @pytest.mark.parametrize("adversary", ["drop:0.2", "crash:3@1,11@2,24@3"])
+    @pytest.mark.parametrize("workload", ["fixed", "robust"])
+    def test_lowered_runs_under_a_filter_build_contexts(
+        self, built, adversary, workload
+    ):
+        g = self._graph()
+        model = broadcast_congest_model(self.N, enforce=False)
+        sim, lowered = _run(
+            g, WORKLOADS[workload], model, "columnar", seed=4, adversary=adversary
+        )
+        assert sim.lowered
+        assert built[0] == self.N
+        _, stepped = _run(
+            g,
+            WORKLOADS[workload],
+            model,
+            "columnar",
+            seed=4,
+            adversary=adversary,
+            vectorize=False,
+        )
+        assert list(lowered.outputs.items()) == list(stepped.outputs.items())
+        assert lowered.as_dict() == stepped.as_dict()
+        _assert_identical(lowered, stepped)
 
 
 class TestClosedFormSizes:
