@@ -20,11 +20,15 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from repro.spanner.stars import densest_star, spanned_edges, star_density
 
 Node = Hashable
 Edge = tuple[Node, Node]
+
+_ONE = Fraction(1)
+_EMPTY: frozenset[Node] = frozenset()
 
 
 @dataclass
@@ -68,31 +72,41 @@ def _augment(
         adjacency.setdefault(u, set()).add(w)
         adjacency.setdefault(w, set()).add(u)
 
-    def weight_of(v: Node) -> Fraction:
-        if leaf_weights is None:
-            return Fraction(1)
-        return Fraction(leaf_weights.get(v, 1))
+    if leaf_weights is None:
+        weights = dict.fromkeys(pool, _ONE)
+    else:
+        weights = {v: Fraction(leaf_weights.get(v, 1)) for v in pool}
+    # Integer weights (each times the lcm of the denominators): the density
+    # test spanned / (weight / scale) >= p / q becomes
+    # spanned * scale * q >= p * weight, with no Fraction built per leaf.
+    scale = lcm(*(w.denominator for w in weights.values()))
+    int_weight = {v: w.numerator * (scale // w.denominator) for v, w in weights.items()}
+    lhs_factor = scale * threshold.denominator
+    rhs_factor = threshold.numerator
+    order = sorted(pool, key=repr)
 
     spanned_count = len(spanned_edges(current, candidate_edges))
-    total_weight = sum((weight_of(v) for v in current), Fraction(0))
+    total_weight = sum(int_weight[v] for v in current)
 
     while True:
         # 1. Try a single-leaf addition keeping the density above the threshold.
         best_leaf = None
         best_gain = -1
-        for u in sorted(pool - current, key=repr):
-            gain = len(adjacency.get(u, set()) & current)
-            new_weight = total_weight + weight_of(u)
+        for u in order:
+            if u in current:
+                continue
+            gain = len(adjacency.get(u, _EMPTY) & current)
+            new_weight = total_weight + int_weight[u]
             if new_weight <= 0:
                 continue
-            if Fraction(spanned_count + gain) / new_weight >= threshold:
+            if (spanned_count + gain) * lhs_factor >= rhs_factor * new_weight:
                 if gain > best_gain:
                     best_gain = gain
                     best_leaf = u
         if best_leaf is not None:
             current.add(best_leaf)
             spanned_count += best_gain
-            total_weight += weight_of(best_leaf)
+            total_weight += int_weight[best_leaf]
             continue
 
         # 2. Try a disjoint star of density at least the threshold.
@@ -102,18 +116,16 @@ def _augment(
         remaining_edges = {
             e for e in candidate_edges if e[0] in remaining and e[1] in remaining
         }
-        weights = (
-            None
-            if leaf_weights is None
-            else {v: weight_of(v) for v in remaining}
+        remaining_weights = (
+            None if leaf_weights is None else {v: weights[v] for v in remaining}
         )
         disjoint, disjoint_density = densest_star(
-            remaining, remaining_edges, weights, method=method
+            remaining, remaining_edges, remaining_weights, method=method
         )
         if disjoint and disjoint_density >= threshold:
             current |= disjoint
             spanned_count = len(spanned_edges(current, candidate_edges))
-            total_weight = sum((weight_of(v) for v in current), Fraction(0))
+            total_weight = sum(int_weight[v] for v in current)
             continue
         break
     return frozenset(current)
@@ -130,6 +142,7 @@ def choose_candidate_star(
     method: str = "exact",
     follow_paper_rule: bool = True,
     force_include: Iterable[Node] = (),
+    pool_densest: frozenset[Node] | None = None,
 ) -> frozenset[Node]:
     """Choose the star a candidate proposes this iteration (Section 4.1).
 
@@ -141,6 +154,10 @@ def choose_candidate_star(
     density).  Setting ``follow_paper_rule=False`` ignores the cross-iteration
     containment rule and always returns a freshly augmented densest star —
     the E15 ablation showing why the paper's rule matters for round counts.
+    ``pool_densest`` is the leaf set of the densest star over all of ``pool``
+    and ``candidate_edges`` when the caller already has it (the 2-spanner's
+    density phase solves exactly that); a selection over the full pool then
+    starts from it instead of solving again.
     """
     threshold = Fraction(rho_rounded) / threshold_divisor
     forced = frozenset(force_include) & pool
@@ -156,7 +173,10 @@ def choose_candidate_star(
             if leaf_weights is None
             else {v: Fraction(leaf_weights.get(v, 1)) for v in restricted_pool}
         )
-        base, _ = densest_star(restricted_pool, edges, weights, method=method)
+        if pool_densest is not None and restricted_pool == pool:
+            base = pool_densest
+        else:
+            base, _ = densest_star(restricted_pool, edges, weights, method=method)
         return _augment(base, restricted_pool, edges, weights, threshold, method)
 
     same_rho_streak = (

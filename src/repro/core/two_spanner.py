@@ -126,6 +126,10 @@ class TwoSpannerProgram(NodeProgram):
         self._cover_scanned_list: list[Node] = []
         self._cover_scanned_set: set[Node] = set()
         self._density_cache: tuple[frozenset[Edge], tuple[Fraction, Fraction]] | None = None
+        # Leaves of the densest star over the whole pool and ``current_hv``
+        # (``None`` while ``current_hv`` is empty): the candidate phase
+        # starts from them instead of solving the same input again.
+        self.densest_leaves: frozenset[Node] | None = None
 
         # --- per-iteration transient state --------------------------------
         self.current_hv: set[Edge] = set()
@@ -279,9 +283,10 @@ class TwoSpannerProgram(NodeProgram):
             return self._density_cache[1]
         if not self.current_hv:
             result = (Fraction(0), Fraction(0))
+            self.densest_leaves = None
         else:
             weights = self.setup.leaf_weights
-            leaves, density = densest_star(
+            self.densest_leaves, density = densest_star(
                 self.setup.star_pool,
                 self.current_hv,
                 weights,
@@ -343,6 +348,7 @@ class TwoSpannerProgram(NodeProgram):
                 method=self.options.densest_method,
                 follow_paper_rule=self.options.follow_paper_rule,
                 force_include=self.setup.zero_weight_leaves,
+                pool_densest=self.densest_leaves,
             )
             self.candidate_cv = spanned_edges(self.candidate_leaves, self.current_hv)
             rank = ctx.rng.randint(1, max(2, ctx.n**4))

@@ -30,6 +30,24 @@ _FRAMING_BITS = 2
 
 def estimate_bits(payload: object) -> int:
     """Estimated number of bits needed to encode ``payload``."""
+    # Exact-type fast path for the payload shapes programs actually send.
+    # Subclasses (``bool``, ``IntEnum``, ``OrderedDict``, named tuples) miss
+    # it and take the generic chain below, which gives the same values.
+    cls = type(payload)
+    if cls is int:
+        return max(1, payload.bit_length()) + 1
+    if cls is str:
+        return max(1, 8 * len(payload))
+    if cls is dict:
+        total = _FRAMING_BITS
+        for key, value in payload.items():
+            total += _FRAMING_BITS + estimate_bits(key) + estimate_bits(value)
+        return total
+    if cls is list or cls is tuple:
+        total = _FRAMING_BITS
+        for item in payload:
+            total += _FRAMING_BITS + estimate_bits(item)
+        return total
     if payload is None or isinstance(payload, bool):
         return 1
     if isinstance(payload, int):

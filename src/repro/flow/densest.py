@@ -10,11 +10,21 @@ Kortsarz-Peleg, Lemma 2.1 of [46]) solves with flow techniques [36].
 Two solvers are provided:
 
 * :func:`densest_subgraph_exact` — Goldberg's flow construction combined with
-  Dinkelbach iteration, exact over ``fractions.Fraction``; this is the
-  default used by the algorithms so that the *guaranteed* approximation
-  ratios of the paper are genuinely exercised.
+  Dinkelbach iteration, exact over the rationals; this is the default used
+  by the algorithms so that the *guaranteed* approximation ratios of the
+  paper are genuinely exercised.
 * :func:`densest_subgraph_peeling` — Charikar's greedy peeling
   2-approximation, used as a fast mode and in the E15 ablation benchmark.
+
+Why the exact solver's answer is a function of its input alone: each
+Dinkelbach step returns the vertices reachable from the source in the
+residual graph of a maximum flow.  Every maximum flow leaves the same set
+reachable (the source side of the unique *minimal* minimum cut), and scaling
+all capacities by one positive factor changes no cut's rank.  So the step
+may scale its rational capacities to exact integers by any common factor,
+and the flow code may find its paths in any order, without changing a
+returned subset.  For the same reason a vertex without edges is left out of
+the network: its source arc has capacity 0, so it is never reachable.
 """
 
 from __future__ import annotations
@@ -27,6 +37,8 @@ from repro.flow.dinic import MaxFlowNetwork
 
 Node = Hashable
 Edge = tuple[Node, Node]
+
+_ONE = Fraction(1)
 
 
 def _normalise(
@@ -47,7 +59,7 @@ def _normalise(
         seen.add(key)
         edge_list.append(key)
     if node_weights is None:
-        weights = {v: Fraction(1) for v in node_list}
+        weights = dict.fromkeys(node_list, _ONE)
     else:
         weights = {v: Fraction(node_weights.get(v, 1)) for v in node_list}
     for v, w in weights.items():
@@ -110,70 +122,87 @@ def densest_subgraph_exact(
         best = min(node_list, key=lambda v: (weights[v], repr(v)))
         return {best}, Fraction(0)
 
-    degree: dict[Node, int] = {v: 0 for v in node_list}
+    # Integer weights: each weight times the lcm of all their denominators.
+    scale = lcm(*(w.denominator for w in weights.values()))
+    int_weight = {v: w.numerator * (scale // w.denominator) for v, w in weights.items()}
+
+    # Only vertices with an edge enter the flow network (module docstring).
+    index: dict[Node, int] = {}
     for u, v in edge_list:
-        degree[u] += 1
-        degree[v] += 1
-    m = len(edge_list)
+        index.setdefault(u, len(index))
+        index.setdefault(v, len(index))
+    active = list(index)
+    ends = [(index[u], index[v]) for u, v in edge_list]
+    net_weights = [int_weight[v] for v in active]
+    degree = [0] * len(active)
+    for a, b in ends:
+        degree[a] += 1
+        degree[b] += 1
+    # Arc endpoints do not depend on the density guess: lay them out once.
+    k = len(active)
+    firsts = [a for a, _ in ends]
+    seconds = [b for _, b in ends]
+    tails = [k] * k + list(range(k)) + firsts + seconds
+    heads = list(range(k)) + [k + 1] * k + seconds + firsts
 
     best_set = set(node_list)
-    best_density = subgraph_density(best_set, edge_list, weights)
-
+    best_density = Fraction(len(edge_list) * scale, sum(int_weight.values()))
     while True:
-        g = best_density
-        candidate = _improving_subset(node_list, edge_list, degree, weights, m, g)
-        if candidate is None:
+        side = _improving_subset(tails, heads, degree, net_weights, scale, best_density)
+        if side is None:
             return best_set, best_density
-        density = subgraph_density(candidate, edge_list, weights)
+        count = sum(1 for a, b in ends if a in side and b in side)
+        density = Fraction(count * scale, sum(net_weights[i] for i in side))
         if density <= best_density:
             # Cannot happen with exact arithmetic; guard against infinite loops.
             return best_set, best_density
-        best_set, best_density = candidate, density
+        best_set, best_density = {active[i] for i in side}, density
 
 
 def _improving_subset(
-    node_list: list[Node],
-    edge_list: list[Edge],
-    degree: dict[Node, int],
-    weights: dict[Node, Fraction],
-    m: int,
+    tails: list[int],
+    heads: list[int],
+    degree: list[int],
+    weights: list[int],
+    scale: int,
     g: Fraction,
-) -> set[Node] | None:
-    """A subset with density strictly above ``g``, or ``None`` if none exists.
+) -> set[int] | None:
+    """Indices of a subset with density strictly above ``g``, or ``None``.
 
-    All capacities are rationals; scaling them by the least common multiple of
-    their denominators turns the whole network into machine integers without
-    changing anything observable: the residual graph stays a uniformly scaled
-    copy at every step, so Dinic picks the same augmenting paths and the same
-    source side of the minimum cut falls out.  Nodes enter the network as
-    dense indices (source = -1, sink = -2) so the inner loops never hash
-    caller labels.
+    Vertex ``i`` (of ``k``; the source is ``k``, the sink ``k + 1``) has
+    degree ``degree[i]`` and real weight ``weights[i] / scale``.  For
+    ``g = p / q`` the real capacities (source -> i: ``deg(i)``; i -> sink:
+    ``2 g w(i)``; 1 each way along an edge) are all multiplied by
+    ``q * scale``, which makes every one an exact integer.  The subset is the
+    source side of the minimal minimum cut, which depends neither on the
+    order the flow is found in nor on the scale factor.
+
+    The two-arc paths source -> i -> sink are saturated up front and only
+    the remaining capacities enter the network.  That drops the residual
+    arcs i -> source and sink -> i, which no simple augmenting path uses and
+    which add nothing to what the source reaches (the sink is unreachable
+    once the flow is maximum).
     """
-    index = {v: i for i, v in enumerate(node_list)}
-    sink_caps = [2 * g * weights[v] for v in node_list]
-    scale = 1
-    for cap in sink_caps:
-        scale = lcm(scale, cap.denominator)
-
-    k = len(node_list)
-    source = k
-    sink = k + 1
-    net = MaxFlowNetwork.indexed(k + 2)
-    for i, v in enumerate(node_list):
-        net.add_edge_indexed(source, i, degree[v] * scale)
-        net.add_edge_indexed(i, sink, (sink_caps[i] * scale).numerator)
-    for u, v in edge_list:
-        ui, vi = index[u], index[v]
-        net.add_edge_indexed(ui, vi, scale)
-        net.add_edge_indexed(vi, ui, scale)
-    cut_value = net.max_flow(source, sink)
-    if cut_value >= 2 * m * scale:
+    k = len(degree)
+    unit = g.denominator * scale
+    two_p = 2 * g.numerator
+    edge_arcs = len(tails) - 2 * k
+    source_caps = [d * unit for d in degree]
+    sink_caps = [two_p * w for w in weights]
+    direct = 0
+    for i in range(k):
+        both = min(source_caps[i], sink_caps[i])
+        source_caps[i] -= both
+        sink_caps[i] -= both
+        direct += both
+    net = MaxFlowNetwork.indexed(
+        k + 2, tails, heads, source_caps + sink_caps + [unit] * edge_arcs
+    )
+    if direct + net.max_flow(k, k + 1) >= edge_arcs * unit:
         return None
-    side = net.min_cut_source_side(source)
-    subset = {node_list[i] for i in side if i < k}
-    if not subset:
-        return None
-    return subset
+    side = net.min_cut_source_side(k)
+    side.discard(k)
+    return side or None
 
 
 def densest_subgraph_peeling(

@@ -1,14 +1,18 @@
 """Dinic's maximum-flow algorithm over arbitrary hashable node labels.
 
-Capacities may be ``int``, ``float`` or :class:`fractions.Fraction`; the
-densest-subgraph solver uses exact ``Fraction`` capacities so that star
-densities (which are rationals) are computed without rounding error.
+Capacities may be ``int``, ``float`` or :class:`fractions.Fraction`.  The
+densest-subgraph solver builds its networks with exact integer capacities
+through the bulk :meth:`MaxFlowNetwork.indexed` constructor.
+
+The blocking-flow search is iterative (an explicit path stack with
+current-arc pointers), so augmenting paths of any length are fine: there is
+no recursion to run out of.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 from fractions import Fraction
 
 Node = Hashable
@@ -17,17 +21,20 @@ Number = int | float | Fraction
 
 
 class MaxFlowNetwork:
-    """A flow network with a residual-graph representation for Dinic's algorithm."""
+    """A flow network with a residual-graph representation for Dinic's algorithm.
+
+    Arcs are stored flat in pairs: arc ``e`` (even) is the forward arc and
+    ``e ^ 1`` its residual reverse arc.
+    """
 
     def __init__(self) -> None:
         self._index: dict[Node, int] = {}
         self._labels: list[Node] = []
-        # adjacency: node index -> list of edge ids
+        # adjacency: node index -> list of arc ids
         self._adj: list[list[int]] = []
-        # edges stored flat: to-node, capacity, and the id of the reverse edge
+        # arcs stored flat: head node and residual capacity
         self._to: list[int] = []
         self._cap: list[Number] = []
-        self._rev: list[int] = []
 
     def _node(self, label: Node) -> int:
         if label not in self._index:
@@ -47,37 +54,36 @@ class MaxFlowNetwork:
         self._adj[ui].append(len(self._to))
         self._to.append(vi)
         self._cap.append(capacity)
-        self._rev.append(len(self._to))
         self._adj[vi].append(len(self._to))
         self._to.append(ui)
         self._cap.append(0 if isinstance(capacity, int) else type(capacity)(0))
-        self._rev.append(len(self._to) - 2)
 
     @classmethod
-    def indexed(cls, n: int) -> "MaxFlowNetwork":
-        """A network whose nodes are exactly the integers ``0..n-1``.
+    def indexed(
+        cls, n: int, tails: Sequence[int], heads: Sequence[int], caps: Sequence[int]
+    ) -> "MaxFlowNetwork":
+        """A network on the nodes ``0..n-1`` with arcs ``tails[i] -> heads[i]``.
 
-        Bulk construction for callers that already work with dense indices
-        (the densest-subgraph solver): node registration is done up front, so
-        :meth:`add_edge_indexed` touches no hash tables.
+        Bulk construction from flat arc lists for callers that already work
+        with dense indices (the densest-subgraph solver): no per-arc method
+        call or hash-table lookup.  Capacities must be non-negative integers;
+        this is not checked.
         """
         net = cls()
         net._labels = list(range(n))
-        net._index = {i: i for i in range(n)}
-        net._adj = [[] for _ in range(n)]
+        net._index = dict(zip(net._labels, net._labels))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        to = [0] * (2 * len(caps))
+        to[0::2] = heads
+        to[1::2] = tails
+        cap = [0] * (2 * len(caps))
+        cap[0::2] = caps
+        for eid, u in enumerate(tails):
+            adj[u].append(2 * eid)
+        for eid, v in enumerate(heads):
+            adj[v].append(2 * eid + 1)
+        net._adj, net._to, net._cap = adj, to, cap
         return net
-
-    def add_edge_indexed(self, ui: int, vi: int, capacity: int) -> None:
-        """Add ``ui -> vi`` between preregistered indices (integer capacity)."""
-        eid = len(self._to)
-        self._adj[ui].append(eid)
-        self._to.append(vi)
-        self._cap.append(capacity)
-        self._rev.append(eid + 1)
-        self._adj[vi].append(eid + 1)
-        self._to.append(ui)
-        self._cap.append(0)
-        self._rev.append(eid)
 
     # ------------------------------------------------------------------- flow
     def max_flow(self, source: Node, sink: Node) -> Number:
@@ -85,17 +91,50 @@ class MaxFlowNetwork:
         s, t = self._node(source), self._node(sink)
         if s == t:
             raise ValueError("source and sink must differ")
+        adj, to, cap = self._adj, self._to, self._cap
         flow: Number = 0
         while True:
             level = self._bfs_levels(s, t)
             if level[t] < 0:
                 return flow
-            it = [0] * len(self._adj)
+            it = [0] * len(adj)
+            path: list[int] = []  # arc ids from s to u
+            u = s
             while True:
-                pushed = self._dfs_push(s, t, None, level, it)
-                if pushed is None:
+                if u == t:
+                    pushed = cap[path[0]]
+                    for eid in path:
+                        if cap[eid] < pushed:
+                            pushed = cap[eid]
+                    flow = flow + pushed
+                    cut = -1
+                    for k, eid in enumerate(path):
+                        cap[eid] -= pushed
+                        cap[eid ^ 1] += pushed
+                        if cut < 0 and not cap[eid]:
+                            cut = k
+                    # Resume from the tail of the first saturated arc.
+                    del path[cut:]
+                    u = to[path[-1]] if path else s
+                    continue
+                arcs = adj[u]
+                i = it[u]
+                next_level = level[u] + 1
+                while i < len(arcs):
+                    eid = arcs[i]
+                    if cap[eid] > 0 and level[to[eid]] == next_level:
+                        break
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif path:
+                    # Dead end: retreat and retire the arc that led here.
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
                     break
-                flow = flow + pushed
 
     def min_cut_source_side(self, source: Node) -> set[Node]:
         """After :meth:`max_flow`, the set of labels reachable from the source
@@ -113,42 +152,23 @@ class MaxFlowNetwork:
 
     # ---------------------------------------------------------------- internals
     def _bfs_levels(self, s: int, t: int) -> list[int]:
-        level = [-1] * len(self._adj)
+        adj, to, cap = self._adj, self._to, self._cap
+        level = [-1] * len(adj)
         level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for eid in self._adj[u]:
-                v = self._to[eid]
-                if self._cap[eid] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+            next_level = level[u] + 1
+            for eid in adj[u]:
+                v = to[eid]
+                if cap[eid] > 0 and level[v] < 0:
+                    level[v] = next_level
+                    if v == t:
+                        # Every vertex nearer than t is labelled; the rest
+                        # cannot lie on a shortest augmenting path.
+                        return level
                     queue.append(v)
         return level
-
-    def _dfs_push(
-        self,
-        u: int,
-        t: int,
-        limit: Number | None,
-        level: list[int],
-        it: list[int],
-    ) -> Number | None:
-        """Push one augmenting path (blocking-flow style with iterator pruning)."""
-        if u == t:
-            return limit
-        while it[u] < len(self._adj[u]):
-            eid = self._adj[u][it[u]]
-            v = self._to[eid]
-            residual = self._cap[eid]
-            if residual > 0 and level[v] == level[u] + 1:
-                new_limit = residual if limit is None else min(limit, residual)
-                pushed = self._dfs_push(v, t, new_limit, level, it)
-                if pushed is not None and pushed > 0:
-                    self._cap[eid] -= pushed
-                    self._cap[self._rev[eid]] += pushed
-                    return pushed
-            it[u] += 1
-        return None
 
 
 def max_flow_min_cut(

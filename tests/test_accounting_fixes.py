@@ -8,14 +8,24 @@ experiment-orchestration PR:
 * ``benchmarks/common.py::record`` claimed to flatten ``as_dict()`` values
   but stored nested dicts, hiding per-model counters from flat JSON
   consumers.
+
+It also pins ``estimate_bits``'s exact-type fast path to the generic
+``isinstance`` chain it short-cuts.
 """
 
 import importlib.util
+from collections import OrderedDict, namedtuple
+from collections.abc import Mapping, Sequence, Set
+from enum import IntEnum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import Metrics, estimate_bits
+from repro.distributed.encoding import _object_fields
 from repro.experiments.reporting import flatten_info
 
 
@@ -84,6 +94,77 @@ class TestSlottedEstimateBits:
         assert estimate_bits(_DictPayload("red", 3)) == estimate_bits(
             {"colour": "red", "weight": 3}
         )
+
+
+def generic_bits(payload):
+    """``estimate_bits`` without its exact-type fast path: the ABC chain only."""
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(1, payload.bit_length()) + 1
+    if isinstance(payload, float):
+        return 64
+    if isinstance(payload, (str, bytes, bytearray)):
+        return max(1, 8 * len(payload))
+    if isinstance(payload, Mapping):
+        return 2 + sum(2 + generic_bits(k) + generic_bits(v) for k, v in payload.items())
+    if isinstance(payload, (Sequence, Set, frozenset)):
+        return 2 + sum(2 + generic_bits(item) for item in payload)
+    fields = _object_fields(payload)
+    return 64 if fields is None else generic_bits(fields)
+
+
+class _Colour(IntEnum):
+    RED = 1
+    GREEN = 1 << 20
+
+
+class _Label(int):
+    pass
+
+
+_Point = namedtuple("_Point", "x y")
+
+_KEYS = st.one_of(st.integers(), st.text(max_size=3), st.booleans())
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.builds(_Label, st.integers()),
+    st.sampled_from(list(_Colour)),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.binary(max_size=4),
+    st.fractions(),
+    st.builds(_SlottedPayload, st.text(max_size=3), st.integers()),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4).map(OrderedDict),
+        st.builds(_Point, inner, inner),
+        st.frozensets(st.integers(), max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestEstimateBitsFastPath:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_PAYLOADS)
+    def test_matches_generic_chain(self, payload):
+        assert estimate_bits(payload) == generic_bits(payload)
+
+    def test_subclasses_keep_their_generic_sizes(self):
+        assert estimate_bits(True) == 1
+        assert estimate_bits(_Colour.GREEN) == 22
+        assert estimate_bits(_Label(255)) == 9
+        assert estimate_bits(OrderedDict(a=1)) == estimate_bits({"a": 1}) == 14
+        assert estimate_bits(_Point(1, True)) == 2 + (2 + 2) + (2 + 1)
+        assert estimate_bits(Fraction(3, 4)) == generic_bits(Fraction(3, 4))
 
 
 class TestMetricsCollision:

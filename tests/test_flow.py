@@ -1,5 +1,7 @@
 """Tests for Dinic max-flow and the densest-subgraph solvers."""
 
+import os
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,6 +74,30 @@ class TestDinic:
         with pytest.raises(ValueError):
             net.add_edge("a", "b", -1)
 
+    def test_augmenting_path_longer_than_recursion_limit(self):
+        # s -> 0 -> 1 -> ... -> 1500 -> t: one augmenting path of 1502 arcs.
+        edges = [("s", 0, 1)] + [(i, i + 1, 1) for i in range(1500)] + [(1500, "t", 1)]
+        value, cut = max_flow_min_cut(edges, "s", "t")
+        assert value == 1
+        assert cut == {"s"}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**20))
+    def test_bulk_indexed_network_matches_incremental(self, n, seed):
+        rng = random.Random(seed)
+        arcs = [
+            (u, v, rng.randint(0, 5))
+            for u in range(n)
+            for v in range(n)
+            if u != v and rng.random() < 0.4
+        ]
+        tails = [u for u, _, _ in arcs]
+        heads = [v for _, v, _ in arcs]
+        caps = [c for _, _, c in arcs]
+        bulk = MaxFlowNetwork.indexed(n, tails, heads, caps)
+        value = bulk.max_flow(0, n - 1)
+        assert (value, bulk.min_cut_source_side(0)) == max_flow_min_cut(arcs, 0, n - 1)
+
 
 class TestDensestSubgraphExact:
     def test_triangle_with_pendant(self):
@@ -140,6 +166,79 @@ class TestDensestSubgraphExact:
         _, best = brute_force_densest(nodes, edges)
         assert density == best
         assert subgraph_density(subset, edges) == best
+
+
+def reference_densest(nodes, edges, weights):
+    """The Dinkelbach loop on the generic network with ``Fraction`` capacities.
+
+    Every node, edgeless or not, enters the network, and capacities stay
+    unscaled rationals: the straightforward construction the integer solver
+    must agree with subset for subset.
+    """
+    weights = {v: Fraction(1) if weights is None else Fraction(weights[v]) for v in nodes}
+    if not edges:
+        return {min(nodes, key=lambda v: (weights[v], repr(v)))}, Fraction(0)
+    source, sink = object(), object()
+    degree = {v: sum(v in e for e in edges) for v in nodes}
+    best_set = set(nodes)
+    best = subgraph_density(best_set, edges, weights)
+    while True:
+        arcs = [(source, v, degree[v]) for v in nodes]
+        arcs += [(v, sink, 2 * best * weights[v]) for v in nodes]
+        arcs += [arc for u, v in edges for arc in ((u, v, 1), (v, u, 1))]
+        value, side = max_flow_min_cut(arcs, source, sink)
+        candidate = side - {source}
+        if value >= 2 * len(edges) or not candidate:
+            return best_set, best
+        density = subgraph_density(candidate, edges, weights)
+        if density <= best:
+            return best_set, best
+        best_set, best = candidate, density
+
+
+# Denominators 2, 3, 4, 6 and 12 share factors: a per-vertex scale of
+# ``g.den * w.den`` would not be exact for every pair.
+WEIGHT_CHOICES = [Fraction(0), Fraction(1, 2), Fraction(1, 6), Fraction(3, 4),
+                  Fraction(1), Fraction(2, 3), Fraction(5, 12), Fraction(3)]
+
+#: Examples per run of the differential test; CI's benchmark job raises it.
+DENSEST_EXAMPLES = int(os.environ.get("REPRO_DENSEST_EXAMPLES", "60"))
+
+
+@st.composite
+def densest_instances(draw):
+    """Small graphs with mixed labels, edgeless vertices and rational weights."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    makers = [lambda i: i, lambda i: f"v{i}", lambda i: (i, "t")]
+    nodes = [makers[draw(st.integers(0, 2))](i) for i in range(n)]
+    pairs = [(nodes[a], nodes[b]) for a in range(n) for b in range(a + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    weights = None
+    if draw(st.booleans()):
+        weights = {v: draw(st.sampled_from(WEIGHT_CHOICES)) for v in nodes}
+        # Two weight-0 ends would make the density unbounded (rejected input).
+        edges = [(u, v) for u, v in edges if weights[u] or weights[v]]
+    return nodes, edges, weights
+
+
+class TestDensestDifferential:
+    @settings(max_examples=DENSEST_EXAMPLES, deadline=None, derandomize=True)
+    @given(densest_instances())
+    def test_exact_solver_matches_reference_subset(self, instance):
+        nodes, edges, weights = instance
+        assert densest_subgraph_exact(nodes, edges, weights) == reference_densest(
+            nodes, edges, weights
+        )
+
+    def test_edgeless_and_zero_weight_vertices(self):
+        nodes = ["a", "b", "c", ("iso", 1), 7]
+        edges = [("a", "b"), ("b", "c"), ("a", "c"), ("c", 7)]
+        weights = {"a": Fraction(1, 2), "b": Fraction(1, 6), "c": Fraction(3, 4),
+                   ("iso", 1): Fraction(1, 2), 7: Fraction(0)}
+        subset, density = densest_subgraph_exact(nodes, edges, weights)
+        assert (subset, density) == reference_densest(nodes, edges, weights)
+        assert subset == {"a", "b", "c", 7}
+        assert density == Fraction(48, 17)
 
 
 class TestDensestSubgraphPeeling:

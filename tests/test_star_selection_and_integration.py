@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.star_selection as star_selection
+import repro.core.two_spanner as two_spanner
+import repro.spanner.stars as stars
 from repro.baselines import greedy_two_spanner, take_all_spanner
 from repro.core import (
     StarSelectionState,
+    WeightedVariant,
     choose_candidate_star,
     client_server_two_spanner,
     run_mds,
@@ -17,12 +21,14 @@ from repro.core import (
 )
 from repro.graphs import (
     all_edges_both,
+    assign_weights_from_choices,
     complete_graph,
     connected_gnp_graph,
     edge_key,
     is_dominating_set,
 )
 from repro.spanner import (
+    densest_star,
     is_k_spanner,
     minimum_k_spanner_exact,
     spanned_edges,
@@ -90,6 +96,62 @@ class TestStarSelection:
         choose_candidate_star(pool, candidate, Fraction(2), state, iteration=1)
         choose_candidate_star(pool, candidate, Fraction(2), state, iteration=2)
         assert len(state.history) == 2
+
+
+class TestNoRepeatedStarSolves:
+    def test_full_pool_selection_reuses_given_densest_star(self, monkeypatch):
+        pool, candidate = neighborhood_instance(7)
+        densest, _ = densest_star(pool, candidate)
+        full_pool_solves = []
+        real = star_selection.densest_star
+
+        def counting(restricted_pool, *args, **kwargs):
+            full_pool_solves.append(set(restricted_pool) == set(pool))
+            return real(restricted_pool, *args, **kwargs)
+
+        monkeypatch.setattr(star_selection, "densest_star", counting)
+        solved = choose_candidate_star(pool, candidate, Fraction(2), StarSelectionState(), 1)
+        assert full_pool_solves.count(True) == 1
+        full_pool_solves.clear()
+        reused = choose_candidate_star(
+            pool, candidate, Fraction(2), StarSelectionState(), 1, pool_densest=densest
+        )
+        assert full_pool_solves.count(True) == 0
+        assert reused == solved
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_candidate_phase_does_not_resolve_density_phase_star(self, monkeypatch, weighted):
+        g = connected_gnp_graph(30, 0.3, seed=4)
+        variant = None
+        if weighted:
+            assign_weights_from_choices(g, [1.0, 2.0, 4.0], seed=5)
+            variant = WeightedVariant()
+        expected = run_two_spanner(g, variant=variant, seed=6)
+
+        density_calls, full_pool_solves, pools = [], [], []
+        real_densest = stars.densest_star
+        real_choose = star_selection.choose_candidate_star
+
+        def density_phase(*args, **kwargs):
+            density_calls.append(1)
+            return real_densest(*args, **kwargs)
+
+        def selection(restricted_pool, *args, **kwargs):
+            full_pool_solves.append(set(restricted_pool) == pools[-1])
+            return real_densest(restricted_pool, *args, **kwargs)
+
+        def choose(pool, *args, **kwargs):
+            pools.append(set(pool))
+            return real_choose(pool, *args, **kwargs)
+
+        monkeypatch.setattr(two_spanner, "densest_star", density_phase)
+        monkeypatch.setattr(star_selection, "densest_star", selection)
+        monkeypatch.setattr(two_spanner, "choose_candidate_star", choose)
+        result = run_two_spanner(g, variant=variant, seed=6)
+        assert pools and density_calls
+        assert True not in full_pool_solves
+        assert result.edges == expected.edges
+        assert result.metrics.as_dict() == expected.metrics.as_dict()
 
 
 class TestCrossAlgorithmConsistency:
