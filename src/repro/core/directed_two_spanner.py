@@ -1,10 +1,16 @@
 """Distributed directed minimum 2-spanner approximation (paper Section 4.3.1).
 
-The directed variant follows the undirected algorithm with three changes
+The directed variant is the undirected algorithm with three changes
 (Claims 4.10-4.11): densest directed stars are approximated within a factor
 two by ignoring directions, the star-density threshold becomes rho/8, and the
 rounded density of a vertex is clamped to be non-increasing across iterations
 (because it is itself only a 2-approximation).
+
+:class:`DirectedTwoSpannerProgram` therefore runs the phase shell of
+:class:`~repro.core.two_spanner.TwoSpannerProgram` and overrides only the arc
+geometry: a target is an arc, ``(u, w)`` is covered via me when ``(u, me)``
+and ``(me, w)`` are spanner arcs, a star is the set of arcs between me and its
+leaves, and the tail of an arc casts its vote.
 
 Communication is bidirectional (paper Section 1.5): a vertex can message both
 its in- and out-neighbours.
@@ -16,22 +22,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from repro.core.star_selection import StarSelectionState, choose_candidate_star
-from repro.core.two_spanner import TwoSpannerOptions
-from repro.distributed.models import CommunicationModel, local_model
-from repro.distributed.node import NodeContext
-from repro.distributed.program import Inbox, NodeProgram
-from repro.distributed.simulator import Simulator
+from repro.core.two_spanner import (
+    TwoSpannerOptions,
+    TwoSpannerProgram,
+    run_spanner_program,
+)
+from repro.core.variants import NodeSetup, UnweightedVariant
+from repro.distributed.models import CommunicationModel
 from repro.graphs.digraph import Arc, DiGraph
 from repro.graphs.graph import Node, edge_key
-from repro.spanner.stars import (
-    directed_spanned_arcs,
-    directed_star_arcs,
-    rounded_up_power_of_two,
-)
-
-PHASES = ("cover", "report", "density", "max", "candidate", "vote", "add")
-ROUNDS_PER_ITERATION = len(PHASES)
+from repro.spanner.stars import directed_star_arcs, spanned_edges
 
 
 @dataclass
@@ -42,6 +42,7 @@ class DirectedTwoSpannerResult:
     rounds: int
     iterations: int
     metrics: Any
+    fallback_count: int
     node_outputs: dict[Node, Any] = field(repr=False, default_factory=dict)
 
     @property
@@ -52,103 +53,39 @@ class DirectedTwoSpannerResult:
         return sum(graph.weight(u, v) for u, v in self.arcs)
 
 
-@dataclass(frozen=True)
-class _DirectedSetup:
-    """Vertex-local knowledge for the directed program."""
+class DirectedVariant(UnweightedVariant):
+    """Every incident arc is a target, every neighbour a leaf; threshold rho/8."""
 
-    neighbors: frozenset[Node]
-    out_arcs: frozenset[Arc]
-    in_arcs: frozenset[Arc]
+    name = "directed"
+    threshold_divisor = 8
+
+    def node_setup(self, graph: DiGraph, v: Node) -> NodeSetup:
+        topo = graph.freeze()
+        neighbors = topo.neighbor_label_set(topo.index[v])
+        incident = frozenset(graph.out_edges(v)) | frozenset(graph.in_edges(v))
+        return NodeSetup(
+            neighbors=neighbors,
+            target_incident=incident,
+            star_pool=neighbors,
+            leaf_weights=None,
+            initial_spanner=frozenset(),
+            direct_add_allowed=incident,
+            zero_weight_leaves=frozenset(),
+            wmax_incident=Fraction(1),
+        )
 
 
-class DirectedTwoSpannerProgram(NodeProgram):
+class DirectedTwoSpannerProgram(TwoSpannerProgram):
     """Per-vertex program for the directed 2-spanner algorithm."""
 
-    def __init__(self, node: Node, setup: _DirectedSetup, options: TwoSpannerOptions) -> None:
-        self.node = node
-        self.setup = setup
-        self.options = options
-        self.divisor = options.threshold_divisor if options.threshold_divisor is not None else 8
+    TARGETS_FIELD = "arcs"
+    STAR_FIELD = "arcs"
+    EDGES_FIELD = "arcs"
+    ADDED_KIND = "added_arcs"
 
-        self.incident_arcs: frozenset[Arc] = setup.out_arcs | setup.in_arcs
-        # Knowledge of arcs in the 2-neighbourhood (arcs incident to neighbours).
-        self.known_arcs: set[Arc] = set(self.incident_arcs)
-        self.covered: set[Arc] = set()
-        self.incident_spanner: set[Arc] = set()
-        self.my_spanner: set[Arc] = set()
-        self.neighbor_done: dict[Node, bool] = {u: False for u in setup.neighbors}
+    rho_clamp: Fraction | None = None  # the last (clamped) rounded density
 
-        self.phase_index = 0
-        self.iteration = 0
-        self.locally_done = False
-        self.done_broadcasts = 0
-        self.selection_state = StarSelectionState()
-        self.announced_covered_via: set[Arc] = set()
-        self.reported_covered: set[Arc] = set()
-        self.rho_clamp: Fraction | None = None
-
-        self.current_hv: set[Arc] = set()
-        self.rho: Fraction = Fraction(0)
-        self.rho_rounded: Fraction = Fraction(0)
-        self.one_hop_max: tuple[Fraction, Fraction] | None = None
-        self.is_candidate = False
-        self.is_finishing = False
-        self.candidate_leaves: frozenset[Node] = frozenset()
-        self.candidate_arcs: frozenset[Arc] = frozenset()
-        self.candidate_cv: set[Arc] = set()
-        self.votes_received: set[Arc] = set()
-
-    # ------------------------------------------------------------------ start
-    def on_start(self, ctx: NodeContext) -> None:
-        if not self.setup.neighbors:
-            ctx.set_output(self._output())
-            ctx.halt()
-            return
-        ctx.broadcast({"kind": "hello", "arcs": sorted(self.incident_arcs, key=repr)})
-
-    def on_round(self, ctx: NodeContext, inbox: Inbox) -> None:
-        if ctx.round == 1:
-            for _, payloads in inbox.items():
-                for msg in payloads:
-                    for arc in msg["arcs"]:
-                        self.known_arcs.add(tuple(arc))
-            self._send_cover(ctx)
-            self.phase_index = 1
-            return
-        phase = PHASES[self.phase_index]
-        getattr(self, f"_phase_{phase}")(ctx, inbox)
-        if not ctx.halted:
-            self.phase_index = (self.phase_index + 1) % ROUNDS_PER_ITERATION
-
-    # --------------------------------------------------------------- geometry
-    def _has_arc(self, u: Node, w: Node) -> bool:
-        return (u, w) in self.known_arcs
-
-    def _spannable(self, arc: Arc) -> bool:
-        """Can my full star 2-span the arc (u, w)?  Needs (u, me) and (me, w)."""
-        u, w = arc
-        return (u, self.node) in self.known_arcs and (self.node, w) in self.known_arcs
-
-    # --------------------------------------------------------------- handlers
-    def _phase_cover(self, ctx: NodeContext, inbox: Inbox) -> None:
-        for sender, payloads in inbox.items():
-            for msg in payloads:
-                if msg.get("kind") == "added_star":
-                    for arc in msg["arcs"]:
-                        arc = tuple(arc)
-                        if self.node in arc:
-                            self.incident_spanner.add(arc)
-                        self.covered.add(arc)
-                elif msg.get("kind") == "added_arcs":
-                    for arc in msg["arcs"]:
-                        arc = tuple(arc)
-                        if self.node in arc:
-                            self.incident_spanner.add(arc)
-                        self.covered.add(arc)
-        self.covered |= self.incident_spanner
-        self._send_cover(ctx)
-
-    def _send_cover(self, ctx: NodeContext) -> None:
+    def _covered_via_me(self) -> list[Arc]:
         newly: list[Arc] = []
         in_span = {u for (u, w) in self.incident_spanner if w == self.node}
         out_span = {w for (u, w) in self.incident_spanner if u == self.node}
@@ -157,212 +94,68 @@ class DirectedTwoSpannerProgram(NodeProgram):
                 if u == w:
                     continue
                 pair = (u, w)
-                if pair in self.known_arcs and pair not in self.announced_covered_via:
+                if pair in self.known_targets and pair not in self.announced_covered_via:
                     newly.append(pair)
                     self.announced_covered_via.add(pair)
                     self.covered.add(pair)
-        ctx.broadcast({"kind": "cover", "pairs": newly})
+        return newly
 
-    def _phase_report(self, ctx: NodeContext, inbox: Inbox) -> None:
-        for _, payloads in inbox.items():
-            for msg in payloads:
-                for pair in msg.get("pairs", []):
-                    self.covered.add(tuple(pair))
-        if (
-            self.locally_done
-            and self.done_broadcasts >= 1
-            and all(self.neighbor_done.values())
-        ):
-            ctx.set_output(self._output())
-            ctx.halt()
-            return
-        self.iteration += 1
-        if self.iteration > self.options.max_iterations:
-            raise RuntimeError(
-                f"directed 2-spanner exceeded {self.options.max_iterations} iterations"
-            )
-        newly = sorted(
-            (a for a in self.incident_arcs if a in self.covered and a not in self.reported_covered),
-            key=repr,
-        )
-        self.reported_covered.update(newly)
-        ctx.broadcast({"kind": "report", "covered": newly, "done": self.locally_done})
-        if self.locally_done:
-            self.done_broadcasts += 1
-
-    def _phase_density(self, ctx: NodeContext, inbox: Inbox) -> None:
-        for sender, payloads in inbox.items():
-            for msg in payloads:
-                self.neighbor_done[sender] = bool(msg.get("done", False))
-                for arc in msg.get("covered", []):
-                    self.covered.add(tuple(arc))
+    def _refresh_hv(self) -> None:
+        """Uncovered known arcs (u, w) my full star can span: (u, me) and (me, w) exist."""
+        known, me = self.known_targets, self.node
         self.current_hv = {
-            a for a in self.known_arcs if a not in self.covered and self._spannable(a)
+            a
+            for a in known
+            if a not in self.covered and (a[0], me) in known and (me, a[1]) in known
         }
-        self.rho, self.rho_rounded = self._densities()
-        ctx.broadcast({"kind": "density", "rho": self.rho, "rho_rounded": self.rho_rounded})
+        # Densest stars ignore directions (Claim 4.10).
+        self.star_hv = {edge_key(u, w) for u, w in self.current_hv}
+
+    def _star_density(self, leaves: frozenset[Node], density: Fraction) -> Fraction:
+        """Spanned arcs per arc of the directed star with these leaves."""
+        return Fraction(len(spanned_edges(leaves, self.current_hv)), len(self._star(leaves)))
 
     def _densities(self) -> tuple[Fraction, Fraction]:
-        if not self.current_hv:
-            return Fraction(0), Fraction(0)
-        undirected = {edge_key(u, w) for u, w in self.current_hv}
-        leaves, _ = self._densest_undirected(self.setup.neighbors, undirected)
-        arcs = directed_star_arcs_from_known(self.known_arcs, self.node, leaves)
-        spanned = {
-            a
-            for a in self.current_hv
-            if a[0] in leaves and a[1] in leaves
-        }
-        density = Fraction(len(spanned), len(arcs)) if arcs else Fraction(0)
-        rounded = rounded_up_power_of_two(density)
+        density, rounded = super()._densities()
         # The density estimate is a 2-approximation; clamp it to be non-increasing.
         if self.rho_clamp is not None:
             rounded = min(rounded, self.rho_clamp)
         self.rho_clamp = rounded
         return density, rounded
 
-    def _densest_undirected(self, pool, undirected_edges):
-        from repro.spanner.stars import densest_star
+    def _star(self, leaves: frozenset[Node]) -> frozenset[Arc]:
+        return directed_star_arcs(self.setup.target_incident, self.node, leaves)
 
-        return densest_star(pool, undirected_edges, method=self.options.densest_method)
+    def _star_edges(self) -> frozenset[Arc]:
+        return self.candidate_star
 
-    def _phase_max(self, ctx: NodeContext, inbox: Inbox) -> None:
-        rho_max = self.rho
-        rounded_max = self.rho_rounded
-        for _, payloads in inbox.items():
-            for msg in payloads:
-                rho_max = max(rho_max, msg["rho"])
-                rounded_max = max(rounded_max, msg["rho_rounded"])
-        self.one_hop_max = (rho_max, rounded_max)
-        ctx.broadcast({"kind": "max", "rho": rho_max, "rho_rounded": rounded_max})
+    def _absorb_star(self, center: Node, arcs) -> None:
+        self._absorb_edges(arcs)
 
-    def _phase_candidate(self, ctx: NodeContext, inbox: Inbox) -> None:
-        assert self.one_hop_max is not None
-        rho_max2, rounded_max2 = self.one_hop_max
-        for _, payloads in inbox.items():
-            for msg in payloads:
-                rho_max2 = max(rho_max2, msg["rho"])
-                rounded_max2 = max(rounded_max2, msg["rho_rounded"])
+    def _star_sides(self, center: Node, arcs) -> tuple[set[Node], set[Node]]:
+        # (u, w) is spanned iff (u, center) and (center, w) are star arcs.
+        return {u for u, w in arcs if w == center}, {w for u, w in arcs if u == center}
 
-        self.is_candidate = False
-        self.is_finishing = False
-        self.candidate_leaves = frozenset()
-        self.candidate_arcs = frozenset()
-        self.candidate_cv = set()
-        self.votes_received = set()
+    def _ballots(self) -> list[tuple[Arc, Node, Node]]:
+        # The tail of each uncovered arc casts its vote.
+        return [
+            (a, a[0], a[1])
+            for a in self.setup.target_incident
+            if a[0] == self.node and a not in self.covered
+        ]
 
-        threshold = Fraction(1)
-        if not self.locally_done and rho_max2 < threshold:
-            self.is_finishing = True
-            return
-        if not self.locally_done and self.rho >= threshold and self.rho_rounded >= rounded_max2:
-            self.is_candidate = True
-            undirected = {edge_key(u, w) for u, w in self.current_hv}
-            self.candidate_leaves = choose_candidate_star(
-                set(self.setup.neighbors),
-                undirected,
-                self.rho_rounded,
-                self.selection_state,
-                self.iteration,
-                threshold_divisor=self.divisor,
-                method=self.options.densest_method,
-                follow_paper_rule=self.options.follow_paper_rule,
-            )
-            self.candidate_arcs = directed_star_arcs_from_known(
-                self.known_arcs, self.node, self.candidate_leaves
-            )
-            self.candidate_cv = {
-                a
-                for a in self.current_hv
-                if a[0] in self.candidate_leaves and a[1] in self.candidate_leaves
-            }
-            rank = ctx.rng.randint(1, max(2, ctx.n**4))
-            ctx.broadcast(
-                {
-                    "kind": "candidate",
-                    "arcs": sorted(self.candidate_arcs, key=repr),
-                    "rank": rank,
-                    "center": self.node,
-                }
-            )
+    def _maxima_message(
+        self, kind: str, rho: Fraction, rounded: Fraction, wmax: Fraction
+    ) -> dict[str, Any]:
+        return {"kind": kind, "rho": rho, "rho_rounded": rounded}
 
-    def _phase_vote(self, ctx: NodeContext, inbox: Inbox) -> None:
-        announcements = []
-        for sender, payloads in inbox.items():
-            for msg in payloads:
-                if msg.get("kind") != "candidate":
-                    continue
-                arcs = {tuple(a) for a in msg["arcs"]}
-                announcements.append((msg["rank"], repr(msg["center"]), sender, arcs))
-        if not announcements:
-            return
-        votes: dict[Node, list[Arc]] = {}
-        for arc in self.setup.out_arcs:  # the tail of each arc casts its vote
-            if arc in self.covered:
-                continue
-            u, w = arc
-            spanning = [
-                (rank, center_repr, sender)
-                for rank, center_repr, sender, star_arcs in announcements
-                if (u, sender) in star_arcs and (sender, w) in star_arcs
-            ]
-            if not spanning:
-                continue
-            _, _, winner = min(spanning)
-            votes.setdefault(winner, []).append(arc)
-        for winner, arcs in votes.items():
-            ctx.send(winner, {"kind": "vote", "arcs": sorted(arcs, key=repr)})
-
-    def _phase_add(self, ctx: NodeContext, inbox: Inbox) -> None:
-        for _, payloads in inbox.items():
-            for msg in payloads:
-                if msg.get("kind") != "vote":
-                    continue
-                for arc in msg["arcs"]:
-                    arc = tuple(arc)
-                    if arc in self.candidate_cv:
-                        self.votes_received.add(arc)
-
-        if self.is_candidate and self.candidate_cv:
-            needed = Fraction(len(self.candidate_cv)) * self.options.vote_fraction
-            if Fraction(len(self.votes_received)) >= needed:
-                self.my_spanner |= self.candidate_arcs
-                self.incident_spanner |= self.candidate_arcs
-                self.covered |= self.candidate_arcs
-                ctx.broadcast(
-                    {"kind": "added_star", "arcs": sorted(self.candidate_arcs, key=repr)}
-                )
-
-        if self.is_finishing:
-            direct = sorted(
-                (a for a in self.incident_arcs if a not in self.covered), key=repr
-            )
-            if direct:
-                self.my_spanner.update(direct)
-                self.incident_spanner.update(direct)
-                self.covered.update(direct)
-                ctx.broadcast({"kind": "added_arcs", "arcs": direct})
-            self.locally_done = True
-
-    def _output(self) -> dict[str, Any]:
+    def _candidate_message(self, rank: int) -> dict[str, Any]:
         return {
-            "arcs": sorted(self.my_spanner, key=repr),
-            "iterations": self.iteration,
-            "fallbacks": self.selection_state.fallback_count,
+            "kind": "candidate",
+            "arcs": sorted(self.candidate_star, key=repr),
+            "rank": rank,
+            "center": self.node,
         }
-
-
-def directed_star_arcs_from_known(
-    known_arcs: set[Arc], center: Node, leaves
-) -> frozenset[Arc]:
-    """Arcs between the centre and each leaf, both directions when both exist."""
-    arcs: set[Arc] = set()
-    for leaf in leaves:
-        if (center, leaf) in known_arcs:
-            arcs.add((center, leaf))
-        if (leaf, center) in known_arcs:
-            arcs.add((leaf, center))
-    return frozenset(arcs)
 
 
 def run_directed_two_spanner(
@@ -373,32 +166,7 @@ def run_directed_two_spanner(
     max_rounds: int = 200_000,
 ) -> DirectedTwoSpannerResult:
     """Run the distributed directed 2-spanner algorithm and collect the result."""
-    options = options if options is not None else TwoSpannerOptions()
-    model = model if model is not None else local_model(graph.number_of_nodes())
-
-    topo = graph.freeze()
-
-    def factory(v: Node) -> DirectedTwoSpannerProgram:
-        setup = _DirectedSetup(
-            neighbors=topo.neighbor_label_set(topo.index[v]),
-            out_arcs=frozenset(graph.out_edges(v)),
-            in_arcs=frozenset(graph.in_edges(v)),
-        )
-        return DirectedTwoSpannerProgram(v, setup, options)
-
-    sim = Simulator(graph, factory, model=model, seed=seed)
-    run = sim.run(max_rounds=max_rounds)
-    arcs: set[Arc] = set()
-    iterations = 0
-    for output in run.outputs.values():
-        if not output:
-            continue
-        arcs.update(tuple(a) for a in output["arcs"])
-        iterations = max(iterations, output["iterations"])
-    return DirectedTwoSpannerResult(
-        arcs=arcs,
-        rounds=run.rounds,
-        iterations=iterations,
-        metrics=run.metrics,
-        node_outputs=run.outputs,
+    arcs, stats = run_spanner_program(
+        DirectedTwoSpannerProgram, graph, DirectedVariant(), options, seed, model, max_rounds
     )
+    return DirectedTwoSpannerResult(arcs=arcs, **stats)

@@ -22,8 +22,10 @@ phase                 message broadcast in that round
 ====================  ========================================================
 
 The same program implements the unweighted, weighted and client-server
-variants through :mod:`repro.core.variants`.  The directed variant has its own
-program (:mod:`repro.core.directed_two_spanner`).
+variants through :mod:`repro.core.variants`.  The directed variant
+(:mod:`repro.core.directed_two_spanner`) is a subclass that overrides only
+the geometry: targets are arcs, and the rounds above carry arcs instead of
+edges.
 """
 
 from __future__ import annotations
@@ -89,7 +91,22 @@ class TwoSpannerResult:
 
 
 class TwoSpannerProgram(NodeProgram):
-    """The per-vertex program implementing one iteration pipeline per 7 rounds."""
+    """The per-vertex program implementing one iteration pipeline per 7 rounds.
+
+    This is the phase shell of every 2-spanner variant.  A *target* is an
+    element that must end up covered: an undirected edge here, an arc in
+    :class:`~repro.core.directed_two_spanner.DirectedTwoSpannerProgram`,
+    which overrides only the geometry hooks (``_covered_via_me``,
+    ``_refresh_hv``, ``_star_density``, ``_star``, ``_star_edges``,
+    ``_absorb_star``, ``_star_sides``, ``_ballots``), the two message
+    builders and the payload field names below.  A hook runs once per phase
+    or once per received star message, never per pair or per edge.
+    """
+
+    TARGETS_FIELD = "targets"  # hello
+    STAR_FIELD = "leaves"  # candidate, added_star
+    EDGES_FIELD = "edges"  # vote, direct additions, output
+    ADDED_KIND = "added_edges"
 
     def __init__(
         self,
@@ -109,7 +126,8 @@ class TwoSpannerProgram(NodeProgram):
         )
 
         # --- knowledge ---------------------------------------------------
-        self.target_edges_2nbhd: set[Edge] = set(setup.target_incident)
+        # Targets incident to me or to a neighbour (learned from hello).
+        self.known_targets: set[Edge] = set(setup.target_incident)
         self.covered: set[Edge] = set()
         self.incident_spanner: set[Edge] = set(setup.initial_spanner)
         self.my_spanner: set[Edge] = set(setup.initial_spanner)
@@ -126,19 +144,23 @@ class TwoSpannerProgram(NodeProgram):
         self._cover_scanned_list: list[Node] = []
         self._cover_scanned_set: set[Node] = set()
         self._density_cache: tuple[frozenset[Edge], tuple[Fraction, Fraction]] | None = None
-        # Leaves of the densest star over the whole pool and ``current_hv``
+        # Leaves of the densest star over the whole pool and ``star_hv``
         # (``None`` while ``current_hv`` is empty): the candidate phase
         # starts from them instead of solving the same input again.
         self.densest_leaves: frozenset[Node] | None = None
 
         # --- per-iteration transient state --------------------------------
+        # ``current_hv``: uncovered targets my full star could span;
+        # ``star_hv``: the same as undirected pool edges, for star solving.
         self.current_hv: set[Edge] = set()
+        self.star_hv: set[Edge] = set()
         self.rho: Fraction = Fraction(0)
         self.rho_rounded: Fraction = Fraction(0)
         self.one_hop_max: tuple[Fraction, Fraction, Fraction] | None = None
         self.is_candidate = False
         self.is_finishing = False
         self.candidate_leaves: frozenset[Node] = frozenset()
+        self.candidate_star: frozenset[Any] = frozenset()
         self.candidate_cv: set[Edge] = set()
         self.votes_received: set[Edge] = set()
 
@@ -150,7 +172,7 @@ class TwoSpannerProgram(NodeProgram):
             return
         hello = {
             "kind": "hello",
-            "targets": sorted(self.setup.target_incident, key=repr),
+            self.TARGETS_FIELD: sorted(self.setup.target_incident, key=repr),
         }
         ctx.broadcast(hello)
 
@@ -172,8 +194,8 @@ class TwoSpannerProgram(NodeProgram):
     def _process_hello(self, inbox: Inbox) -> None:
         for _, payloads in inbox.items():
             for msg in payloads:
-                # Target edges travel as canonical keys; no re-canonicalisation.
-                self.target_edges_2nbhd.update(msg["targets"])
+                # Targets travel as canonical keys; no re-canonicalisation.
+                self.known_targets.update(msg[self.TARGETS_FIELD])
         # Edges of the initial spanner are covered from the start.
         self.covered |= self.incident_spanner
 
@@ -181,18 +203,29 @@ class TwoSpannerProgram(NodeProgram):
     def _phase_cover(self, ctx: NodeContext, inbox: Inbox) -> None:
         for sender, payloads in inbox.items():
             for msg in payloads:
-                if msg.get("kind") == "added_star":
-                    if self.node in msg["leaves"]:
-                        self.incident_spanner.add(edge_key(self.node, sender))
-                elif msg.get("kind") == "added_edges":
-                    for e in msg["edges"]:
-                        if self.node in e:
-                            self.incident_spanner.add(e)
-                        self.covered.add(e)
+                kind = msg.get("kind")
+                if kind == "added_star":
+                    self._absorb_star(sender, msg[self.STAR_FIELD])
+                elif kind == self.ADDED_KIND:
+                    self._absorb_edges(msg[self.EDGES_FIELD])
         self.covered |= self.incident_spanner
         self._send_cover(ctx)
 
+    def _absorb_edges(self, edges) -> None:
+        for e in edges:
+            if self.node in e:
+                self.incident_spanner.add(e)
+            self.covered.add(e)
+
+    def _absorb_star(self, center: Node, leaves) -> None:
+        if self.node in leaves:
+            self.incident_spanner.add(edge_key(self.node, center))
+
     def _send_cover(self, ctx: NodeContext) -> None:
+        ctx.broadcast({"kind": "cover", "pairs": self._covered_via_me()})
+
+    def _covered_via_me(self) -> list[Edge]:
+        """Targets newly 2-spanned by two of my spanner edges (marked announced)."""
         # Spanner neighbours only grow, so every pair of already-scanned
         # neighbours was handled by an earlier call (announced, or not a
         # target then and never a target later); only pairs touching a fresh
@@ -211,13 +244,13 @@ class TwoSpannerProgram(NodeProgram):
                     self._announce_pair(u, w, newly)
             known.extend(fresh)
             self._cover_scanned_set.update(fresh)
-        ctx.broadcast({"kind": "cover", "pairs": newly})
+        return newly
 
     def _announce_pair(self, u: Node, w: Node, newly: list[Edge]) -> None:
         if repr(u) == repr(w):
             return  # distinct nodes with equal reprs are never paired
         pair = edge_key(u, w)
-        if pair in self.target_edges_2nbhd and pair not in self.announced_covered_via:
+        if pair in self.known_targets and pair not in self.announced_covered_via:
             newly.append(pair)
             self.announced_covered_via.add(pair)
             self.covered.add(pair)
@@ -260,22 +293,22 @@ class TwoSpannerProgram(NodeProgram):
                 self.neighbor_done[sender] = bool(msg.get("done", False))
                 self.covered.update(msg.get("covered", ()))
 
-        self.current_hv = {
-            e
-            for e in self.target_edges_2nbhd
-            if e not in self.covered
-            and e[0] in self.setup.star_pool
-            and e[1] in self.setup.star_pool
-        }
+        self._refresh_hv()
         self.rho, self.rho_rounded = self._densities()
         ctx.broadcast(
-            {
-                "kind": "density",
-                "rho": self.rho,
-                "rho_rounded": self.rho_rounded,
-                "wmax": self.setup.wmax_incident,
-            }
+            self._maxima_message(
+                "density", self.rho, self.rho_rounded, self.setup.wmax_incident
+            )
         )
+
+    def _refresh_hv(self) -> None:
+        """Set ``current_hv`` (and ``star_hv``) from the uncovered known targets."""
+        pool = self.setup.star_pool
+        self.current_hv = self.star_hv = {
+            e
+            for e in self.known_targets
+            if e not in self.covered and e[0] in pool and e[1] in pool
+        }
 
     def _densities(self) -> tuple[Fraction, Fraction]:
         key = frozenset(self.current_hv)
@@ -285,16 +318,20 @@ class TwoSpannerProgram(NodeProgram):
             result = (Fraction(0), Fraction(0))
             self.densest_leaves = None
         else:
-            weights = self.setup.leaf_weights
             self.densest_leaves, density = densest_star(
                 self.setup.star_pool,
-                self.current_hv,
-                weights,
+                self.star_hv,
+                self.setup.leaf_weights,
                 method=self.options.densest_method,
             )
+            density = self._star_density(self.densest_leaves, density)
             result = (density, rounded_up_power_of_two(density))
         self._density_cache = (key, result)
         return result
+
+    def _star_density(self, leaves: frozenset[Node], density: Fraction) -> Fraction:
+        """The density a star with these leaves reports (the solver's, here)."""
+        return density
 
     # phase "max": forward component-wise maxima of the density messages.
     def _phase_max(self, ctx: NodeContext, inbox: Inbox) -> None:
@@ -305,11 +342,14 @@ class TwoSpannerProgram(NodeProgram):
             for msg in payloads:
                 rho_max = max(rho_max, msg["rho"])
                 rounded_max = max(rounded_max, msg["rho_rounded"])
-                wmax = max(wmax, msg["wmax"])
+                wmax = max(wmax, msg.get("wmax", wmax))
         self.one_hop_max = (rho_max, rounded_max, wmax)
-        ctx.broadcast(
-            {"kind": "max", "rho": rho_max, "rho_rounded": rounded_max, "wmax": wmax}
-        )
+        ctx.broadcast(self._maxima_message("max", rho_max, rounded_max, wmax))
+
+    def _maxima_message(
+        self, kind: str, rho: Fraction, rounded: Fraction, wmax: Fraction
+    ) -> dict[str, Any]:
+        return {"kind": kind, "rho": rho, "rho_rounded": rounded, "wmax": wmax}
 
     # phase "candidate": decide candidacy / termination, announce chosen stars.
     def _phase_candidate(self, ctx: NodeContext, inbox: Inbox) -> None:
@@ -319,12 +359,13 @@ class TwoSpannerProgram(NodeProgram):
             for msg in payloads:
                 rho_max2 = max(rho_max2, msg["rho"])
                 rounded_max2 = max(rounded_max2, msg["rho_rounded"])
-                wmax2 = max(wmax2, msg["wmax"])
+                wmax2 = max(wmax2, msg.get("wmax", wmax2))
 
         threshold = self.variant.finish_threshold(wmax2)
         self.is_candidate = False
         self.is_finishing = False
         self.candidate_leaves = frozenset()
+        self.candidate_star = frozenset()
         self.candidate_cv = set()
         self.votes_received = set()
 
@@ -339,7 +380,7 @@ class TwoSpannerProgram(NodeProgram):
             self.is_candidate = True
             self.candidate_leaves = choose_candidate_star(
                 set(self.setup.star_pool),
-                self.current_hv,
+                self.star_hv,
                 self.rho_rounded,
                 self.selection_state,
                 self.iteration,
@@ -350,69 +391,88 @@ class TwoSpannerProgram(NodeProgram):
                 force_include=self.setup.zero_weight_leaves,
                 pool_densest=self.densest_leaves,
             )
+            self.candidate_star = self._star(self.candidate_leaves)
             self.candidate_cv = spanned_edges(self.candidate_leaves, self.current_hv)
             rank = ctx.rng.randint(1, max(2, ctx.n**4))
-            ctx.broadcast(
-                {
-                    "kind": "candidate",
-                    "leaves": sorted(self.candidate_leaves, key=repr),
-                    "cv_size": len(self.candidate_cv),
-                    "rank": rank,
-                    "center": self.node,
-                }
-            )
+            ctx.broadcast(self._candidate_message(rank))
 
-    # phase "vote": every uncovered incident edge votes for one candidate.
+    def _star(self, leaves: frozenset[Node]) -> frozenset[Any]:
+        """The star as announced to the neighbours (its leaves, here)."""
+        return leaves
+
+    def _candidate_message(self, rank: int) -> dict[str, Any]:
+        return {
+            "kind": "candidate",
+            "leaves": sorted(self.candidate_star, key=repr),
+            "cv_size": len(self.candidate_cv),
+            "rank": rank,
+            "center": self.node,
+        }
+
+    # phase "vote": every uncovered incident target votes for one candidate.
     def _phase_vote(self, ctx: NodeContext, inbox: Inbox) -> None:
-        announcements: list[tuple[int, Any, Node, frozenset[Node]]] = []
+        announcements: list[tuple[int, Any, Node, Any, Any]] = []
         for sender, payloads in inbox.items():
             for msg in payloads:
                 if msg.get("kind") != "candidate":
                     continue
+                first, second = self._star_sides(sender, msg[self.STAR_FIELD])
                 announcements.append(
-                    (msg["rank"], repr(msg["center"]), sender, frozenset(msg["leaves"]))
+                    (msg["rank"], repr(msg["center"]), sender, first, second)
                 )
         if not announcements:
             return
         votes: dict[Node, list[Edge]] = {}
+        for target, u, w in self._ballots():
+            spanning = [
+                (rank, center_repr, sender)
+                for rank, center_repr, sender, first, second in announcements
+                if u in first and w in second
+            ]
+            if spanning:
+                votes.setdefault(min(spanning)[2], []).append(target)
+        for winner, targets in votes.items():
+            ctx.send(winner, {"kind": "vote", self.EDGES_FIELD: sorted(targets, key=repr)})
+
+    def _star_sides(self, center: Node, leaves) -> tuple[Any, Any]:
+        """A star spans the pair (u, w) iff u is in the first side and w in the second."""
+        leaf_set = frozenset(leaves)
+        return leaf_set, leaf_set
+
+    def _ballots(self) -> list[tuple[Edge, Node, Node]]:
+        """(target, u, w) for each uncovered target I vote for; a star must span (u, w)."""
+        me = self.node
+        my_repr = repr(me)
+        ballots = []
         for e in self.setup.target_incident:
             if e in self.covered:
                 continue
-            other = e[0] if e[1] == self.node else e[1]
-            if repr(self.node) > repr(other):
+            other = e[0] if e[1] == me else e[1]
+            if my_repr > repr(other):
                 continue  # the smaller endpoint is responsible for this edge's vote
-            spanning = [
-                (rank, center_repr, sender)
-                for rank, center_repr, sender, leaves in announcements
-                if self.node in leaves and other in leaves
-            ]
-            if not spanning:
-                continue
-            _, _, winner = min(spanning)
-            votes.setdefault(winner, []).append(e)
-        for winner, edges in votes.items():
-            ctx.send(winner, {"kind": "vote", "edges": sorted(edges, key=repr)})
+            ballots.append((e, me, other))
+        return ballots
 
     # phase "add": candidates with enough votes add their stars; finishing vertices
-    # add their remaining uncovered incident edges directly (step 7).
+    # add their remaining uncovered incident targets directly (step 7).
     def _phase_add(self, ctx: NodeContext, inbox: Inbox) -> None:
         for _, payloads in inbox.items():
             for msg in payloads:
                 if msg.get("kind") != "vote":
                     continue
-                for e in msg["edges"]:
+                for e in msg[self.EDGES_FIELD]:
                     if e in self.candidate_cv:
                         self.votes_received.add(e)
 
         if self.is_candidate and self.candidate_cv:
             needed = Fraction(len(self.candidate_cv)) * self.options.vote_fraction
             if Fraction(len(self.votes_received)) >= needed:
-                star_edges = {edge_key(self.node, leaf) for leaf in self.candidate_leaves}
+                star_edges = self._star_edges()
                 self.my_spanner |= star_edges
                 self.incident_spanner |= star_edges
                 self.covered |= star_edges
                 ctx.broadcast(
-                    {"kind": "added_star", "leaves": sorted(self.candidate_leaves, key=repr)}
+                    {"kind": "added_star", self.STAR_FIELD: sorted(self.candidate_star, key=repr)}
                 )
 
         if self.is_finishing:
@@ -424,13 +484,17 @@ class TwoSpannerProgram(NodeProgram):
                 self.my_spanner.update(direct)
                 self.incident_spanner.update(direct)
                 self.covered.update(direct)
-                ctx.broadcast({"kind": "added_edges", "edges": direct})
+                ctx.broadcast({"kind": self.ADDED_KIND, self.EDGES_FIELD: direct})
             self.locally_done = True
+
+    def _star_edges(self) -> set[Edge]:
+        """The spanner edges the accepted candidate star adds."""
+        return {edge_key(self.node, leaf) for leaf in self.candidate_leaves}
 
     # ------------------------------------------------------------------ output
     def _output(self) -> dict[str, Any]:
         return {
-            "edges": sorted(self.my_spanner, key=repr),
+            self.EDGES_FIELD: sorted(self.my_spanner, key=repr),
             "iterations": self.iteration,
             "fallbacks": self.selection_state.fallback_count,
         }
@@ -459,34 +523,58 @@ def run_two_spanner(
     checks (``NoAdversary``) rather than fault sweeps.
     """
     variant = variant if variant is not None else UnweightedVariant()
+    edges, stats = run_spanner_program(
+        TwoSpannerProgram, graph, variant, options, seed, model, max_rounds,
+        engine=engine, adversary=adversary,
+    )
+    return TwoSpannerResult(edges=edges, **stats)
+
+
+def run_spanner_program(
+    program_cls: type[TwoSpannerProgram],
+    graph: Any,
+    variant: SpannerVariant,
+    options: TwoSpannerOptions | None,
+    seed: int | None,
+    model: CommunicationModel | None,
+    max_rounds: int,
+    engine: str = "indexed",
+    adversary=None,
+) -> tuple[set[Any], dict[str, Any]]:
+    """Simulate ``program_cls`` on every vertex and union the per-vertex outputs.
+
+    Returns the chosen targets (edges or arcs) and the remaining result
+    fields: ``rounds``, ``iterations`` (the largest any vertex reached),
+    ``metrics``, ``fallback_count`` (summed over vertices) and
+    ``node_outputs``.
+    """
     options = options if options is not None else TwoSpannerOptions()
     model = model if model is not None else local_model(graph.number_of_nodes())
 
     def factory(v: Node) -> TwoSpannerProgram:
-        return TwoSpannerProgram(v, variant.node_setup(graph, v), variant, options)
+        return program_cls(v, variant.node_setup(graph, v), variant, options)
 
     sim = Simulator(
         graph, factory, model=model, seed=seed, engine=engine, adversary=adversary
     )
     run = sim.run(max_rounds=max_rounds)
 
-    edges: set[Edge] = set()
+    chosen: set[Any] = set()
     iterations = 0
     fallbacks = 0
     for output in run.outputs.values():
         if not output:
             continue
-        edges.update(edge_key(*e) for e in output["edges"])
+        chosen.update(output[program_cls.EDGES_FIELD])
         iterations = max(iterations, output["iterations"])
         fallbacks += output["fallbacks"]
-    return TwoSpannerResult(
-        edges=edges,
-        rounds=run.rounds,
-        iterations=iterations,
-        metrics=run.metrics,
-        fallback_count=fallbacks,
-        node_outputs=run.outputs,
-    )
+    return chosen, {
+        "rounds": run.rounds,
+        "iterations": iterations,
+        "metrics": run.metrics,
+        "fallback_count": fallbacks,
+        "node_outputs": run.outputs,
+    }
 
 
 def client_server_two_spanner(

@@ -15,7 +15,7 @@ of ``v`` and are computed exactly with :mod:`repro.flow.densest`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,13 +152,18 @@ class DirectedStarResult:
     undirected_density: Fraction
 
 
-def directed_star_arcs(graph: DiGraph, v: Node, leaves: Iterable[Node]) -> frozenset[Arc]:
-    """Arcs between ``v`` and each leaf: both directions when both exist."""
+def directed_star_arcs(
+    incident_arcs: Container[Arc], v: Node, leaves: Iterable[Node]
+) -> frozenset[Arc]:
+    """Arcs between ``v`` and each leaf: both directions when both exist.
+
+    ``incident_arcs`` holds (at least) the arcs incident to ``v``.
+    """
     arcs: set[Arc] = set()
     for u in leaves:
-        if graph.has_edge(v, u):
+        if (v, u) in incident_arcs:
             arcs.add((v, u))
-        if graph.has_edge(u, v):
+        if (u, v) in incident_arcs:
             arcs.add((u, v))
     return frozenset(arcs)
 
@@ -179,7 +184,7 @@ def directed_star_density(
     graph: DiGraph, v: Node, leaves: Iterable[Node], candidate_arcs: Iterable[Arc]
 ) -> Fraction:
     """Directed density: #spanned candidate arcs / #arcs of the directed star."""
-    arcs = directed_star_arcs(graph, v, leaves)
+    arcs = directed_star_arcs(graph.incident_edges(v), v, leaves)
     if not arcs:
         return Fraction(0)
     spanned = directed_spanned_arcs(graph, v, leaves, candidate_arcs)
@@ -207,7 +212,7 @@ def densest_directed_star_approx(
     pool = graph.neighbors(v)
     undirected_candidates = {edge_key(u, w) for u, w in spannable}
     leaves, undirected = densest_star(pool, undirected_candidates, method=method)
-    arcs = directed_star_arcs(graph, v, leaves)
+    arcs = directed_star_arcs(graph.incident_edges(v), v, leaves)
     directed = directed_star_density(graph, v, leaves, spannable)
     return DirectedStarResult(
         leaves=leaves,

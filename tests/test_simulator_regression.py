@@ -15,6 +15,11 @@ One deliberate re-capture: when ``estimate_bits`` learned to encode
 corrected accounting.  Every physics field — edges, rounds, iterations,
 fallbacks, dominators — and the whole MDS record were verified unchanged
 before the rewrite, and both engines still agree bit-for-bit.
+
+The directed (``directed_*``) and client-server (``client_server_*``)
+records were captured later, at commit cd92cdb, before the directed program
+was folded into the shared 2-spanner phase shell; they pin that refactor
+(and any later change to the shell) to the pre-refactor outputs.
 """
 
 import json
@@ -22,11 +27,33 @@ import pathlib
 
 import pytest
 
+from repro.core.directed_two_spanner import (
+    DirectedTwoSpannerProgram,
+    DirectedVariant,
+    run_directed_two_spanner,
+)
 from repro.core.mds import MDSOptions, MDSProgram, run_mds
-from repro.core.two_spanner import run_two_spanner
+from repro.core.two_spanner import (
+    TwoSpannerOptions,
+    client_server_two_spanner,
+    run_two_spanner,
+)
 from repro.core.variants import WeightedVariant
-from repro.distributed import NoAdversary, NodeProgram, Simulator, congest_model
-from repro.graphs import assign_weights_from_choices, gnp_random_graph
+from repro.distributed import (
+    NoAdversary,
+    NodeProgram,
+    Simulator,
+    congest_model,
+    local_model,
+)
+from repro.graphs import (
+    assign_weights_from_choices,
+    connected_gnp_graph,
+    gnp_random_graph,
+    random_digraph,
+    random_split_instance,
+    random_tournament,
+)
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_runs.json"
 
@@ -47,6 +74,22 @@ def spanner_record(result):
     }
 
 
+def directed_record(result):
+    return {
+        "arcs": sorted([list(a) for a in result.arcs]),
+        "rounds": result.rounds,
+        "iterations": result.iterations,
+        "fallbacks": result.fallback_count,
+        "metrics": result.metrics.as_dict(),
+    }
+
+
+DIGRAPHS = {
+    "directed_digraph_n30_p015_s4_seed7": lambda: random_digraph(30, 0.15, seed=4),
+    "directed_tournament_n20_s5_seed7": lambda: random_tournament(20, seed=5),
+}
+
+
 class TestGoldenOutputs:
     def test_unweighted_n40(self, golden):
         g = gnp_random_graph(40, 0.15, seed=3)
@@ -61,6 +104,16 @@ class TestGoldenOutputs:
         assign_weights_from_choices(g, [1.0, 2.0, 4.0], seed=9)
         result = run_two_spanner(g, variant=WeightedVariant(), seed=2)
         assert spanner_record(result) == golden["weighted_n40_p020_s5_seed2"]
+
+    @pytest.mark.parametrize("key", sorted(DIGRAPHS))
+    def test_directed(self, golden, key):
+        result = run_directed_two_spanner(DIGRAPHS[key](), seed=7)
+        assert directed_record(result) == golden[key]
+
+    def test_client_server_n30(self, golden):
+        g = connected_gnp_graph(30, 0.2, seed=3)
+        result = client_server_two_spanner(random_split_instance(g, seed=4), seed=5)
+        assert spanner_record(result) == golden["client_server_n30_p020_s3_split4_seed5"]
 
     def test_mds_n50(self, golden):
         g = gnp_random_graph(50, 0.10, seed=2)
@@ -155,6 +208,26 @@ class TestEngineEquivalence:
         )
         assert new.outputs == ref.outputs
         assert new.metrics.as_dict() == ref.metrics.as_dict()
+
+    @pytest.mark.parametrize("key", sorted(DIGRAPHS))
+    def test_directed_two_spanner_program(self, key):
+        d = DIGRAPHS[key]()
+        variant, options = DirectedVariant(), TwoSpannerOptions()
+
+        def factory(v):
+            return DirectedTwoSpannerProgram(v, variant.node_setup(d, v), variant, options)
+
+        runs = {
+            engine: Simulator(
+                d, factory, model=local_model(d.number_of_nodes()), seed=7, engine=engine
+            ).run()
+            for engine in ("indexed", "columnar", "reference")
+        }
+        ref = runs.pop("reference")
+        for run in runs.values():
+            assert run.outputs == ref.outputs
+            assert run.metrics.as_dict() == ref.metrics.as_dict()
+            assert run.metrics.bits_per_round == ref.metrics.bits_per_round
 
     def test_cut_accounting_matches(self):
         g = gnp_random_graph(24, 0.2, seed=9)

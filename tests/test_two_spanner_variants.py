@@ -13,6 +13,7 @@ from repro.core import (
     run_two_spanner,
 )
 from repro.graphs import (
+    DiGraph,
     all_edges_both,
     assign_random_weights,
     assign_weights_from_choices,
@@ -20,6 +21,7 @@ from repro.graphs import (
     complete_graph,
     connected_gnp_graph,
     cycle_graph,
+    gnp_random_graph,
     log_max_degree,
     orient_randomly,
     random_digraph,
@@ -181,8 +183,48 @@ class TestDirectedVariant:
         assert is_k_spanner_directed(d, result.arcs, 2)
 
     def test_empty_and_tiny_digraphs(self):
-        from repro.graphs import DiGraph
-
         d = DiGraph([(0, 1)])
         result = run_directed_two_spanner(d, seed=1)
         assert result.arcs == {(0, 1)}
+
+    # The instances the tests above run, plus the bidirected K6 of E03.
+    @pytest.mark.parametrize(
+        "digraph, seed, options",
+        [
+            (lambda: random_digraph(12, 0.3, seed=0), 0, None),
+            (lambda: random_digraph(12, 0.3, seed=1), 1, None),
+            (lambda: random_digraph(12, 0.3, seed=2), 2, None),
+            (lambda: random_tournament(9, seed=4), 5, None),
+            (lambda: orient_randomly(connected_gnp_graph(14, 0.4, seed=6), seed=7), 8, None),
+            (lambda: bidirect(complete_graph(7)), 9, None),
+            (lambda: random_digraph(10, 0.35, seed=10), 11, None),
+            (lambda: random_digraph(12, 0.3, seed=12), 3, None),
+            (
+                lambda: random_digraph(12, 0.3, seed=13),
+                1,
+                TwoSpannerOptions(densest_method="peeling"),
+            ),
+            (lambda: DiGraph([(0, 1)]), 1, None),
+            (lambda: bidirect(complete_graph(6)), 7, None),
+        ],
+    )
+    def test_fallback_count(self, digraph, seed, options):
+        result = run_directed_two_spanner(digraph(), seed=seed, options=options)
+        per_node = [out["fallbacks"] for out in result.node_outputs.values() if out]
+        assert result.fallback_count == sum(per_node)
+        assert result.fallback_count == 0
+
+
+@pytest.mark.parametrize(
+    "run, graph",
+    [
+        (run_two_spanner, lambda: gnp_random_graph(25, 0.2, seed=0)),
+        (run_directed_two_spanner, lambda: random_digraph(12, 0.3, seed=0)),
+    ],
+    ids=["undirected", "directed"],
+)
+def test_iteration_cap_raises(run, graph):
+    g = graph()
+    assert run(g, seed=1).iterations > 1
+    with pytest.raises(RuntimeError, match="exceeded 1 iterations"):
+        run(g, seed=1, options=TwoSpannerOptions(max_iterations=1))
