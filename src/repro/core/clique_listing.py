@@ -36,7 +36,7 @@ from typing import Any
 from repro.distributed.models import CommunicationModel, congested_clique_model
 from repro.distributed.node import NodeContext
 from repro.distributed.program import Inbox, NodeProgram
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import DEFAULT_ENGINE, Simulator
 from repro.graphs.graph import Graph, Node
 
 LISTING_MODES = ("direct", "routed")
@@ -235,7 +235,7 @@ def run_clique_listing(
     mode: str = "direct",
     seed: int | None = 0,
     model: CommunicationModel | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary=None,
 ) -> ListingResult:
     """List every triangle of ``graph`` on the clique overlay.

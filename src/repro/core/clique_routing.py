@@ -43,7 +43,7 @@ from repro.distributed.errors import SimulationError
 from repro.distributed.models import CommunicationModel, congested_clique_model
 from repro.distributed.node import NodeContext
 from repro.distributed.program import Inbox, NodeProgram
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import DEFAULT_ENGINE, Simulator
 from repro.graphs.graph import Graph, Node
 
 #: Fold modulus of the fan-out checksum (a Mersenne prime: cheap, collision
@@ -284,7 +284,7 @@ def run_clique_routing(
     messages: dict[int, list[tuple[int, Any]]],
     seed: int | None = 0,
     model: CommunicationModel | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary=None,
     max_phase2_rounds: int | None = None,
     finish: Callable[[list[Any]], Any] | None = None,
@@ -391,7 +391,7 @@ def run_targeted_fanout(
     rounds: int = 24,
     seed: int | None = 0,
     model: CommunicationModel | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary=None,
 ) -> FanoutResult:
     """Run the targeted fan-out workload and fold the global checksum.

@@ -38,7 +38,7 @@ from repro.distributed.adversary import Adversary
 from repro.distributed.models import CommunicationModel, congested_clique_model
 from repro.distributed.node import NodeContext
 from repro.distributed.program import Inbox, NodeProgram
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import DEFAULT_ENGINE, Simulator
 from repro.graphs.graph import Edge, Graph, Node, edge_key
 
 
@@ -187,7 +187,7 @@ def run_clique_two_spanner(
     seed: int | None = None,
     model: CommunicationModel | None = None,
     max_rounds: int = 10_000,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary: Adversary | None = None,
 ) -> CliqueSpannerResult:
     """Run the Congested Clique 2-spanner and collect the union of outputs.

@@ -27,7 +27,7 @@ from repro.distributed.adversary import Adversary
 from repro.distributed.models import CommunicationModel, broadcast_congest_model
 from repro.distributed.node import NodeContext
 from repro.distributed.program import Inbox, Node, NodeProgram
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import DEFAULT_ENGINE, Simulator
 from repro.distributed.vectorize import EngineView, MaxFloodKernel, VectorProgram
 
 
@@ -111,7 +111,7 @@ def run_flood_max(
     rounds: int,
     model: CommunicationModel | None = None,
     seed: int | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     max_rounds: int = 10_000,
     adversary: Adversary | None = None,
     streaming_metrics: bool = False,
@@ -254,7 +254,7 @@ def run_robust_flood_max(
     patience: int,
     model: CommunicationModel | None = None,
     seed: int | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary: Adversary | None = None,
     max_rounds: int | None = None,
     vectorize: bool = True,

@@ -56,7 +56,7 @@ from repro.distributed.models import (
 )
 from repro.distributed.node import NodeContext
 from repro.distributed.program import Inbox, Node
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import DEFAULT_ENGINE, Simulator
 from repro.distributed.vectorize import EngineView, MaxFloodKernel
 from repro.graphs.graph import Graph, edge_key
 
@@ -252,7 +252,7 @@ def run_redundant_flood_max(
     copies: int = 3,
     model: CommunicationModel | None = None,
     seed: int | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary: Adversary | None = None,
     max_rounds: int | None = None,
     vectorize: bool = True,
@@ -287,7 +287,7 @@ def run_coded_flood_max(
     patience: int,
     model: CommunicationModel | None = None,
     seed: int | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary: Adversary | None = None,
     max_rounds: int | None = None,
 ) -> FloodMaxResult:
@@ -314,7 +314,7 @@ def run_coded_clique_two_spanner(
     seed: int | None = None,
     model: CommunicationModel | None = None,
     max_rounds: int = 10_000,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary: Adversary | None = None,
 ) -> CliqueSpannerResult:
     """Run the checksummed-attach clique 2-spanner (valid under corruption)."""

@@ -39,7 +39,7 @@ from repro.core.variants import NodeSetup, SpannerVariant, UnweightedVariant
 from repro.distributed.models import CommunicationModel, local_model
 from repro.distributed.node import NodeContext
 from repro.distributed.program import Inbox, NodeProgram
-from repro.distributed.simulator import Simulator
+from repro.distributed.simulator import DEFAULT_ENGINE, Simulator
 from repro.graphs.client_server import ClientServerInstance
 from repro.graphs.graph import Edge, Graph, Node, edge_key
 from repro.spanner.stars import (
@@ -508,7 +508,7 @@ def run_two_spanner(
     seed: int | None = None,
     model: CommunicationModel | None = None,
     max_rounds: int = 200_000,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary=None,
 ) -> TwoSpannerResult:
     """Run the distributed 2-spanner algorithm on ``graph`` and collect the result.
@@ -538,7 +538,7 @@ def run_spanner_program(
     seed: int | None,
     model: CommunicationModel | None,
     max_rounds: int,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary=None,
 ) -> tuple[set[Any], dict[str, Any]]:
     """Simulate ``program_cls`` on every vertex and union the per-vertex outputs.

@@ -85,6 +85,9 @@ ProgramFactory = Callable[[Node], NodeProgram]
 
 ENGINES = ("indexed", "columnar", "reference")
 
+#: The engine every ``engine=`` parameter and experiment runner defaults to.
+DEFAULT_ENGINE = "indexed"
+
 
 @dataclass
 class RunResult:
@@ -191,7 +194,7 @@ class Simulator:
         model: CommunicationModel | None = None,
         seed: int | None = None,
         cut: Iterable[Node] | None = None,
-        engine: str = "indexed",
+        engine: str = DEFAULT_ENGINE,
         adversary: Adversary | None = None,
         streaming_metrics: bool = False,
         vectorize: bool = True,
@@ -678,7 +681,7 @@ def run_program(
     seed: int | None = None,
     max_rounds: int = 10_000,
     cut: Iterable[Node] | None = None,
-    engine: str = "indexed",
+    engine: str = DEFAULT_ENGINE,
     adversary: Adversary | None = None,
     streaming_metrics: bool = False,
     vectorize: bool = True,

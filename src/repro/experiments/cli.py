@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Any
 
 from repro.distributed.adversary import build_adversary
@@ -40,7 +39,7 @@ from repro.distributed.simulator import ENGINES
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentCheckError
 from repro.experiments.reporting import experiment_table
-from repro.experiments.runner import SCHEMA, ResultCache, run_experiments, strip_timing
+from repro.experiments.runner import SCHEMA, ResultCache, run_experiments, strip_timing, timed
 
 
 def _scenario_n(spec) -> int | None:
@@ -120,9 +119,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"run: {error}", file=sys.stderr)
             return 2
     cache = ResultCache(args.cache) if args.cache else None
-    started = time.perf_counter()
     try:
-        report = run_experiments(
+        report, elapsed = timed(
+            run_experiments,
             identifiers,
             jobs=args.jobs,
             cache=cache,
@@ -142,7 +141,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # known ids; surface it cleanly instead of a traceback.
         print(str(error).strip('"\''), file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - started
 
     if not args.no_tables:
         for entry in report["experiments"]:

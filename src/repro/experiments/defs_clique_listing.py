@@ -27,13 +27,14 @@ machines.
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from repro.core.clique_listing import brute_force_triangles, run_clique_listing
 from repro.core.clique_routing import run_targeted_fanout
+from repro.distributed import DEFAULT_ENGINE
 from repro.experiments.families import build_graph
-from repro.experiments.registry import Experiment, check, register
+from repro.experiments.registry import Experiment, check, check_twins, register
+from repro.experiments.runner import rate_timing, timed, timing_columns
 from repro.experiments.spec import ScenarioSpec
 
 _E21_SEED = 7
@@ -57,17 +58,15 @@ _E21_SCENARIOS: dict[str, tuple[str, str, str | None]] = {
 def _run_e21(spec: ScenarioSpec) -> dict[str, Any]:
     workload = spec.param("workload")
     graph = build_graph(spec.param("graph"))
-    n = graph.number_of_nodes()
-    engine = spec.engine or "indexed"
-    start = time.perf_counter()
+    engine = spec.engine or DEFAULT_ENGINE
     if workload == "listing":
-        result = run_clique_listing(
+        result, seconds = timed(
+            run_clique_listing,
             graph,
             mode=spec.param("mode"),
             seed=spec.param("run_seed"),
             engine=engine,
         )
-        elapsed = time.perf_counter() - start
         oracle = brute_force_triangles(graph)
         check(
             result.triangles == oracle,
@@ -75,18 +74,16 @@ def _run_e21(spec: ScenarioSpec) -> dict[str, Any]:
             f"oracle has {len(oracle)}",
         )
         figure = len(result.triangles)
-        metrics = result.metrics
-        rounds = result.rounds
         extra = {"k": result.k, "replicas": result.replicas, "mode": result.mode}
     else:
-        result = run_targeted_fanout(
+        result, seconds = timed(
+            run_targeted_fanout,
             graph,
             fanout=spec.param("fanout"),
             rounds=spec.param("rounds"),
             seed=spec.param("run_seed"),
             engine=engine,
         )
-        elapsed = time.perf_counter() - start
         # Fault-free LOCAL run: every sent message is heard exactly once.
         check(
             result.heard == result.metrics.messages_sent,
@@ -95,22 +92,16 @@ def _run_e21(spec: ScenarioSpec) -> dict[str, Any]:
         )
         check(result.checksum != 0, f"{spec.name}: degenerate zero checksum")
         figure = result.checksum
-        metrics = result.metrics
-        rounds = result.rounds
         extra = {"heard": result.heard}
-    messages = metrics.messages_sent
     out: dict[str, Any] = {
         "scenario": spec.name,
         "workload": workload,
         "engine": engine,
-        "n": n,
-        "rounds": rounds,
+        "n": graph.number_of_nodes(),
+        "rounds": result.rounds,
         "figure": figure,
-        "metrics": metrics,
-        "timing": {
-            "elapsed_s": elapsed,
-            "messages_per_sec": messages / elapsed if elapsed else 0.0,
-        },
+        "metrics": result.metrics,
+        "timing": rate_timing(seconds, result.metrics.messages_sent),
     }
     out.update(extra)
     return out
@@ -128,14 +119,8 @@ def _verify_e21(results) -> dict[str, Any]:
         tag = workload if mode is None else f"{workload} {mode}"
         baseline = members[0]
         for other in members[1:]:
-            for key in baseline:
-                if key.startswith("timing.") or key in ("engine", "scenario"):
-                    continue
-                check(
-                    baseline[key] == other[key],
-                    f"{tag}: engines {baseline['engine']} and {other['engine']} "
-                    f"disagree on {key}: {baseline[key]!r} != {other[key]!r}",
-                )
+            pair = f"{tag} {baseline['engine']}/{other['engine']}"
+            check_twins(pair, baseline, other, exempt=("engine", "scenario"))
         summary[f"{tag}.engines"] = len(members)
         summary[f"{tag}.figure"] = baseline["figure"]
         summary[f"{tag}.rounds"] = baseline["rounds"]
@@ -180,8 +165,7 @@ register(
             ("messages", "metrics.messages_sent", None),
             ("bits", "metrics.bits_sent", None),
             ("figure", "figure", None),
-            ("seconds", "timing.elapsed_s", ".3f"),
-            ("msg/sec", "timing.messages_per_sec", ".0f"),
+            *timing_columns(),
         ),
         scenarios=[
             _make_spec(name, workload, engine, mode)

@@ -43,9 +43,10 @@ from repro.core.robust_coding import (
     run_coded_flood_max,
     run_redundant_flood_max,
 )
+from repro.distributed import DEFAULT_ENGINE
 from repro.distributed.adversary import Adversary, CorruptAdversary, build_adversary
 from repro.experiments.families import build_graph
-from repro.experiments.registry import Experiment, check, register
+from repro.experiments.registry import Experiment, check, check_twins, register
 from repro.experiments.spec import ScenarioSpec
 from repro.spanner import is_k_spanner
 
@@ -108,7 +109,7 @@ def _run_flood(spec: ScenarioSpec) -> dict[str, Any]:
     patience = spec.param("patience")
     code = spec.param("code")
     seed = spec.param("run_seed")
-    engine = spec.engine or "indexed"
+    engine = spec.engine or DEFAULT_ENGINE
     if code == "repetition":
         result = run_redundant_flood_max(
             graph, patience=patience, seed=seed, engine=engine, adversary=adversary
@@ -172,7 +173,7 @@ def _run_spanner(spec: ScenarioSpec) -> dict[str, Any]:
     result = runner(
         graph,
         seed=spec.param("run_seed"),
-        engine=spec.engine or "indexed",
+        engine=spec.engine or DEFAULT_ENGINE,
         adversary=adversary,
     )
     # The level schedule is round-driven: corruption never stalls it.
@@ -202,7 +203,7 @@ def _run_spanner(spec: ScenarioSpec) -> dict[str, Any]:
         "workload": "spanner",
         "code": code,
         "adversary": spec.adversary or "none",
-        "engine": spec.engine or "indexed",
+        "engine": spec.engine or DEFAULT_ENGINE,
         "n": n,
         "m": graph.number_of_edges(),
         "rounds": result.rounds,
@@ -250,31 +251,13 @@ def _verify_e22(results) -> dict[str, Any]:
     # Three-engine differential under the same corruption seed: every
     # non-timing key must agree bit-for-bit, fault counters included.
     for other in (rep_hi_columnar, rep_hi_reference):
-        for key in rep_hi:
-            if key.startswith("timing.") or key == "engine":
-                continue
-            check(
-                rep_hi[key] == other[key],
-                f"engines {rep_hi['engine']}/{other['engine']} disagree under "
-                f"{rep_hi['adversary']} on {key}: "
-                f"{rep_hi[key]!r} != {other[key]!r}",
-            )
+        tag = f"engines {rep_hi['engine']}/{other['engine']} under {rep_hi['adversary']}"
+        check_twins(tag, rep_hi, other, exempt=("engine",))
     if plain_none["adversary"] == "none" and plain_zero["adversary"] == "corrupt:0.0":
         # A zero-rate CorruptAdversary must reproduce fault-free physics
         # exactly; the only admissible difference is the presence of
         # zero-valued fault counters (and the adversary label itself).
-        for key, value in plain_none.items():
-            if key.startswith("timing.") or key == "adversary":
-                continue
-            check(
-                plain_zero.get(key) == value,
-                f"corrupt:0.0 diverges from the fault-free run on {key}: "
-                f"{plain_zero.get(key)!r} != {value!r}",
-            )
-        check(
-            plain_zero.get("metrics.adversary_corrupted_messages") == 0,
-            "corrupt:0.0 corrupted a message",
-        )
+        check_twins("corrupt:0.0", plain_none, plain_zero, exempt=("adversary",), zero_rate=True)
     if plain_lo["adversary"] != plain_hi["adversary"]:
         ratio_lo = (
             plain_lo["metrics.adversary_corrupted_messages"]

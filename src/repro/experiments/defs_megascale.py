@@ -23,12 +23,12 @@ loaded machines never flake.
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from repro.core import run_flood_max
 from repro.experiments.families import build_graph
-from repro.experiments.registry import Experiment, check, register
+from repro.experiments.registry import Experiment, check, check_flood_max, register
+from repro.experiments.runner import rate_timing, timed, timing_columns
 from repro.experiments.spec import ScenarioSpec
 
 _E20_SEED = 3
@@ -49,50 +49,26 @@ _E20_SCENARIOS: dict[str, tuple[tuple[Any, ...], str, int, bool]] = {
 
 def _run_e20(spec: ScenarioSpec) -> dict[str, Any]:
     graph = build_graph(spec.param("graph"))
-    n = graph.number_of_nodes()
-    m = graph.number_of_edges()
     engine = spec.engine or "columnar"
     rounds = spec.param("rounds")
-    start = time.perf_counter()
-    result = run_flood_max(
+    result, seconds = timed(
+        run_flood_max,
         graph,
         rounds=rounds,
         seed=spec.param("run_seed"),
         engine=engine,
         streaming_metrics=bool(spec.param("streaming", False)),
     )
-    elapsed = time.perf_counter() - start
-    check(
-        result.converged,
-        f"{spec.name}: flood-max did not converge within {rounds} rounds",
-    )
-    check(
-        result.leader == n - 1,
-        f"{spec.name}: elected leader {result.leader!r}, expected the max label {n - 1}",
-    )
-    check(
-        result.rounds == rounds,
-        f"{spec.name}: used {result.rounds} rounds, the program budget is {rounds}",
-    )
-    messages = result.metrics.messages_sent
-    # Flood-max invariant: every vertex broadcasts in rounds 0..rounds-1, so
-    # exactly rounds * 2m directed messages cross the (undirected) edges.
-    check(
-        messages == rounds * 2 * m,
-        f"{spec.name}: {messages} messages, expected rounds * 2m = {rounds * 2 * m}",
-    )
+    check_flood_max(spec.name, result, graph, budget=rounds)
     return {
         "scenario": spec.name,
         "engine": engine,
-        "n": n,
-        "m": m,
+        "n": graph.number_of_nodes(),
+        "m": graph.number_of_edges(),
         "rounds": result.rounds,
         "leader": result.leader,
         "metrics": result.metrics,
-        "timing": {
-            "elapsed_s": elapsed,
-            "messages_per_sec": messages / elapsed,
-        },
+        "timing": rate_timing(seconds, result.metrics.messages_sent),
     }
 
 
@@ -123,8 +99,7 @@ register(
             ("engine", "engine", None),
             ("rounds", "rounds", None),
             ("messages", "metrics.messages_sent", None),
-            ("seconds", "timing.elapsed_s", ".3f"),
-            ("msg/sec", "timing.messages_per_sec", ".0f"),
+            *timing_columns(),
         ),
         scenarios=[
             ScenarioSpec.make(

@@ -35,6 +35,7 @@ from repro.core import (
     run_clique_two_spanner,
     run_robust_flood_max,
 )
+from repro.distributed import DEFAULT_ENGINE
 from repro.distributed.adversary import (
     Adversary,
     CrashAdversary,
@@ -42,7 +43,7 @@ from repro.distributed.adversary import (
     build_adversary,
 )
 from repro.experiments.families import build_graph
-from repro.experiments.registry import Experiment, check, register
+from repro.experiments.registry import Experiment, check, check_twins, register
 from repro.experiments.spec import ScenarioSpec
 from repro.spanner import is_k_spanner
 
@@ -75,7 +76,7 @@ def _run_flood(spec: ScenarioSpec) -> dict[str, Any]:
         graph,
         patience=patience,
         seed=spec.param("run_seed"),
-        engine=spec.engine or "indexed",
+        engine=spec.engine or DEFAULT_ENGINE,
         adversary=adversary,
     )
     bound = robust_flood_max_round_bound(n, patience)
@@ -88,7 +89,7 @@ def _run_flood(spec: ScenarioSpec) -> dict[str, Any]:
     out: dict[str, Any] = {
         "workload": "floodmax",
         "adversary": spec.adversary or "none",
-        "engine": spec.engine or "indexed",
+        "engine": spec.engine or DEFAULT_ENGINE,
         "n": n,
         "m": graph.number_of_edges(),
         "rounds": result.rounds,
@@ -184,7 +185,7 @@ def _run_spanner(spec: ScenarioSpec) -> dict[str, Any]:
     result = run_clique_two_spanner(
         graph,
         seed=spec.param("run_seed"),
-        engine=spec.engine or "indexed",
+        engine=spec.engine or DEFAULT_ENGINE,
         adversary=adversary,
     )
     # The level schedule is round-driven: no fault may stretch or shrink it.
@@ -197,7 +198,7 @@ def _run_spanner(spec: ScenarioSpec) -> dict[str, Any]:
     out: dict[str, Any] = {
         "workload": "spanner",
         "adversary": spec.adversary or "none",
-        "engine": spec.engine or "indexed",
+        "engine": spec.engine or DEFAULT_ENGINE,
         "n": n,
         "m": graph.number_of_edges(),
         "rounds": result.rounds,
@@ -272,26 +273,13 @@ def _verify_e19(results) -> dict[str, Any]:
     ) = results
     # Engine differential under the same adversary: indexed vs columnar must be
     # bit-for-bit identical, fault counters included.
-    for key in flood_d5:
-        if key.startswith("timing.") or key == "engine":
-            continue
-        check(
-            flood_d5[key] == flood_d5_columnar[key],
-            f"engines disagree under {flood_d5['adversary']} on {key}: "
-            f"{flood_d5[key]!r} != {flood_d5_columnar[key]!r}",
-        )
+    tag = f"engines under {flood_d5['adversary']}"
+    check_twins(tag, flood_d5, flood_d5_columnar, exempt=("engine",))
     if flood_none["adversary"] == "none" and flood_zero["adversary"] == "drop:0.0":
         # A zero-rate DropAdversary must reproduce fault-free physics
         # exactly; the only admissible difference is the presence of
         # zero-valued fault counters (and the adversary label itself).
-        for key, value in flood_none.items():
-            if key.startswith("timing.") or key == "adversary":
-                continue
-            check(
-                flood_zero.get(key) == value,
-                f"drop:0.0 diverges from the fault-free run on {key}: "
-                f"{flood_zero.get(key)!r} != {value!r}",
-            )
+        check_twins("drop:0.0", flood_none, flood_zero, exempt=("adversary",), zero_rate=True)
     if flood_d20["adversary"] != flood_d5["adversary"]:
         check(
             flood_d20["metrics.adversary_dropped_messages"]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from typing import Any
 
 from repro.core import (
@@ -33,9 +32,16 @@ from repro.core import (
     run_flood_max,
     run_two_spanner,
 )
-from repro.distributed import congest_model
+from repro.distributed import DEFAULT_ENGINE, congest_model
 from repro.experiments.families import build_graph
-from repro.experiments.registry import Experiment, check, register
+from repro.experiments.registry import (
+    Experiment,
+    check,
+    check_flood_max,
+    check_twins,
+    register,
+)
+from repro.experiments.runner import rate_timing, timed, timing_columns
 from repro.experiments.spec import ScenarioSpec
 from repro.spanner import is_k_spanner
 
@@ -53,16 +59,16 @@ def edges_digest(edges) -> str:
 
 def _run_e16(spec: ScenarioSpec) -> dict[str, Any]:
     graph = build_graph(spec.param("graph"))
-    engine = spec.engine or "indexed"
-    start = time.perf_counter()
-    result = run_two_spanner(graph, seed=spec.param("run_seed"), engine=engine)
-    elapsed = time.perf_counter() - start
+    engine = spec.engine or DEFAULT_ENGINE
+    result, seconds = timed(
+        run_two_spanner, graph, seed=spec.param("run_seed"), engine=engine
+    )
     return {
         "engine": engine,
         "rounds": result.rounds,
         "edges": result.size,
         "metrics": result.metrics,
-        "timing": {"elapsed_s": elapsed, "rounds_per_sec": result.rounds / elapsed},
+        "timing": rate_timing(seconds, result.rounds, unit="rounds"),
     }
 
 
@@ -70,15 +76,7 @@ def _verify_e16(results) -> dict[str, Any]:
     reference, indexed = results
     # Identical physics on both engines; speed is asserted by the benchmark
     # wrapper (E16_MIN_SPEEDUP), not here, so CLI sweeps stay noise-proof.
-    for key in reference:
-        if key.startswith("timing."):
-            continue
-        if key == "engine":
-            continue
-        check(
-            reference[key] == indexed[key],
-            f"engines disagree on {key}: {reference[key]!r} != {indexed[key]!r}",
-        )
+    check_twins("E16", reference, indexed, exempt=("engine",))
     return {"rounds": reference["rounds"], "edges": reference["edges"]}
 
 
@@ -92,8 +90,7 @@ register(
             ("engine", "engine", None),
             ("rounds", "rounds", None),
             ("spanner edges", "edges", None),
-            ("seconds", "timing.elapsed_s", ".3f"),
-            ("rounds/sec", "timing.rounds_per_sec", ".3f"),
+            *timing_columns(unit="rounds", header="rounds/sec", fmt=".3f"),
         ),
         scenarios=[
             ScenarioSpec.make(
@@ -126,7 +123,7 @@ def _run_e17(spec: ScenarioSpec) -> dict[str, Any]:
             graph, seed=spec.param("run_seed"), model=congest_model(n, enforce=False)
         )
     else:
-        engine = spec.engine or "indexed"
+        engine = spec.engine or DEFAULT_ENGINE
         result = run_clique_two_spanner(graph, seed=spec.param("run_seed"), engine=engine)
         check(
             result.rounds <= _C_LOG * math.log2(n),
@@ -141,7 +138,7 @@ def _run_e17(spec: ScenarioSpec) -> dict[str, Any]:
     return {
         "n": n,
         "m": graph.number_of_edges(),
-        "model": variant if variant == "congest" else f"clique ({spec.engine or 'indexed'})",
+        "model": variant if variant == "congest" else f"clique ({spec.engine or DEFAULT_ENGINE})",
         "instance": spec.param("instance"),
         "variant": variant,
         "rounds": result.rounds,
@@ -157,13 +154,7 @@ def _verify_e17(results) -> dict[str, Any]:
         instance = f"n={n}"
         group = {r["variant"]: r for r in results if r["instance"] == instance}
         indexed, reference = group["clique_indexed"], group["clique_reference"]
-        for key in indexed:
-            if key == "variant" or key == "model":
-                continue
-            check(
-                indexed[key] == reference[key],
-                f"{instance}: clique engines disagree on {key}",
-            )
+        check_twins(instance, indexed, reference, exempt=("variant", "model"))
         # The whole point of the clique model: exponentially fewer rounds.
         check(
             indexed["rounds"] < group["congest"]["rounds"],
@@ -228,39 +219,26 @@ _E18_GRAPHS = {
 
 def _run_e18(spec: ScenarioSpec) -> dict[str, Any]:
     graph = build_graph(spec.param("graph"))
-    n = graph.number_of_nodes()
-    engine = spec.engine or "indexed"
+    engine = spec.engine or DEFAULT_ENGINE
     rounds = spec.param("rounds")
-    start = time.perf_counter()
     # Stepped on purpose: E20/E23 cover the lowered path.
-    result = run_flood_max(
-        graph, rounds=rounds, seed=spec.param("run_seed"), engine=engine, vectorize=False
+    result, seconds = timed(
+        run_flood_max,
+        graph,
+        rounds=rounds,
+        seed=spec.param("run_seed"),
+        engine=engine,
+        vectorize=False,
     )
-    elapsed = time.perf_counter() - start
-    check(
-        result.converged,
-        f"{spec.name}: flood-max did not converge within {rounds} rounds",
-    )
-    check(
-        result.leader == n - 1,
-        f"{spec.name}: elected leader {result.leader!r}, expected the max label {n - 1}",
-    )
-    check(
-        result.rounds == rounds,
-        f"{spec.name}: used {result.rounds} rounds, the program budget is {rounds}",
-    )
-    messages = result.metrics.messages_sent
+    check_flood_max(spec.name, result, graph, budget=rounds)
     return {
         "engine": engine,
-        "n": n,
+        "n": graph.number_of_nodes(),
         "m": graph.number_of_edges(),
         "rounds": result.rounds,
         "leader": result.leader,
         "metrics": result.metrics,
-        "timing": {
-            "elapsed_s": elapsed,
-            "messages_per_sec": messages / elapsed,
-        },
+        "timing": rate_timing(seconds, result.metrics.messages_sent),
     }
 
 
@@ -269,14 +247,7 @@ def _verify_e18(results) -> dict[str, Any]:
     # Identical physics for columnar vs indexed at n=20000; the
     # columnar-vs-indexed throughput floor is asserted by the benchmark
     # wrapper (E18_MIN_SPEEDUP), not here, so CLI sweeps stay noise-proof.
-    for key in columnar20:
-        if key.startswith("timing.") or key == "engine":
-            continue
-        check(
-            columnar20[key] == indexed20[key],
-            f"n=20000: engines disagree on {key}: "
-            f"{columnar20[key]!r} != {indexed20[key]!r}",
-        )
+    check_twins("n=20000", columnar20, indexed20, exempt=("engine",))
     check(columnar50["n"] >= 20000, "the scale scenario must cover n >= 20000")
     return {
         "n=20000.messages": columnar20["metrics.messages_sent"],
@@ -296,8 +267,7 @@ register(
             ("engine", "engine", None),
             ("rounds", "rounds", None),
             ("messages", "metrics.messages_sent", None),
-            ("seconds", "timing.elapsed_s", ".3f"),
-            ("msg/sec", "timing.messages_per_sec", ".0f"),
+            *timing_columns(),
         ),
         scenarios=[
             ScenarioSpec.make(

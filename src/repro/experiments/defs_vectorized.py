@@ -23,7 +23,6 @@ machines never flake.
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from repro.core.flood_max import (
@@ -35,7 +34,14 @@ from repro.core.flood_max import (
 from repro.distributed.models import broadcast_congest_model
 from repro.distributed.simulator import Simulator
 from repro.experiments.families import build_graph
-from repro.experiments.registry import Experiment, check, register
+from repro.experiments.registry import (
+    Experiment,
+    check,
+    check_flood_max,
+    check_twins,
+    register,
+)
+from repro.experiments.runner import rate_timing, timed, timing_columns
 from repro.experiments.spec import ScenarioSpec
 
 _E23_SEED = 3
@@ -73,7 +79,6 @@ _TWIN_EXEMPT = ("scenario", "mode")
 def _run_e23(spec: ScenarioSpec) -> dict[str, Any]:
     graph = build_graph(spec.param("graph"))
     n = graph.number_of_nodes()
-    m = graph.number_of_edges()
     workload = spec.param("workload")
     budget = spec.param("budget")
     lowered = bool(spec.param("lowered", True))
@@ -92,44 +97,25 @@ def _run_e23(spec: ScenarioSpec) -> dict[str, Any]:
         streaming_metrics=bool(spec.param("streaming", False)),
         vectorize=lowered,
     )
-    start = time.perf_counter()
-    result = _summarise(sim.run(max_rounds=max_rounds))
-    elapsed = time.perf_counter() - start
+    result, seconds = timed(lambda: _summarise(sim.run(max_rounds=max_rounds)))
     check(
         sim.lowered == lowered,
         f"{spec.name}: lowering decision {sim.lowered} does not match the "
         f"spec's lowered={lowered}",
     )
-    check(result.converged, f"{spec.name}: flood-max did not converge")
-    check(
-        result.leader == n - 1,
-        f"{spec.name}: elected leader {result.leader!r}, expected the max label {n - 1}",
-    )
-    messages = result.metrics.messages_sent
-    if workload == "fixed":
-        check(
-            result.rounds == budget,
-            f"{spec.name}: used {result.rounds} rounds, the program budget is {budget}",
-        )
-        # Fixed-budget flood-max invariant: every vertex broadcasts in rounds
-        # 0..budget-1, so exactly budget * 2m directed messages cross the edges.
-        check(
-            messages == budget * 2 * m,
-            f"{spec.name}: {messages} messages, expected budget * 2m = {budget * 2 * m}",
-        )
+    # Only the fixed-budget program pins its round and message counts.
+    fixed_budget = budget if workload == "fixed" else None
+    check_flood_max(spec.name, result, graph, budget=fixed_budget)
     return {
         "scenario": spec.name,
         "mode": "lowered" if lowered else "stepped",
         "workload": workload,
         "n": n,
-        "m": m,
+        "m": graph.number_of_edges(),
         "rounds": result.rounds,
         "leader": result.leader,
         "metrics": result.metrics,
-        "timing": {
-            "elapsed_s": elapsed,
-            "messages_per_sec": messages / elapsed,
-        },
+        "timing": rate_timing(seconds, result.metrics.messages_sent),
     }
 
 
@@ -145,14 +131,7 @@ def _verify_e23(results) -> dict[str, Any]:
             continue
         # The tentpole contract: lowering must be physically invisible —
         # every non-timing key of the twins agrees bit-for-bit.
-        for key in lowered:
-            if key.startswith("timing.") or key in _TWIN_EXEMPT:
-                continue
-            check(
-                lowered[key] == stepped[key],
-                f"{left} / {right}: lowering changed {key}: "
-                f"{lowered[key]!r} != {stepped[key]!r}",
-            )
+        check_twins(f"{left} / {right}", lowered, stepped, exempt=_TWIN_EXEMPT)
     summary: dict[str, Any] = {}
     for name, result in by_name.items():
         if result["n"] >= 100_000:
@@ -178,8 +157,7 @@ register(
             ("workload", "workload", None),
             ("rounds", "rounds", None),
             ("messages", "metrics.messages_sent", None),
-            ("seconds", "timing.elapsed_s", ".3f"),
-            ("msg/sec", "timing.messages_per_sec", ".0f"),
+            *timing_columns(),
         ),
         scenarios=[
             ScenarioSpec.make(

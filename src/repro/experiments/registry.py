@@ -29,6 +29,12 @@ from repro.experiments.spec import ScenarioSpec
 Columns = tuple[tuple[str, str, str | None], ...]
 
 
+#: flattened result keys treated as timing (excluded from determinism checks)
+TIMING_PREFIX = "timing."
+#: fault counters an adversary-aware run adds to its metrics
+ADVERSARY_PREFIX = "metrics.adversary_"
+
+
 class ExperimentCheckError(AssertionError):
     """A reproduced invariant failed (raised by scenario runners / verify)."""
 
@@ -37,6 +43,60 @@ def check(condition: bool, message: str) -> None:
     """Assert an experiment invariant, surviving ``python -O``."""
     if not condition:
         raise ExperimentCheckError(message)
+
+
+def check_twins(
+    tag: str,
+    left: dict[str, Any],
+    right: dict[str, Any],
+    exempt: Sequence[str] = (),
+    zero_rate: bool = False,
+) -> None:
+    """Assert two flattened results of one workload carry identical physics.
+
+    Compares every key either side reports except ``timing.*`` and the
+    ``exempt`` labels naming the twins; a one-sided key is a disagreement,
+    unless ``zero_rate`` (a zero-rate adversary twin) and it is a
+    ``metrics.adversary_*`` counter whose value is 0.
+    """
+    for key in sorted((left.keys() | right.keys()) - set(exempt)):
+        if key.startswith(TIMING_PREFIX):
+            continue
+        if zero_rate and key.startswith(ADVERSARY_PREFIX) and (key in left) != (key in right):
+            value = left.get(key, right.get(key))
+            check(value == 0, f"{tag}: zero-rate twin reports {key} = {value!r}")
+        else:
+            check(
+                key in left and key in right and left[key] == right[key],
+                f"{tag}: twins disagree on {key}: "
+                f"{left.get(key, '<missing>')!r} != {right.get(key, '<missing>')!r}",
+            )
+
+
+def check_flood_max(name: str, result: Any, graph: Any, budget: int | None = None) -> None:
+    """Assert flood-max on ``graph`` converged on the max label n - 1.
+
+    With a fixed ``budget`` it also pins exactly ``budget`` rounds and
+    ``budget * 2m`` messages: every vertex broadcasts in rounds 0..budget-1.
+    """
+    n = graph.number_of_nodes()
+    check(result.converged, f"{name}: flood-max did not converge")
+    check(
+        result.leader == n - 1,
+        f"{name}: elected leader {result.leader!r}, expected the max label {n - 1}",
+    )
+    if budget is None:
+        return
+    check(
+        result.rounds == budget,
+        f"{name}: used {result.rounds} rounds, the program budget is {budget}",
+    )
+    expected = budget * 2 * graph.number_of_edges()
+    messages = result.metrics.messages_sent
+    check(
+        messages == expected,
+        f"{name}: {messages} messages, expected budget * 2m = {expected}",
+    )
 
 
 @dataclass

@@ -30,13 +30,16 @@ from __future__ import annotations
 import copy
 import json
 import multiprocessing
+import os
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.experiments import registry
+from repro.experiments.registry import TIMING_PREFIX
 from repro.experiments.reporting import flatten_info
 from repro.experiments.spec import ScenarioSpec
 
@@ -48,8 +51,29 @@ SCHEMA = "repro-experiments/2"
 #: filesystem-safe schema tag baked into every cache key (see ResultCache).
 _SCHEMA_TAG = SCHEMA.replace("/", "-")
 
-#: flattened result keys treated as timing (excluded from determinism checks)
-TIMING_PREFIX = "timing."
+
+def timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple[Any, float]:
+    """Call ``fn(*args, **kwargs)`` and return ``(value, elapsed seconds)``.
+
+    The only clock read in :mod:`repro.experiments` (lint rule REP004).
+    Timing tiers wrap just the library call they measure, never the graph
+    build or the checks.
+    """
+    start = time.perf_counter()
+    value = fn(*args, **kwargs)
+    return value, time.perf_counter() - start
+
+
+def rate_timing(seconds: float, count: int, unit: str = "messages") -> dict[str, float]:
+    """A result's ``timing`` block: ``elapsed_s`` and ``<unit>_per_sec`` (0.0 at 0 s)."""
+    return {"elapsed_s": seconds, f"{unit}_per_sec": count / seconds if seconds else 0.0}
+
+
+def timing_columns(
+    unit: str = "messages", header: str = "msg/sec", fmt: str = ".0f"
+) -> registry.Columns:
+    """The two table columns showing a :func:`rate_timing` block."""
+    return (("seconds", "timing.elapsed_s", ".3f"), (header, f"timing.{unit}_per_sec", fmt))
 
 
 @dataclass
@@ -101,7 +125,14 @@ class ResultCache:
     def put(self, spec: ScenarioSpec, result: dict[str, Any]) -> None:
         """Store ``result`` for ``spec`` (schema-stamped, exact-spec keyed)."""
         payload = {"schema": SCHEMA, "spec": spec.as_dict(), "result": result}
-        self._path(spec).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        path = self._path(spec)
+        # Write-then-rename: a failed write never truncates the previous entry.
+        temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            temp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+            os.replace(temp, path)
+        finally:
+            temp.unlink(missing_ok=True)
 
 
 def _seed_from_hash(spec: ScenarioSpec) -> int:
@@ -126,9 +157,7 @@ def execute_scenario(spec: ScenarioSpec) -> dict[str, Any]:
 
 
 def _worker(spec: ScenarioSpec) -> tuple[dict[str, Any], float]:
-    start = time.perf_counter()
-    result = execute_scenario(spec)
-    return result, time.perf_counter() - start
+    return timed(execute_scenario, spec)
 
 
 def run_scenarios(

@@ -5,16 +5,21 @@ the sharded runner (serial/parallel determinism, caching, report schema),
 the global-random guard, and the CLI entry point.
 """
 
+import dataclasses
 import json
+import os
 import pickle
 import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.flood_max import run_flood_max
 from repro.experiments import (
+    ExperimentCheckError,
     ResultCache,
     ScenarioSpec,
     execute_scenario,
@@ -23,8 +28,10 @@ from repro.experiments import (
     run_experiments,
     strip_timing,
 )
+from repro.experiments.defs_vectorized import _verify_e23
 from repro.experiments.families import build_graph
-from repro.experiments.runner import SCHEMA
+from repro.experiments.registry import check_flood_max, check_twins
+from repro.experiments.runner import SCHEMA, rate_timing, timed
 
 # Cheap experiments (sub-second apiece) used wherever scenarios must actually run.
 FAST_IDS = ["E04", "E07", "E11"]
@@ -124,23 +131,20 @@ class TestEngineSelection:
             assert scenario["spec"]["engine"] == "columnar"
 
     def test_columnar_override_on_targeted_send_experiment_matches_indexed(self):
-        # E16's two-spanner sends targeted messages; the columnar engine's
-        # targeted fast path runs it bit-for-bit like the oracle.
-        columnar = run_experiments(["E16"], jobs=1, engine="columnar")
-        indexed = run_experiments(["E16"], jobs=1, engine="indexed")
-        for b, i in zip(
-            columnar["experiments"][0]["scenarios"],
-            indexed["experiments"][0]["scenarios"],
-        ):
-            b_result = {
-                k: v for k, v in b["result"].items()
-                if not k.startswith("timing.") and k != "engine"
-            }
-            i_result = {
-                k: v for k, v in i["result"].items()
-                if not k.startswith("timing.") and k != "engine"
-            }
-            assert b_result == i_result
+        # E21's triangle listing sends targeted messages (direct and routed);
+        # the columnar engine's targeted fast path runs it bit-for-bit like
+        # the indexed engine.
+        runs = {
+            engine: run_experiments(["E21"], jobs=1, engine=engine, scenario_filter="listing")
+            for engine in ("columnar", "indexed")
+        }
+        pairs = zip(
+            runs["columnar"]["experiments"][0]["scenarios"],
+            runs["indexed"]["experiments"][0]["scenarios"],
+        )
+        for b, i in pairs:
+            assert b["spec"]["engine"] == "columnar" and i["spec"]["engine"] == "indexed"
+            check_twins(b["spec"]["name"], b["result"], i["result"], exempt=("engine",))
 
     def test_e18_specs_carry_engines(self):
         engines = [spec.engine for spec in get_experiment("E18").scenarios]
@@ -271,8 +275,26 @@ class TestRunnerDeterminism:
         path.write_text(json.dumps(payload))
         assert cache.get(spec) is None
 
+    def test_cache_put_keeps_previous_entry_when_the_rename_fails(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        spec = get_experiment("E11").scenarios[0]
+        cache.put(spec, {"rounds": 1})
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(spec, {"rounds": 2})
+        monkeypatch.undo()
+        assert cache.get(spec) == {"rounds": 1}
+        assert [path.name for path in tmp_path.iterdir()] == [cache._path(spec).name]
+
     def test_strip_timing_removes_only_timing(self):
-        report = run_experiments(["E16"], jobs=1)
+        report = run_experiments(["E21"], jobs=1, scenario_filter="listing")
+        scenarios = report["experiments"][0]["scenarios"]
+        assert len(scenarios) > 1
+        assert all("timing.elapsed_s" in s["result"] for s in scenarios)
         stripped = strip_timing(report)
         for scenario in stripped["experiments"][0]["scenarios"]:
             assert "wall_time_s" not in scenario
@@ -283,6 +305,83 @@ class TestRunnerDeterminism:
         assert all(
             "wall_time_s" in s for s in report["experiments"][0]["scenarios"]
         )
+
+
+class TestSharedChecks:
+    """The timing helper and the twin / flood-max physics checks every tier uses."""
+
+    LEFT = {"engine": "indexed", "rounds": 7, "metrics.bits_sent": 96, "timing.elapsed_s": 0.5}
+
+    def right(self, **changes):
+        return {**self.LEFT, "engine": "columnar", "timing.elapsed_s": 9.0, **changes}
+
+    def test_timed_returns_value_and_seconds(self):
+        value, seconds = timed(sorted, [3, 1, 2], reverse=True)
+        assert value == [3, 2, 1] and seconds >= 0.0
+
+    def test_rate_timing_guards_a_zero_span(self):
+        assert rate_timing(0.0, 10) == {"elapsed_s": 0.0, "messages_per_sec": 0.0}
+        assert rate_timing(2.0, 10, unit="rounds") == {"elapsed_s": 2.0, "rounds_per_sec": 5.0}
+
+    def test_twins_ignore_timing_and_exempt_keys(self):
+        right = self.right(**{"timing.messages_per_sec": 1.0})
+        check_twins("t", self.LEFT, right, exempt=("engine",))
+        with pytest.raises(ExperimentCheckError, match="engine"):
+            check_twins("t", self.LEFT, right)
+
+    @pytest.mark.parametrize(
+        "left_extra,right_extra",
+        [
+            ({}, {"rounds": 8}),  # a value differs
+            ({"metrics.heard": 3}, {}),  # a key only on the left
+            ({}, {"metrics.heard": 3}),  # a key only on the right
+        ],
+    )
+    def test_twins_reject_divergence(self, left_extra, right_extra):
+        left = {**self.LEFT, **left_extra}
+        with pytest.raises(ExperimentCheckError, match="twins disagree"):
+            check_twins("t", left, self.right(**right_extra), exempt=("engine",))
+
+    def test_zero_rate_twin_may_add_only_zero_adversary_counters(self):
+        zero = self.right(**{"metrics.adversary_dropped_messages": 0})
+        check_twins("t", self.LEFT, zero, exempt=("engine",), zero_rate=True)
+        with pytest.raises(ExperimentCheckError, match="twins disagree"):
+            check_twins("t", self.LEFT, zero, exempt=("engine",))
+        dropped = self.right(**{"metrics.adversary_dropped_messages": 4})
+        with pytest.raises(ExperimentCheckError, match="zero-rate twin"):
+            check_twins("t", self.LEFT, dropped, exempt=("engine",), zero_rate=True)
+        with pytest.raises(ExperimentCheckError, match="twins disagree"):
+            check_twins("t", self.LEFT, self.right(**{"metrics.heard": 0}),
+                        exempt=("engine",), zero_rate=True)
+
+    def test_verify_hook_rejects_tampered_twins(self):
+        def twin(mode):
+            return {
+                "scenario": f"n=20000 {mode}", "mode": mode, "workload": "fixed",
+                "n": 20000, "rounds": 10, "leader": 19999,
+                "metrics.messages_sent": 2000, "timing.elapsed_s": 0.1,
+            }
+
+        _verify_e23([twin("lowered"), twin("stepped")])
+        for tamper in ({"metrics.messages_sent": 2001}, {"metrics.adversary_lost": 0}):
+            with pytest.raises(ExperimentCheckError, match="lowered / n=20000 stepped"):
+                _verify_e23([twin("lowered"), {**twin("stepped"), **tamper}])
+
+    def test_flood_check_rejects_each_violated_invariant(self):
+        graph = build_graph(("connected_gnp", 12, 0.4, 1))
+        result = run_flood_max(graph, rounds=6, seed=1)
+        check_flood_max("ok", result, graph, budget=6)
+        broken = {
+            "did not converge": {"converged": False},
+            "expected the max label": {"leader": 3},
+            "program budget": {"rounds": 5},
+            "budget \\* 2m": {"metrics": SimpleNamespace(messages_sent=1)},
+        }
+        for message, change in broken.items():
+            with pytest.raises(ExperimentCheckError, match=message):
+                check_flood_max("bad", dataclasses.replace(result, **change), graph, budget=6)
+        # Without a fixed budget only convergence and the leader are pinned.
+        check_flood_max("robust", dataclasses.replace(result, rounds=5), graph)
 
 
 class TestGlobalRandomGuard:
@@ -431,15 +530,15 @@ class TestCLI:
     def test_run_scenario_filter_skips_verify_and_records_filter(self, tmp_path):
         out = tmp_path / "report.json"
         proc = self._run(
-            "run", "E18", "--scenario", "n=20000", "--jobs", "1",
+            "run", "E18", "--scenario", "n=20000 columnar", "--jobs", "1",
             "--json", str(out), "--no-tables", "--strip-timing",
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
-        assert report["scenario_filter"] == "n=20000"
+        assert report["scenario_filter"] == "n=20000 columnar"
         entry = report["experiments"][0]
         names = [scenario["spec"]["name"] for scenario in entry["scenarios"]]
-        assert names == ["n=20000 columnar", "n=20000 indexed"]
+        assert names == ["n=20000 columnar"]
         # verify hooks are written against complete result lists: skipped.
         assert entry["summary"] == {}
 

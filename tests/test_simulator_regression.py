@@ -35,10 +35,11 @@ from repro.core.directed_two_spanner import (
 from repro.core.mds import MDSOptions, MDSProgram, run_mds
 from repro.core.two_spanner import (
     TwoSpannerOptions,
+    TwoSpannerProgram,
     client_server_two_spanner,
     run_two_spanner,
 )
-from repro.core.variants import WeightedVariant
+from repro.core.variants import UnweightedVariant, WeightedVariant
 from repro.distributed import (
     NoAdversary,
     NodeProgram,
@@ -87,6 +88,17 @@ def directed_record(result):
 DIGRAPHS = {
     "directed_digraph_n30_p015_s4_seed7": lambda: random_digraph(30, 0.15, seed=4),
     "directed_tournament_n20_s5_seed7": lambda: random_tournament(20, seed=5),
+}
+
+#: The 2-spanner programs run on every engine: key -> (graph, program, variant).
+SPANNER_PROGRAMS = {
+    **{
+        key: (build, DirectedTwoSpannerProgram, DirectedVariant)
+        for key, build in DIGRAPHS.items()
+    },
+    "undirected_gnp_n40_p015_s3": (
+        lambda: gnp_random_graph(40, 0.15, seed=3), TwoSpannerProgram, UnweightedVariant
+    ),
 }
 
 
@@ -209,13 +221,14 @@ class TestEngineEquivalence:
         assert new.outputs == ref.outputs
         assert new.metrics.as_dict() == ref.metrics.as_dict()
 
-    @pytest.mark.parametrize("key", sorted(DIGRAPHS))
+    @pytest.mark.parametrize("key", sorted(SPANNER_PROGRAMS))
     def test_directed_two_spanner_program(self, key):
-        d = DIGRAPHS[key]()
-        variant, options = DirectedVariant(), TwoSpannerOptions()
+        """Both 2-spanner programs (directed and undirected) on all three engines."""
+        build, program, variant_cls = SPANNER_PROGRAMS[key]
+        d, variant, options = build(), variant_cls(), TwoSpannerOptions()
 
         def factory(v):
-            return DirectedTwoSpannerProgram(v, variant.node_setup(d, v), variant, options)
+            return program(v, variant.node_setup(d, v), variant, options)
 
         runs = {
             engine: Simulator(

@@ -187,19 +187,17 @@ class WallClockRule(Rule):
     Algorithm and engine code must be a pure function of ``(graph, seed,
     model)``; a clock read anywhere else either leaks into results (breaking
     the byte-identical serial/parallel report contract) or tempts
-    time-dependent control flow.  Timing belongs to the whitelisted
-    orchestration modules (``experiments/runner.py``, ``experiments/cli.py``,
-    the ``defs_*`` experiment definitions) and ``benchmarks/``.
+    time-dependent control flow.  Timing belongs to ``benchmarks/`` and to
+    ``experiments/runner.py``, whose ``timed`` helper is the one clock read
+    the experiment tiers and the CLI go through.
     """
 
     code = "REP004"
     name = "wall-clock-read"
-    rationale = "clock reads outside runner/cli/defs_*/benchmarks break purity"
+    rationale = "clock reads outside experiments/runner.py and benchmarks/ break purity"
 
     _WHITELIST = (
         "*/experiments/runner.py",
-        "*/experiments/cli.py",
-        "*/experiments/defs_*.py",
         "*benchmarks/*",
     )
     _TIME_FNS = frozenset(
@@ -265,9 +263,8 @@ class WallClockRule(Rule):
 
     def _message(self, what: str) -> str:
         return (
-            f"wall-clock read ({what}()) outside the timing whitelist; move "
-            "timing into experiments/runner.py, experiments/cli.py, a defs_* "
-            "module or benchmarks/"
+            f"wall-clock read ({what}()) outside the timing whitelist; time "
+            "through repro.experiments.runner.timed or move it into benchmarks/"
         )
 
 
