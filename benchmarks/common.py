@@ -13,9 +13,6 @@ naming, the same convention the runner's JSON schema uses).
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Any
 
 from repro.experiments.reporting import flatten_info, fmt, print_table  # noqa: F401
@@ -31,28 +28,3 @@ def record(benchmark, **info: Any) -> None:
     for key, value in info.items():
         benchmark.extra_info.update(flatten_info(value, prefix=key))
 
-
-def append_trajectory(filename: str, **info: Any) -> Path:
-    """Append one flattened record to a JSON trajectory file and return its path.
-
-    Trajectory files (``BENCH_E23.json`` etc.) accumulate one record per
-    benchmark invocation as a JSON array, so successive CI runs — uploaded
-    as artifacts — form a wall-time series a human or a plot script can diff
-    across commits without parsing pytest-benchmark's full machine output.
-    The destination directory defaults to the repository root and can be
-    redirected with ``BENCH_TRAJECTORY_DIR``; a corrupt or foreign file is
-    never destroyed — the record set restarts alongside the parse error.
-    """
-    root = Path(os.environ.get("BENCH_TRAJECTORY_DIR", Path(__file__).resolve().parent.parent))
-    path = root / filename
-    records: list[dict[str, Any]] = []
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text())
-            if isinstance(loaded, list):
-                records = loaded
-        except (OSError, ValueError):
-            records = []
-    records.append(flatten_info(dict(info)))
-    path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    return path

@@ -16,9 +16,9 @@ round of broadcast traffic becomes a handful of flat-array operations —
 * **accounting** — :class:`BroadcastAccounting`, the one kernel both the
   stepped collect and lowered rounds
   (:class:`~repro.distributed.vectorize.EngineView`) call once per pass:
-  messages / bits / cut / overlay / violation totals are mask dot-products
-  over preallocated per-node count columns (NumPy when importable, a tight
-  stdlib loop otherwise) deposited in a preallocated
+  messages / bits / cut / overlay / violation totals are NumPy mask
+  dot-products over preallocated per-node count columns, deposited in a
+  preallocated
   :class:`~repro.distributed.metrics.RoundTally` that is flushed into
   :class:`~repro.distributed.metrics.Metrics` once per round;
 * **delivery** — no inbox dicts are built: every receiver owns one
@@ -28,10 +28,6 @@ round of broadcast traffic becomes a handful of flat-array operations —
   concatenated (sorted) neighbour rows and each ``values()`` call is a
   C-level list slice; otherwise ``values()`` filters the receiver's row
   against the ``sent`` column.
-
-NumPy is strictly optional: when it is missing (or disabled via the
-``REPRO_DISABLE_NUMPY`` environment variable) the stdlib kernels produce
-bit-for-bit identical results — slower, never different.
 
 Rounds that contain targeted sends are not collected here at all: the
 contexts flag a shared signal cell and the engine delegates the whole
@@ -70,10 +66,11 @@ every shipped program already satisfies.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any, Callable, Iterable
+
+import numpy as np
 
 from repro.distributed.encoding import PayloadSizeTable, estimate_bits
 from repro.distributed.errors import BandwidthExceededError
@@ -84,22 +81,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.adversary import DeliveryFilter
     from repro.distributed.simulator import Simulator
 
-# NumPy is an optional accelerator, never a dependency: absent (or disabled
-# through the environment) the stdlib kernels take over with identical
-# results.  The module global is re-read on every run so tests can
-# monkeypatch it to exercise the fallback.
-if os.environ.get("REPRO_DISABLE_NUMPY"):  # pragma: no cover - env-driven
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - depends on environment
-        _np = None
-
 
 def have_numpy() -> bool:
-    """Whether the columnar engine will use its NumPy kernels on this run."""
-    return _np is not None
+    """Always ``True``: NumPy is a required dependency of the engines.
+
+    Kept for callers that record it, e.g. in a benchmark's environment
+    fingerprint.
+    """
+    return True
 
 
 class _RoundState:
@@ -255,10 +244,7 @@ class ColumnarInbox(Mapping):
             # C-level slice at this receiver's CSR bounds.
             return flat[self._lo : self._hi]
         if st.all_sent:
-            if st.build_flat is not None:
-                return st.build_flat()[self._lo : self._hi]
-            plists = st.ensure_plists()
-            return [plists[j] for j in self._row]
+            return st.build_flat()[self._lo : self._hi]
         sent = st.sent
         plists = st.ensure_plists()
         return [plists[j] for j in self._row if sent[j]]
@@ -300,7 +286,7 @@ class ColumnarInbox(Mapping):
             heard = row_max[self._i]
             return heard if heard > default else default
         if st.all_sent:
-            if st.ints_only and st.build_row_max is not None:
+            if st.ints_only:
                 row_max = st.build_row_max()
                 if row_max is not None:
                     if self._lo == self._hi:
@@ -308,13 +294,9 @@ class ColumnarInbox(Mapping):
                     heard = row_max[self._i]
                     return heard if heard > default else default
             flat = st.pays_flat
-            if flat is not None:
-                vals = flat[self._lo : self._hi]
-            elif st.build_pays_flat is not None:
-                vals = st.build_pays_flat()[self._lo : self._hi]
-            else:
-                pays = st.pays
-                vals = [pays[j] for j in self._row]
+            if flat is None:
+                flat = st.build_pays_flat()
+            vals = flat[self._lo : self._hi]
         else:
             pays = st.pays
             sent = st.sent
@@ -365,16 +347,15 @@ class BroadcastAccounting:
       no receiver's row, so ``sent_count == n_connected`` is an all-senders
       pass), the cut-crossing and overlay per-node count columns, and under
       an adversary the sorted neighbour *label* rows ``deliver_mask`` takes;
-      with NumPy also their zero-copy views, the concatenated sorted rows
+      also their zero-copy NumPy views, the concatenated sorted rows
       ``all_rows_np`` (sliceable by CSR ``indptr`` bounds, derived from the
       CSR arrays by one sort of ``row * n + column`` arc keys) and the
       per-receiver segment starts ``reduce_idx`` for ``reduceat`` (clipped
       in range, so entries of empty rows are garbage — consumers gate on
       degree);
     * the ascending-sorted neighbour tuple rows (:attr:`rows`), built on
-      first access only: the stepped collect, the stdlib fold and the
-      adversary label rows read them, a fault-free NumPy lowered run never
-      does;
+      first access only: the stepped collect and the adversary label rows
+      read them, a fault-free lowered run never does;
     * the send state of the pass being collected, filled by the round driver:
       the ``sent`` flag byte and ``bits_col`` payload size per sender,
       ``sent_count``, and the ascending ``senders`` list (``None`` until
@@ -387,7 +368,6 @@ class BroadcastAccounting:
         "metrics",
         "graph_sets",
         "filt",
-        "np",
         "n",
         "labels",
         "index",
@@ -423,7 +403,6 @@ class BroadcastAccounting:
         graph_sets,
         filt: "DeliveryFilter | None",
     ) -> None:
-        np = _np  # snapshot per run; tests monkeypatch the module global
         topo = sim.topology
         model = sim.model
         n = topo.n
@@ -433,7 +412,6 @@ class BroadcastAccounting:
         self.metrics = metrics
         self.graph_sets = graph_sets
         self.filt = filt
-        self.np = np
         self.n = n
         self.labels = labels
         self.index = topo.index
@@ -465,28 +443,26 @@ class BroadcastAccounting:
         self.sent_count = 0
         self.senders: list[int] | None = None
 
-        self.deg_np = self.bits_np = self.sent_np = None
-        self.cut_np = self.virt_np = self.all_rows_np = self.reduce_idx = None
-        if np is not None:
-            deg_np = self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
-            self.bits_np = np.frombuffer(self.bits_col, dtype=np.int64)
-            # Zero-copy boolean view of the sent column; the bytearray is
-            # never resized, so the exported buffer stays valid all run.
-            self.sent_np = np.frombuffer(self.sent, dtype=np.uint8).view(np.bool_)
-            if self.cut_counts is not None:
-                self.cut_np = np.frombuffer(self.cut_counts, dtype=np.int64)
-            if self.virtual_counts is not None:
-                self.virt_np = np.frombuffer(self.virtual_counts, dtype=np.int64)
-            arcs = indptr[n]
-            # Sorting every arc by its (row, column) key concatenates the
-            # sorted neighbour rows — the column order ``rows`` yields.
-            keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg_np)
-            keys += np.frombuffer(topo.indices, dtype=np.int64)
-            keys.sort()
-            self.all_rows_np = keys % n
-            if arcs:
-                indptr_np = np.frombuffer(indptr, dtype=np.int64)
-                self.reduce_idx = np.minimum(indptr_np[:n], arcs - 1)
+        deg_np = self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
+        self.bits_np = np.frombuffer(self.bits_col, dtype=np.int64)
+        # Zero-copy boolean view of the sent column; the bytearray is never
+        # resized, so the exported buffer stays valid all run.
+        self.sent_np = np.frombuffer(self.sent, dtype=np.uint8).view(np.bool_)
+        self.cut_np = self.virt_np = self.reduce_idx = None
+        if self.cut_counts is not None:
+            self.cut_np = np.frombuffer(self.cut_counts, dtype=np.int64)
+        if self.virtual_counts is not None:
+            self.virt_np = np.frombuffer(self.virtual_counts, dtype=np.int64)
+        arcs = indptr[n]
+        # Sorting every arc by its (row, column) key concatenates the sorted
+        # neighbour rows — the column order ``rows`` yields.
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg_np)
+        keys += np.frombuffer(topo.indices, dtype=np.int64)
+        keys.sort()
+        self.all_rows_np = keys % n
+        if arcs:
+            indptr_np = np.frombuffer(indptr, dtype=np.int64)
+            self.reduce_idx = np.minimum(indptr_np[:n], arcs - 1)
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
@@ -501,13 +477,13 @@ class BroadcastAccounting:
             senders = self.senders = [i for i in range(self.n) if sent[i]]
         return senders
 
-    def _walk(self, senders: list[int]) -> tuple:
-        """Ordered per-sender accumulation; raises on an enforced violation.
+    def _walk(self, senders: list[int]) -> None:
+        """Ordered replay of an enforced violation; always raises.
 
-        Both the stdlib kernel and the enforcement path: senders are walked
-        in ascending order, so when an enforcing model's budget is exceeded
-        the partially-flushed metrics and the message text name the first
-        violating sender exactly as a per-sender oracle would.
+        :meth:`account` calls it once its mask kernels found an over-budget
+        sender under an enforcing model.  Senders are walked in ascending
+        order, so the partially-flushed metrics and the message text name
+        the first violating sender exactly as a per-sender oracle would.
         """
         bits_col = self.bits_col
         degrees = self.degrees
@@ -519,7 +495,6 @@ class BroadcastAccounting:
         max_bits = self.tally.counts[RoundTally.MAX_BITS]
         cut_messages = 0
         cut_bits = 0
-        violations = 0
         virtual = 0
         for k in range(len(senders)):
             src_i = senders[k]
@@ -536,65 +511,52 @@ class BroadcastAccounting:
                     cut_bits += crossing * bits
             if virtual_counts is not None:
                 virtual += virtual_counts[src_i]
-            if budget is not None and bits > budget:
-                violations += deg
-                if self.enforce:
-                    flush_round_tally(
-                        self.metrics, messages, bits_total, max_bits, cut_messages,
-                        cut_bits, violations,
-                        (k + 1) if self.broadcast_only else 0, virtual,
-                    )
-                    labels = self.labels
-                    first = labels[self.indices[self.indptr[src_i]]]
-                    raise BandwidthExceededError(
-                        f"message(s) on link {labels[src_i]!r}->{first!r} use "
-                        f"{bits} bits, budget is {budget} "
-                        f"({self.model_name})"
-                    )
-        return messages, bits_total, max_bits, cut_messages, cut_bits, violations, virtual
+            if bits > budget:
+                flush_round_tally(
+                    self.metrics, messages, bits_total, max_bits, cut_messages,
+                    cut_bits, deg, (k + 1) if self.broadcast_only else 0, virtual,
+                )
+                labels = self.labels
+                first = labels[self.indices[self.indptr[src_i]]]
+                raise BandwidthExceededError(
+                    f"message(s) on link {labels[src_i]!r}->{first!r} use "
+                    f"{bits} bits, budget is {budget} "
+                    f"({self.model_name})"
+                )
 
     def account(self) -> None:
         """Charge the queued pass to the run's metrics (one tally flush).
 
-        With NumPy the totals are mask dot-products over the count columns
-        (an over-budget sender under an enforcing model re-runs the ordered
-        walk, which raises); without it the ordered walk is the kernel.
-        The tally is flushed on every pass, empty ones included.
+        The totals are mask dot-products over the count columns; an
+        over-budget sender under an enforcing model re-runs the ordered
+        :meth:`_walk`, which raises.  The tally is flushed on every pass,
+        empty ones included.
         """
         metrics = self.metrics
         tally = self.tally
         tally.reset(metrics.max_message_bits)
         counts = tally.counts
         if self.sent_count:
-            np = self.np
-            if np is not None:
-                mask = self.sent_np
-                bits_np = self.bits_np
-                deg_np = self.deg_np
-                budget = self.budget
-                if budget is not None:
-                    over = (bits_np > budget) & mask
-                    if over.any():
-                        if self.enforce:
-                            self._walk(self.sender_list())  # raises
-                        counts[RoundTally.VIOLATIONS] = int(deg_np.dot(over))
-                counts[RoundTally.MESSAGES] = int(deg_np.dot(mask))
-                counts[RoundTally.BITS] = int((bits_np * deg_np).dot(mask))
-                max_bits = int((bits_np * mask).max())
-                if max_bits > counts[RoundTally.MAX_BITS]:
-                    counts[RoundTally.MAX_BITS] = max_bits
-                if self.cut_np is not None:
-                    counts[RoundTally.CUT_MESSAGES] = int(self.cut_np.dot(mask))
-                    counts[RoundTally.CUT_BITS] = int((bits_np * self.cut_np).dot(mask))
-                if self.virt_np is not None:
-                    counts[RoundTally.VIRTUAL] = int(self.virt_np.dot(mask))
-            else:
-                (
-                    counts[RoundTally.MESSAGES], counts[RoundTally.BITS],
-                    counts[RoundTally.MAX_BITS], counts[RoundTally.CUT_MESSAGES],
-                    counts[RoundTally.CUT_BITS], counts[RoundTally.VIOLATIONS],
-                    counts[RoundTally.VIRTUAL],
-                ) = self._walk(self.sender_list())
+            mask = self.sent_np
+            bits_np = self.bits_np
+            deg_np = self.deg_np
+            budget = self.budget
+            if budget is not None:
+                over = (bits_np > budget) & mask
+                if over.any():
+                    if self.enforce:
+                        self._walk(self.sender_list())  # raises
+                    counts[RoundTally.VIOLATIONS] = int(deg_np.dot(over))
+            counts[RoundTally.MESSAGES] = int(deg_np.dot(mask))
+            counts[RoundTally.BITS] = int((bits_np * deg_np).dot(mask))
+            max_bits = int((bits_np * mask).max())
+            if max_bits > counts[RoundTally.MAX_BITS]:
+                counts[RoundTally.MAX_BITS] = max_bits
+            if self.cut_np is not None:
+                counts[RoundTally.CUT_MESSAGES] = int(self.cut_np.dot(mask))
+                counts[RoundTally.CUT_BITS] = int((bits_np * self.cut_np).dot(mask))
+            if self.virt_np is not None:
+                counts[RoundTally.VIRTUAL] = int(self.virt_np.dot(mask))
             if self.broadcast_only:
                 counts[RoundTally.BROADCASTS] = self.sent_count
         tally.flush(metrics)
@@ -617,7 +579,6 @@ def build_columnar_collect(
     fast path (:func:`~repro.distributed.targeted.build_targeted_collect`,
     built lazily on first use and sharing this run's payload size table).
     """
-    np = accounting.np
     n = accounting.n
     labels = accounting.labels
     indptr = accounting.indptr
@@ -651,48 +612,47 @@ def build_columnar_collect(
             ColumnarInbox(rows[i], indptr[i], indptr[i + 1], i, state)
             for i in range(n)
         ]
-        if np is not None:
-            all_rows_np = accounting.all_rows_np
-            reduce_idx = accounting.reduce_idx
-            obj_np = np.empty(n, dtype=object)
+        all_rows_np = accounting.all_rows_np
+        reduce_idx = accounting.reduce_idx
+        obj_np = np.empty(n, dtype=object)
 
-            def build_flat() -> list[list[Any]]:
-                """Bulk-gather every receiver's payload lists in two C passes."""
-                obj_np[:] = state.ensure_plists()
-                flat = state.flat = obj_np[all_rows_np].tolist()
-                return flat
+        def build_flat() -> list[list[Any]]:
+            """Bulk-gather every receiver's payload lists in two C passes."""
+            obj_np[:] = state.ensure_plists()
+            flat = state.flat = obj_np[all_rows_np].tolist()
+            return flat
 
-            def build_pays_flat() -> list[Any]:
-                """Bulk-gather every receiver's raw payloads (fold pushdown)."""
-                obj_np[:] = pays
-                flat = state.pays_flat = obj_np[all_rows_np].tolist()
-                return flat
+        def build_pays_flat() -> list[Any]:
+            """Bulk-gather every receiver's raw payloads (fold pushdown)."""
+            obj_np[:] = pays
+            flat = state.pays_flat = obj_np[all_rows_np].tolist()
+            return flat
 
-            state.build_flat = build_flat
-            state.build_pays_flat = build_pays_flat
+        state.build_flat = build_flat
+        state.build_pays_flat = build_pays_flat
 
-            if reduce_idx is not None:
+        # Only all-senders rounds fold through this, and those have arcs, so
+        # ``reduce_idx`` (``None`` on an arc-free graph) is set whenever it runs.
+        def build_row_max() -> list[int] | None:
+            """Per-receiver payload maxima in one C reduction.
 
-                def build_row_max() -> list[int] | None:
-                    """Per-receiver payload maxima in one C reduction.
+            Lowers the round's payload column to int64 and folds
+            every receiver's row with ``np.maximum.reduceat``.
+            Returns ``None`` (and clears the round's ``ints_only``
+            flag so the fallback is not retried per receiver) when
+            the column does not fit int64.
+            """
+            try:
+                ints = np.fromiter(pays, dtype=np.int64, count=n)
+            except (OverflowError, TypeError, ValueError):
+                state.ints_only = False
+                return None
+            gathered = ints[all_rows_np]
+            row_max = np.maximum.reduceat(gathered, reduce_idx).tolist()
+            state.row_max = row_max
+            return row_max
 
-                    Lowers the round's payload column to int64 and folds
-                    every receiver's row with ``np.maximum.reduceat``.
-                    Returns ``None`` (and clears the round's ``ints_only``
-                    flag so the fallback is not retried per receiver) when
-                    the column does not fit int64.
-                    """
-                    try:
-                        ints = np.fromiter(pays, dtype=np.int64, count=n)
-                    except (OverflowError, TypeError, ValueError):
-                        state.ints_only = False
-                        return None
-                    gathered = ints[all_rows_np]
-                    row_max = np.maximum.reduceat(gathered, reduce_idx).tolist()
-                    state.row_max = row_max
-                    return row_max
-
-                state.build_row_max = build_row_max
+        state.build_row_max = build_row_max
 
     # Adversary path only: neighbour label rows handed to deliver_mask.
     mask_rows = accounting.mask_rows

@@ -24,17 +24,17 @@ here instead of by the engine's broadcast kernels:
   :class:`~repro.distributed.encoding.PayloadSizeTable` via one C-level
   ``map`` per sender group, not one Python call per message per round;
 * **accounting** — messages / bits / max / cut / overlay / violation
-  totals reduce over the flat columns with NumPy kernels when available
-  (per-link CONGEST admission becomes a grouped prefix-sum over a stable
-  argsort of packed ``src * n + dst`` link keys) and flush once per round
+  totals reduce over the flat columns with NumPy kernels (per-link
+  CONGEST admission becomes a grouped prefix-sum over a stable argsort of
+  packed ``src * n + dst`` link keys) and flush once per round
   through the shared :class:`~repro.distributed.metrics.RoundTally` /
   :func:`~repro.distributed.metrics.flush_round_tally` seam;
-* **delivery** — fault-free NumPy rounds scatter the payload column into
+* **delivery** — fault-free rounds scatter the payload column into
   per-receiver inbox segments with one stable ``argsort`` by destination
   (CSR-style: one contiguous column slice per receiver, zero per-message
   Python work) and hand every receiver a lazy :class:`TargetedInbox`
-  Mapping view over its segment; the stdlib fallback and every adversary
-  round take the ordered per-message path below instead.
+  Mapping view over its segment; every adversary round takes the ordered
+  per-message path below instead.
 
 The ordered path (:func:`build_targeted_collect`'s ``_ordered_collect``)
 is the bit-for-bit reference: it walks the gathered stream exactly like
@@ -54,8 +54,8 @@ rounds containing targeted traffic, columnar runs are bit-for-bit
 identical to the ``indexed`` engine — outputs, ``Metrics.as_dict()``,
 ``bits_per_round`` — under all communication models that admit targeted
 sends and under every adversary.  Two deliberate representation
-differences, both part of the columnar inbox contract: fault-free NumPy
-rounds hand receivers :class:`TargetedInbox` views (not dicts), and
+differences, both part of the columnar inbox contract: fault-free rounds
+hand receivers :class:`TargetedInbox` views (not dicts), and
 payload lists may be shared between receivers of one broadcast — programs
 treat inboxes as read-only and do not stash them across rounds.  One
 documented divergence: on an *enforcing* model, a mixed
@@ -64,18 +64,14 @@ CSR order rather than the indexed engine's ``frozenset`` iteration order,
 so when several links violate at once the named link may differ (the
 raise, the exception type and the totals-at-raise semantics are
 identical); pure-targeted rounds enforce in exact oracle order.
-
-NumPy is strictly optional, exactly as in
-:mod:`repro.distributed.columnar`: absent (or disabled via
-``REPRO_DISABLE_NUMPY``) the stdlib path produces identical results —
-slower, never different.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any, Callable, Iterable
+
+import numpy as np
 
 from repro.distributed.encoding import PayloadSizeTable
 from repro.distributed.errors import BandwidthExceededError
@@ -85,23 +81,6 @@ from repro.distributed.node import NO_BROADCAST, NodeContext
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.adversary import DeliveryFilter
     from repro.distributed.simulator import Simulator
-
-# Optional accelerator, never a dependency — the same contract (and the
-# same monkeypatch point for the fallback-parity tests) as the columnar
-# module's ``_np`` global.
-if os.environ.get("REPRO_DISABLE_NUMPY"):  # pragma: no cover - env-driven
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - depends on environment
-        _np = None
-
-
-def have_targeted_numpy() -> bool:
-    """Whether the targeted fast path will use its NumPy kernels on this run."""
-    return _np is not None
-
 
 #: Distinct-from-everything sentinel for the run-grouping loop (``None`` is
 #: a legal sender label in principle, so equality with it must not match).
@@ -114,7 +93,7 @@ _INT_ONLY = frozenset((int,))
 class TargetedInbox(Mapping):
     """Read-only inbox view over one receiver's scatter segment.
 
-    The fault-free NumPy delivery kernel sorts the round's messages by
+    The fault-free delivery kernel sorts the round's messages by
     destination (stable, so each receiver's segment keeps ascending-sender,
     outbox-order message order — the indexed engine's insertion order) and
     hands each receiver one of these views instead of building a dict per
@@ -218,7 +197,6 @@ def build_targeted_collect(
     see them; ``size_table`` lets the columnar engine share its run-lifetime
     payload size cache with this path (``None`` builds a private table).
     """
-    np = _np  # snapshot per run; tests monkeypatch the module global
     topo = sim.topology
     model = sim.model
     n = topo.n
@@ -257,15 +235,15 @@ def build_targeted_collect(
     CUT_MESSAGES, CUT_BITS = RoundTally.CUT_MESSAGES, RoundTally.CUT_BITS
     VIOLATIONS, VIRTUAL = RoundTally.VIOLATIONS, RoundTally.VIRTUAL
 
-    # NumPy-only run-lifetime columns, built lazily on first use.
-    side_np = None
-    labels_np = None
-    graph_keys_np = None
+    # Run-lifetime columns, built lazily on first use.
+    side_arr = None
+    labels_arr = None
+    graph_keys_arr = None
 
     def _graph_keys():
         """Sorted packed ``src * n + dst`` keys of every input-graph arc."""
-        nonlocal graph_keys_np
-        if graph_keys_np is None:
+        nonlocal graph_keys_arr
+        if graph_keys_arr is None:
             keys = []
             for i in range(n):
                 base = i * n
@@ -273,8 +251,8 @@ def build_targeted_collect(
                     keys.append(base + index_get(lbl))
             arr = np.fromiter(keys, np.int64, len(keys))
             arr.sort()
-            graph_keys_np = arr
-        return graph_keys_np
+            graph_keys_arr = arr
+        return graph_keys_arr
 
     def _ordered_collect(
         groups: list[tuple[int, int, int, int, int]],
@@ -288,8 +266,8 @@ def build_targeted_collect(
         Walks the gathered stream exactly like the indexed engine's
         collection loop (ascending senders, outbox order within a sender),
         so enforcement raises, adversary decisions and inbox contents are
-        bit-for-bit the oracle's.  Serves as the stdlib kernel, the
-        adversary path and the enforcement replay (``deliver=False`` —
+        bit-for-bit the oracle's.  Serves as the adversary path and the
+        enforcement replay (``deliver=False`` —
         accounting only, used when the vectorised kernels detected a
         violation that must raise).
         """
@@ -387,7 +365,7 @@ def build_targeted_collect(
 
     def collect(sender_ids: Iterable[int]) -> list[Any]:
         """Collect one targeted round: gather, account, deliver."""
-        nonlocal side_np, labels_np
+        nonlocal side_arr, labels_arr
         # ---- gather: drain the per-sender grouped outboxes (and any mixed
         # broadcast) into flat per-round columns, senders ascending.
         groups: list[tuple[int, int, int, int, int]] = []
@@ -496,10 +474,10 @@ def build_targeted_collect(
             flush_round_tally(metrics, 0, 0, metrics.max_message_bits, 0, 0, 0, 0, 0)
             return [None] * n
 
-        # ---- ordered path: stdlib kernels, and every adversary round
-        # (stateful filters observe per-message decisions, exactly like the
-        # columnar engine's eager adversary fallback).
-        if np is None or filt is not None:
+        # ---- ordered path: every adversary round (stateful filters observe
+        # per-message decisions, exactly like the columnar engine's eager
+        # adversary fallback).
+        if filt is not None:
             return _ordered_collect(groups, t_dst, t_pay, t_bits, deliver=True)
 
         # ---- NumPy accounting kernels over the flat columns.
@@ -518,9 +496,9 @@ def build_targeted_collect(
         if mx > counts[MAX_BITS]:
             counts[MAX_BITS] = mx
         if cut_side is not None:
-            if side_np is None:
-                side_np = np.fromiter(cut_side, np.bool_, n)
-            crossing = side_np[t_src_np] != side_np[t_dst_np]
+            if side_arr is None:
+                side_arr = np.fromiter(cut_side, np.bool_, n)
+            crossing = side_arr[t_src_np] != side_arr[t_dst_np]
             counts[CUT_MESSAGES] = int(crossing.sum())
             counts[CUT_BITS] = int(t_bits_np[crossing].sum())
         if graph_sets is not None:
@@ -574,10 +552,10 @@ def build_targeted_collect(
         if identity:
             s_srcs = src_sorted.tolist()
         else:
-            if labels_np is None:
-                labels_np = np.empty(n, dtype=object)
-                labels_np[:] = labels
-            s_srcs = labels_np[src_sorted].tolist()
+            if labels_arr is None:
+                labels_arr = np.empty(n, dtype=object)
+                labels_arr[:] = labels
+            s_srcs = labels_arr[src_sorted].tolist()
         boundary = np.empty(m, np.bool_)
         boundary[0] = True
         if m > 1:
@@ -596,4 +574,4 @@ def build_targeted_collect(
     return collect
 
 
-__all__ = ["TargetedInbox", "build_targeted_collect", "have_targeted_numpy"]
+__all__ = ["TargetedInbox", "build_targeted_collect"]

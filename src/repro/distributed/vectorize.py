@@ -59,17 +59,14 @@ adversaries.  The load-bearing details:
 * adversary seams fire exactly like the stepped columnar engine: the
   filter sees each round begin before any state updates (crash schedules
   force-halt contexts there), and ``deliver_mask`` is called once per
-  sender, in ascending sender order, with the sorted neighbour label row;
-* NumPy is an optional accelerator, never a dependency: with NumPy absent
-  or disabled (``REPRO_DISABLE_NUMPY``, or the columnar module's ``_np``
-  global monkeypatched to ``None``) the stdlib-``array`` kernels produce
-  identical results — slower, never different.
+  sender, in ascending sender order, with the sorted neighbour label row.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.distributed.columnar import BroadcastAccounting
 from repro.distributed.errors import RoundLimitExceededError
@@ -110,7 +107,7 @@ def repetition_frame_bits(value: int, copies: int) -> int:
     return 2 + copies * (2 + int_payload_bits(value))
 
 
-def _np_payload_bits(np, values, copies: int | None):
+def _np_payload_bits(values, copies: int | None):
     """Vectorized closed forms over a *nonnegative* ``int64`` value column.
 
     Bit-for-bit :func:`int_payload_bits` (or :func:`repetition_frame_bits`
@@ -202,11 +199,11 @@ class VectorKernel:
 class EngineView:
     """Engine-side state of one lowered columnar run.
 
-    Exposes to kernels: the CSR topology (``indptr``, ``degrees``,
-    ``labels``), the NumPy module snapshot (``np``, possibly ``None``), the
-    liveness column (``alive`` plus ``alive_np``), the fold primitive
-    :meth:`fold_max`, the broadcast queue (:meth:`queue_broadcast_alive`
-    over the ``bits_col`` size column) and the retirement seam
+    Exposes to kernels: the CSR topology (``indptr``, ``labels``), the
+    liveness column (``alive`` plus its ``alive_np`` view), the fold
+    primitive :meth:`fold_max`, the broadcast queue
+    (:meth:`queue_broadcast_alive` over the ``bits_col`` size column and
+    its ``bits_np`` view) and the retirement seam
     :meth:`retire` (the only per-node Python in a lowered run: each node is
     touched once when it halts), which fills the ``outputs`` column the
     engine reports.  The columns and the accounting kernel belong to the
@@ -222,20 +219,15 @@ class EngineView:
         "contexts",
         "outputs",
         "filt",
-        "np",
         "n",
         "labels",
         "indptr",
-        "degrees",
         "alive",
         "alive_count",
         "bits_col",
-        "heard_col",
         "round",
         "mask_flat",
         "_kernel",
-        "_ninf_template",
-        "_zero_bytes",
         "_zero_arcs",
         "alive_np",
         "bits_np",
@@ -244,7 +236,6 @@ class EngineView:
     )
 
     def __init__(self, accounting: BroadcastAccounting) -> None:
-        np = accounting.np
         filt = accounting.filt
         n = accounting.n
         indptr = accounting.indptr
@@ -252,60 +243,53 @@ class EngineView:
         self.contexts: "list[NodeContext] | None" = None
         self.outputs: list[Any] = [None] * n
         self.filt = filt
-        self.np = np
         self.n = n
         self.labels = accounting.labels
         self.indptr = indptr
-        self.degrees = accounting.degrees
         self.bits_col = accounting.bits_col
         self.bits_np = accounting.bits_np
         self.alive = bytearray(n)
         self.alive_count = 0
-        self.heard_col = array("q", [0]) * n
         self.round = 0
         self._kernel: VectorKernel | None = None
-        self._ninf_template = array("q", [INT64_MIN]) * n
-        self._zero_bytes = bytes(n)
         self.mask_flat: bytearray | None = None
         self._zero_arcs: bytes | None = None
         if filt is not None:
             self.mask_flat = bytearray(indptr[n])
             self._zero_arcs = bytes(indptr[n])
 
-        self.alive_np = self.nonempty_np = self.t_idx = None
-        if np is not None:
-            self.alive_np = np.frombuffer(self.alive, dtype=np.uint8).view(np.bool_)
-            self.nonempty_np = accounting.deg_np > 0
-            m2 = indptr[n]
-            if filt is not None and m2:
-                # Receiver-side arc p (receiver i, neighbour j) maps to
-                # sender-side arc t_idx[p] (sender j's sorted row, entry i):
-                # lexsort by (neighbour, receiver) enumerates arcs in
-                # sender-major order, i.e. exactly the deliver_mask layout.
-                rec = np.repeat(
-                    np.arange(n, dtype=np.int64),
-                    np.diff(np.asarray(indptr, dtype=np.int64)),
-                )
-                perm = np.lexsort((rec, accounting.all_rows_np))
-                t_idx = np.empty(m2, dtype=np.int64)
-                t_idx[perm] = np.arange(m2, dtype=np.int64)
-                self.t_idx = t_idx
+        self.alive_np = np.frombuffer(self.alive, dtype=np.uint8).view(np.bool_)
+        self.nonempty_np = accounting.deg_np > 0
+        self.t_idx = None
+        m2 = indptr[n]
+        if filt is not None and m2:
+            # Receiver-side arc p (receiver i, neighbour j) maps to
+            # sender-side arc t_idx[p] (sender j's sorted row, entry i):
+            # lexsort by (neighbour, receiver) enumerates arcs in
+            # sender-major order, i.e. exactly the deliver_mask layout.
+            rec = np.repeat(
+                np.arange(n, dtype=np.int64),
+                np.diff(np.asarray(indptr, dtype=np.int64)),
+            )
+            perm = np.lexsort((rec, accounting.all_rows_np))
+            t_idx = np.empty(m2, dtype=np.int64)
+            t_idx[perm] = np.arange(m2, dtype=np.int64)
+            self.t_idx = t_idx
 
     # ------------------------------------------------------------ kernel API
     def fold_max(self, bits=None):
         """Per-receiver max over the payloads delivered this round.
 
-        Returns ``None`` when no traffic is pending; otherwise a column
-        (NumPy ``int64`` array or stdlib ``array("q")``) whose entry ``i``
-        is the max payload delivered to receiver ``i``, with
+        Returns ``None`` when no traffic is pending; otherwise an ``int64``
+        column whose entry ``i`` is the max payload delivered to receiver
+        ``i``, with
         :data:`INT64_MIN` marking "nothing delivered".  Entries of
         zero-degree receivers are unspecified — gate on degree.  The
         delivered set honours the adversary masks computed by the previous
         collection pass, so decisions and fault counters match the stepped
         engine exactly.
 
-        With ``bits`` (a per-sender wire-size NumPy column; NumPy path
-        only) the return is a ``(heard, heard_bits)`` pair: the bits column
+        With ``bits`` (a per-sender wire-size ``int64`` column) the return is a ``(heard, heard_bits)`` pair: the bits column
         is folded through the same delivery mask, with 0 marking "nothing
         delivered".  Valid only when wire size is monotone nondecreasing in
         payload value (all-nonnegative payloads): then the folded max bits
@@ -316,53 +300,26 @@ class EngineView:
         sent_count = accounting.sent_count
         if not sent_count:
             return None
-        np = self.np
-        best = self._kernel.payload_column()
-        if np is not None:
-            all_rows_np = accounting.all_rows_np
-            if not len(all_rows_np):
-                return None
-            reduce_idx = accounting.reduce_idx
-            gathered = best[all_rows_np]
-            dmask = None
-            if self.filt is not None:
-                dmask = (
-                    np.frombuffer(self.mask_flat, dtype=np.uint8)
-                    .view(np.bool_)[self.t_idx]
-                )
-            elif sent_count != accounting.n_connected:
-                dmask = accounting.sent_np[all_rows_np]
-            vals = gathered if dmask is None else np.where(dmask, gathered, INT64_MIN)
-            heard = np.maximum.reduceat(vals, reduce_idx)
-            if bits is None:
-                return heard
-            gathered_bits = bits[all_rows_np]
-            if dmask is not None:
-                gathered_bits = np.where(dmask, gathered_bits, 0)
-            return heard, np.maximum.reduceat(gathered_bits, reduce_idx)
-        heard = self.heard_col
-        heard[:] = self._ninf_template
-        rows = accounting.rows
-        senders = accounting.sender_list()
-        if self.filt is None:
-            for j in senders:
-                v = best[j]
-                for i in rows[j]:
-                    if v > heard[i]:
-                        heard[i] = v
-        else:
-            mask = self.mask_flat
-            indptr = self.indptr
-            for j in senders:
-                v = best[j]
-                base = indptr[j]
-                row = rows[j]
-                for pos in range(len(row)):
-                    if mask[base + pos]:
-                        i = row[pos]
-                        if v > heard[i]:
-                            heard[i] = v
-        return heard
+        all_rows_np = accounting.all_rows_np
+        if not len(all_rows_np):
+            return None
+        reduce_idx = accounting.reduce_idx
+        gathered = self._kernel.payload_column()[all_rows_np]
+        dmask = None
+        if self.filt is not None:
+            dmask = np.frombuffer(self.mask_flat, dtype=np.uint8).view(np.bool_)[
+                self.t_idx
+            ]
+        elif sent_count != accounting.n_connected:
+            dmask = accounting.sent_np[all_rows_np]
+        vals = gathered if dmask is None else np.where(dmask, gathered, INT64_MIN)
+        heard = np.maximum.reduceat(vals, reduce_idx)
+        if bits is None:
+            return heard
+        gathered_bits = bits[all_rows_np]
+        if dmask is not None:
+            gathered_bits = np.where(dmask, gathered_bits, 0)
+        return heard, np.maximum.reduceat(gathered_bits, reduce_idx)
 
     def retire(self, node_ids: list[int], outputs: list[Any]) -> None:
         """Halt ``node_ids`` voluntarily with ``outputs``.
@@ -395,31 +352,16 @@ class EngineView:
         excluded from the sender set — the stepped engines treat their
         broadcasts as no-ops (no metrics, no payload counter).
         """
-        np = self.np
         accounting = self.accounting
-        if np is not None:
-            sent_np = accounting.sent_np
-            sent_np[:] = self.alive_np & self.nonempty_np
-            accounting.sent_count = int(np.count_nonzero(sent_np))
-            accounting.senders = None
-            return
-        sent = accounting.sent
-        sent[:] = self._zero_bytes
-        alive = self.alive
-        degrees = self.degrees
-        senders: list[int] = []
-        append = senders.append
-        for i in range(self.n):
-            if alive[i] and degrees[i]:
-                sent[i] = 1
-                append(i)
-        accounting.senders = senders
-        accounting.sent_count = len(senders)
+        sent_np = accounting.sent_np
+        sent_np[:] = self.alive_np & self.nonempty_np
+        accounting.sent_count = int(np.count_nonzero(sent_np))
+        accounting.senders = None
 
     def clear_broadcasts(self) -> None:
         """Queue nothing for the next delivery pass (terminal rounds)."""
         accounting = self.accounting
-        accounting.sent[:] = self._zero_bytes
+        accounting.sent_np[:] = False
         accounting.sent_count = 0
         accounting.senders = []
 
@@ -547,7 +489,7 @@ class MaxFloodKernel(VectorKernel):
         self.stable: Any = None
         self._size_cache: dict[int, int] = {}
         # All-nonnegative labels make wire size monotone in the payload, so
-        # sizes can ride the same reduceat fold as the payloads (NumPy path).
+        # sizes can ride the same reduceat fold as the payloads.
         self._monotone = False
 
     def state_columns(self) -> dict[str, Any]:
@@ -583,20 +525,14 @@ class MaxFloodKernel(VectorKernel):
 
     def on_start(self, view: EngineView) -> None:
         """Vectorized ``on_start``: seed columns, queue the round-0 flood."""
-        np = view.np
         n = view.n
         labels = view.labels
         view.alive[:] = b"\x01" * n
         view.alive_count = n
-        if np is not None:
-            self.best = np.fromiter(labels, dtype=np.int64, count=n)
-            if self.patience is not None:
-                self.stable = np.zeros(n, dtype=np.int64)
-            self._monotone = bool(n == 0 or self.best.min() >= 0)
-        else:
-            self.best = array("q", labels)
-            if self.patience is not None:
-                self.stable = array("q", [0]) * n
+        self.best = np.fromiter(labels, dtype=np.int64, count=n)
+        if self.patience is not None:
+            self.stable = np.zeros(n, dtype=np.int64)
+        self._monotone = bool(n == 0 or self.best.min() >= 0)
         if self.rounds is not None and self.rounds <= 0:
             # Zero-budget flood-max: output the own label and halt in
             # on_start, queueing no traffic at all.
@@ -604,91 +540,49 @@ class MaxFloodKernel(VectorKernel):
             view.clear_broadcasts()
             return
         if self._monotone:
-            view.bits_np[:] = _np_payload_bits(np, self.best, self.copies)
+            view.bits_np[:] = _np_payload_bits(self.best, self.copies)
         else:
             self._refresh_bits(view, range(n), labels)
         view.queue_broadcast_alive()
 
     def vector_round(self, view: EngineView) -> None:
         """One whole round: fold, update best/stable, retire, re-queue."""
-        np = view.np
         best = self.best
         heard_bits = None
-        if np is not None and self._monotone:
+        if self._monotone:
             folded = view.fold_max(bits=view.bits_np)
             heard = None
             if folded is not None:
                 heard, heard_bits = folded
         else:
             heard = view.fold_max()
-        if np is not None:
-            alive = view.alive_np
-            improved = None
-            if heard is not None:
-                improved = alive & view.nonempty_np & (heard > best)
-                if not improved.any():
-                    improved = None
-            if improved is not None:
-                best[improved] = heard[improved]
-                if heard_bits is not None:
-                    view.bits_np[improved] = heard_bits[improved]
-                else:
-                    self._refresh_bits(
-                        view, np.nonzero(improved)[0].tolist(), best[improved].tolist()
-                    )
-            if self.patience is not None:
-                stable = self.stable
-                stable += 1
-                if improved is not None:
-                    stable[improved] = 0
-                halters = alive & (stable >= self.patience)
-                if halters.any():
-                    view.retire(
-                        np.nonzero(halters)[0].tolist(), _shared_ints(best[halters])
-                    )
-            elif view.round >= self.rounds:
-                idxs = np.nonzero(alive)[0].tolist()
-                view.retire(idxs, _shared_ints(best[alive]))
-                view.clear_broadcasts()
-                return
-            view.queue_broadcast_alive()
-            return
-        alive = view.alive
-        n = view.n
-        changed: list[int] = []
-        changed_vals: list[int] = []
+        alive = view.alive_np
+        improved = None
         if heard is not None:
-            for i in range(n):
-                if alive[i]:
-                    h = heard[i]
-                    if h > best[i]:
-                        best[i] = h
-                        changed.append(i)
-                        changed_vals.append(h)
-        if changed:
-            self._refresh_bits(view, changed, changed_vals)
+            improved = alive & view.nonempty_np & (heard > best)
+            if not improved.any():
+                improved = None
+        if improved is not None:
+            best[improved] = heard[improved]
+            if heard_bits is not None:
+                view.bits_np[improved] = heard_bits[improved]
+            else:
+                self._refresh_bits(
+                    view, np.nonzero(improved)[0].tolist(), best[improved].tolist()
+                )
         if self.patience is not None:
             stable = self.stable
-            patience = self.patience
-            improved = set(changed)
-            halt_ids: list[int] = []
-            halt_outs: list[int] = []
-            for i in range(n):
-                if not alive[i]:
-                    continue
-                if i in improved:
-                    stable[i] = 0
-                    continue
-                s = stable[i] + 1
-                stable[i] = s
-                if s >= patience:
-                    halt_ids.append(i)
-                    halt_outs.append(best[i])
-            if halt_ids:
-                view.retire(halt_ids, halt_outs)
+            stable += 1
+            if improved is not None:
+                stable[improved] = 0
+            halters = alive & (stable >= self.patience)
+            if halters.any():
+                view.retire(
+                    np.nonzero(halters)[0].tolist(), _shared_ints(best[halters])
+                )
         elif view.round >= self.rounds:
-            halt_ids = [i for i in range(n) if alive[i]]
-            view.retire(halt_ids, [best[i] for i in halt_ids])
+            idxs = np.nonzero(alive)[0].tolist()
+            view.retire(idxs, _shared_ints(best[alive]))
             view.clear_broadcasts()
             return
         view.queue_broadcast_alive()

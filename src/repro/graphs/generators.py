@@ -10,29 +10,19 @@ weighted variants.
 from __future__ import annotations
 
 import math
-import os
 import random
 from array import array
 from collections.abc import Sequence
 
+# SciPy is imported here rather than inside the bulk CSR build so a first
+# cold build does not pay the import.
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.graphs.topology import CompiledTopology, FrozenGraph
-
-# NumPy (with SciPy's connected components) is an optional accelerator of
-# the mega-scale CSR generator, never a dependency: absent, or disabled
-# through the environment, the stdlib loop builds byte-identical arrays.
-# Imported here rather than inside the build so a first cold build does not
-# pay the import; the module global is the tests' switch between the paths.
-if os.environ.get("REPRO_DISABLE_NUMPY"):  # pragma: no cover - env-driven
-    _np = None
-else:
-    try:
-        import numpy as _np
-        from scipy.sparse import csr_matrix as _csr_matrix
-        from scipy.sparse.csgraph import connected_components as _components
-    except ImportError:  # pragma: no cover - depends on environment
-        _np = None
 
 #: Skip-stream doubles drawn per NumPy batch (bounds the transient columns).
 _SKIP_BATCH = 1 << 20
@@ -249,16 +239,25 @@ def sparse_gnp_csr(
     graph in CSR form at this scale would be astronomically large).  Nodes
     are labelled ``0..n-1`` and every edge has weight 1.0.
 
-    With NumPy and SciPy importable (and a plain :class:`random.Random` or
-    seed) the build runs in bulk (:func:`_sparse_gnp_csr_numpy`): same
-    doubles, same per-draw ``math.log``, byte-identical CSR arrays, and the
-    caller's RNG left in exactly the state the stdlib loop below leaves.
+    For a plain :class:`random.Random` or seed the build runs in bulk
+    (:func:`_sparse_gnp_csr_numpy`): same doubles, same per-draw
+    ``math.log``, byte-identical CSR arrays, and the caller's RNG left in
+    exactly the state the stdlib loop (:func:`_sparse_gnp_csr_loop`) leaves.
+    Any other RNG (a :class:`random.Random` subclass, whose draws the bulk
+    path cannot replay) takes the loop.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("p must be in [0, 1) for the CSR generator")
     rng = _rng(seed)
-    if _np is not None and rng.__class__ is random.Random:
+    if rng.__class__ is random.Random:
         return _sparse_gnp_csr_numpy(n, p, rng, connect)
+    return _sparse_gnp_csr_loop(n, p, rng, connect)
+
+
+def _sparse_gnp_csr_loop(
+    n: int, p: float, rng: random.Random, connect: bool
+) -> FrozenGraph:
+    """:func:`sparse_gnp_csr` as a stdlib loop; the bulk build is pinned to it."""
     esrc = array("q")
     edst = array("q")
     if p > 0.0:
@@ -367,7 +366,6 @@ def _gnp_pair_positions(n: int, p: float, rng: random.Random):
     advanced by exactly the stdlib loop's draw count: one per sampled edge
     plus the draw that overshoots the last pair.
     """
-    np = _np
     pairs = n * (n - 1) // 2
     if p == 0.0 or not pairs:
         return np.empty(0, dtype=np.int64)
@@ -422,7 +420,6 @@ def _sparse_gnp_csr_numpy(
     which is exactly what the stdlib's counting scatter (plus its re-sort of
     chain-touched rows) produces.
     """
-    np = _np
     pos = _gnp_pair_positions(n, p, rng)
     v = ((1.0 + np.sqrt(8.0 * pos + 1.0)) * 0.5).astype(np.int64)
     while True:
@@ -450,10 +447,10 @@ def _sparse_gnp_csr_numpy(
     row_starts = np.arange(n + 1, dtype=np.int64) * n
     if connect and n > 1:
         core_indptr = np.searchsorted(keys, row_starts)
-        core = _csr_matrix(
+        core = csr_matrix(
             (np.ones(2 * m, dtype=np.int8), keys % n, core_indptr), shape=(n, n)
         )
-        _, comp = _components(core, directed=False)
+        _, comp = connected_components(core, directed=False)
         # First occurrence of each component label = its minimum member.
         reps = np.sort(np.unique(comp, return_index=True)[1]).tolist()
         if len(reps) > 1:

@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-# Hard dependency by design: this module is SciPy-coupled analysis (HiGHS
-# via linprog), not engine code.  NumPy arrives with SciPy either way, so
-# the engines' optional-accelerator ``_np`` guard would only obscure the
-# real requirement here.
-import numpy as np  # reprolint: disable=REP005
+import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
@@ -74,10 +70,12 @@ def lp_cover_lower_bound(
             data.append(-1.0)
         rhs.append(-1.0)
         row += 1
-    # Linking constraints: y_{t,P} - x_f <= 0
+    # Linking constraints: y_{t,P} - x_f <= 0.  Options are frozensets:
+    # iterate them sorted, or the row order (and HiGHS's last digits) would
+    # follow PYTHONHASHSEED.
     for ti, t in enumerate(targets):
         for oi, option in enumerate(options[t]):
-            for f in option:
+            for f in sorted(option, key=repr):
                 rows.append(row)
                 cols.append(y_index[(ti, oi)])
                 data.append(1.0)

@@ -1,4 +1,4 @@
-"""Differential, admission, size-table and fallback tests for the columnar engine.
+"""Differential, admission, enforcement and size-table tests for the columnar engine.
 
 The gate the columnar engine ships under: bit-for-bit identity with the
 indexed engine (outputs, ``Metrics.as_dict()``, ``bits_per_round``) for
@@ -6,10 +6,10 @@ broadcast-only programs across all four communication models — including
 cut accounting, per-model counters and bandwidth-violation counting — *and*
 under the drop/crash/budget adversaries, including an n=20000 differential
 on the mega-scale workload itself; admission rejections only where the model
-or the one-broadcast-per-round interning demands them; the payload size
-table must agree with ``estimate_bits`` on every payload shape; and the
-stdlib-``array`` kernels must produce identical results with NumPy
-monkeypatched away.
+or the one-broadcast-per-round interning demands them; an enforced
+violation raises with the indexed engine's message and the documented
+partially flushed metrics, on the stepped, lowered and targeted paths; the
+payload size table must agree with ``estimate_bits`` on every payload shape.
 """
 
 import pytest
@@ -30,9 +30,8 @@ from repro.distributed import (
     local_model,
     run_program,
 )
-from repro.distributed import columnar as columnar_module
 from repro.distributed.adversary import build_adversary
-from repro.distributed.columnar import ColumnarInbox, have_numpy
+from repro.distributed.columnar import ColumnarInbox
 from repro.distributed.encoding import PayloadSizeTable, estimate_bits
 from repro.graphs import Graph, gnp_random_graph, path_graph, sparse_gnp_graph, star_graph
 
@@ -453,50 +452,6 @@ class TestPayloadSizeTable:
         assert len(table.int_sizes) <= 2
 
 
-class TestNumpyAbsentFallback:
-    """The stdlib-``array`` kernels are exercised and bit-for-bit identical."""
-
-    def test_flood_max_identical_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(columnar_module, "_np", None)
-        assert not have_numpy()
-        g = gnp_random_graph(35, 0.2, seed=12)
-        fallback = _run(
-            g, lambda v: FloodMaxProgram(v, 5), broadcast_congest_model(35),
-            "columnar", seed=2,
-        )
-        indexed = _run(
-            g, lambda v: FloodMaxProgram(v, 5), broadcast_congest_model(35),
-            "indexed", seed=2,
-        )
-        _assert_identical(fallback, indexed)
-
-    def test_mapping_consumer_and_adversary_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(columnar_module, "_np", None)
-        g = gnp_random_graph(25, 0.3, seed=2)
-        for adversary in [None, "drop:0.2"]:
-            fallback = _run(
-                g, lambda v: MappingConsumer(v), local_model(25), "columnar",
-                adversary=adversary,
-            )
-            indexed = _run(
-                g, lambda v: MappingConsumer(v), local_model(25), "indexed",
-                adversary=adversary,
-            )
-            _assert_identical(fallback, indexed)
-
-    def test_cut_and_violations_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(columnar_module, "_np", None)
-        g = gnp_random_graph(30, 0.25, seed=4)
-        runs = {
-            engine: _run(
-                g, lambda v: FloodMaxProgram(v, 4), congest_model(30, enforce=False),
-                engine, cut=set(range(15)),
-            )
-            for engine in ("indexed", "columnar")
-        }
-        _assert_identical(runs["columnar"], runs["indexed"])
-
-
 class TestColumnarAdmission:
     """Admission is the model's job: only semantic rejections remain."""
 
@@ -574,6 +529,178 @@ class TestColumnarAdmission:
 
         message = "message(s) on link 0->1 use 153620 bits, budget is 64 (CONGEST)"
         assert attempt("columnar") == attempt("indexed") == message
+
+
+class _MetricsKeeper(Simulator):
+    """A simulator that keeps its run's metrics block, so a raising run's
+    partially flushed totals can be read after the raise."""
+
+    def _new_metrics(self):
+        self.run_metrics = super()._new_metrics()
+        return self.run_metrics
+
+
+def _raise_outcome(graph, factory, model, engine, adversary=None, **kwargs):
+    """``(message, metrics dict, bits_per_round, lowered)`` of a raising run."""
+    adv = build_adversary(adversary) if adversary else None
+    sim = _MetricsKeeper(
+        graph, factory, model=model, seed=3, engine=engine, adversary=adv, **kwargs
+    )
+    with pytest.raises(BandwidthExceededError) as info:
+        sim.run()
+    metrics = sim.run_metrics
+    return str(info.value), metrics.as_dict(), list(metrics.bits_per_round), sim.lowered
+
+
+ENFORCING = pytest.mark.parametrize(
+    "model_factory",
+    [congest_model, broadcast_congest_model, congested_clique_model],
+    ids=lambda f: f.__name__,
+)
+CUTS = pytest.mark.parametrize("cut", [None, set(range(15))], ids=["no-cut", "cut"])
+
+#: Senders of the oversized payload; 7 is the first in sender order.
+OVERSIZE_SENDERS = (7, 13, 22)
+OVERSIZE = tuple(range(40))
+
+
+def _late_oversize(stop_after=None):
+    """Everyone broadcasts small labels; round 2 carries the oversize payload.
+
+    With ``stop_after`` set, round 2's senders above that label stay silent
+    and every node halts there: the run the enforcing engine must have
+    accounted for at the moment it raises on sender ``stop_after``.
+    """
+
+    def factory(v):
+        def on_start(ctx):
+            ctx.broadcast(v)
+
+        def on_round(ctx, inbox):
+            if ctx.round < 2:
+                ctx.broadcast(v + ctx.round)
+                return
+            if ctx.round == 2 and (stop_after is None or v <= stop_after):
+                ctx.broadcast(OVERSIZE if v in OVERSIZE_SENDERS else v + ctx.round)
+            if ctx.round >= (3 if stop_after is None else 2):
+                ctx.halt()
+
+        return FunctionProgram(on_start, on_round)
+
+    return factory
+
+
+def _targeted_oversize(v):
+    """Targeted fan-out to three neighbours; round 3 carries oversize sends."""
+
+    def send_all(ctx, payload):
+        for dst in sorted(ctx.neighbors)[:3]:
+            ctx.send(dst, payload)
+
+    def on_round(ctx, inbox):
+        if ctx.round >= 5:
+            ctx.halt()
+        elif ctx.round == 3 and v in OVERSIZE_SENDERS:
+            send_all(ctx, OVERSIZE)
+        else:
+            send_all(ctx, v + ctx.round)
+
+    return FunctionProgram(lambda ctx: send_all(ctx, v), on_round)
+
+
+class TestEnforcedRaiseMetrics:
+    """An enforced violation raises mid-round with its metrics flushed.
+
+    The broadcast kernels detect the violation with array masks, then
+    replay the pass in ascending sender order
+    (:meth:`~repro.distributed.columnar.BroadcastAccounting._walk`): the
+    message names the first violating sender's first link, as the indexed
+    engine's does, and the metrics are flushed up to and including that
+    sender's whole row.  Targeted rounds re-walk the stream per message in
+    oracle order, so their partial metrics are the indexed engine's.
+    """
+
+    N = 30
+
+    def _graph(self):
+        return gnp_random_graph(self.N, 0.25, seed=5)
+
+    @ENFORCING
+    @CUTS
+    def test_broadcast_raise_flushes_through_the_violating_sender(
+        self, model_factory, cut
+    ):
+        g = self._graph()
+        message, metrics, per_round, _ = _raise_outcome(
+            g, _late_oversize(), model_factory(self.N), "columnar", cut=cut
+        )
+        indexed_message = _raise_outcome(
+            g, _late_oversize(), model_factory(self.N), "indexed", cut=cut
+        )[0]
+        assert message == indexed_message
+        assert message.startswith("message(s) on link 7->")
+        # The accounted prefix: rounds 0-1 in full, round 2 through sender 7.
+        prefix = _run(
+            g,
+            _late_oversize(stop_after=OVERSIZE_SENDERS[0]),
+            model_factory(self.N, enforce=False),
+            "indexed",
+            cut=cut,
+        )
+        assert metrics == prefix.metrics.as_dict()
+        assert per_round == list(prefix.metrics.bits_per_round)
+
+    @pytest.mark.parametrize(
+        "model_factory", [congest_model, broadcast_congest_model],
+        ids=lambda f: f.__name__,
+    )
+    @CUTS
+    def test_lowered_raise_matches_stepped(self, model_factory, cut):
+        # logn_factor=1 gives a 5-bit budget: labels >= 16 overflow it.
+        g = self._graph()
+        outcomes = {
+            vectorize: _raise_outcome(
+                g,
+                lambda v: FloodMaxProgram(v, 6),
+                model_factory(self.N, logn_factor=1),
+                "columnar",
+                cut=cut,
+                vectorize=vectorize,
+            )
+            for vectorize in (False, True)
+        }
+        stepped, lowered = outcomes[False], outcomes[True]
+        assert not stepped[3] and lowered[3]
+        assert lowered[:3] == stepped[:3]
+        indexed_message = _raise_outcome(
+            g,
+            lambda v: FloodMaxProgram(v, 6),
+            model_factory(self.N, logn_factor=1),
+            "indexed",
+            cut=cut,
+        )[0]
+        assert lowered[0] == indexed_message
+
+    @pytest.mark.parametrize(
+        "model_factory", [congest_model, congested_clique_model],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize(
+        "adversary",
+        [None, "drop:0.2:3", "crash:4@2,17@3", "budget:48"],
+        ids=lambda a: a or "fault-free",
+    )
+    def test_targeted_raise_matches_indexed(self, model_factory, adversary):
+        g = self._graph()
+        runs = {
+            engine: _raise_outcome(
+                g, _targeted_oversize, model_factory(self.N), engine,
+                adversary=adversary,
+            )
+            for engine in ("indexed", "columnar")
+        }
+        assert runs["columnar"][:3] == runs["indexed"][:3]
+        assert runs["columnar"][1]["rounds"] == 3
 
 
 class TestFloodMax:

@@ -9,9 +9,9 @@ Three contracts under test:
   damage to the :data:`CORRUPTED` sentinel.
 * **Parity** — all four engines deliver bit-for-bit identical runs under
   ``corrupt:0.05`` across the four communication models, for broadcast and
-  targeted/mixed traffic, with and without NumPy: the keyed corruption
-  hash must fire on exactly the same ``(round, src, dst)`` links and flip
-  exactly the same bit everywhere (same oracle pattern as
+  targeted/mixed traffic: the keyed corruption hash must fire on exactly
+  the same ``(round, src, dst)`` links and flip exactly the same bit
+  everywhere (same oracle pattern as
   ``tests/test_corrupt_adversary.py``'s sibling ``test_targeted_engines``).
 * **Determinism** — corruption decisions are a pure function of the
   simulator seed plus ``(round, src, dst)``: re-runs agree, salts
@@ -45,8 +45,6 @@ from repro.distributed import (
     payload_checksum,
     run_program,
 )
-from repro.distributed import columnar as columnar_module
-from repro.distributed import targeted as targeted_module
 from repro.experiments.runner import run_experiments, strip_timing
 from repro.graphs import gnp_random_graph
 
@@ -312,19 +310,6 @@ def test_reference_engine_full_metric_parity_on_broadcast_traffic():
         assert runs[engine].outputs == indexed.outputs
         assert runs[engine].metrics.as_dict() == indexed.metrics.as_dict()
         assert runs[engine].completed is indexed.completed
-
-
-@pytest.mark.parametrize("engine", ["columnar"])
-def test_no_numpy_fallback_matches_numpy_path(engine, monkeypatch):
-    with_numpy = _outcome(engine, "clique", True)
-    monkeypatch.setattr(targeted_module, "_np", None)
-    monkeypatch.setattr(columnar_module, "_np", None)
-    without = _outcome(engine, "clique", True)
-    if isinstance(with_numpy, Exception):
-        assert type(without) is type(with_numpy)
-        assert str(without) == str(with_numpy)
-    else:
-        assert without == with_numpy
 
 
 # ----------------------------------------------------------------- determinism

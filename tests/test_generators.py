@@ -1,5 +1,7 @@
 """Unit tests for the graph generators (structure, determinism, parameters)."""
 
+import random
+
 import pytest
 
 from repro.graphs import (
@@ -22,8 +24,10 @@ from repro.graphs import (
     random_digraph,
     random_regular_graph,
     random_tournament,
+    sparse_gnp_csr,
     star_graph,
 )
+from repro.graphs.generators import _sparse_gnp_csr_loop
 
 
 class TestDeterministicGenerators:
@@ -183,7 +187,7 @@ class TestSparseGnpCsr:
         # Identical randomness consumption: whenever the raw sample is
         # already connected (no patching), the two generators must produce
         # the exact same edge set.
-        from repro.graphs import sparse_gnp_csr, sparse_gnp_graph
+        from repro.graphs import sparse_gnp_graph
 
         csr = sparse_gnp_csr(400, 0.03, seed=11, connect=False)
         dict_based = sparse_gnp_graph(400, 0.03, seed=11, connect=False)
@@ -193,8 +197,6 @@ class TestSparseGnpCsr:
         )
 
     def test_deterministic_and_connected(self):
-        from repro.graphs import sparse_gnp_csr
-
         a = sparse_gnp_csr(2000, 0.002, seed=5)
         b = sparse_gnp_csr(2000, 0.002, seed=5)
         assert sorted(a.edges()) == sorted(b.edges())
@@ -210,22 +212,17 @@ class TestSparseGnpCsr:
         assert len(seen) == 2000
 
     def test_freeze_is_identity_and_degrees_consistent(self):
-        from repro.graphs import sparse_gnp_csr
-
         g = sparse_gnp_csr(300, 0.02, seed=2)
         topo = g.freeze()
         assert g.freeze() is topo  # already-built CSR, never re-walked
         assert sum(topo.degrees) == 2 * g.number_of_edges()
 
     def test_rejects_dense_p(self):
-        from repro.graphs import sparse_gnp_csr
-
         with pytest.raises(ValueError):
             sparse_gnp_csr(10, 1.0, seed=1)
 
     def test_runs_through_the_columnar_engine(self):
         from repro.core import run_flood_max
-        from repro.graphs import sparse_gnp_csr
 
         g = sparse_gnp_csr(1500, 0.004, seed=9)
         result = run_flood_max(g, rounds=8, seed=3, engine="columnar")
@@ -273,17 +270,13 @@ def _full_size_identity_tuples() -> list[tuple]:
     return [t for t in _registry_csr_tuples() if t[1] in wanted]
 
 
-def _build_csr(monkeypatch, n, p, seed, connect, numpy):
+def _build_csr(n, p, seed, connect, bulk):
     """Build through one path; return the CSR bytes and the caller RNG's next draw."""
-    import random
-
-    from repro.graphs import generators
-
     rng = random.Random(seed)
-    with monkeypatch.context() as patch:
-        if not numpy:
-            patch.setattr(generators, "_np", None)
-        graph = generators.sparse_gnp_csr(n, p, seed=rng, connect=connect)
+    if bulk:
+        graph = sparse_gnp_csr(n, p, seed=rng, connect=connect)
+    else:
+        graph = _sparse_gnp_csr_loop(n, p, rng, connect)
     topo = graph.freeze()
     return (
         topo.indptr.tobytes(),
@@ -294,9 +287,9 @@ def _build_csr(monkeypatch, n, p, seed, connect, numpy):
     )
 
 
-def _assert_paths_identical(monkeypatch, n, p, seed, connect=True):
-    bulk = _build_csr(monkeypatch, n, p, seed, connect, numpy=True)
-    loop = _build_csr(monkeypatch, n, p, seed, connect, numpy=False)
+def _assert_paths_identical(n, p, seed, connect=True):
+    bulk = _build_csr(n, p, seed, connect, bulk=True)
+    loop = _build_csr(n, p, seed, connect, bulk=False)
     assert bulk[3] == loop[3], "edge_count"
     assert bulk[:3] == loop[:3], "CSR bytes"
     assert bulk[4] == loop[4], "caller RNG state"
@@ -328,27 +321,23 @@ class TestSparseGnpCsrBulkIdentity:
         assert len(_registry_csr_tuples()) >= 3
 
     @pytest.mark.parametrize("family", _tier1_identity_tuples(), ids=str)
-    def test_registry_tuples(self, monkeypatch, family):
+    def test_registry_tuples(self, family):
         _, n, p, seed = family
-        _assert_paths_identical(monkeypatch, n, p, seed)
+        _assert_paths_identical(n, p, seed)
 
     if _full_size_identity_tuples():  # defined only when CI asks for it
 
         @pytest.mark.parametrize("family", _full_size_identity_tuples(), ids=str)
-        def test_full_size_registry_tuples(self, monkeypatch, family):
+        def test_full_size_registry_tuples(self, family):
             _, n, p, seed = family
-            _assert_paths_identical(monkeypatch, n, p, seed)
+            _assert_paths_identical(n, p, seed)
 
     @pytest.mark.parametrize("n, p, seed, connect", EDGE_CASES)
-    def test_edge_cases(self, monkeypatch, n, p, seed, connect):
-        _assert_paths_identical(monkeypatch, n, p, seed, connect)
+    def test_edge_cases(self, n, p, seed, connect):
+        _assert_paths_identical(n, p, seed, connect)
 
-    def test_p_below_float_resolution_raises_like_the_loop(self, monkeypatch):
-        from repro.graphs import generators
-
-        for numpy in (True, False):
-            with monkeypatch.context() as patch:
-                if not numpy:
-                    patch.setattr(generators, "_np", None)
-                with pytest.raises(ZeroDivisionError):
-                    generators.sparse_gnp_csr(10, 1e-17, seed=1)
+    def test_p_below_float_resolution_raises_like_the_loop(self):
+        with pytest.raises(ZeroDivisionError):
+            sparse_gnp_csr(10, 1e-17, seed=1)
+        with pytest.raises(ZeroDivisionError):
+            _sparse_gnp_csr_loop(10, 1e-17, random.Random(1), True)

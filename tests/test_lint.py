@@ -92,18 +92,9 @@ FIXTURES = {
         ),
     },
     "REP005": {
-        "path": "src/repro/distributed/fixture.py",
+        "path": "src/repro/core/fixture.py",
         "bad": "import numpy as np\n",
-        "good": (
-            "import os\n"
-            "if os.environ.get('REPRO_DISABLE_NUMPY'):\n"
-            "    _np = None\n"
-            "else:\n"
-            "    try:\n"
-            "        import numpy as _np\n"
-            "    except ImportError:\n"
-            "        _np = None\n"
-        ),
+        "good": "import math\n",
     },
     "REP006": {
         "path": "src/repro/distributed/fixture.py",
@@ -183,6 +174,25 @@ class TestRuleFixtures:
             "    import numpy as np\n"
         )
         assert lint(src, "src/repro/distributed/fixture.py") == []
+
+    def test_rep005_allows_only_the_array_kernel_modules(self):
+        bad = FIXTURES["REP005"]["bad"]
+        for path in (
+            "src/repro/distributed/columnar.py",
+            "src/repro/distributed/targeted.py",
+            "src/repro/distributed/vectorize.py",
+            "src/repro/graphs/generators.py",
+            "src/repro/spanner/lp_bound.py",
+        ):
+            assert lint(bad, path) == [], path
+        # A try/except guard no longer makes an import legal elsewhere.
+        guarded = "try:\n    import numpy\nexcept ImportError:\n    pass\n"
+        for src in (bad, guarded, "from numpy import int64\n"):
+            for path in (
+                "src/repro/distributed/simulator.py",
+                "src/repro/experiments/defs_megascale.py",
+            ):
+                assert [f.rule for f in lint(src, path)] == ["REP005"], (src, path)
 
     def test_rep006_scope_is_distributed_only(self):
         bad = FIXTURES["REP006"]["bad"]

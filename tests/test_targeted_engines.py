@@ -6,10 +6,10 @@ outputs, ``Metrics.as_dict()`` (hence per-round bit tallies) and
 completion — across all four communication models, for pure-targeted and
 mixed targeted/broadcast rounds, under every adversary class (whose keyed
 hashes must therefore fire on exactly the same (src, dst, round) links on
-every engine), and with NumPy monkeypatched away.
+every engine).
 
 Plus unit coverage for :class:`~repro.distributed.targeted.TargetedInbox`,
-the lazy Mapping view the fault-free NumPy kernel hands receivers.
+the lazy Mapping view the fault-free kernel hands receivers.
 """
 
 import pytest
@@ -25,7 +25,6 @@ from repro.distributed import (
     congested_clique_model,
     local_model,
 )
-from repro.distributed import targeted as targeted_module
 from repro.distributed.adversary import build_adversary
 from repro.graphs import gnp_random_graph, path_graph
 
@@ -133,19 +132,6 @@ def test_reference_engine_agrees_on_outputs(model_key, mix):
     else:
         assert got["outputs"] == expected["outputs"]
         assert got["completed"] == expected["completed"]
-
-
-@pytest.mark.parametrize("adversary", ADVERSARIES, ids=lambda a: a or "fault-free")
-@pytest.mark.parametrize("engine", ["columnar"])
-def test_no_numpy_fallback_matches_numpy_path(engine, adversary, monkeypatch):
-    with_numpy = _outcome(engine, "clique", True, adversary)
-    monkeypatch.setattr(targeted_module, "_np", None)
-    without = _outcome(engine, "clique", True, adversary)
-    if isinstance(with_numpy, Exception):
-        assert type(without) is type(with_numpy)
-        assert str(without) == str(with_numpy)
-    else:
-        assert without == with_numpy
 
 
 @pytest.mark.parametrize("engine", ["indexed", "columnar", "reference"])

@@ -4,8 +4,8 @@ The lowering layer (``repro.distributed.vectorize``) ships under the
 tightest gate in the repo: a lowered run must be **bit-for-bit identical**
 to the stepped columnar run and the indexed oracle — outputs,
 ``Metrics.as_dict()``, ``bits_per_round``, fault counters — across all four
-communication models, under the drop/crash adversaries, with NumPy
-monkeypatched away, and on negative-label instances that force the
+communication models, under the drop/crash adversaries, and on
+negative-label instances that force the
 non-monotone size path.  Every refusal seam (corruption, mixed program
 classes, tampered state, heterogeneous config, non-int labels,
 ``vectorize=False``) must fall back to stepping, visibly
@@ -15,6 +15,7 @@ infrastructure (graph memoization, the O(n + m) Barabási–Albert CSR
 family) is covered here too.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.flood_max import (
@@ -29,7 +30,6 @@ from repro.distributed import (
     congested_clique_model,
     local_model,
 )
-from repro.distributed import columnar as columnar_module
 from repro.distributed import simulator as simulator_module
 from repro.distributed.adversary import build_adversary
 from repro.distributed.encoding import estimate_bits
@@ -257,45 +257,6 @@ class TestLoweringDecision:
         assert lowered.metrics.messages_sent == 0
 
 
-class TestNumpyAbsentLowering:
-    """The stdlib-``array`` kernels lower too, bit-for-bit."""
-
-    @pytest.mark.parametrize("workload", sorted(WORKLOADS), ids=str)
-    def test_identical_without_numpy(self, monkeypatch, workload):
-        monkeypatch.setattr(columnar_module, "_np", None)
-        g = gnp_random_graph(30, 0.2, seed=12)
-        factory = WORKLOADS[workload]
-        sim, fallback = _run(
-            g, factory, broadcast_congest_model(30), "columnar", seed=2
-        )
-        _, indexed = _run(g, factory, broadcast_congest_model(30), "indexed", seed=2)
-        assert sim.lowered  # lowering engages without NumPy, just slower
-        _assert_identical(fallback, indexed)
-
-    @pytest.mark.parametrize("adversary", ["drop:0.2", "crash:3@1,11@2"])
-    def test_adversaries_without_numpy(self, monkeypatch, adversary):
-        monkeypatch.setattr(columnar_module, "_np", None)
-        g = gnp_random_graph(28, 0.2, seed=7)
-        sim, fallback = _run(
-            g,
-            WORKLOADS["robust"],
-            broadcast_congest_model(28, enforce=False),
-            "columnar",
-            seed=5,
-            adversary=adversary,
-        )
-        _, indexed = _run(
-            g,
-            WORKLOADS["robust"],
-            broadcast_congest_model(28, enforce=False),
-            "indexed",
-            seed=5,
-            adversary=adversary,
-        )
-        assert sim.lowered
-        _assert_identical(fallback, indexed)
-
-
 class TestContextFreeLowering:
     """Fault-free lowered runs set up straight from CSR: no per-node contexts.
 
@@ -331,13 +292,8 @@ class TestContextFreeLowering:
             g.add_edge(u, v)
         return g
 
-    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "stdlib"])
     @pytest.mark.parametrize("workload", sorted(WORKLOADS), ids=str)
-    def test_fault_free_lowered_run_builds_no_contexts(
-        self, built, monkeypatch, numpy, workload
-    ):
-        if not numpy:
-            monkeypatch.setattr(columnar_module, "_np", None)
+    def test_fault_free_lowered_run_builds_no_contexts(self, built, workload):
         g = self._graph()
         model = broadcast_congest_model(self.N)
         sim, lowered = _run(g, WORKLOADS[workload], model, "columnar", seed=8)
@@ -404,14 +360,13 @@ class TestClosedFormSizes:
             ), (v, copies)
 
     def test_np_payload_bits_matches_scalar_forms(self):
-        np = pytest.importorskip("numpy")
         values = np.array(
             [0, 1, 2, 3, 4, 255, 256, 1023, 1024, 2**40 - 1, 2**40, 2**62],
             dtype=np.int64,
         )
-        plain = _np_payload_bits(np, values, None)
+        plain = _np_payload_bits(values, None)
         assert plain.tolist() == [int_payload_bits(int(v)) for v in values]
-        framed = _np_payload_bits(np, values, 3)
+        framed = _np_payload_bits(values, 3)
         assert framed.tolist() == [
             repetition_frame_bits(int(v), 3) for v in values
         ]

@@ -1,6 +1,10 @@
 """Tests for spanner verification, the exact solver and the LP lower bound."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -224,3 +228,26 @@ class TestLPBound:
     def test_lp_at_least_trivial_bound(self):
         g = connected_gnp_graph(10, 0.5, seed=5)
         assert lp_lower_bound_2spanner(g) >= 0
+
+    def test_lp_bound_independent_of_hash_seed(self):
+        # E01's "stars 4x6" instance has tuple labels, whose hash order
+        # follows PYTHONHASHSEED; the LP rows (and HiGHS's last digits) must
+        # not.  Seeds 0 and 3 order the covering options differently.
+        script = (
+            "from repro.experiments.families import build_graph\n"
+            "from repro.spanner import lp_lower_bound_2spanner\n"
+            "g = build_graph(('overlapping_stars', 4, 6, 2, 6))\n"
+            "print(repr(lp_lower_bound_2spanner(g)))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "3")
+        ]
+        assert outputs[0] == outputs[1]

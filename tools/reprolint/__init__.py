@@ -2,13 +2,13 @@
 
 The repo's engine-parity guarantees (bit-for-bit identity across the
 indexed/columnar/targeted engine paths, seeded adversary determinism,
-NumPy-optional kernel equality) are enforced *dynamically* by the
+lowered/stepped kernel equality) are enforced *dynamically* by the
 differential test suite.  ``reprolint`` is the *static* half of that
 contract: a small, dependency-free framework that walks the Python AST of
 ``src/repro/`` and flags constructs that can silently break determinism or
 regress the hot paths — unseeded global randomness, hash-order-dependent
-iteration, wall-clock reads inside algorithm code, unguarded NumPy imports,
-and per-message ``estimate_bits`` calls that bypass the size tables.
+iteration, wall-clock reads inside algorithm code, NumPy outside the
+array-kernel modules, and per-message ``estimate_bits`` calls that bypass the size tables.
 
 Layout
 ------

@@ -1,8 +1,8 @@
 """Rule framework: findings, pragmas, baselines, registry and file walker.
 
 Everything here is deliberately stdlib-only (``ast``, ``re``, ``json``,
-``pathlib``) so the checker runs in every CI leg — including the no-NumPy
-one — without installing anything.
+``pathlib``) so the checker runs in any CI job without installing
+anything.
 
 Suppression model
 -----------------

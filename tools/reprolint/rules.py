@@ -270,34 +270,43 @@ class WallClockRule(Rule):
 
 @registry.register
 class NumpyImportDisciplineRule(Rule):
-    """REP005 — NumPy only through the guarded ``_np`` module-global pattern.
+    """REP005 — NumPy only in the array-kernel modules.
 
-    NumPy is an optional accelerator, never a dependency: the no-NumPy CI
-    leg must import every module.  The one blessed shape is the
-    ``distributed/columnar.py`` / ``distributed/targeted.py`` guard —
-    ``import numpy as _np`` inside ``try/except ImportError`` (behind the
-    ``REPRO_DISABLE_NUMPY`` gate) — because the ``_np`` global is also the
-    fallback-parity tests' monkeypatch point.  ``TYPE_CHECKING`` imports
-    are exempt; a hard-dependency module (SciPy-coupled analysis) documents
-    itself with a pragma.
+    NumPy is a required dependency, but a NumPy scalar that leaks into a
+    program payload is sized wrongly: ``estimate_bits(np.int64(5))`` is
+    64 bits where ``estimate_bits(5)`` is 4.  So ``core/``, the node
+    programs and ``experiments/`` stay NumPy-free: a ``numpy`` import is a
+    finding everywhere except the array-kernel modules
+    (:attr:`_KERNEL_MODULES`), which convert back to Python ints at their
+    boundary.  ``TYPE_CHECKING`` imports are exempt.
     """
 
     code = "REP005"
-    name = "unguarded-numpy-import"
-    rationale = "numpy must stay optional: guarded `import numpy as _np` only"
+    name = "numpy-outside-array-kernels"
+    rationale = "numpy scalars in payloads are mis-sized; numpy only in array kernels"
+
+    _KERNEL_MODULES = (
+        "*/distributed/columnar.py",
+        "*/distributed/targeted.py",
+        "*/distributed/vectorize.py",
+        "*/graphs/generators.py",
+        "*/spanner/lp_bound.py",
+    )
+
+    def applies_to(self, path: str) -> bool:
+        return not any(fnmatch(path, pat) for pat in self._KERNEL_MODULES)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node, ancestors in _walk_parents(ctx.tree):
             if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy" or alias.name.startswith("numpy."):
-                        if not self._allowed(alias, ancestors):
-                            yield ctx.finding(self, node, self._message(alias.asname))
+                modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module == "numpy" or module.startswith("numpy."):
-                    if not self._type_checking_only(ancestors):
-                        yield ctx.finding(self, node, self._message(None))
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                if not self._type_checking_only(ancestors):
+                    yield ctx.finding(self, node, self._MESSAGE)
 
     @staticmethod
     def _type_checking_only(ancestors: tuple[ast.AST, ...]) -> bool:
@@ -306,34 +315,12 @@ class NumpyImportDisciplineRule(Rule):
             for a in ancestors
         )
 
-    def _allowed(self, alias: ast.alias, ancestors: tuple[ast.AST, ...]) -> bool:
-        if self._type_checking_only(ancestors):
-            return True
-        if alias.asname != "_np":
-            return False
-        for a in ancestors:
-            if isinstance(a, ast.Try):
-                for handler in a.handlers:
-                    caught = handler.type
-                    names = (
-                        [_last_segment(n) for n in caught.elts]
-                        if isinstance(caught, ast.Tuple)
-                        else [_last_segment(caught)] if caught is not None else [""]
-                    )
-                    if any(
-                        n in ("ImportError", "ModuleNotFoundError", "Exception", "")
-                        for n in names
-                    ):
-                        return True
-        return False
-
-    def _message(self, asname: str | None) -> str:
-        spelled = f"as {asname}" if asname else "directly"
-        return (
-            f"numpy imported {spelled} without the optional-accelerator guard; "
-            "use `try: import numpy as _np / except ImportError: _np = None` "
-            "behind the REPRO_DISABLE_NUMPY gate (see distributed/columnar.py)"
-        )
+    _MESSAGE = (
+        "numpy imported outside the array-kernel modules; a numpy scalar in a "
+        "payload is mis-sized by estimate_bits — keep array code in "
+        "distributed/columnar.py, targeted.py, vectorize.py, "
+        "graphs/generators.py or spanner/lp_bound.py"
+    )
 
 
 @registry.register
