@@ -18,13 +18,13 @@ its in- and out-neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
 from repro.core.two_spanner import (
     TwoSpannerOptions,
     TwoSpannerProgram,
+    TwoSpannerResult,
     run_spanner_program,
 )
 from repro.core.variants import NodeSetup, UnweightedVariant
@@ -34,23 +34,12 @@ from repro.graphs.graph import Node, edge_key
 from repro.spanner.stars import directed_star_arcs, spanned_edges
 
 
-@dataclass
-class DirectedTwoSpannerResult:
-    """Union of per-vertex outputs for the directed algorithm."""
-
-    arcs: set[Arc]
-    rounds: int
-    iterations: int
-    metrics: Any
-    fallback_count: int
-    node_outputs: dict[Node, Any] = field(repr=False, default_factory=dict)
+class DirectedTwoSpannerResult(TwoSpannerResult):
+    """Union of per-vertex outputs for the directed algorithm: ``edges`` are arcs."""
 
     @property
-    def size(self) -> int:
-        return len(self.arcs)
-
-    def cost(self, graph: DiGraph) -> float:
-        return sum(graph.weight(u, v) for u, v in self.arcs)
+    def arcs(self) -> set[Arc]:
+        return self.edges
 
 
 class DirectedVariant(UnweightedVariant):
@@ -85,37 +74,38 @@ class DirectedTwoSpannerProgram(TwoSpannerProgram):
 
     rho_clamp: Fraction | None = None  # the last (clamped) rounded density
 
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.announced: set[Arc] = set()  # arcs announced as covered via me
+
     def _covered_via_me(self) -> list[Arc]:
-        newly: list[Arc] = []
-        in_span = {u for (u, w) in self.incident_spanner if w == self.node}
-        out_span = {w for (u, w) in self.incident_spanner if u == self.node}
-        for u in in_span:
-            for w in out_span:
-                if u == w:
-                    continue
-                pair = (u, w)
-                if pair in self.known_targets and pair not in self.announced_covered_via:
-                    newly.append(pair)
-                    self.announced_covered_via.add(pair)
-                    self.covered.add(pair)
+        me, known, announced = self.node, self.known_targets, self.announced
+        in_span = {u for (u, w) in self.incident_spanner if w == me}
+        out_span = {w for (u, w) in self.incident_spanner if u == me}
+        newly = [
+            (u, w)
+            for u in in_span
+            for w in out_span
+            if u != w and (u, w) in known and (u, w) not in announced
+        ]
+        announced.update(newly)
+        self._cover(newly)
         return newly
 
-    def _refresh_hv(self) -> None:
+    def _open_targets(self, between: list[Arc]) -> set[Arc]:
         """Uncovered known arcs (u, w) my full star can span: (u, me) and (me, w) exist."""
-        known, me = self.known_targets, self.node
-        self.current_hv = {
-            a
-            for a in known
-            if a not in self.covered and (a[0], me) in known and (me, a[1]) in known
+        known, me, covered = self.known_targets, self.node, self.covered
+        return {
+            a for a in between if a not in covered and (a[0], me) in known and (me, a[1]) in known
         }
-        # Densest stars ignore directions (Claim 4.10).
-        self.star_hv = {edge_key(u, w) for u, w in self.current_hv}
 
     def _star_density(self, leaves: frozenset[Node], density: Fraction) -> Fraction:
         """Spanned arcs per arc of the directed star with these leaves."""
         return Fraction(len(spanned_edges(leaves, self.current_hv)), len(self._star(leaves)))
 
     def _densities(self) -> tuple[Fraction, Fraction]:
+        # Densest stars ignore directions (Claim 4.10).
+        self.star_hv = {edge_key(u, w) for u, w in self.current_hv}
         density, rounded = super()._densities()
         # The density estimate is a 2-approximation; clamp it to be non-increasing.
         if self.rho_clamp is not None:
@@ -169,4 +159,4 @@ def run_directed_two_spanner(
     arcs, stats = run_spanner_program(
         DirectedTwoSpannerProgram, graph, DirectedVariant(), options, seed, model, max_rounds
     )
-    return DirectedTwoSpannerResult(arcs=arcs, **stats)
+    return DirectedTwoSpannerResult(edges=arcs, **stats)

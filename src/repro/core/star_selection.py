@@ -42,14 +42,6 @@ class StarSelectionState:
     history: list[frozenset[Node]] = field(default_factory=list)
 
 
-def _density(
-    leaves: Iterable[Node],
-    candidate_edges: set[Edge],
-    leaf_weights: dict[Node, Fraction] | None,
-) -> Fraction:
-    return star_density(leaves, candidate_edges, leaf_weights)
-
-
 def _augment(
     leaves: frozenset[Node],
     pool: set[Node],
@@ -190,12 +182,12 @@ def choose_candidate_star(
         leaves = fresh(set(pool))
     else:
         previous = frozenset(state.last_leaves or frozenset())
-        prev_density = _density(previous, candidate_edges, leaf_weights)
+        prev_density = star_density(previous, candidate_edges, leaf_weights)
         if previous and prev_density >= threshold:
             leaves = previous
         else:
             shrunk = fresh(set(previous))
-            if shrunk and _density(shrunk, candidate_edges, leaf_weights) >= threshold:
+            if shrunk and star_density(shrunk, candidate_edges, leaf_weights) >= threshold:
                 leaves = shrunk
             else:
                 # Claim 4.4 proves this branch is unreachable; keep it as a

@@ -97,10 +97,11 @@ class TwoSpannerProgram(NodeProgram):
     element that must end up covered: an undirected edge here, an arc in
     :class:`~repro.core.directed_two_spanner.DirectedTwoSpannerProgram`,
     which overrides only the geometry hooks (``_covered_via_me``,
-    ``_refresh_hv``, ``_star_density``, ``_star``, ``_star_edges``,
-    ``_absorb_star``, ``_star_sides``, ``_ballots``), the two message
-    builders and the payload field names below.  A hook runs once per phase
-    or once per received star message, never per pair or per edge.
+    ``_open_targets``, ``_star_density``, ``_densities``, ``_star``,
+    ``_star_edges``, ``_absorb_star``, ``_star_sides``, ``_ballots``), the
+    two message builders and the payload field names below.  A hook runs
+    once per phase, once per received star message or once per run, never
+    per pair or per edge.
     """
 
     TARGETS_FIELD = "targets"  # hello
@@ -139,21 +140,24 @@ class TwoSpannerProgram(NodeProgram):
         self.locally_done = False
         self.done_broadcasts = 0
         self.selection_state = StarSelectionState()
-        self.announced_covered_via: set[Edge] = set()
         self.reported_covered: set[Edge] = set()
-        self._cover_scanned_list: list[Node] = []
-        self._cover_scanned_set: set[Node] = set()
-        self._density_cache: tuple[frozenset[Edge], tuple[Fraction, Fraction]] | None = None
+        # Scan position of each paired spanner neighbour; ``_partners[u]``
+        # lists each neighbour w with ``edge_key(u, w)`` a known target.
+        self._scan_position: dict[Node, int] = {}
+        self._partners: dict[Node, list[Node]] = {}
+        self._density_cache: tuple[int, tuple[Fraction, Fraction]] | None = None
         # Leaves of the densest star over the whole pool and ``star_hv``
         # (``None`` while ``current_hv`` is empty): the candidate phase
         # starts from them instead of solving the same input again.
         self.densest_leaves: frozenset[Node] | None = None
 
-        # --- per-iteration transient state --------------------------------
-        # ``current_hv``: uncovered targets my full star could span;
-        # ``star_hv``: the same as undirected pool edges, for star solving.
+        # ``current_hv``: uncovered targets my full star could span, built at
+        # hello and only ever shrinking (``_cover``); ``star_hv``: the same
+        # as undirected pool edges, for star solving.
         self.current_hv: set[Edge] = set()
         self.star_hv: set[Edge] = set()
+
+        # --- per-iteration transient state --------------------------------
         self.rho: Fraction = Fraction(0)
         self.rho_rounded: Fraction = Fraction(0)
         self.one_hop_max: tuple[Fraction, Fraction, Fraction] | None = None
@@ -192,12 +196,35 @@ class TwoSpannerProgram(NodeProgram):
 
     # --------------------------------------------------------------- handlers
     def _process_hello(self, inbox: Inbox) -> None:
-        for _, payloads in inbox.items():
+        for payloads in inbox.values():
             for msg in payloads:
                 # Targets travel as canonical keys; no re-canonicalisation.
                 self.known_targets.update(msg[self.TARGETS_FIELD])
         # Edges of the initial spanner are covered from the start.
         self.covered |= self.incident_spanner
+        # A target a star of mine can span, or my spanner edges can cover,
+        # joins two of my neighbours.
+        nbrs = self.setup.neighbors
+        between = [e for e in self.known_targets if e[0] in nbrs and e[1] in nbrs]
+        self.current_hv = self.star_hv = self._open_targets(between)
+        # Nodes with equal reprs never pair (a per-pair scan's rule).  Both
+        # orientations of a pair are known when ``edge_key`` is asymmetric.
+        for x, y in between:
+            if repr(x) != repr(y):
+                for u, w in ((x, y), (y, x)):
+                    partners = self._partners.setdefault(u, [])
+                    if edge_key(u, w) in self.known_targets and w not in partners:
+                        partners.append(w)
+
+    def _open_targets(self, between: list[Edge]) -> set[Edge]:
+        """The uncovered targets among ``between`` that my full star could span."""
+        pool, covered = self.setup.star_pool, self.covered
+        return {e for e in between if e not in covered and e[0] in pool and e[1] in pool}
+
+    def _cover(self, targets) -> None:
+        """Mark ``targets`` (a collection) covered; they leave ``current_hv``."""
+        self.covered.update(targets)
+        self.current_hv.difference_update(targets)
 
     # phase "cover": process ADD messages, announce pairs covered via me.
     def _phase_cover(self, ctx: NodeContext, inbox: Inbox) -> None:
@@ -208,60 +235,54 @@ class TwoSpannerProgram(NodeProgram):
                     self._absorb_star(sender, msg[self.STAR_FIELD])
                 elif kind == self.ADDED_KIND:
                     self._absorb_edges(msg[self.EDGES_FIELD])
-        self.covered |= self.incident_spanner
         self._send_cover(ctx)
 
     def _absorb_edges(self, edges) -> None:
         for e in edges:
             if self.node in e:
                 self.incident_spanner.add(e)
-            self.covered.add(e)
+        self._cover(edges)
 
     def _absorb_star(self, center: Node, leaves) -> None:
         if self.node in leaves:
-            self.incident_spanner.add(edge_key(self.node, center))
+            self._absorb_edges((edge_key(self.node, center),))
 
     def _send_cover(self, ctx: NodeContext) -> None:
         ctx.broadcast({"kind": "cover", "pairs": self._covered_via_me()})
 
     def _covered_via_me(self) -> list[Edge]:
-        """Targets newly 2-spanned by two of my spanner edges (marked announced)."""
-        # Spanner neighbours only grow, so every pair of already-scanned
-        # neighbours was handled by an earlier call (announced, or not a
-        # target then and never a target later); only pairs touching a fresh
-        # neighbour can yield a new announcement.
+        """Targets newly 2-spanned by two of my spanner edges, in scan order."""
+        # Spanner neighbours only grow, so only pairs touching a fresh one are
+        # new.  Each fresh neighbour meets the already-scanned neighbours in
+        # scan order, then the fresh ones after it.
+        me, position = self.node, self._scan_position
+        spanner_nbrs = {(u if w == me else w) for u, w in self.incident_spanner}
+        fresh = [u for u in spanner_nbrs if u not in position]
+        scanned = len(position)
+        for u in fresh:
+            position[u] = len(position)
         newly: list[Edge] = []
-        spanner_nbrs = {
-            (u if w == self.node else w) for u, w in self.incident_spanner
-        }
-        fresh = [u for u in spanner_nbrs if u not in self._cover_scanned_set]
-        if fresh:
-            known = self._cover_scanned_list
-            for a, u in enumerate(fresh):
-                for w in known:
-                    self._announce_pair(u, w, newly)
-                for w in fresh[a + 1 :]:
-                    self._announce_pair(u, w, newly)
-            known.extend(fresh)
-            self._cover_scanned_set.update(fresh)
+        for u in fresh:
+            mine = position[u]
+            met = [
+                (p, w)
+                for w in self._partners.get(u, ())
+                if (p := position.get(w)) is not None and (p < scanned or p > mine)
+            ]
+            # Positions are distinct, so labels are never compared.
+            newly.extend(edge_key(u, w) for _, w in sorted(met))
+        self._cover(newly)
         return newly
-
-    def _announce_pair(self, u: Node, w: Node, newly: list[Edge]) -> None:
-        if repr(u) == repr(w):
-            return  # distinct nodes with equal reprs are never paired
-        pair = edge_key(u, w)
-        if pair in self.known_targets and pair not in self.announced_covered_via:
-            newly.append(pair)
-            self.announced_covered_via.add(pair)
-            self.covered.add(pair)
 
     # phase "report": process COVER messages, report newly covered incident targets.
     def _phase_report(self, ctx: NodeContext, inbox: Inbox) -> None:
-        for _, payloads in inbox.items():
+        me, nbrs = self.node, self.setup.neighbors
+        for payloads in inbox.values():
             for msg in payloads:
-                for e in msg.get("pairs", []):
-                    if self.node in e or (e[0] in self.setup.neighbors and e[1] in self.setup.neighbors):
-                        self.covered.add(e)
+                # Only pairs I can use (incident, or between two neighbours) are kept.
+                pairs = msg.get("pairs", ())
+                usable = [e for e in pairs if me in e or (e[0] in nbrs and e[1] in nbrs)]
+                self._cover(usable)
 
         if (
             self.locally_done
@@ -291,9 +312,8 @@ class TwoSpannerProgram(NodeProgram):
         for sender, payloads in inbox.items():
             for msg in payloads:
                 self.neighbor_done[sender] = bool(msg.get("done", False))
-                self.covered.update(msg.get("covered", ()))
+                self._cover(msg.get("covered", ()))
 
-        self._refresh_hv()
         self.rho, self.rho_rounded = self._densities()
         ctx.broadcast(
             self._maxima_message(
@@ -301,17 +321,8 @@ class TwoSpannerProgram(NodeProgram):
             )
         )
 
-    def _refresh_hv(self) -> None:
-        """Set ``current_hv`` (and ``star_hv``) from the uncovered known targets."""
-        pool = self.setup.star_pool
-        self.current_hv = self.star_hv = {
-            e
-            for e in self.known_targets
-            if e not in self.covered and e[0] in pool and e[1] in pool
-        }
-
     def _densities(self) -> tuple[Fraction, Fraction]:
-        key = frozenset(self.current_hv)
+        key = len(self.current_hv)  # it only shrinks: same size, same set
         if self._density_cache is not None and self._density_cache[0] == key:
             return self._density_cache[1]
         if not self.current_hv:
@@ -335,16 +346,10 @@ class TwoSpannerProgram(NodeProgram):
 
     # phase "max": forward component-wise maxima of the density messages.
     def _phase_max(self, ctx: NodeContext, inbox: Inbox) -> None:
-        rho_max = self.rho
-        rounded_max = self.rho_rounded
-        wmax = self.setup.wmax_incident
-        for _, payloads in inbox.items():
-            for msg in payloads:
-                rho_max = max(rho_max, msg["rho"])
-                rounded_max = max(rounded_max, msg["rho_rounded"])
-                wmax = max(wmax, msg.get("wmax", wmax))
-        self.one_hop_max = (rho_max, rounded_max, wmax)
-        ctx.broadcast(self._maxima_message("max", rho_max, rounded_max, wmax))
+        self.one_hop_max = _fold_maxima(
+            inbox, (self.rho, self.rho_rounded, self.setup.wmax_incident)
+        )
+        ctx.broadcast(self._maxima_message("max", *self.one_hop_max))
 
     def _maxima_message(
         self, kind: str, rho: Fraction, rounded: Fraction, wmax: Fraction
@@ -354,12 +359,7 @@ class TwoSpannerProgram(NodeProgram):
     # phase "candidate": decide candidacy / termination, announce chosen stars.
     def _phase_candidate(self, ctx: NodeContext, inbox: Inbox) -> None:
         assert self.one_hop_max is not None
-        rho_max2, rounded_max2, wmax2 = self.one_hop_max
-        for _, payloads in inbox.items():
-            for msg in payloads:
-                rho_max2 = max(rho_max2, msg["rho"])
-                rounded_max2 = max(rounded_max2, msg["rho_rounded"])
-                wmax2 = max(wmax2, msg.get("wmax", wmax2))
+        rho_max2, rounded_max2, wmax2 = _fold_maxima(inbox, self.one_hop_max)
 
         threshold = self.variant.finish_threshold(wmax2)
         self.is_candidate = False
@@ -465,12 +465,11 @@ class TwoSpannerProgram(NodeProgram):
                         self.votes_received.add(e)
 
         if self.is_candidate and self.candidate_cv:
-            needed = Fraction(len(self.candidate_cv)) * self.options.vote_fraction
-            if Fraction(len(self.votes_received)) >= needed:
+            if len(self.votes_received) >= len(self.candidate_cv) * self.options.vote_fraction:
                 star_edges = self._star_edges()
                 self.my_spanner |= star_edges
                 self.incident_spanner |= star_edges
-                self.covered |= star_edges
+                self._cover(star_edges)
                 ctx.broadcast(
                     {"kind": "added_star", self.STAR_FIELD: sorted(self.candidate_star, key=repr)}
                 )
@@ -483,7 +482,7 @@ class TwoSpannerProgram(NodeProgram):
             if direct:
                 self.my_spanner.update(direct)
                 self.incident_spanner.update(direct)
-                self.covered.update(direct)
+                self._cover(direct)
                 ctx.broadcast({"kind": self.ADDED_KIND, self.EDGES_FIELD: direct})
             self.locally_done = True
 
@@ -498,6 +497,24 @@ class TwoSpannerProgram(NodeProgram):
             "iterations": self.iteration,
             "fallbacks": self.selection_state.fallback_count,
         }
+
+
+def _fold_maxima(inbox: Inbox, maxima: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Component-wise maxima of ``maxima`` and the inbox's density messages.
+
+    Compares integer cross products, not ``Fraction``s, and keeps the first
+    maximum on ties as ``max`` does.  A message without ``wmax`` (the
+    directed variant's) leaves that component alone.
+    """
+    messages = [msg for payloads in inbox.values() for msg in payloads]
+    folded = []
+    for best, key in zip(maxima, ("rho", "rho_rounded", "wmax")):
+        num, den = best.numerator, best.denominator
+        for value in [msg[key] for msg in messages if key in msg]:
+            if value.numerator * den > num * value.denominator:
+                best, num, den = value, value.numerator, value.denominator
+        folded.append(best)
+    return tuple(folded)
 
 
 # ---------------------------------------------------------------------- runner
@@ -516,8 +533,8 @@ def run_two_spanner(
     The returned edge set is the union of the per-vertex outputs; ``rounds``
     counts simulator rounds (7 per algorithm iteration plus setup/termination)
     and ``iterations`` is the largest iteration index any vertex reached.
-    ``engine`` selects the simulator engine (the throughput benchmark compares
-    ``indexed`` against ``reference``); results are identical for a fixed seed.
+    ``engine`` selects the simulator engine (``columnar`` by default);
+    results are identical on every engine for a fixed seed.
     ``adversary`` forwards a fault policy to the simulator; this algorithm's
     handshake phases assume reliable delivery, so use it for golden-stability
     checks (``NoAdversary``) rather than fault sweeps.

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections.abc import Mapping, Sequence, Set
+from fractions import Fraction
 
 _FRAMING_BITS = 2
 
@@ -44,10 +45,33 @@ def estimate_bits(payload: object) -> int:
             total += _FRAMING_BITS + estimate_bits(key) + estimate_bits(value)
         return total
     if cls is list or cls is tuple:
+        # Exact-int items and exact-int pairs (vertex labels, edges) are
+        # sized inline: the same sums the recursive calls would return.
         total = _FRAMING_BITS
         for item in payload:
-            total += _FRAMING_BITS + estimate_bits(item)
+            icls = type(item)
+            if icls is int:
+                total += _INT_ITEM_BITS + max(1, item.bit_length())
+            elif (
+                icls is tuple
+                and len(item) == 2
+                and type(item[0]) is int
+                and type(item[1]) is int
+            ):
+                total += (
+                    _PAIR_ITEM_BITS
+                    + max(1, item[0].bit_length())
+                    + max(1, item[1].bit_length())
+                )
+            else:
+                total += _FRAMING_BITS + estimate_bits(item)
         return total
+    if cls is Fraction:
+        return (
+            _FRACTION_BITS
+            + max(1, payload.numerator.bit_length())
+            + max(1, payload.denominator.bit_length())
+        )
     if payload is None or isinstance(payload, bool):
         return 1
     if isinstance(payload, int):
@@ -101,6 +125,16 @@ def _object_fields(payload: object) -> dict[str, object] | None:
             if name not in fields and hasattr(payload, name):
                 fields[name] = getattr(payload, name)
     return fields
+
+
+# Closed-form constants of ``estimate_bits``: each is the generic chain's
+# result less the integers' magnitude bits (``max(1, bit_length)`` each).
+#: An exact ``int`` list/tuple item: its framing plus the sign bit.
+_INT_ITEM_BITS = _FRAMING_BITS + 1
+#: An exact ``(int, int)`` list/tuple item: framings plus two sign bits.
+_PAIR_ITEM_BITS = _FRAMING_BITS + _FRAMING_BITS + 2 * _INT_ITEM_BITS
+#: A ``Fraction``, sized as the dict of its two slots (``_object_fields``).
+_FRACTION_BITS = estimate_bits(_object_fields(Fraction(1))) - 2
 
 
 class BitsMemo:

@@ -214,6 +214,33 @@ class Metrics:
         """Increment an adversary-owned fault counter (created on first use)."""
         self.per_adversary[counter] = self.per_adversary.get(counter, 0) + amount
 
+    def check_invariants(self) -> None:
+        """Check the run's conservation laws; raise ``AssertionError`` naming a broken one.
+
+        * ``sum(bits_per_round) == bits_sent`` while the history is whole
+          (not streaming, or fewer rounds than ``history_cap``);
+        * ``cut_messages <= messages_sent`` and ``cut_bits <= bits_sent``;
+        * ``max_message_bits <= bits_sent``.
+
+        Never called by the engines: tests and differential harnesses call
+        it after a run, so the hot paths pay nothing.
+        """
+        laws = [
+            ("cut_messages <= messages_sent", self.cut_messages, self.messages_sent),
+            ("cut_bits <= bits_sent", self.cut_bits, self.bits_sent),
+            ("max_message_bits <= bits_sent", self.max_message_bits, self.bits_sent),
+        ]
+        for law, low, high in laws:
+            if low > high:
+                raise AssertionError(f"metrics law broken: {law} ({low} > {high})")
+        if not self.streaming or self.rounds < self.history_cap:
+            total = sum(self.bits_per_round)
+            if total != self.bits_sent:
+                raise AssertionError(
+                    "metrics law broken: sum(bits_per_round) == bits_sent "
+                    f"({total} != {self.bits_sent})"
+                )
+
     def as_dict(self) -> dict[str, int]:
         """All aggregate counters as a flat dictionary.
 

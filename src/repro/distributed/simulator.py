@@ -18,7 +18,7 @@ graph exposed as ``ctx.graph_neighbors``.
 
 Three engines share the public API and produce identical results:
 
-* ``indexed`` (default) — runs on the model's compiled communication
+* ``indexed`` — runs on the model's compiled communication
   topology (:meth:`~repro.distributed.models.CommunicationModel.communication_topology`):
   contexts and programs live in dense lists, an active-set scheduler skips
   halted vertices, inboxes are materialised only for vertices with pending
@@ -26,14 +26,13 @@ Three engines share the public API and produce identical results:
   :class:`~repro.distributed.metrics.LinkLedger` indexed by CSR arc
   position, and message sizes are measured once per distinct payload object
   per round (:class:`~repro.distributed.encoding.BitsMemo`).
-* ``columnar`` — the mega-scale flat-array engine
+* ``columnar`` (default) — the flat-array engine
   (:mod:`repro.distributed.columnar`).  Broadcast rounds exploit the
   broadcast-admission invariant (one identical payload per sender per
   round): each sender's payload is interned once and sized from a
   run-lifetime :class:`~repro.distributed.encoding.PayloadSizeTable`,
   accounting reduces over preallocated per-node count columns (NumPy
-  kernels when importable, stdlib ``array`` otherwise — identical results)
-  into one :class:`~repro.distributed.metrics.RoundTally` flush per round,
+  kernels) into one :class:`~repro.distributed.metrics.RoundTally` flush per round,
   and fault-free delivery hands each receiver a lazy CSR-backed inbox view
   instead of building dicts.  Runs of an opted-in
   :class:`~repro.distributed.vectorize.VectorProgram` lower whole rounds
@@ -86,7 +85,7 @@ ProgramFactory = Callable[[Node], NodeProgram]
 ENGINES = ("indexed", "columnar", "reference")
 
 #: The engine every ``engine=`` parameter and experiment runner defaults to.
-DEFAULT_ENGINE = "indexed"
+DEFAULT_ENGINE = "columnar"
 
 
 @dataclass
@@ -140,9 +139,9 @@ class Simulator:
         crossing between this set and its complement are tallied separately
         (used by the lower-bound reduction harness).
     engine:
-        ``"indexed"`` (the compiled-topology engine, default),
-        ``"columnar"`` (the mega-scale flat-array engine; NumPy-accelerated
-        when NumPy is importable, stdlib otherwise) or ``"reference"``
+        ``"columnar"`` (the flat-array engine with NumPy kernels,
+        default), ``"indexed"`` (the compiled-topology engine) or
+        ``"reference"``
         (the original dict-based engine).  All engines produce identical
         outputs and metrics for a fixed seed, for broadcast and targeted
         traffic alike; the only send restriction is the *semantic* one —

@@ -9,11 +9,13 @@ experiment-orchestration PR:
   but stored nested dicts, hiding per-model counters from flat JSON
   consumers.
 
-It also pins ``estimate_bits``'s exact-type fast path to the generic
-``isinstance`` chain it short-cuts.
+It also pins ``estimate_bits``'s exact-type fast path and its closed forms
+(``Fraction``, int and int-pair items) to the generic ``isinstance`` chain
+they short-cut.
 """
 
 import importlib.util
+import re
 from collections import OrderedDict, namedtuple
 from collections.abc import Mapping, Sequence, Set
 from enum import IntEnum
@@ -167,6 +169,56 @@ class TestEstimateBitsFastPath:
         assert estimate_bits(Fraction(3, 4)) == generic_bits(Fraction(3, 4))
 
 
+_BIG_INTS = st.integers(min_value=-(2**70), max_value=2**70)
+_FRACTIONS = st.one_of(
+    st.sampled_from(
+        [Fraction(0), Fraction(-3, 7), Fraction(2**64 + 1, 2**65 + 3), Fraction(-(2**80), 3)]
+    ),
+    st.builds(Fraction, _BIG_INTS, st.integers(min_value=1, max_value=2**70)),
+)
+_ITEMS = st.one_of(
+    _BIG_INTS,
+    st.tuples(_BIG_INTS, _BIG_INTS),
+    st.tuples(st.booleans(), _BIG_INTS),
+    st.tuples(_BIG_INTS, st.booleans()),
+    st.tuples(_BIG_INTS, _BIG_INTS, _BIG_INTS),
+    st.tuples(st.tuples(_BIG_INTS, _BIG_INTS), _BIG_INTS),
+    st.tuples(_BIG_INTS, st.text(max_size=3)),
+    st.builds(_Label, st.integers()),
+    st.text(max_size=4),
+    _FRACTIONS,
+)
+_SEQUENCES = st.one_of(
+    st.lists(_ITEMS, max_size=8), st.lists(_ITEMS, max_size=8).map(tuple)
+)
+
+
+class TestClosedFormSizing:
+    """The ``Fraction`` and int / int-pair item closed forms equal the generic chain."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_FRACTIONS)
+    def test_fraction(self, value):
+        assert estimate_bits(value) == generic_bits(value)
+        assert estimate_bits({"rho": value}) == generic_bits({"rho": value})
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_SEQUENCES)
+    def test_sequence_items(self, payload):
+        assert estimate_bits(payload) == generic_bits(payload)
+        assert estimate_bits((payload, 1)) == generic_bits((payload, 1))
+
+    def test_bool_pairs_are_not_int_pairs(self):
+        assert estimate_bits([(True, 1)]) == generic_bits([(True, 1)]) == 13
+        assert estimate_bits([(1, True)]) == generic_bits([(1, True)]) == 13
+        assert estimate_bits([(1, 1)]) == 14
+
+    def test_fraction_layout(self):
+        # The closed form sizes a Fraction as these two slots; a Python whose
+        # Fraction stores anything else must fail here, not shift bits_sent.
+        assert _object_fields(Fraction(3, 7)) == {"_numerator": 3, "_denominator": 7}
+
+
 class TestMetricsCollision:
     def test_per_model_counters_merge(self):
         metrics = Metrics()
@@ -185,6 +237,41 @@ class TestMetricsCollision:
             metrics.per_model[core_key] = 1
             with pytest.raises(ValueError):
                 metrics.as_dict()
+
+
+class TestMetricsInvariants:
+    def test_consistent_run_passes(self):
+        metrics = Metrics()
+        metrics.start_round()
+        metrics.record_message(9, crosses_cut=True)
+        metrics.record_message(4, crosses_cut=False)
+        metrics.check_invariants()
+
+    @pytest.mark.parametrize(
+        "field, value, law",
+        [
+            ("bits_sent", 20, "sum(bits_per_round) == bits_sent"),
+            ("cut_messages", 3, "cut_messages <= messages_sent"),
+            ("cut_bits", 14, "cut_bits <= bits_sent"),
+            ("max_message_bits", 14, "max_message_bits <= bits_sent"),
+        ],
+    )
+    def test_broken_law_is_named(self, field, value, law):
+        metrics = Metrics()
+        metrics.start_round()
+        metrics.record_message(9, crosses_cut=True)
+        metrics.record_message(4, crosses_cut=False)
+        setattr(metrics, field, value)
+        with pytest.raises(AssertionError, match=re.escape(law)):
+            metrics.check_invariants()
+
+    def test_evicted_history_skips_the_sum_law(self):
+        metrics = Metrics(streaming=True, history_cap=2)
+        for _ in range(3):
+            metrics.start_round()
+            metrics.record_message(7, crosses_cut=False)
+        assert sum(metrics.bits_per_round) != metrics.bits_sent
+        metrics.check_invariants()
 
 
 class _FakeBenchmark:

@@ -51,7 +51,7 @@ ADVERSARIES = [
 
 
 def _run_all_engines(graph, factory, model, adversary, seed=9, cut=None):
-    return {
+    runs = {
         engine: Simulator(
             graph,
             factory,
@@ -63,6 +63,9 @@ def _run_all_engines(graph, factory, model, adversary, seed=9, cut=None):
         ).run()
         for engine in ("indexed", "columnar", "reference")
     }
+    for run in runs.values():
+        run.metrics.check_invariants()
+    return runs
 
 
 class TestEngineParityUnderFaults:

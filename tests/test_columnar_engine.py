@@ -143,6 +143,8 @@ def _run(graph, factory, model, engine, seed=1, cut=None, adversary=None, vector
 
 
 def _assert_identical(a, b):
+    a.metrics.check_invariants()
+    b.metrics.check_invariants()
     assert a.outputs == b.outputs
     assert a.metrics.as_dict() == b.metrics.as_dict()
     assert list(a.metrics.bits_per_round) == list(b.metrics.bits_per_round)

@@ -248,6 +248,7 @@ def _run(engine, model, mix, adversary=CORRUPT):
         adversary=build_adversary(adversary) if adversary else None,
     )
     result = sim.run(max_rounds=50)
+    result.metrics.check_invariants()
     return {
         "outputs": dict(sorted(result.outputs.items())),
         "metrics": result.metrics.as_dict(),

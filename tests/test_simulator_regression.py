@@ -196,6 +196,7 @@ class TestEngineEquivalence:
         for engine in ("indexed", "reference"):
             sim = Simulator(graph, factory, engine=engine, **kwargs)
             runs[engine] = sim.run()
+            runs[engine].metrics.check_invariants()
         return runs["indexed"], runs["reference"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -237,7 +238,9 @@ class TestEngineEquivalence:
             for engine in ("indexed", "columnar", "reference")
         }
         ref = runs.pop("reference")
+        ref.metrics.check_invariants()
         for run in runs.values():
+            run.metrics.check_invariants()
             assert run.outputs == ref.outputs
             assert run.metrics.as_dict() == ref.metrics.as_dict()
             assert run.metrics.bits_per_round == ref.metrics.bits_per_round
