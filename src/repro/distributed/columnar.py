@@ -418,7 +418,8 @@ class BroadcastAccounting:
         self.indptr = indptr
         self.indices = topo.indices
         self.degrees = list(topo.degrees)
-        self.n_connected = sum(1 for deg in self.degrees if deg)
+        deg_np = self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
+        self.n_connected = int(np.count_nonzero(deg_np))
         cut = sim.cut
         self.cut_counts = (
             _crossing_counts(topo, [labels[i] in cut for i in range(n)])
@@ -443,7 +444,6 @@ class BroadcastAccounting:
         self.sent_count = 0
         self.senders: list[int] | None = None
 
-        deg_np = self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
         self.bits_np = np.frombuffer(self.bits_col, dtype=np.int64)
         # Zero-copy boolean view of the sent column; the bytearray is never
         # resized, so the exported buffer stays valid all run.
@@ -459,7 +459,8 @@ class BroadcastAccounting:
         keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg_np)
         keys += np.frombuffer(topo.indices, dtype=np.int64)
         keys.sort()
-        self.all_rows_np = keys % n
+        keys %= n  # in place: one arc-length column, not two
+        self.all_rows_np = keys
         if arcs:
             indptr_np = np.frombuffer(indptr, dtype=np.int64)
             self.reduce_idx = np.minimum(indptr_np[:n], arcs - 1)

@@ -75,7 +75,7 @@ from repro.distributed.metrics import LinkLedger, Metrics, flush_round_tally
 from repro.distributed.models import CommunicationModel, LocalModel, Model, ModelConfig
 from repro.distributed.node import NodeContext
 from repro.distributed.program import NodeProgram
-from repro.distributed.vectorize import try_lower
+from repro.distributed.vectorize import EngineView, try_lower
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 
@@ -169,7 +169,10 @@ class Simulator:
         Lowered runs are bit-for-bit identical to stepped runs; the knob
         (default on) exists so benchmarks and the E23 physics twins can
         force the stepped path.  ``lowered`` reports, after ``run()``,
-        whether lowering actually engaged.
+        whether lowering actually engaged, and ``lowering`` why:
+        ``"lowered"``, ``"vectorize off"``, or the refusal reason of
+        :func:`~repro.distributed.vectorize.try_lower` (``None`` on the
+        engines that never lower).
     """
 
     __slots__ = (
@@ -183,6 +186,7 @@ class Simulator:
         "streaming_metrics",
         "vectorize",
         "lowered",
+        "lowering",
         "topology",
     )
 
@@ -213,6 +217,7 @@ class Simulator:
         self.streaming_metrics = streaming_metrics
         self.vectorize = vectorize
         self.lowered = False
+        self.lowering: str | None = None
         self.topology = self.model.communication_topology(graph)
 
     def _new_metrics(self) -> Metrics:
@@ -244,6 +249,7 @@ class Simulator:
         # (freeze() is cached when the graph is unchanged).
         self.topology = self.model.communication_topology(self.graph)
         self.lowered = False
+        self.lowering = None
         if self.engine == "reference":
             return self._run_reference(max_rounds, raise_on_limit)
         if self.engine == "columnar":
@@ -534,12 +540,17 @@ class Simulator:
         # same opted-in VectorProgram class and the run admits it, whole
         # rounds execute as array kernels with zero per-node Python calls —
         # bit-for-bit identical to the stepped path below.  ``lowered``
-        # records the decision for callers (benchmarks, the E23 twins).
+        # records the decision for callers (benchmarks, the E23 twins) and
+        # ``lowering`` its reason.
         # The decision comes before any per-node context exists: a
         # fault-free lowered run never builds one, and its outputs are the
         # view's output column.
-        lowered = try_lower(accounting, programs) if self.vectorize else None
+        decision = (
+            try_lower(accounting, programs) if self.vectorize else "vectorize off"
+        )
+        lowered = decision if isinstance(decision, EngineView) else None
         self.lowered = lowered is not None
+        self.lowering = "lowered" if self.lowered else decision
         if lowered is not None:
             if filt is not None:
                 # The filter's round hook halts *contexts* (crash schedules).

@@ -64,6 +64,7 @@ adversaries.  The load-bearing details:
 
 from __future__ import annotations
 
+from operator import countOf
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -316,6 +317,7 @@ class EngineView:
         heard = np.maximum.reduceat(vals, reduce_idx)
         if bits is None:
             return heard
+        del gathered, vals  # one arc-length gather alive at a time
         gathered_bits = bits[all_rows_np]
         if dmask is not None:
             gathered_bits = np.where(dmask, gathered_bits, 0)
@@ -472,6 +474,7 @@ class MaxFloodKernel(VectorKernel):
 
     __slots__ = (
         "rounds", "patience", "copies", "best", "stable", "_size_cache", "_monotone",
+        "_quiet",
     )
 
     def __init__(
@@ -491,6 +494,8 @@ class MaxFloodKernel(VectorKernel):
         # All-nonnegative labels make wire size monotone in the payload, so
         # sizes can ride the same reduceat fold as the payloads.
         self._monotone = False
+        # Whether the previous round improved no node (see vector_round).
+        self._quiet = False
 
     def state_columns(self) -> dict[str, Any]:
         """``best`` (and ``stable`` for the patience variants) columns."""
@@ -546,22 +551,33 @@ class MaxFloodKernel(VectorKernel):
         view.queue_broadcast_alive()
 
     def vector_round(self, view: EngineView) -> None:
-        """One whole round: fold, update best/stable, retire, re-queue."""
+        """One whole round: fold, update best/stable, retire, re-queue.
+
+        A fault-free round that follows a quiet one (no node improved)
+        skips the fold: its senders are a subset of the previous round's
+        (nodes only halt) carrying the same unchanged payloads, so every
+        receiver hears at most what it heard last round — no more than its
+        own best — and stays quiet.  Any delivery filter (drops, crashes,
+        budgets) can deliver later what it withheld earlier, so filtered
+        runs fold every round.  Accounting is untouched: the engine's
+        collection pass charges every round's traffic either way.
+        """
         best = self.best
-        heard_bits = None
-        if self._monotone:
-            folded = view.fold_max(bits=view.bits_np)
-            heard = None
-            if folded is not None:
-                heard, heard_bits = folded
-        else:
-            heard = view.fold_max()
+        heard = heard_bits = None
+        if not (self._quiet and view.filt is None):
+            if self._monotone:
+                folded = view.fold_max(bits=view.bits_np)
+                if folded is not None:
+                    heard, heard_bits = folded
+            else:
+                heard = view.fold_max()
         alive = view.alive_np
         improved = None
         if heard is not None:
             improved = alive & view.nonempty_np & (heard > best)
             if not improved.any():
                 improved = None
+        self._quiet = improved is None
         if improved is not None:
             best[improved] = heard[improved]
             if heard_bits is not None:
@@ -590,38 +606,39 @@ class MaxFloodKernel(VectorKernel):
 
 def try_lower(
     accounting: BroadcastAccounting, programs: "list[NodeProgram]"
-) -> EngineView | None:
-    """Attempt to lower a columnar run; returns the armed view or ``None``.
+) -> "EngineView | str":
+    """Attempt to lower a columnar run; returns the armed view or a reason.
 
     Lowering engages when every program instance is the exact same
     :class:`VectorProgram` class (which then validates homogeneity and
     supplies the kernel), the delivery filter is absent or
     non-transforming, and every vertex label is an exact 64-bit ``int``.
-    Any refusal returns ``None`` and the caller runs the stepped columnar
-    path over the same ``accounting`` — the per-node fallback the protocol
-    guarantees is exact.  Only the programs are consulted: the decision
-    precedes per-node context construction, which a fault-free lowered run
-    skips altogether.
+    Any refusal returns a short string naming the check that refused, and
+    the caller runs the stepped columnar path over the same ``accounting``
+    — the per-node fallback the protocol guarantees is exact.  Only the
+    programs are consulted: the decision precedes per-node context
+    construction, which a fault-free lowered run skips altogether.
     """
     if not programs:
-        return None
-    first = programs[0]
-    if not isinstance(first, VectorProgram):
-        return None
-    cls = first.__class__
-    for program in programs:
-        if program.__class__ is not cls:
-            return None
+        return "no programs"
+    cls = type(programs[0])
+    if not issubclass(cls, VectorProgram):
+        return "not a VectorProgram"
+    # Exact-type counts at C level: no per-instance Python in the scans.
+    if countOf(map(type, programs), cls) != len(programs):
+        return "mixed program classes"
     filt = accounting.filt
     if filt is not None and filt.transforms:
-        return None
-    for lbl in accounting.labels:
-        if lbl.__class__ is not int or not (INT64_MIN <= lbl <= INT64_MAX):
-            return None
+        return "transforming filter"
+    labels = accounting.labels
+    if countOf(map(type, labels), int) != len(labels):
+        return "labels not all int"
+    if not (INT64_MIN <= min(labels) and max(labels) <= INT64_MAX):
+        return "labels outside int64"
     view = EngineView(accounting)
     kernel = cls.vector_kernel(programs, view)
     if kernel is None:
-        return None
+        return "kernel declined"
     view._kernel = kernel
     return view
 

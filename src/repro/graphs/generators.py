@@ -228,21 +228,24 @@ def sparse_gnp_csr(
     The sampler consumes randomness *identically* to
     :func:`sparse_gnp_graph`, so for the same seed the sampled edge set is
     the same; when that sample is already connected, the two generators
-    produce exactly the same graph.  Connectivity patching differs (a
-    union-find over the edge stream instead of a component scan of the
-    built graph), so disconnected samples are chained along a different —
-    but equally random — spanning path; treat ``connect=True`` instances as
-    their own scenario family, as E20 does.  ``connect`` defaults to True
-    because the mega-scale flooding workloads require it.
+    produce exactly the same graph.  Connectivity patching differs: the
+    component representatives are the minimum-index members (from SciPy's
+    connected components in bulk, a union-find in the loop) rather than the
+    smallest-by-``repr`` members of a component scan of the built graph, so
+    disconnected samples are chained along a different — but equally
+    random — spanning path; treat ``connect=True`` instances as their own
+    scenario family, as E20 does.  ``connect`` defaults to True because the
+    mega-scale flooding workloads require it.
 
     Dense regimes are out of scope: ``p`` must be in ``[0, 1)`` (a complete
     graph in CSR form at this scale would be astronomically large).  Nodes
     are labelled ``0..n-1`` and every edge has weight 1.0.
 
     For a plain :class:`random.Random` or seed the build runs in bulk
-    (:func:`_sparse_gnp_csr_numpy`): same doubles, same per-draw
-    ``math.log``, byte-identical CSR arrays, and the caller's RNG left in
-    exactly the state the stdlib loop (:func:`_sparse_gnp_csr_loop`) leaves.
+    (:func:`_sparse_gnp_csr_numpy`): same doubles, the same skip lengths
+    (bulk logs with an exact per-draw fallback), byte-identical CSR arrays,
+    and the caller's RNG left in exactly the state the stdlib loop
+    (:func:`_sparse_gnp_csr_loop`) leaves.
     Any other RNG (a :class:`random.Random` subclass, whose draws the bulk
     path cannot replay) takes the loop.
     """
@@ -352,19 +355,43 @@ def _sparse_gnp_csr_loop(
     return FrozenGraph(topo)
 
 
+def _skip_lengths(x, log_q: float, logs, cap: float):
+    """``min(int(math.log(x) / log_q), cap)`` per draw, from a bulk log column.
+
+    ``logs`` is NumPy's ``log`` of ``x`` (overwritten with the quotients).
+    NumPy's ``log`` may differ from libm's ``math.log`` — the one the stdlib
+    loop calls — by an ulp or so, and such a difference can change a
+    truncation only where the quotient lies next to an integer.  So every
+    quotient within ``1e-9 * (q + 1)`` of an integer (millions of ulps, far
+    wider than any libm discrepancy; quotients above 2^53 are integers and
+    always qualify) is recomputed with the per-draw ``math.log``; the rest
+    truncate to the same integer either way.  Skips are clamped to ``cap``
+    (the pair count) before the ``int64`` cast — a skip that long ends the
+    stream either way.
+    """
+    q = logs
+    np.divide(q, log_q, out=q)
+    near = np.abs(q - np.rint(q)) <= (q + 1.0) * 1e-9
+    idx = np.flatnonzero(near)
+    if len(idx):
+        log = math.log
+        q[idx] = [log(v) / log_q for v in x[idx].tolist()]
+    np.minimum(q, cap, out=q)
+    return q.astype(np.int64)
+
+
 def _gnp_pair_positions(n: int, p: float, rng: random.Random):
     """Linear pair indices of the geometric-skip stream, drawn in bulk.
 
     Pairs ``(v, w)`` with ``w < v`` are numbered ``v(v-1)/2 + w`` in the
     lexicographic order the stdlib loop walks.  A legacy NumPy
     ``RandomState`` loaded with ``rng``'s MT19937 state yields exactly
-    ``rng.random()``'s doubles; ``log(1 - u)`` stays the per-draw
-    ``math.log`` (NumPy's ``log`` may differ from libm by an ulp, which
-    could flip an ``int`` truncation), mapped lazily over each batch.
-    Skips are clamped to the pair count before the ``int64`` cast — a
-    skip that long ends the stream either way.  ``rng`` is finally
-    advanced by exactly the stdlib loop's draw count: one per sampled edge
-    plus the draw that overshoots the last pair.
+    ``rng.random()``'s doubles; the skip lengths take one NumPy ``log``
+    over each batch, with the per-draw ``math.log`` recomputing only the
+    draws where the two logs could truncate differently
+    (:func:`_skip_lengths`).  ``rng`` is finally advanced by exactly the
+    stdlib loop's draw count: one per sampled edge plus the draw that
+    overshoots the last pair.
     """
     pairs = n * (n - 1) // 2
     if p == 0.0 or not pairs:
@@ -376,7 +403,6 @@ def _gnp_pair_positions(n: int, p: float, rng: random.Random):
     version, internal, gauss = rng.getstate()
     mt = np.random.RandomState()
     mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
-    log = math.log
     batch = min(_SKIP_BATCH, int(p * pairs * 1.01) + 64)
     cap = float(pairs)
     chunks = []
@@ -385,10 +411,7 @@ def _gnp_pair_positions(n: int, p: float, rng: random.Random):
         before = mt.get_state()
         u = mt.random_sample(batch)
         np.subtract(1.0, u, out=u)
-        skip = np.frombuffer(array("d", map(log, memoryview(u))), dtype=np.float64)
-        np.divide(skip, log_q, out=skip)
-        np.minimum(skip, cap, out=skip)
-        pos = skip.astype(np.int64)
+        pos = _skip_lengths(u, log_q, np.log(u), cap)
         pos += 1
         np.cumsum(pos, out=pos)
         pos += last
@@ -414,8 +437,10 @@ def _sparse_gnp_csr_numpy(
 
     The skip stream (:func:`_gnp_pair_positions`) is decoded to ``(v, w)``
     with an exact integer fix-up of a float square root; the connectivity
-    patch takes its component minima from SciPy's connected components and
-    shuffles them with ``rng`` like the stdlib path; and the CSR arrays come
+    patch takes its component minima from SciPy's connected components of
+    the symmetric core arc matrix (the union-find's roots, since both pick
+    each component's minimum index) and shuffles them with ``rng`` like the
+    stdlib path; and the CSR arrays come
     from one sort of ``row * n + column`` arc keys — every row ascending,
     which is exactly what the stdlib's counting scatter (plus its re-sort of
     chain-touched rows) produces.
@@ -450,7 +475,10 @@ def _sparse_gnp_csr_numpy(
         core = csr_matrix(
             (np.ones(2 * m, dtype=np.int8), keys % n, core_indptr), shape=(n, n)
         )
-        _, comp = connected_components(core, directed=False)
+        # The arc matrix holds both arcs of every edge, so it is symmetric
+        # and its strong components are exactly the undirected components —
+        # found without the transpose the undirected mode builds.
+        _, comp = connected_components(core, directed=True, connection="strong")
         # First occurrence of each component label = its minimum member.
         reps = np.sort(np.unique(comp, return_index=True)[1]).tolist()
         if len(reps) > 1:

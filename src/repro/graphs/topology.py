@@ -23,6 +23,7 @@ helpers and the variant setup code all share one compiled view per graph via
 
 from __future__ import annotations
 
+import operator
 from array import array
 from collections.abc import Hashable, Iterator
 
@@ -67,9 +68,9 @@ class CompiledTopology:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
+        # indptr deltas, pairwise at C level (NumPy stays out of this module).
         self.degrees = array(
-            _INDEX_TYPECODE,
-            (indptr[i + 1] - indptr[i] for i in range(self.n)),
+            _INDEX_TYPECODE, map(operator.sub, indptr[1 : self.n + 1], indptr[: self.n])
         )
         self.arc_count = len(indices)
         self.edge_count = edge_count

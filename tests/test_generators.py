@@ -1,8 +1,19 @@
-"""Unit tests for the graph generators (structure, determinism, parameters)."""
+"""Unit tests for the graph generators (structure, determinism, parameters).
 
+The bulk ``sparse_gnp_csr`` build is checked against the stdlib loop on
+Hypothesis-generated parameters too; tier-1 runs a few derandomized
+examples and ``REPRO_CSR_IDENTITY_EXAMPLES`` asks for more (CI's
+``bench-smoke`` job runs 500).
+"""
+
+import math
+import os
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
     assign_random_weights,
@@ -27,7 +38,9 @@ from repro.graphs import (
     sparse_gnp_csr,
     star_graph,
 )
-from repro.graphs.generators import _sparse_gnp_csr_loop
+from repro.graphs.generators import _skip_lengths, _sparse_gnp_csr_loop
+
+CSR_IDENTITY_EXAMPLES = int(os.environ.get("REPRO_CSR_IDENTITY_EXAMPLES", "15"))
 
 
 class TestDeterministicGenerators:
@@ -341,3 +354,87 @@ class TestSparseGnpCsrBulkIdentity:
             sparse_gnp_csr(10, 1e-17, seed=1)
         with pytest.raises(ZeroDivisionError):
             _sparse_gnp_csr_loop(10, 1e-17, random.Random(1), True)
+
+
+def _shift_ulps(values, ulps):
+    """``values`` moved ``ulps`` units in the last place (sign = direction)."""
+    target = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        values = np.nextafter(values, target)
+    return values
+
+
+class TestSkipLengthsExactFallback:
+    """Bulk-log skip lengths truncate exactly like the per-draw ``math.log``.
+
+    The log column is pushed a few ulps off NumPy's at draws whose exact
+    quotient sits on an integer boundary — where a libm/NumPy discrepancy
+    could flip the truncation — and every skip must still equal the loop's
+    ``int(math.log(x) / log_q)`` (clamped to the cap).
+    """
+
+    @staticmethod
+    def _assert_exact(x, log_q, cap):
+        expect = [min(int(math.log(v) / log_q), int(cap)) for v in x.tolist()]
+        for ulps in (-4, -3, -2, -1, 0, 1, 2, 3, 4):
+            logs = _shift_ulps(np.log(x), ulps)
+            got = _skip_lengths(x, log_q, logs, cap)
+            assert got.dtype == np.int64
+            assert got.tolist() == expect, f"log column shifted {ulps} ulps"
+
+    @staticmethod
+    def _boundaries(log_q, ks):
+        """Draws ``x = exp(k * log_q)`` and their float neighbours, all in (0, 1]."""
+        xs = {1.0}  # u = 0: x = 1 - u = 1, log 0, skip 0
+        for k in ks:
+            x = math.exp(k * log_q)
+            if x > 0.0:
+                xs.update((x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)))
+        return np.array(sorted(xs))
+
+    @pytest.mark.parametrize("p", [0.5, 0.1, 0.03, 6e-5, 1e-9])
+    def test_integer_boundaries(self, p):
+        log_q = math.log(1.0 - p)
+        ks = [*range(400), *range(997, 400 * 997, 997)]
+        self._assert_exact(self._boundaries(log_q, ks), log_q, 2.0**62)
+
+    def test_quotients_above_two_to_the_53(self):
+        # p near float resolution: every quotient exceeds 2^53 (integral
+        # doubles), so all of them take the per-draw fallback.
+        log_q = math.log(1.0 - 1e-16)
+        x = np.exp(-np.linspace(2.0, 400.0, 257))
+        assert (np.log(x) / log_q > 2.0**53).all()
+        self._assert_exact(x, log_q, 2.0**62)
+
+    def test_quotients_above_the_pair_cap(self):
+        log_q = math.log(0.5)
+        x = self._boundaries(log_q, range(0, 1100, 7))
+        assert (np.log(x) / log_q > 1000).any()
+        self._assert_exact(x, log_q, 1000.0)
+
+    def test_random_draws(self):
+        rng = np.random.RandomState(5)
+        x = 1.0 - rng.random_sample(20000)
+        for p in (0.3, 1e-3, 1e-7):
+            self._assert_exact(x, math.log(1.0 - p), float(10**12))
+
+
+class TestGeneratedBulkIdentity:
+    """Bulk and loop builds agree on generated ``(n, p, seed, connect)``."""
+
+    @settings(max_examples=CSR_IDENTITY_EXAMPLES, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 3000),
+        p=st.floats(0.0, 0.05),
+        seed=st.integers(0, 2**32),
+        connect=st.booleans(),
+    )
+    def test_bulk_matches_loop(self, n, p, seed, connect):
+        if math.log(1.0 - p) == 0.0 and p > 0.0 and n > 1:
+            # p below float resolution: both paths divide by zero.
+            with pytest.raises(ZeroDivisionError):
+                sparse_gnp_csr(n, p, seed=random.Random(seed), connect=connect)
+            with pytest.raises(ZeroDivisionError):
+                _sparse_gnp_csr_loop(n, p, random.Random(seed), connect)
+            return
+        _assert_paths_identical(n, p, seed, connect)

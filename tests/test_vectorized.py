@@ -9,8 +9,11 @@ negative-label instances that force the
 non-monotone size path.  Every refusal seam (corruption, mixed program
 classes, tampered state, heterogeneous config, non-int labels,
 ``vectorize=False``) must fall back to stepping, visibly
-(``Simulator.lowered``) and exactly.  The closed-form payload sizes the
-kernels use are pinned against ``estimate_bits``, and the satellite
+(``Simulator.lowered``, with the refusing check in ``Simulator.lowering``)
+and exactly.  A fault-free lowered run stops folding after its first quiet
+round; a call-count guard pins that, and a filtered run folds every round.
+The closed-form payload sizes the kernels use are pinned against
+``estimate_bits``, and the satellite
 infrastructure (graph memoization, the O(n + m) Barabási–Albert CSR
 family) is covered here too.
 """
@@ -24,6 +27,7 @@ from repro.core.flood_max import (
     run_flood_max,
 )
 from repro.distributed import (
+    NodeProgram,
     Simulator,
     broadcast_congest_model,
     congest_model,
@@ -35,6 +39,7 @@ from repro.distributed.adversary import build_adversary
 from repro.distributed.encoding import estimate_bits
 from repro.distributed.node import NodeContext
 from repro.distributed.vectorize import (
+    EngineView,
     _np_payload_bits,
     int_payload_bits,
     repetition_frame_bits,
@@ -42,7 +47,7 @@ from repro.distributed.vectorize import (
 from repro.core.robust_coding import CodedFloodMaxProgram, RedundantFloodMaxProgram
 from repro.experiments import families
 from repro.experiments.families import build_graph, clear_graph_memo, family_spec_hash
-from repro.graphs import Graph, barabasi_albert_csr, gnp_random_graph
+from repro.graphs import Graph, barabasi_albert_csr, gnp_random_graph, path_graph
 
 ALL_MODELS = [
     lambda n: local_model(n),
@@ -57,6 +62,16 @@ WORKLOADS = {
     "robust": lambda v: RobustFloodMaxProgram(v, 3),
     "redundant": lambda v: RedundantFloodMaxProgram(v, 3, 3),
 }
+
+
+class _EchoProgram(NodeProgram):
+    """Broadcast once, halt on the first round: a plain stepped program."""
+
+    def on_start(self, ctx):
+        ctx.broadcast(0)
+
+    def on_round(self, ctx, inbox):
+        ctx.halt()
 
 
 def _run(graph, factory, model, engine, seed=1, adversary=None, vectorize=True):
@@ -168,9 +183,9 @@ class TestLoweredDifferential:
 
 
 class TestLoweringDecision:
-    """Every refusal seam declines visibly and falls back exactly."""
+    """Every refusal seam declines visibly, with its reason, and falls back exactly."""
 
-    def _parity_with_indexed(self, g, factory, adversary=None, expect_lowered=False):
+    def _parity_with_indexed(self, g, factory, reason, adversary=None):
         sim, columnar = _run(
             g,
             factory,
@@ -179,7 +194,7 @@ class TestLoweringDecision:
             seed=3,
             adversary=adversary,
         )
-        _, indexed = _run(
+        indexed_sim, indexed = _run(
             g,
             factory,
             broadcast_congest_model(g.number_of_nodes(), enforce=False),
@@ -187,8 +202,16 @@ class TestLoweringDecision:
             seed=3,
             adversary=adversary,
         )
-        assert sim.lowered == expect_lowered
+        assert not sim.lowered
+        assert sim.lowering == reason
+        assert indexed_sim.lowering is None
         _assert_identical(columnar, indexed)
+
+    def test_lowered_run_records_lowered(self):
+        g = gnp_random_graph(25, 0.25, seed=1)
+        sim, _ = _run(g, WORKLOADS["fixed"], broadcast_congest_model(25), "columnar")
+        assert sim.lowered
+        assert sim.lowering == "lowered"
 
     def test_vectorize_false_steps(self):
         g = gnp_random_graph(25, 0.25, seed=1)
@@ -200,13 +223,27 @@ class TestLoweringDecision:
             vectorize=False,
         )
         assert not sim.lowered
+        assert sim.lowering == "vectorize off"
+
+    def test_empty_graph_has_no_programs(self):
+        sim, result = _run(
+            Graph(), WORKLOADS["fixed"], broadcast_congest_model(1), "columnar"
+        )
+        assert not sim.lowered
+        assert sim.lowering == "no programs"
+        assert result.outputs == {}
+
+    def test_plain_node_program_declines(self):
+        # A program outside the VectorProgram protocol: the first check refuses.
+        g = gnp_random_graph(20, 0.3, seed=4)
+        self._parity_with_indexed(g, lambda v: _EchoProgram(), "not a VectorProgram")
 
     def test_transforming_adversary_declines(self):
         # Corruption mutates payloads in flight; the flat fold cannot model
         # that, so the run must step — and still match the oracle exactly.
         g = gnp_random_graph(25, 0.25, seed=1)
         self._parity_with_indexed(
-            g, WORKLOADS["redundant"], adversary="corrupt:0.1"
+            g, WORKLOADS["redundant"], "transforming filter", adversary="corrupt:0.1"
         )
 
     def test_subclass_without_optin_declines(self):
@@ -214,25 +251,29 @@ class TestLoweringDecision:
         # checksummed frames; the parent's vector_kernel guards on ``cls``
         # and must decline rather than lower with the parent's semantics.
         g = gnp_random_graph(25, 0.25, seed=1)
-        self._parity_with_indexed(g, lambda v: CodedFloodMaxProgram(v, 3))
+        self._parity_with_indexed(
+            g, lambda v: CodedFloodMaxProgram(v, 3), "kernel declined"
+        )
 
     def test_mixed_program_classes_decline(self):
         g = gnp_random_graph(24, 0.25, seed=2)
         factory = lambda v: (  # noqa: E731
             FloodMaxProgram(v, 6) if v % 2 == 0 else RobustFloodMaxProgram(v, 3)
         )
-        self._parity_with_indexed(g, factory)
+        self._parity_with_indexed(g, factory, "mixed program classes")
 
     def test_tampered_initial_state_declines(self):
         # best != own label means per-node state was touched before the run;
         # the kernel cannot reproduce it wholesale, so lowering declines.
         g = gnp_random_graph(20, 0.3, seed=4)
-        self._parity_with_indexed(g, lambda v: FloodMaxProgram(min(v, 3), 6))
+        self._parity_with_indexed(
+            g, lambda v: FloodMaxProgram(min(v, 3), 6), "kernel declined"
+        )
 
     def test_heterogeneous_config_declines(self):
         g = gnp_random_graph(20, 0.3, seed=4)
         self._parity_with_indexed(
-            g, lambda v: FloodMaxProgram(v, 6 if v % 2 == 0 else 7)
+            g, lambda v: FloodMaxProgram(v, 6 if v % 2 == 0 else 7), "kernel declined"
         )
 
     def test_non_int_labels_decline(self):
@@ -240,14 +281,44 @@ class TestLoweringDecision:
         names = ["ant", "bee", "cat", "dog", "elk"]
         for a, b in zip(names, names[1:]):
             g.add_edge(a, b)
-        self._parity_with_indexed(g, lambda v: FloodMaxProgram(v, 4))
+        self._parity_with_indexed(
+            g, lambda v: FloodMaxProgram(v, 4), "labels not all int"
+        )
+
+    def test_bool_labels_decline(self):
+        # bool is an int subclass; the exact-type check refuses it.
+        g = Graph()
+        g.add_edge(False, True)
+        self._parity_with_indexed(
+            g, lambda v: FloodMaxProgram(v, 4), "labels not all int"
+        )
 
     def test_labels_beyond_int64_decline(self):
         g = Graph()
         labels = [(1 << 70) + i for i in range(5)]
         for a, b in zip(labels, labels[1:]):
             g.add_edge(a, b)
-        self._parity_with_indexed(g, lambda v: FloodMaxProgram(v, 4))
+        self._parity_with_indexed(
+            g, lambda v: FloodMaxProgram(v, 4), "labels outside int64"
+        )
+
+    @pytest.mark.parametrize("edge", [(2**63 - 1, 2**63), (-(2**63), -(2**63) - 1)])
+    def test_one_label_just_past_int64_declines(self, edge):
+        g = Graph()
+        g.add_edge(*edge)
+        self._parity_with_indexed(
+            g, lambda v: FloodMaxProgram(v, 4), "labels outside int64"
+        )
+
+    def test_labels_at_the_int64_bounds_lower(self):
+        g = Graph()
+        g.add_edge(2**63 - 1, 0)
+        g.add_edge(0, -(2**63))
+        model = broadcast_congest_model(3, enforce=False)
+        sim, lowered = _run(g, WORKLOADS["fixed"], model, "columnar")
+        _, indexed = _run(g, WORKLOADS["fixed"], model, "indexed")
+        assert sim.lowering == "lowered"
+        _assert_identical(lowered, indexed)
 
     def test_zero_round_budget_lowers_and_halts_in_on_start(self):
         g = gnp_random_graph(15, 0.3, seed=5)
@@ -257,6 +328,105 @@ class TestLoweringDecision:
         assert sim.lowered
         _assert_identical(lowered, indexed)
         assert lowered.metrics.messages_sent == 0
+
+
+class TestQuietRoundSkip:
+    """A fault-free lowered run stops folding once a round improves no node.
+
+    The skip is exact only without a delivery filter; the differential runs
+    round budgets (and patiences) well past the diameter, so most rounds
+    are quiet, fault-free and under each filter kind.
+    """
+
+    #: Budgets far past the diameter of the test graph (at most ~8 hops).
+    QUIET_WORKLOADS = {
+        "fixed": lambda v: FloodMaxProgram(v, 30),
+        "robust": lambda v: RobustFloodMaxProgram(v, 9),
+        "redundant": lambda v: RedundantFloodMaxProgram(v, 9, 3),
+    }
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        counter = [0]
+        fold_max = EngineView.fold_max
+
+        def counting(self, *args, **kwargs):
+            counter[0] += 1
+            return fold_max(self, *args, **kwargs)
+
+        monkeypatch.setattr(EngineView, "fold_max", counting)
+        return counter
+
+    # drop:0.5 redelivers after quiet rounds on this graph: a skip under a
+    # filter changes its outputs, not just the fold count.
+    @pytest.mark.parametrize(
+        "adversary",
+        [None, "drop:0.2", "drop:0.5", "crash:3@1,11@2,24@3", "budget:8"],
+        ids=str,
+    )
+    @pytest.mark.parametrize("workload", sorted(QUIET_WORKLOADS), ids=str)
+    def test_lowered_matches_stepped_past_the_diameter(
+        self, folds, workload, adversary
+    ):
+        g = gnp_random_graph(40, 0.08, seed=7)
+        factory = self.QUIET_WORKLOADS[workload]
+        model = broadcast_congest_model(40, enforce=False)
+        lowered_sim, lowered = _run(
+            g, factory, model, "columnar", seed=2, adversary=adversary
+        )
+        stepped_sim, stepped = _run(
+            g, factory, model, "columnar", seed=2, adversary=adversary, vectorize=False
+        )
+        assert lowered_sim.lowered and not stepped_sim.lowered
+        _assert_identical(lowered, stepped)
+        if adversary is None:
+            assert folds[0] < lowered.rounds  # the quiet rounds skipped the fold
+        else:
+            assert folds[0] == lowered.rounds
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_fault_free_run_stops_folding_after_the_first_quiet_round(self, folds, n):
+        # Ascending labels on a path: node 0 hears n - 1 in round n - 1, so
+        # round n is the first quiet one and no later round folds.
+        sim, result = _run(
+            path_graph(n), lambda v: FloodMaxProgram(v, 3 * n),
+            broadcast_congest_model(n), "columnar",
+        )
+        assert sim.lowered
+        assert result.rounds == 3 * n
+        assert folds[0] == n
+        assert set(result.outputs.values()) == {n - 1}
+
+    def test_negative_labels_skip_on_the_non_monotone_path(self, folds):
+        g = Graph()
+        labels = [-5, -4, -3, -2, -1]
+        for a, b in zip(labels, labels[1:]):
+            g.add_edge(a, b)
+        sim, lowered = _run(
+            g, lambda v: FloodMaxProgram(v, 15), broadcast_congest_model(5), "columnar"
+        )
+        assert sim.lowered and folds[0] == 5
+        _, stepped = _run(
+            g,
+            lambda v: FloodMaxProgram(v, 15),
+            broadcast_congest_model(5),
+            "columnar",
+            vectorize=False,
+        )
+        _assert_identical(lowered, stepped)
+
+    @pytest.mark.parametrize("adversary", ["drop:0.1", "crash:3@1", "budget:64"])
+    def test_filtered_run_folds_every_round(self, folds, adversary):
+        n = 10
+        sim, result = _run(
+            path_graph(n),
+            lambda v: FloodMaxProgram(v, 3 * n),
+            broadcast_congest_model(n, enforce=False),
+            "columnar",
+            adversary=adversary,
+        )
+        assert sim.lowered
+        assert folds[0] == result.rounds == 3 * n
 
 
 class TestContextFreeLowering:
