@@ -4,11 +4,11 @@ Runs the E19 experiment through the orchestrator (drop/crash sweeps with
 per-scenario invariants and the engine-parity-under-faults verify hook in
 ``repro.experiments.defs_robustness``), then asserts the *cost* contract of
 the adversary layer: installing the identity :class:`NoAdversary` must add
-less than ``E19_MAX_OVERHEAD`` (default 10%) to the E18-style stepped
-columnar path versus passing no adversary at all.  ``NoAdversary`` binds to no
+less than ``E19_MAX_OVERHEAD`` (default 10%) to the stepped columnar
+flood-max path versus passing no adversary at all.  ``NoAdversary`` binds to no
 delivery filter, so the engines literally execute their unmodified hot
 loops — the guard pins that this stays true as the seam evolves.  Like
-E16/E18, the threshold is an environment knob so CI can relax it on noisy
+E16/E23, the threshold is an environment knob so CI can relax it on noisy
 shared runners without touching the registry.
 """
 
@@ -23,7 +23,7 @@ from repro.experiments.families import build_graph
 #: The adversary seam's admissible no-fault slowdown on the stepped columnar path.
 MAX_NO_ADVERSARY_OVERHEAD = float(os.environ.get("E19_MAX_OVERHEAD", "0.10"))
 
-#: E18's n=20000 instance, trimmed to 5 rounds: large enough that per-message
+#: E23's n=20000 anchor instance, trimmed to 5 rounds: large enough that per-message
 #: work dominates, small enough for a tier-1-friendly wall time.
 _GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
 _ROUNDS = 5

@@ -7,7 +7,7 @@ with the denser sibling of the registry's fan-out anchor (same n and seed,
 double the density and fan-out): every node sends one small int to each of
 its first 16 ascending neighbours, every round.
 
-Methodology — steady-state delta-rounds, exactly as ``bench_e20_columnar``:
+Methodology — steady-state delta-rounds, exactly as ``bench_e23_vectorized``:
 each engine is timed at 45 and at 5 rounds (after a 3-round warmup) and the
 per-round cost is ``(t45 - t5) / 40``, so the engine-identical setup cost
 (n ``Random`` instances, contexts, neighbour rows) cancels.  Each engine

@@ -14,7 +14,7 @@ edge hashed, nothing ever flipped — against a :class:`DropAdversary` at
 the same rate — every edge hashed, shared-plist path — isolates exactly
 the materialization price.  (Zero rates would not: the corrupt filter
 skips hashing entirely at rate 0, which more than pays for the per-edge
-path.)  ``E22_MAX_OVERHEAD`` bounds the multiple; like E16/E18/E19 it is
+path.)  ``E22_MAX_OVERHEAD`` bounds the multiple; like E16/E19/E23 it is
 an environment knob so CI can relax it on noisy shared runners without
 touching the registry.
 """

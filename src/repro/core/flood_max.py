@@ -7,8 +7,8 @@ its ``R``-hop neighbourhood, and for ``R >=`` diameter the whole graph
 agrees on one leader.  Messages are single integer labels, comfortably
 inside the O(log n)-bit broadcast-CONGEST budget, and every node broadcasts
 every round — which makes this the densest pure-broadcast traffic pattern
-the simulator can produce and therefore the E18 scale workload for the
-stepped ``columnar`` engine.
+the simulator can produce and therefore the E23 scale workload for the
+stepped and lowered ``columnar`` engine.
 
 Two variants ship: the classic fixed-round-budget :class:`FloodMaxProgram`
 (assumes reliable links) and the retransmitting
@@ -51,7 +51,7 @@ class FloodMaxProgram(VectorProgram, NodeProgram):
 
     The round handler folds the inbox's payload lists directly instead of
     going through :class:`~repro.distributed.program.BroadcastNodeProgram`'s
-    per-sender ``heard`` dict: this program is the E18 throughput workload,
+    per-sender ``heard`` dict: this program is the E23 throughput workload,
     and the engines under test should dominate the wall time, not the
     program.
     """
@@ -76,7 +76,7 @@ class FloodMaxProgram(VectorProgram, NodeProgram):
         if inbox.__class__ is dict:
             if inbox:
                 # One C-level max over the flattened payload lists:
-                # measurably cheaper than a nested Python loop at E18/E20
+                # measurably cheaper than a nested Python loop at E23
                 # message volumes.
                 heard = max(chain.from_iterable(inbox.values()))
                 if heard > best:
@@ -99,10 +99,13 @@ class FloodMaxProgram(VectorProgram, NodeProgram):
         if cls is not FloodMaxProgram:
             return None
         rounds = programs[0].rounds
-        labels = view.labels
-        for i, program in enumerate(programs):
-            if program.rounds != rounds or program.best != labels[i]:
-                return None
+        # One pass and one list equality: a program with another budget
+        # drops out of the list, and every other one must still hold its
+        # own label.  (A comprehension's slot reads beat ``attrgetter``
+        # maps, and a per-program loop, here.)
+        best = [program.best for program in programs if program.rounds == rounds]
+        if best != view.labels:
+            return None
         return MaxFloodKernel(rounds=rounds)
 
 
@@ -227,14 +230,13 @@ class RobustFloodMaxProgram(VectorProgram, NodeProgram):
         if cls is not RobustFloodMaxProgram:
             return None
         patience = programs[0].patience
-        labels = view.labels
-        for i, program in enumerate(programs):
-            if (
-                program.patience != patience
-                or program.best != labels[i]
-                or program.stable != 0
-            ):
-                return None
+        best = [
+            program.best
+            for program in programs
+            if program.patience == patience and program.stable == 0
+        ]
+        if best != view.labels:
+            return None
         return MaxFloodKernel(patience=patience)
 
 

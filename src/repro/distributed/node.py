@@ -48,7 +48,7 @@ class NodeContext:
 
     The class is slotted: contexts sit on every engine's per-round hot path
     (``round``/``halted`` reads in the driver, ``_batch_payload`` and the
-    targeted columns in the columnar engine), and at E20 scale a million
+    targeted columns in the columnar engine), and at E23's n = 10^6 point a million
     instances exist at once.
     """
 
@@ -93,7 +93,7 @@ class NodeContext:
         self.n = n
         # ``rng`` may be a ready random.Random or a bare seed.  A seed is
         # materialised lazily on first ``ctx.rng`` access: a Mersenne
-        # Twister instance carries ~2.5 KB of state, so at E20 scale eagerly
+        # Twister instance carries ~2.5 KB of state, so at n = 10^6 eagerly
         # building one per vertex costs gigabytes of RSS and seconds of
         # first-touch page faults that programs which never draw (the whole
         # flood-max family) would pay for nothing.  The lazily built stream
@@ -160,7 +160,7 @@ class NodeContext:
         # Round-based, not outbox-based, so the one-broadcast-per-round
         # contract also holds for degree-0 nodes (empty outboxes).  The
         # batch-collecting branch comes first and reads ``_batch`` once:
-        # this method runs once per node per round at E18/E20 scale.
+        # this method runs once per node per round at E23 scale.
         if self._batch:
             if self._last_broadcast_round == self.round:
                 raise self._double_broadcast_error()

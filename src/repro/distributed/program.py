@@ -23,7 +23,7 @@ class NodeProgram(ABC):
     finishes by calling ``ctx.set_output(...)`` and ``ctx.halt()``.
 
     The base class is slotted so that throughput-critical programs (e.g. the
-    E18/E20 flood-max workload) can opt into ``__slots__`` themselves;
+    E23 flood-max workload) can opt into ``__slots__`` themselves;
     subclasses that declare none still get an instance ``__dict__`` as usual.
     """
 

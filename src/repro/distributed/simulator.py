@@ -281,7 +281,7 @@ class Simulator:
             programs[i].on_start(contexts[i])
 
         # Bind the round handlers once: the loop below runs n times per round
-        # at E18/E20 scale and the repeated method lookup is measurable.
+        # at E23 scale and the repeated method lookup is measurable.
         handlers = [program.on_round for program in programs]
         pending = collect(range(n))
         active = [i for i in range(n) if not contexts[i].halted]

@@ -1,6 +1,6 @@
 """Experiment orchestration: scenario registry, sharded runner, JSON reports.
 
-The subsystem turns the E01-E18 reproductions into first-class, machine-
+The subsystem turns the E01-E23 reproductions into first-class, machine-
 runnable sweeps:
 
 * :mod:`repro.experiments.spec` — picklable scenario specs with stable hashes

@@ -32,7 +32,7 @@ def bench_experiment(
     ``scenario_filter`` restricts the run to scenarios whose name contains
     the substring (cross-scenario ``verify`` is then skipped, exactly as
     with the CLI's ``run --scenario``) — used by benchmark wrappers of
-    tiers whose full sweep is too heavy for a timing harness (e.g. E20's
+    tiers whose full sweep is too heavy for a timing harness (e.g. E23's
     n = 10^6 point).
     """
     experiment = registry.get_experiment(experiment_id)

@@ -7,7 +7,7 @@ Subcommands::
                                   counts, spec hashes, per-experiment engines,
                                   targeted-traffic flag, engine capability
                                   map and max_n for tooling/CI)
-    run E01 E16 E20 [--all]       run experiments (sharded over --jobs workers)
+    run E01 E16 E23 [--all]       run experiments (sharded over --jobs workers)
         --jobs N                  worker processes (default 1)
         --json PATH               write the stable JSON report
         --cache DIR               on-disk result cache keyed by spec hash
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the ``python -m repro.experiments`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Run the E01-E20 experiment reproductions through the "
+        description="Run the E01-E23 experiment reproductions through the "
         "scenario registry and sharded runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run only scenarios whose name contains this substring; "
         "cross-scenario verify hooks are skipped and the report records "
-        "the filter (CI smoke knob for heavy tiers such as E20)",
+        "the filter (CI smoke knob for heavy tiers such as E23)",
     )
     runner.add_argument(
         "--strip-timing",

@@ -18,7 +18,7 @@ exercising the fast path that lets the ``columnar`` engine carry
 
 The same workload runs on several engines so the cross-scenario ``verify``
 hook can pin bit-for-bit physics agreement — the targeted counterpart of
-the E18/E20 anchors.  As with those tiers, wall time lives under
+E23's parity anchor.  As with E23, wall time lives under
 ``timing.*`` and the columnar-vs-indexed speedup *assertion* lives in
 ``benchmarks/bench_e21_clique_listing.py`` behind the ``E21_MIN_SPEEDUP``
 knob; the registry only pins physics so CLI sweeps never flake on loaded
@@ -109,7 +109,7 @@ def _run_e21(spec: ScenarioSpec) -> dict[str, Any]:
 
 def _verify_e21(results) -> dict[str, Any]:
     # Bit-for-bit physics agreement across engines, per workload group: the
-    # targeted counterpart of the E18/E20 parity anchors.
+    # targeted counterpart of E23's parity anchor.
     groups: dict[tuple[str, Any], list[dict[str, Any]]] = {}
     for result in results:
         key = (result["workload"], result.get("mode"))

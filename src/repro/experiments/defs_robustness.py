@@ -21,7 +21,7 @@ fault-free physics bit-for-bit (only zero-valued fault counters appear) and
 that the indexed and columnar engines agree bit-for-bit *under the same
 adversary*.  The ``NoAdversary`` overhead guard lives in the benchmark
 wrapper (``benchmarks/bench_e19_robustness.py``), not here, following the
-E16/E18 precedent.
+E16/E23 precedent.
 """
 
 from __future__ import annotations

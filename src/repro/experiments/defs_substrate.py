@@ -1,23 +1,18 @@
 """Registry definitions for the substrate experiments: E16 (indexed-engine
-throughput), E17 (Congested Clique vs CONGEST) and E18 (stepped columnar
-scale sweep).
+throughput) and E17 (Congested Clique vs CONGEST).
 
-E16 and E18 measure wall time by design, so their timing lives under
-``timing.*`` result keys — the one namespace the determinism contract
-excludes (see :func:`repro.experiments.runner.strip_timing`); physics
-(rounds, edges, metrics) must still be bit-for-bit identical across engines
-and runs.  The engine-speedup *assertions* stay in the pytest wrappers
-(``benchmarks/bench_e16_simulator_throughput.py`` /
-``benchmarks/bench_e18_scale.py``) where the environment knobs live;
-the registry ``verify`` hooks only pin physics equality so CLI sweeps on
-loaded machines never flake.
+E16 measures wall time by design, so its timing lives under ``timing.*``
+result keys — the one namespace the determinism contract excludes (see
+:func:`repro.experiments.runner.strip_timing`); physics (rounds, edges,
+metrics) must still be bit-for-bit identical across engines and runs.  The
+engine-speedup *assertion* stays in the pytest wrapper
+(``benchmarks/bench_e16_simulator_throughput.py``) where the environment
+knob lives; the registry ``verify`` hook only pins physics equality so CLI
+sweeps on loaded machines never flake.
 
 E17 compares edge sets across scenarios through a canonical hash instead of
-embedding every edge list in the report.  E18 pushes a pure-broadcast
-flood-max workload (``repro.core.flood_max``) to n >= 20000 on the
-*stepped* ``columnar`` engine (lowering off, so every round runs the
-per-node programs and the columnar collect), with an indexed-engine twin
-at n = 20000 as the differential/throughput baseline.
+embedding every edge list in the report.  Flood-max at scale lives in E23
+(:mod:`repro.experiments.defs_vectorized`).
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from typing import Any
 from repro.core import (
     clique_spanner_round_bound,
     run_clique_two_spanner,
-    run_flood_max,
     run_two_spanner,
 )
 from repro.distributed import DEFAULT_ENGINE, congest_model
@@ -37,7 +31,6 @@ from repro.experiments.families import build_graph
 from repro.experiments.registry import (
     Experiment,
     check,
-    check_flood_max,
     check_twins,
     register,
 )
@@ -199,92 +192,5 @@ register(
         ],
         run_scenario=_run_e17,
         verify=_verify_e17,
-    )
-)
-
-
-# --------------------------------------------------------------------------
-# E18 — stepped columnar scale sweep: flood-max broadcast at n >= 20000
-# --------------------------------------------------------------------------
-
-_E18_ROUNDS = 10
-_E18_SEED = 3
-_E18_GRAPHS = {
-    # name -> (family tuple); p chosen for average degree ~10, and the
-    # family's connect=True patch guarantees flood-max converges.
-    "n=20000": ("sparse_connected_gnp", 20000, 0.0005, 18),
-    "n=50000": ("sparse_connected_gnp", 50000, 0.0002, 19),
-}
-
-
-def _run_e18(spec: ScenarioSpec) -> dict[str, Any]:
-    graph = build_graph(spec.param("graph"))
-    engine = spec.engine or DEFAULT_ENGINE
-    rounds = spec.param("rounds")
-    # Stepped on purpose: E20/E23 cover the lowered path.
-    result, seconds = timed(
-        run_flood_max,
-        graph,
-        rounds=rounds,
-        seed=spec.param("run_seed"),
-        engine=engine,
-        vectorize=False,
-    )
-    check_flood_max(spec.name, result, graph, budget=rounds)
-    return {
-        "engine": engine,
-        "n": graph.number_of_nodes(),
-        "m": graph.number_of_edges(),
-        "rounds": result.rounds,
-        "leader": result.leader,
-        "metrics": result.metrics,
-        "timing": rate_timing(seconds, result.metrics.messages_sent),
-    }
-
-
-def _verify_e18(results) -> dict[str, Any]:
-    columnar20, indexed20, columnar50 = results
-    # Identical physics for columnar vs indexed at n=20000; the
-    # columnar-vs-indexed throughput floor is asserted by the benchmark
-    # wrapper (E18_MIN_SPEEDUP), not here, so CLI sweeps stay noise-proof.
-    check_twins("n=20000", columnar20, indexed20, exempt=("engine",))
-    check(columnar50["n"] >= 20000, "the scale scenario must cover n >= 20000")
-    return {
-        "n=20000.messages": columnar20["metrics.messages_sent"],
-        "n=50000.messages": columnar50["metrics.messages_sent"],
-        "n=50000.leader": columnar50["leader"],
-    }
-
-
-register(
-    Experiment(
-        id="E18",
-        title="stepped columnar scale sweep: flood-max broadcast up to n=50000",
-        headline="stepped columnar engine vs indexed on pure-broadcast traffic",
-        columns=(
-            ("n", "n", None),
-            ("m", "m", None),
-            ("engine", "engine", None),
-            ("rounds", "rounds", None),
-            ("messages", "metrics.messages_sent", None),
-            *timing_columns(),
-        ),
-        scenarios=[
-            ScenarioSpec.make(
-                "E18",
-                f"{instance} {engine}",
-                engine=engine,
-                graph=_E18_GRAPHS[instance],
-                rounds=_E18_ROUNDS,
-                run_seed=_E18_SEED,
-            )
-            for instance, engine in [
-                ("n=20000", "columnar"),
-                ("n=20000", "indexed"),
-                ("n=50000", "columnar"),
-            ]
-        ],
-        run_scenario=_run_e18,
-        verify=_verify_e18,
     )
 )

@@ -1,24 +1,30 @@
-"""Registry definition for E23 — the vectorized program-lowering tier.
+"""Registry definition for E23 — the flood-max scale and lowering tier.
 
-E23 pins the whole-round lowering layer (``repro.distributed.vectorize``):
-the columnar engine detects lowerable flood-max runs and executes them with
-zero per-node Python calls, and this tier proves the physics are unchanged.
-Two twin pairs at n = 20000 on the exact E18/E20 anchor graph — fixed-budget
-and retransmitting flood-max, each run once lowered and once with
-``vectorize=False`` (the stepped per-node path) — must agree bit-for-bit on
-every non-timing key.  The mega points then rerun the E20 scale sweep
-(n = 2*10^5, 5*10^5, 10^6 on the freeze-direct CSR family) through the
-lowered path, and one n = 20000 scenario runs lowered flood-max on the
-O(n + m) ``barabasi_albert_csr`` power-law family.
+E23 is the one tier that runs flood-max (``repro.core.flood_max``) at
+scale, and it pins the whole-round lowering layer
+(``repro.distributed.vectorize``): the columnar engine detects lowerable
+flood-max runs and executes them with zero per-node Python calls, and this
+tier proves the physics are unchanged.  Three twin pairs at n = 20000 —
+fixed-budget and retransmitting flood-max on one ``sparse_connected_gnp``
+anchor graph, and fixed-budget flood-max on the O(n + m)
+``barabasi_albert_csr`` power-law family — each run once lowered and once
+with ``vectorize=False`` (the stepped per-node path), and must agree
+bit-for-bit on every non-timing key.  A small parity anchor ties the
+columnar engine to the ``reference`` oracle: one n = 2000 graph run on
+``reference`` and on stepped and lowered columnar, all three twin-checked.
+The mega points (n = 2*10^5, 5*10^5, 10^6 on the freeze-direct
+``sparse_gnp_csr`` family) then run lowered with streaming metrics.
 
 Every scenario asserts that the lowering decision matched the spec
 (``Simulator.lowered``), so a silent fallback to stepping can never
-masquerade as a passing lowered run.  As with E20, wall time lives under
-``timing.*`` — excluded from the determinism contract — and the
-lowered-vs-stepped speedup *assertion* lives in
-``benchmarks/bench_e23_vectorized.py`` behind the ``E23_MIN_SPEEDUP`` knob;
-the registry ``verify`` hook only pins physics so CLI sweeps on loaded
-machines never flake.
+masquerade as a passing lowered run, and every scenario runs
+:func:`~repro.experiments.registry.check_flood_max`.  Wall time lives
+under ``timing.*`` — excluded from the determinism contract — and the
+speedup *assertions* (lowered over stepped at n = 20000, stepped columnar
+over ``reference`` on the parity anchor) live in
+``benchmarks/bench_e23_vectorized.py`` (lowered behind the
+``E23_MIN_SPEEDUP`` knob); the registry ``verify`` hook only pins physics
+so CLI sweeps on loaded machines never flake.
 """
 
 from __future__ import annotations
@@ -46,33 +52,40 @@ from repro.experiments.spec import ScenarioSpec
 
 _E23_SEED = 3
 
-#: scenario name -> (family tuple, workload, budget, lowered, streaming).
-#: ``workload`` is "fixed" (budget = round count) or "robust" (budget =
-#: patience).  The n=20000 twins reuse the E18/E20 anchor graph verbatim;
-#: the mega points reuse the E20 CSR family tuples, so the graph memo in
-#: ``experiments.families`` shares one build between the tiers per worker.
-_E23_SCENARIOS: dict[str, tuple[tuple[Any, ...], str, int, bool, bool]] = {
-    "n=20000 lowered": (
-        ("sparse_connected_gnp", 20000, 0.0005, 18), "fixed", 10, True, False,
-    ),
-    "n=20000 stepped": (
-        ("sparse_connected_gnp", 20000, 0.0005, 18), "fixed", 10, False, False,
-    ),
-    "n=20000 robust lowered": (
-        ("sparse_connected_gnp", 20000, 0.0005, 18), "robust", 10, True, False,
-    ),
-    "n=20000 robust stepped": (
-        ("sparse_connected_gnp", 20000, 0.0005, 18), "robust", 10, False, False,
-    ),
-    "n=20000 ba lowered": (
-        ("barabasi_albert_csr", 20000, 6, 18), "fixed", 10, True, False,
-    ),
-    "n=200000": (("sparse_gnp_csr", 200000, 6e-5, 20), "fixed", 12, True, True),
-    "n=500000": (("sparse_gnp_csr", 500000, 2.6e-5, 21), "fixed", 12, True, True),
-    "n=1000000": (("sparse_gnp_csr", 1000000, 1.4e-5, 22), "fixed", 12, True, True),
+#: The n = 20000 anchor graph (average degree ~10, connectivity patched).
+_ANCHOR = ("sparse_connected_gnp", 20000, 0.0005, 18)
+#: The power-law family at the same n.
+_BA = ("barabasi_albert_csr", 20000, 6, 18)
+#: The parity anchor: small enough for a ``reference`` run (flood-max
+#: converges on it in 5 rounds, so a 6-round budget covers the diameter).
+_PARITY = ("sparse_connected_gnp", 2000, 0.005, 18)
+
+#: scenario name -> (family tuple, workload, budget, lowered, streaming,
+#: engine).  ``workload`` is "fixed" (budget = round count) or "robust"
+#: (budget = patience).
+_E23_SCENARIOS: dict[str, tuple[tuple[Any, ...], str, int, bool, bool, str]] = {
+    "n=20000 lowered": (_ANCHOR, "fixed", 10, True, False, "columnar"),
+    "n=20000 stepped": (_ANCHOR, "fixed", 10, False, False, "columnar"),
+    "n=20000 robust lowered": (_ANCHOR, "robust", 10, True, False, "columnar"),
+    "n=20000 robust stepped": (_ANCHOR, "robust", 10, False, False, "columnar"),
+    "n=20000 ba lowered": (_BA, "fixed", 10, True, False, "columnar"),
+    "n=20000 ba stepped": (_BA, "fixed", 10, False, False, "columnar"),
+    "n=200000": (("sparse_gnp_csr", 200000, 6e-5, 20), "fixed", 12, True, True, "columnar"),
+    "n=500000": (("sparse_gnp_csr", 500000, 2.6e-5, 21), "fixed", 12, True, True, "columnar"),
+    "n=1000000": (("sparse_gnp_csr", 1000000, 1.4e-5, 22), "fixed", 12, True, True, "columnar"),
+    "parity n=2000 reference": (_PARITY, "fixed", 6, False, False, "reference"),
+    "parity n=2000 stepped": (_PARITY, "fixed", 6, False, False, "columnar"),
+    "parity n=2000 lowered": (_PARITY, "fixed", 6, True, False, "columnar"),
 }
 
-#: result keys the lowered/stepped twins may legitimately differ on.
+#: twin pairs that must agree on every non-timing key but these labels.
+_TWINS = (
+    ("n=20000 lowered", "n=20000 stepped"),
+    ("n=20000 robust lowered", "n=20000 robust stepped"),
+    ("n=20000 ba lowered", "n=20000 ba stepped"),
+    ("parity n=2000 lowered", "parity n=2000 stepped"),
+    ("parity n=2000 reference", "parity n=2000 stepped"),
+)
 _TWIN_EXEMPT = ("scenario", "mode")
 
 
@@ -81,7 +94,10 @@ def _run_e23(spec: ScenarioSpec) -> dict[str, Any]:
     n = graph.number_of_nodes()
     workload = spec.param("workload")
     budget = spec.param("budget")
-    lowered = bool(spec.param("lowered", True))
+    engine = spec.engine or "columnar"
+    # Only the columnar engine lowers; a lowered scenario pinned to another
+    # engine (``run --engine``) steps there.
+    lowered = bool(spec.param("lowered", True)) and engine == "columnar"
     if workload == "fixed":
         program = lambda v: FloodMaxProgram(v, budget)  # noqa: E731
         max_rounds = 10_000
@@ -93,7 +109,7 @@ def _run_e23(spec: ScenarioSpec) -> dict[str, Any]:
         program,
         model=broadcast_congest_model(n),
         seed=spec.param("run_seed"),
-        engine="columnar",
+        engine=engine,
         streaming_metrics=bool(spec.param("streaming", False)),
         vectorize=lowered,
     )
@@ -108,7 +124,7 @@ def _run_e23(spec: ScenarioSpec) -> dict[str, Any]:
     check_flood_max(spec.name, result, graph, budget=fixed_budget)
     return {
         "scenario": spec.name,
-        "mode": "lowered" if lowered else "stepped",
+        "mode": ("lowered" if lowered else "stepped") if engine == "columnar" else engine,
         "workload": workload,
         "n": n,
         "m": graph.number_of_edges(),
@@ -121,17 +137,13 @@ def _run_e23(spec: ScenarioSpec) -> dict[str, Any]:
 
 def _verify_e23(results) -> dict[str, Any]:
     by_name = {result["scenario"]: result for result in results}
-    for left, right in (
-        ("n=20000 lowered", "n=20000 stepped"),
-        ("n=20000 robust lowered", "n=20000 robust stepped"),
-    ):
-        lowered = by_name.get(left)
-        stepped = by_name.get(right)
-        if lowered is None or stepped is None:
-            continue
-        # The tentpole contract: lowering must be physically invisible —
-        # every non-timing key of the twins agrees bit-for-bit.
-        check_twins(f"{left} / {right}", lowered, stepped, exempt=_TWIN_EXEMPT)
+    for left, right in _TWINS:
+        if left in by_name and right in by_name:
+            # Lowering and the engine must be physically invisible: every
+            # non-timing key of the twins agrees bit-for-bit.
+            check_twins(
+                f"{left} / {right}", by_name[left], by_name[right], exempt=_TWIN_EXEMPT
+            )
     summary: dict[str, Any] = {}
     for name, result in by_name.items():
         if result["n"] >= 100_000:
@@ -163,7 +175,7 @@ register(
             ScenarioSpec.make(
                 "E23",
                 name,
-                engine="columnar",
+                engine=engine,
                 graph=graph,
                 workload=workload,
                 budget=budget,
@@ -171,7 +183,9 @@ register(
                 streaming=streaming,
                 run_seed=_E23_SEED,
             )
-            for name, (graph, workload, budget, lowered, streaming) in _E23_SCENARIOS.items()
+            for name, (
+                graph, workload, budget, lowered, streaming, engine
+            ) in _E23_SCENARIOS.items()
         ],
         run_scenario=_run_e23,
         verify=_verify_e23,

@@ -8,7 +8,7 @@ whichever worker process runs the scenario; all generators are seeded, so
 the same tuple always yields the same graph.
 
 Frozen-CSR families are additionally memoized per worker process: scenarios
-sharing a family tuple (the E20/E23 engine and lowering twins in
+sharing a family tuple (the E23 lowering twins in
 particular) reuse the same immutable
 :class:`~repro.graphs.topology.CompiledTopology` instead of regenerating a
 mega-scale graph once per scenario.  Only :class:`FrozenGraph` results are
@@ -62,12 +62,12 @@ FAMILIES: dict[str, Callable[..., Any]] = {
     # Same distribution as "barabasi_albert", different instances per seed.
     "barabasi_albert_csr": lambda n, m, seed: barabasi_albert_csr(n, m, seed=seed),
     # O(n + m) geometric-skip sampler, connectivity-patched: the only G(n, p)
-    # family usable at the E18 scale tier (n in the tens of thousands).
+    # family usable at n in the tens of thousands (E23's anchor graphs).
     "sparse_connected_gnp": lambda n, p, seed: sparse_gnp_graph(
         n, p, seed=seed, connect=True
     ),
     # Same sampler, but scattered straight into frozen CSR arrays (no
-    # dict-of-sets intermediate): the E20 mega-scale family, usable at
+    # dict-of-sets intermediate): E23's mega-scale family, usable at
     # n = 10^6 where the adjacency-dict representation's peak RSS would
     # dominate the run.
     "sparse_gnp_csr": lambda n, p, seed: sparse_gnp_csr(n, p, seed=seed, connect=True),

@@ -1,7 +1,7 @@
 """The experiment registry: declarative scenario lists plus runner hooks.
 
-Every experiment (E01-E21) registers one :class:`Experiment` object mapping
-its id to
+Every experiment (E01-E23, less the retired E18 and E20) registers one
+:class:`Experiment` object mapping its id to
 
 * ``scenarios`` — the declarative :class:`~repro.experiments.spec.ScenarioSpec`
   list (the sweep the experiment reproduces),
@@ -124,6 +124,8 @@ class Experiment:
 
 _REGISTRY: dict[str, Experiment] = {}
 _LOADED = False
+#: retired ids -> the experiment that now runs their scenarios.
+_RETIRED = {"E18": "E23", "E20": "E23"}
 
 
 def register(experiment: Experiment) -> Experiment:
@@ -154,7 +156,6 @@ def load_all() -> None:
         defs_corruption,
         defs_lowerbounds,
         defs_mds,
-        defs_megascale,
         defs_robustness,
         defs_spanner,
         defs_substrate,
@@ -176,6 +177,11 @@ def get_experiment(experiment_id: str) -> Experiment:
     """Look up one experiment by (case-insensitive) id; raises ``KeyError``."""
     load_all()
     key = experiment_id.upper()
+    if key in _RETIRED:
+        raise KeyError(
+            f"experiment {key} was retired: its flood-max scenarios run in "
+            f"{_RETIRED[key]}"
+        )
     if key not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown experiment {experiment_id!r} (known: {known})")

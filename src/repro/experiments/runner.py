@@ -10,7 +10,7 @@ Execution contract:
   even an accidental global-random user deterministic regardless of which
   worker runs which scenario in which order.
 * Graph builds are memoized per worker: scenarios sharing a graph-family
-  tuple (the E20/E23 engine and lowering twins) reuse one frozen
+  tuple (the E23 lowering twins and mega points) reuse one frozen
   ``CompiledTopology`` keyed by the canonical family-spec hash instead of
   regenerating a mega-scale graph per scenario (see
   :func:`repro.experiments.families.build_graph` — only immutable frozen
@@ -226,7 +226,7 @@ def run_experiments(
 
     ``scenario_filter`` (CLI ``run --scenario``) keeps only scenarios whose
     name contains the substring — the CI smoke knob for tiers whose full
-    sweep is too heavy (e.g. E20's n = 10^6 point).  Per-scenario ``check``
+    sweep is too heavy (e.g. E23's n = 10^6 point).  Per-scenario ``check``
     invariants still run, but the cross-scenario ``verify`` hooks are
     *skipped* for every experiment when a filter is active (they are
     written against complete result lists), and the report records the

@@ -183,7 +183,7 @@ def sparse_gnp_graph(
 
     With ``connect=True`` the components are afterwards chained by a random
     spanning path over component representatives, as in
-    :func:`connected_gnp_graph` — the E18 scale scenarios use this so that
+    :func:`connected_gnp_graph` — E23's anchor scenarios use this so that
     flooding workloads provably converge.
     """
     if not 0.0 <= p <= 1.0:
@@ -234,7 +234,7 @@ def sparse_gnp_csr(
     smallest-by-``repr`` members of a component scan of the built graph, so
     disconnected samples are chained along a different — but equally
     random — spanning path; treat ``connect=True`` instances as their own
-    scenario family, as E20 does.  ``connect`` defaults to True because the
+    scenario family, as E23 does.  ``connect`` defaults to True because the
     mega-scale flooding workloads require it.
 
     Dense regimes are out of scope: ``p`` must be in ``[0, 1)`` (a complete

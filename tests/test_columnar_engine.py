@@ -706,7 +706,7 @@ class TestEnforcedRaiseMetrics:
 
 
 class TestFloodMax:
-    """The E18 workload itself, on the stepped and lowered columnar paths."""
+    """The E23 flood-max workload itself, on the stepped and lowered columnar paths."""
 
     @pytest.mark.parametrize("engine", ["indexed", "columnar", "reference"])
     def test_converges_to_max_label(self, engine):

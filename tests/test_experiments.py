@@ -39,8 +39,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRegistry:
-    def test_all_twenty_three_experiments_registered(self):
-        assert experiment_ids() == [f"E{i:02d}" for i in range(1, 24)]
+    def test_all_experiments_registered_but_the_retired(self):
+        assert experiment_ids() == [
+            f"E{i:02d}" for i in range(1, 24) if i not in (18, 20)
+        ]
+
+    @pytest.mark.parametrize("identifier", ["E18", "e20"])
+    def test_retired_experiment_names_its_successor(self, identifier):
+        with pytest.raises(KeyError, match="retired: its flood-max scenarios run in E23"):
+            get_experiment(identifier)
 
     def test_every_experiment_has_scenarios_and_columns(self):
         for identifier in experiment_ids():
@@ -146,9 +153,10 @@ class TestEngineSelection:
             assert b["spec"]["engine"] == "columnar" and i["spec"]["engine"] == "indexed"
             check_twins(b["spec"]["name"], b["result"], i["result"], exempt=("engine",))
 
-    def test_e18_specs_carry_engines(self):
-        engines = [spec.engine for spec in get_experiment("E18").scenarios]
-        assert engines == ["columnar", "indexed", "columnar"]
+    def test_e23_specs_carry_engines(self):
+        engines = {spec.name: spec.engine for spec in get_experiment("E23").scenarios}
+        assert engines.pop("parity n=2000 reference") == "reference"
+        assert set(engines.values()) == {"columnar"}
 
 
 class TestAdversarySelection:
@@ -434,7 +442,7 @@ class TestCLI:
         listing = json.loads(proc.stdout)
         assert listing["schema"] == SCHEMA
         by_id = {entry["id"]: entry for entry in listing["experiments"]}
-        assert sorted(by_id) == [f"E{i:02d}" for i in range(1, 24)]
+        assert sorted(by_id) == experiment_ids()
         e19 = by_id["E19"]
         assert e19["scenario_count"] == len(e19["scenarios"]) == 9
         for scenario in e19["scenarios"]:
@@ -456,10 +464,9 @@ class TestCLI:
         for entry in by_id.values():
             assert "engines" in entry and "max_n" in entry
             assert entry["engines"] == sorted(entry["engines"])
-        assert by_id["E20"]["engines"] == ["columnar"]
-        assert by_id["E20"]["max_n"] == 1_000_000
-        assert by_id["E18"]["engines"] == ["columnar", "indexed"]
-        assert by_id["E18"]["max_n"] == 50_000
+        assert by_id["E23"]["engines"] == ["columnar", "reference"]
+        assert by_id["E23"]["max_n"] == 1_000_000
+        assert "E18" not in by_id and "E20" not in by_id
         # Experiments whose specs carry no size stay discoverable as None.
         assert by_id["E10"]["max_n"] is None
 
@@ -479,8 +486,7 @@ class TestCLI:
                 for engine in ("indexed", "columnar", "reference")
             }
         assert by_id["E21"]["targeted"] is True
-        assert by_id["E18"]["targeted"] is False
-        assert by_id["E20"]["targeted"] is False
+        assert by_id["E23"]["targeted"] is False
 
     def test_run_writes_json(self, tmp_path):
         out = tmp_path / "report.json"
@@ -530,22 +536,30 @@ class TestCLI:
     def test_run_scenario_filter_skips_verify_and_records_filter(self, tmp_path):
         out = tmp_path / "report.json"
         proc = self._run(
-            "run", "E18", "--scenario", "n=20000 columnar", "--jobs", "1",
+            "run", "E23", "--scenario", "parity n=2000 stepped", "--jobs", "1",
             "--json", str(out), "--no-tables", "--strip-timing",
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
-        assert report["scenario_filter"] == "n=20000 columnar"
+        assert report["scenario_filter"] == "parity n=2000 stepped"
         entry = report["experiments"][0]
         names = [scenario["spec"]["name"] for scenario in entry["scenarios"]]
-        assert names == ["n=20000 columnar"]
+        assert names == ["parity n=2000 stepped"]
         # verify hooks are written against complete result lists: skipped.
         assert entry["summary"] == {}
 
     def test_run_scenario_filter_rejects_no_match(self):
-        proc = self._run("run", "E18", "--scenario", "n=77777")
+        proc = self._run("run", "E23", "--scenario", "n=77777")
         assert proc.returncode == 2
         assert "matches no scenario" in proc.stderr
+
+    @pytest.mark.parametrize("identifier", ["E18", "E20"])
+    def test_run_retired_experiment_exits_2_naming_e23(self, identifier):
+        proc = self._run("run", identifier)
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == (
+            f"experiment {identifier} was retired: its flood-max scenarios run in E23"
+        )
 
 
 class TestScenarioFilter:
@@ -568,39 +582,42 @@ class TestScenarioFilter:
             run_experiments(["E11"], jobs=1, scenario_filter="bogus-name")
 
 
-class TestE20Registration:
-    """The mega-scale tier's registry shape (no mega runs here)."""
+class TestE23Registration:
+    """E23's registry shape, and its small ``reference``/stepped/lowered anchor."""
 
-    def test_scenarios_and_anchor(self):
-        e20 = get_experiment("E20")
-        names = [spec.name for spec in e20.scenarios]
-        assert names == ["n=20000 columnar", "n=200000", "n=500000", "n=1000000"]
-        assert all(spec.engine == "columnar" for spec in e20.scenarios)
-        # The n=20000 point anchors E20 to E18's exact differential graph.
-        e18_graph = next(
-            spec.param("graph")
-            for spec in get_experiment("E18").scenarios
-            if spec.name == "n=20000 columnar"
-        )
-        assert e20.scenarios[0].param("graph") == e18_graph
-        # Mega points stream their metrics (bounded bits_per_round history).
-        for name in ("n=200000", "n=500000", "n=1000000"):
-            spec = next(s for s in e20.scenarios if s.name == name)
-            assert spec.param("streaming") is True
+    def test_mega_points_stream_on_the_csr_family(self):
+        mega = [
+            spec for spec in get_experiment("E23").scenarios if spec.param("graph")[1] >= 100_000
+        ]
+        assert [spec.name for spec in mega] == ["n=200000", "n=500000", "n=1000000"]
+        for spec in mega:
+            # Bounded bits_per_round history; no dict-of-sets intermediate.
+            assert spec.param("streaming") is True and spec.param("lowered") is True
             assert spec.param("graph")[0] == "sparse_gnp_csr"
 
-    def test_anchor_scenario_matches_the_e18_stepped_run(self):
-        # E20's n=20000 point (lowered) against E18's stepped columnar run
-        # of the same graph — the only E20 slice cheap enough for tier-1.
-        def results(experiment, name):
-            report = run_experiments([experiment], jobs=1, scenario_filter=name)
-            (scenario,) = report["experiments"][0]["scenarios"]
-            return scenario["result"]
+    @pytest.fixture(scope="class")
+    def results(self):
+        # execute_scenario runs E23's own runner (with its lowering and
+        # flood-max checks) and flattens the result as the report does.
+        return [
+            execute_scenario(spec)
+            for spec in get_experiment("E23").scenarios
+            if spec.name.startswith("parity ")
+        ]
 
-        lowered = results("E20", "n=20000 ")
-        stepped = results("E18", "n=20000 columnar")
-        for key in stepped:
-            if not key.startswith("timing."):
-                assert lowered[key] == stepped[key], key
-        assert lowered["leader"] == 19999
-        assert lowered["metrics.messages_sent"] == 10 * 2 * lowered["m"]
+    def test_anchor_runs_and_twins_agree(self, results):
+        assert [result["mode"] for result in results] == ["reference", "stepped", "lowered"]
+        assert _verify_e23(results) == {}
+        for result in results:
+            assert result["n"] == 2000 and result["leader"] == 1999
+            assert result["metrics.messages_sent"] == 6 * 2 * result["m"]
+
+    def test_verify_rejects_an_off_by_one_reference_twin(self, results):
+        reference, *columnar = results
+        tampered = {**reference, "metrics.bits_sent": reference["metrics.bits_sent"] + 1}
+        with pytest.raises(
+            ExperimentCheckError,
+            match="parity n=2000 reference / parity n=2000 stepped: twins disagree "
+            "on metrics.bits_sent",
+        ):
+            _verify_e23([tampered, *columnar])

@@ -245,15 +245,14 @@ class TestSparseGnpCsr:
 
 # ------------------------------------------------ bulk CSR build byte-identity
 def _registry_csr_tuples() -> list[tuple]:
-    """Every ``sparse_gnp_csr`` family tuple of the E20/E23 scenario specs."""
+    """Every ``sparse_gnp_csr`` family tuple of the E23 scenario specs."""
     from repro.experiments import get_experiment
 
     tuples: list[tuple] = []
-    for experiment in ("E20", "E23"):
-        for spec in get_experiment(experiment).scenarios:
-            graph = tuple(spec.param("graph"))
-            if graph[0] == "sparse_gnp_csr" and graph not in tuples:
-                tuples.append(graph)
+    for spec in get_experiment("E23").scenarios:
+        graph = tuple(spec.param("graph"))
+        if graph[0] == "sparse_gnp_csr" and graph not in tuples:
+            tuples.append(graph)
     return tuples
 
 

@@ -159,7 +159,7 @@ class TestRuleFixtures:
         # The CLI and the tier definitions time through runner.timed.
         for path in (
             "src/repro/experiments/cli.py",
-            "src/repro/experiments/defs_megascale.py",
+            "src/repro/experiments/defs_vectorized.py",
         ):
             assert [f.rule for f in lint(bad, path)] == ["REP004"], path
 
@@ -190,7 +190,7 @@ class TestRuleFixtures:
         for src in (bad, guarded, "from numpy import int64\n"):
             for path in (
                 "src/repro/distributed/simulator.py",
-                "src/repro/experiments/defs_megascale.py",
+                "src/repro/experiments/defs_vectorized.py",
             ):
                 assert [f.rule for f in lint(src, path)] == ["REP005"], (src, path)
 

@@ -64,6 +64,23 @@ WORKLOADS = {
 }
 
 
+def _last_deviates(program_cls, budget, last, **state):
+    """Factory of homogeneous programs, except ``state`` set on node ``last``.
+
+    ``last`` is the label at the final CSR index, so a homogeneity check
+    that stops short of the end cannot pass the case.
+    """
+
+    def factory(v):
+        program = program_cls(v, budget)
+        if v == last:
+            for name, value in state.items():
+                setattr(program, name, value)
+        return program
+
+    return factory
+
+
 class _EchoProgram(NodeProgram):
     """Broadcast once, halt on the first round: a plain stepped program."""
 
@@ -262,19 +279,38 @@ class TestLoweringDecision:
         )
         self._parity_with_indexed(g, factory, "mixed program classes")
 
-    def test_tampered_initial_state_declines(self):
-        # best != own label means per-node state was touched before the run;
-        # the kernel cannot reproduce it wholesale, so lowering declines.
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda v: FloodMaxProgram(min(v, 3), 6),
+            # One deviation, at the last index (label 19 of the graph below).
+            _last_deviates(FloodMaxProgram, 6, 19, best=18),
+            _last_deviates(RobustFloodMaxProgram, 3, 19, best=18),
+            _last_deviates(RobustFloodMaxProgram, 3, 19, stable=1),
+        ],
+        ids=["fixed-best", "fixed-last-best", "robust-last-best", "robust-last-stable"],
+    )
+    def test_tampered_initial_state_declines(self, factory):
+        # best != own label (or a robust program already counting stable
+        # rounds) means per-node state was touched before the run; the
+        # kernel cannot reproduce it wholesale, so lowering declines.
         g = gnp_random_graph(20, 0.3, seed=4)
-        self._parity_with_indexed(
-            g, lambda v: FloodMaxProgram(min(v, 3), 6), "kernel declined"
-        )
+        assert g.freeze().labels[-1] == 19
+        self._parity_with_indexed(g, factory, "kernel declined")
 
-    def test_heterogeneous_config_declines(self):
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda v: FloodMaxProgram(v, 6 if v % 2 == 0 else 7),
+            _last_deviates(FloodMaxProgram, 6, 19, rounds=7),
+            _last_deviates(RobustFloodMaxProgram, 3, 19, patience=4),
+        ],
+        ids=["fixed-alternating-rounds", "fixed-last-rounds", "robust-last-patience"],
+    )
+    def test_heterogeneous_config_declines(self, factory):
         g = gnp_random_graph(20, 0.3, seed=4)
-        self._parity_with_indexed(
-            g, lambda v: FloodMaxProgram(v, 6 if v % 2 == 0 else 7), "kernel declined"
-        )
+        assert g.freeze().labels[-1] == 19
+        self._parity_with_indexed(g, factory, "kernel declined")
 
     def test_non_int_labels_decline(self):
         g = Graph()
