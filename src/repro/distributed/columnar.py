@@ -68,6 +68,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
+from operator import countOf
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
@@ -89,6 +90,48 @@ def have_numpy() -> bool:
     fingerprint.
     """
     return True
+
+
+def int_column_bits(values: np.ndarray, copies: int | None = None) -> np.ndarray:
+    """Wire size of every entry of a *nonnegative* ``int64`` column.
+
+    Bit-for-bit :func:`~repro.distributed.encoding.estimate_bits` per
+    entry: the shared whole-column sizing kernel of the lowered rounds and
+    the targeted collection path.  Each entry costs ``max(1, bit_length) + 1``
+    bits (with ``copies``: the size of the ``copies``-tuple repetition frame
+    of the value, ``2 + copies * (2 + that)``).  The bit length of ``v >= 0``
+    is the number of powers of two ``2**k <= v``, counted with one exact
+    integer comparison pass per bit of the column maximum, so no float log
+    is ever trusted near a power-of-two boundary.
+    """
+    bit_length = np.zeros(values.shape[0], dtype=np.uint8)  # at most 63
+    if values.shape[0]:
+        for k in range(int(values.max()).bit_length()):
+            bit_length += values >= (1 << k)
+    payload = np.maximum(bit_length, 1).astype(np.int64) + 1
+    if copies is None:
+        return payload
+    return 2 + copies * (2 + payload)
+
+
+def exact_int_column(payloads: list) -> np.ndarray | None:
+    """``payloads`` as an ``int64`` column when :func:`int_column_bits` may size it.
+
+    Returns ``None`` — the caller must size entry by entry — unless every
+    payload is an exact ``int`` (not ``bool``, not an ``int`` subclass) in
+    ``[0, 2**63)``.  The exact-type scan is load-bearing: ``True == 1`` and
+    ``1.0 == 1``, and ``np.fromiter`` would silently accept both.
+    """
+    count = len(payloads)
+    if not count or countOf(map(type, payloads), int) != count:
+        return None
+    try:
+        values = np.fromiter(payloads, np.int64, count)
+    except OverflowError:
+        return None
+    if values.min() < 0:
+        return None
+    return values
 
 
 class _RoundState:
@@ -807,4 +850,11 @@ def build_columnar_collect(
     return collect
 
 
-__all__ = ["BroadcastAccounting", "ColumnarInbox", "build_columnar_collect", "have_numpy"]
+__all__ = [
+    "BroadcastAccounting",
+    "ColumnarInbox",
+    "build_columnar_collect",
+    "exact_int_column",
+    "have_numpy",
+    "int_column_bits",
+]

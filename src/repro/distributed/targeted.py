@@ -14,27 +14,45 @@ here instead of by the engine's broadcast kernels:
 * **gather** — senders are walked in ascending index order (the order the
   indexed oracle inserts inbox keys in); each sender's destination /
   payload columns are drained into flat per-round columns by C-level list
-  extends, destinations resolve to dense indices through the compiled
-  topology (label identity is detected once per run, making resolution a
-  no-op for the shipped 0..n-1 graph families), and a round's broadcast —
-  mixed rounds are legal — is expanded into the same columns at the
-  position ``ctx.broadcast`` was called at (``_t_bpos``), so per-link
-  message order is exactly the indexed engine's outbox order;
-* **sizing** — payload sizes come from the engine's run-lifetime
-  :class:`~repro.distributed.encoding.PayloadSizeTable` via one C-level
-  ``map`` per sender group, not one Python call per message per round;
+  extends and recorded as one ``(sender, start, end, b_lo, b_hi)`` group,
+  destinations resolve to dense indices through the compiled topology
+  (label identity is detected once per run, making resolution a no-op for
+  the shipped 0..n-1 graph families), and a round's broadcast — mixed
+  rounds are legal — is expanded into the same columns at the position
+  ``ctx.broadcast`` was called at (``_t_bpos``), so per-link message order
+  is exactly the indexed engine's outbox order;
+* **sizing** — one exact-type scan over the whole payload column: when
+  every payload is an exact ``int`` in ``[0, 2**63)`` the column is sized
+  by the shared exact-integer kernel
+  (:func:`~repro.distributed.columnar.int_column_bits`, also the lowered
+  rounds' kernel); any other column goes through the run-lifetime
+  :class:`~repro.distributed.encoding.PayloadSizeTable`, one probe per
+  message and one per broadcast segment.  An all-int round builds a
+  Python size list only for the ordered path below;
+* **plan reuse** — everything a fault-free round needs that does not
+  depend on payloads (the stable destination sort, link and receiver
+  segments, cut and overlay counts, the per-receiver inbox views) is one
+  :class:`_DeliveryPlan`, keyed by the round's sender groups and flat
+  destination column.  A round whose two lists compare equal to the
+  previous plan's (two C-level list comparisons) reuses it, so a program
+  that repeats its traffic pattern pays for the sort once per run; equal
+  lists mean the same messages on the same links in the same order, so
+  reuse is exact by construction.  A plan lives only as long as the
+  engine holds the inboxes it delivered, and a reusing round replaces the
+  plan's payload column together with every grouping cached from it, so
+  a plan never pins a payload column beyond the following round;
 * **accounting** — messages / bits / max / cut / overlay / violation
-  totals reduce over the flat columns with NumPy kernels (per-link
-  CONGEST admission becomes a grouped prefix-sum over a stable argsort of
-  packed ``src * n + dst`` link keys) and flush once per round
-  through the shared :class:`~repro.distributed.metrics.RoundTally` /
-  :func:`~repro.distributed.metrics.flush_round_tally` seam;
-* **delivery** — fault-free rounds scatter the payload column into
-  per-receiver inbox segments with one stable ``argsort`` by destination
-  (CSR-style: one contiguous column slice per receiver, zero per-message
-  Python work) and hand every receiver a lazy :class:`TargetedInbox`
-  Mapping view over its segment; every adversary round takes the ordered
-  per-message path below instead.
+  totals reduce over the flat columns with NumPy kernels and flush once
+  per round through the shared :class:`~repro.distributed.metrics.RoundTally`
+  / :func:`~repro.distributed.metrics.flush_round_tally` seam.  Per-link
+  CONGEST admission is a per-link prefix sum over the plan's sorted
+  stream;
+* **delivery** — fault-free rounds permute the payload column into
+  per-receiver segments (CSR-style: one contiguous slice per receiver,
+  one C-level ``map`` over the plan's permutation) and hand every
+  receiver the plan's lazy :class:`TargetedInbox` Mapping view over its
+  segment; every adversary round takes the ordered per-message path
+  below instead.
 
 The ordered path (:func:`build_targeted_collect`'s ``_ordered_collect``)
 is the bit-for-bit reference: it walks the gathered stream exactly like
@@ -68,11 +86,15 @@ identical); pure-targeted rounds enforce in exact oracle order.
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
 from collections.abc import Mapping
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
+from repro.distributed.columnar import exact_int_column, int_column_bits
 from repro.distributed.encoding import PayloadSizeTable
 from repro.distributed.errors import BandwidthExceededError
 from repro.distributed.metrics import Metrics, RoundTally, flush_round_tally
@@ -86,9 +108,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: a legal sender label in principle, so equality with it must not match).
 _NO_SRC: Any = object()
 
-#: The type-scan target of the gather's exact-int payload sizing fast path.
-_INT_ONLY = frozenset((int,))
-
 
 class TargetedInbox(Mapping):
     """Read-only inbox view over one receiver's scatter segment.
@@ -98,42 +117,46 @@ class TargetedInbox(Mapping):
     outbox-order message order — the indexed engine's insertion order) and
     hands each receiver one of these views instead of building a dict per
     receiver.  The Mapping facade materialises the per-sender payload
-    lists lazily, once, on first dict-style access: a program that only
-    folds (:meth:`max_heard`) or never reads its inbox pays nothing.
+    lists lazily, once per round, on first dict-style access: a program
+    that only folds (:meth:`max_heard`) or never reads its inbox pays
+    nothing.
 
-    Views alias the round's scatter columns and are valid only for the
-    round they were handed to ``on_round`` for; payload lists are shared
-    with the engine — the columnar engine's read-only inbox contract.
+    A view lives as long as its delivery plan: rounds that repeat the
+    plan's traffic pattern hand the receiver the *same* view over that
+    round's payload column.  Views are therefore valid only for the round
+    they were handed to ``on_round`` for, and their payload lists are
+    shared with the engine — the columnar engine's read-only inbox
+    contract.  The grouped runs are cached on the plan beside the column
+    they were grouped from, so a view holds nothing of a past round.
     """
 
-    __slots__ = ("_srcs", "_pays", "_lo", "_hi", "_items")
+    __slots__ = ("_plan", "_lo", "_hi")
 
-    def __init__(self, srcs: list[Any], pays: list[Any], lo: int, hi: int) -> None:
-        self._srcs = srcs
-        self._pays = pays
+    def __init__(self, plan: "_DeliveryPlan", lo: int, hi: int) -> None:
+        self._plan = plan
         self._lo = lo
         self._hi = hi
-        self._items: list[tuple[Any, list[Any]]] | None = None
 
     def _ensure_items(self) -> list[tuple[Any, list[Any]]]:
         """Group the segment's (ascending, pre-sorted) senders into runs."""
-        items = self._items
-        if items is None:
-            srcs = self._srcs
-            pays = self._pays
-            items = []
-            append = items.append
-            prev: Any = _NO_SRC
-            plist: list[Any] = []
-            for k in range(self._lo, self._hi):
-                src = srcs[k]
-                if prev is _NO_SRC or src != prev:
-                    plist = [pays[k]]
-                    append((src, plist))
-                    prev = src
-                else:
-                    plist.append(pays[k])
-            self._items = items
+        plan = self._plan
+        items = plan.grouped.get(self._lo)
+        if items is not None:
+            return items
+        srcs, pays = plan.srcs, plan.pays
+        items: list[tuple[Any, list[Any]]] = []
+        append = items.append
+        prev: Any = _NO_SRC
+        plist: list[Any] = []
+        for k in range(self._lo, self._hi):
+            src = srcs[k]
+            if prev is _NO_SRC or src != prev:
+                plist = [pays[k]]
+                append((src, plist))
+                prev = src
+            else:
+                plist.append(pays[k])
+        plan.grouped[self._lo] = items
         return items
 
     def __iter__(self):
@@ -177,8 +200,61 @@ class TargetedInbox(Mapping):
         lo, hi = self._lo, self._hi
         if lo == hi:
             return default
-        heard = max(self._pays[lo:hi])
+        heard = max(self._plan.pays[lo:hi])
         return heard if heard > default else default
+
+
+class _PlannedInboxes(list):
+    """A fault-free round's inbox list, owning the plan that delivered it.
+
+    The collect callable keeps only a weak reference to it, so a plan and
+    the payload column its views serve live exactly as long as the engine
+    holds the inboxes: the next targeted round finds (and may reuse) them,
+    and a broadcast round's inboxes replacing them frees them.
+    """
+
+    __slots__ = ("plan", "__weakref__")
+
+
+class _DeliveryPlan:
+    """The payload-independent half of one fault-free targeted round.
+
+    Keyed by the round's sender ``groups`` and flat destination column
+    ``t_dst``: a later round whose two lists compare equal sends the same
+    messages over the same links in the same order, so every field below
+    — sort order, link and receiver segments, cut and overlay counts, the
+    inbox views — is that round's too, exactly.  Only sizes and payloads
+    are recomputed per round; :meth:`serve` hands the views a round's
+    payload column.
+    """
+
+    __slots__ = (
+        "groups", "t_dst", "order", "order_list", "link_first", "crossing",
+        "cut_messages", "virtual", "srcs", "pays", "grouped",
+    )
+
+    def __init__(self, groups: list[tuple[int, int, int, int, int]], t_dst: list[int]) -> None:
+        self.groups = groups
+        self.t_dst = t_dst
+        #: stable destination-sort permutation, as an array and a list.
+        self.order = None
+        self.order_list: list[int] = []
+        #: sorted-stream position of each message's link head (``None``
+        #: when the model has no budget).
+        self.link_first = None
+        self.crossing = None
+        self.cut_messages = 0
+        self.virtual = 0
+        #: the sorted sender labels and payloads every view reads.
+        self.srcs: list[Any] = []
+        self.pays: list[Any] = []
+        #: each view's sender runs grouped from ``pays``, by segment start.
+        self.grouped: dict[int, list[tuple[Any, list[Any]]]] = {}
+
+    def serve(self, pays: list[Any]) -> None:
+        """Point the plan's views at a new round's sorted payload column."""
+        self.pays = pays
+        self.grouped = {}
 
 
 def build_targeted_collect(
@@ -209,7 +285,6 @@ def build_targeted_collect(
     if size_table is None:
         size_table = PayloadSizeTable()
     measure = size_table.measure
-    int_probe = size_table.int_sizes.__getitem__
     index_get = index.__getitem__
 
     # Label identity: every shipped graph family labels vertices by their
@@ -363,51 +438,109 @@ def build_targeted_collect(
         )
         return inboxes
 
+    last_round: Callable[[], _PlannedInboxes | None] | None = None
+
+    def _planned_inboxes(
+        groups: list[tuple[int, int, int, int, int]], t_dst: list[int]
+    ) -> _PlannedInboxes:
+        """The round's inboxes: the previous round's if the pattern repeats.
+
+        Two C-level list comparisons decide reuse.  The groups are part of
+        the key: an equal ``t_dst`` split differently across senders puts
+        messages on other links.
+        """
+        nonlocal last_round, side_arr, labels_arr
+        last = last_round() if last_round is not None else None
+        if last is not None:
+            plan = last.plan
+            if plan.t_dst == t_dst and plan.groups == groups:
+                return last
+        new = _DeliveryPlan(groups, t_dst)
+        m = len(t_dst)
+        garr = np.array(groups, np.int64)
+        t_src_np = np.repeat(garr[:, 0], garr[:, 2] - garr[:, 1])
+        t_dst_np = np.fromiter(t_dst, np.int64, m)
+        # One stable argsort by destination serves both the per-link budget
+        # accounting and the delivery scatter: each receiver's messages form
+        # a contiguous segment (ascending sender, outbox order preserved),
+        # so (dst, src) link groups are contiguous runs in the sorted stream
+        # and keep their within-link send order.  A 16-bit key makes NumPy
+        # radix-sort; stable sorts of equal keys give the same permutation.
+        key = t_dst_np.astype(np.uint16) if n <= 1 << 16 else t_dst_np
+        order = new.order = np.argsort(key, kind="stable")
+        new.order_list = order.tolist()
+        sorted_dst = t_dst_np[order]
+        src_sorted = t_src_np[order]
+        seg_head = np.empty(m, np.bool_)
+        seg_head[0] = True
+        seg_head[1:] = sorted_dst[1:] != sorted_dst[:-1]
+        if budget is not None:
+            link_head = seg_head.copy()
+            link_head[1:] |= src_sorted[1:] != src_sorted[:-1]
+            new.link_first = np.flatnonzero(link_head)[np.cumsum(link_head) - 1]
+        if cut_side is not None:
+            if side_arr is None:
+                side_arr = np.fromiter(cut_side, np.bool_, n)
+            crossing = new.crossing = side_arr[t_src_np] != side_arr[t_dst_np]
+            new.cut_messages = int(crossing.sum())
+        if graph_sets is not None:
+            arc = t_src_np * n + t_dst_np
+            gk = _graph_keys()
+            if len(gk):
+                pos = np.searchsorted(gk, arc)
+                member = gk[np.minimum(pos, len(gk) - 1)] == arc
+                new.virtual = m - int(member.sum())
+            else:
+                new.virtual = m
+        # Receiver segments and their persistent views, scattered into the
+        # inbox list by C-level maps (no per-receiver Python loop).
+        if identity:
+            new.srcs = src_sorted.tolist()
+        else:
+            if labels_arr is None:
+                labels_arr = np.empty(n, dtype=object)
+                labels_arr[:] = labels
+            new.srcs = labels_arr[src_sorted].tolist()
+        seg_starts = np.flatnonzero(seg_head)
+        bounds = seg_starts.tolist()
+        bounds.append(m)
+        views = map(TargetedInbox, repeat(new), bounds[:-1], bounds[1:])
+        inboxes = _PlannedInboxes([None] * n)
+        inboxes.plan = new
+        deque(map(inboxes.__setitem__, sorted_dst[seg_starts].tolist(), views), 0)
+        last_round = weakref.ref(inboxes)
+        return inboxes
+
+    def _sizes(
+        t_pay: list[Any], groups: list[tuple[int, int, int, int, int]]
+    ) -> list[int]:
+        """Per-message sizes through the size table, one probe per broadcast."""
+        out: list[int] = []
+        extend = out.extend
+        pos = 0
+        for _, _, _, b_lo, b_hi in groups:
+            if b_lo == b_hi:
+                continue
+            extend(map(measure, t_pay[pos:b_lo]))
+            extend([measure(t_pay[b_lo])] * (b_hi - b_lo))
+            pos = b_hi
+        extend(map(measure, t_pay[pos:]))
+        return out
+
     def collect(sender_ids: Iterable[int]) -> list[Any]:
-        """Collect one targeted round: gather, account, deliver."""
-        nonlocal side_arr, labels_arr
+        """Collect one targeted round: gather, size, account, deliver."""
         # ---- gather: drain the per-sender grouped outboxes (and any mixed
         # broadcast) into flat per-round columns, senders ascending.
         groups: list[tuple[int, int, int, int, int]] = []
         groups_append = groups.append
         t_dst: list[int] = []
         t_pay: list[Any] = []
-        t_bits: list[int] = []
         t_dst_extend = t_dst.extend
         t_pay_extend = t_pay.extend
-        t_bits_extend = t_bits.extend
         ctxs = contexts
         no_bcast = NO_BROADCAST
         ident = identity
         get_i = index_get
-        meas = measure
-        probe = int_probe
-        INT_ONLY = _INT_ONLY
-
-        def extend_sizes(plist: list[Any]) -> None:
-            # Exact-int payload columns (the dominant targeted payload
-            # class) size through one C-level map over the interned int
-            # table; a cold value — or any other payload shape — falls back
-            # to the generic measure, which interns ints as it goes.  The
-            # type scan is load-bearing: ``bool``/``float`` payloads are
-            # hash-equal to ints (``True == 1``, ``1.0 == 1``) and would
-            # silently take the wrong size from a blind table probe.
-            if set(map(type, plist)) == INT_ONLY:
-                first = plist[0]
-                count = len(plist)
-                if count > 2 and plist.count(first) == count:
-                    # Uniform segment (one value fanned out to many
-                    # destinations — the dominant shape): one probe, one
-                    # C-level list repeat.
-                    t_bits_extend([meas(first)] * count)
-                    return
-                pos = len(t_bits)
-                try:
-                    t_bits_extend(map(probe, plist))
-                    return
-                except KeyError:
-                    del t_bits[pos:]
-            t_bits_extend(map(meas, plist))
 
         for src_i in sender_ids:
             ctx = ctxs[src_i]
@@ -420,7 +553,7 @@ def build_targeted_collect(
             ctx._t_pays = []
             start = len(t_dst)
             if bpay is no_bcast:
-                # Pure targeted sender: three C-level column extends.
+                # Pure targeted sender: two C-level column extends.
                 # ``_t_bpos`` may hold a stale value here, but it is only
                 # ever read in the broadcast branch below, and broadcast()
                 # always writes it fresh before setting ``_batch_payload``.
@@ -429,7 +562,6 @@ def build_targeted_collect(
                 else:
                     t_dst_extend(map(get_i, tdsts))
                 t_pay_extend(tpays)
-                extend_sizes(tpays)
                 groups_append((src_i, start, len(t_dst), 0, 0))
                 continue
             # Sender broadcast this round (possibly mixed with targeted
@@ -442,31 +574,25 @@ def build_targeted_collect(
                 bpos = 0
             if bpos:
                 pre_d = tdsts[:bpos]
-                pre_p = tpays[:bpos]
                 if ident:
                     t_dst_extend(pre_d)
                 else:
                     t_dst_extend(map(get_i, pre_d))
-                t_pay_extend(pre_p)
-                extend_sizes(pre_p)
+                t_pay_extend(tpays[:bpos])
             row = nbr_row(src_i)
             deg = len(row)
             b_lo = len(t_dst)
             if deg:
-                b_bits = meas(bpay)
                 t_dst_extend(row)
                 t_pay_extend([bpay] * deg)
-                t_bits_extend([b_bits] * deg)
             b_hi = len(t_dst)
             if bpos < len(tdsts):
                 post_d = tdsts[bpos:]
-                post_p = tpays[bpos:]
                 if ident:
                     t_dst_extend(post_d)
                 else:
                     t_dst_extend(map(get_i, post_d))
-                t_pay_extend(post_p)
-                extend_sizes(post_p)
+                t_pay_extend(tpays[bpos:])
             groups_append((src_i, start, len(t_dst), b_lo, b_hi))
 
         m = len(t_dst)
@@ -474,101 +600,61 @@ def build_targeted_collect(
             flush_round_tally(metrics, 0, 0, metrics.max_message_bits, 0, 0, 0, 0, 0)
             return [None] * n
 
+        # ---- sizing: one exact whole-column kernel when every payload is a
+        # nonnegative int64-sized exact int, the size table otherwise.
+        values = exact_int_column(t_pay)
+        if values is None:
+            t_bits: list[int] | None = _sizes(t_pay, groups)
+            bits_np = np.fromiter(t_bits, np.int64, m)
+        else:
+            t_bits = None
+            bits_np = int_column_bits(values)
+
         # ---- ordered path: every adversary round (stateful filters observe
         # per-message decisions, exactly like the columnar engine's eager
         # adversary fallback).
         if filt is not None:
+            if t_bits is None:
+                t_bits = bits_np.tolist()
             return _ordered_collect(groups, t_dst, t_pay, t_bits, deliver=True)
 
-        # ---- NumPy accounting kernels over the flat columns.
-        t_bits_np = np.fromiter(t_bits, np.int64, m)
-        t_dst_np = np.fromiter(t_dst, np.int64, m)
-        g = len(groups)
-        src_arr = np.fromiter((grp[0] for grp in groups), np.int64, g)
-        cnt_arr = np.fromiter((grp[2] - grp[1] for grp in groups), np.int64, g)
-        t_src_np = np.repeat(src_arr, cnt_arr)
-
+        # ---- NumPy accounting kernels over the flat columns; everything
+        # payload-independent comes from the (possibly reused) plan.
+        inboxes = _planned_inboxes(groups, t_dst)
+        p = inboxes.plan
         tally.reset(metrics.max_message_bits)
         counts = tally.counts
         counts[MESSAGES] = m
-        counts[BITS] = int(t_bits_np.sum())
-        mx = int(t_bits_np.max())
+        counts[BITS] = int(bits_np.sum())
+        mx = int(bits_np.max())
         if mx > counts[MAX_BITS]:
             counts[MAX_BITS] = mx
         if cut_side is not None:
-            if side_arr is None:
-                side_arr = np.fromiter(cut_side, np.bool_, n)
-            crossing = side_arr[t_src_np] != side_arr[t_dst_np]
-            counts[CUT_MESSAGES] = int(crossing.sum())
-            counts[CUT_BITS] = int(t_bits_np[crossing].sum())
+            counts[CUT_MESSAGES] = p.cut_messages
+            counts[CUT_BITS] = int(bits_np[p.crossing].sum())
         if graph_sets is not None:
-            key = t_src_np * n + t_dst_np
-            gk = _graph_keys()
-            if len(gk):
-                pos = np.searchsorted(gk, key)
-                member = gk[np.minimum(pos, len(gk) - 1)] == key
-                counts[VIRTUAL] = m - int(member.sum())
-            else:
-                counts[VIRTUAL] = m
-        # One stable argsort by destination serves both the per-link budget
-        # accounting and the delivery scatter: each receiver's messages form
-        # a contiguous segment (ascending sender, outbox order preserved),
-        # so (dst, src) link groups are contiguous runs in the sorted stream
-        # and keep their within-link send order.
-        order = np.argsort(t_dst_np, kind="stable")
-        sorted_dst = t_dst_np[order]
-        src_sorted = t_src_np[order]
+            counts[VIRTUAL] = p.virtual
         if budget is not None:
-            # Per-link prefix sums over the shared sorted stream: "the
-            # message that tips a link past its budget" is counted exactly
-            # as the oracle counts it (within-link order is stream order).
-            bs = t_bits_np[order]
-            boundary = np.empty(m, np.bool_)
-            boundary[0] = True
-            if m > 1:
-                boundary[1:] = (sorted_dst[1:] != sorted_dst[:-1]) | (
-                    src_sorted[1:] != src_sorted[:-1]
-                )
-            csum = np.cumsum(bs)
-            starts = np.flatnonzero(boundary)
-            base = np.zeros(len(starts), np.int64)
-            if len(starts) > 1:
-                base[1:] = csum[starts[1:] - 1]
-            prefix = csum - base[np.cumsum(boundary) - 1]
-            violations = int((prefix > budget).sum())
+            # "The message that tips a link past its budget" is counted
+            # exactly as the oracle counts it: per-link prefix sums in
+            # stream order.
+            s_bits = bits_np[p.order]
+            csum = np.cumsum(s_bits)
+            prefix = csum - (csum - s_bits)[p.link_first]
+            violations = int(np.count_nonzero(prefix > budget))
             if violations:
                 if enforce:
                     # Re-walk in oracle order; raises with the partially
                     # flushed metrics of the first violating message.
+                    if t_bits is None:
+                        t_bits = bits_np.tolist()
                     _ordered_collect(groups, t_dst, t_pay, t_bits, deliver=False)
                 counts[VIOLATIONS] = violations
         tally.flush(metrics)
 
-        # ---- delivery: CSR-style scatter into per-receiver inbox columns,
-        # served through lazy TargetedInbox views — no per-message Python.
-        obj = np.empty(m, dtype=object)
-        obj[:] = t_pay
-        s_pays = obj[order].tolist()
-        if identity:
-            s_srcs = src_sorted.tolist()
-        else:
-            if labels_arr is None:
-                labels_arr = np.empty(n, dtype=object)
-                labels_arr[:] = labels
-            s_srcs = labels_arr[src_sorted].tolist()
-        boundary = np.empty(m, np.bool_)
-        boundary[0] = True
-        if m > 1:
-            boundary[1:] = sorted_dst[1:] != sorted_dst[:-1]
-        seg_starts = np.flatnonzero(boundary)
-        receivers = sorted_dst[seg_starts].tolist()
-        seg_list = seg_starts.tolist()
-        seg_list.append(m)
-        inboxes: list[Any] = [None] * n
-        for r in range(len(receivers)):
-            inboxes[receivers[r]] = TargetedInbox(
-                s_srcs, s_pays, seg_list[r], seg_list[r + 1]
-            )
+        # ---- delivery: the plan's views read this round's payload column,
+        # permuted into receiver segments.
+        p.serve(list(map(t_pay.__getitem__, p.order_list)))
         return inboxes
 
     return collect

@@ -43,7 +43,9 @@ adversaries.  The load-bearing details:
   (including the round-0 pass and the final empty pass), and the ordered
   enforcement walk with its partially-flushed metrics and message text;
 * payload sizes come from closed forms (:func:`int_payload_bits`,
-  :func:`repetition_frame_bits`) pinned by tests to equal
+  :func:`repetition_frame_bits`, and their whole-column form
+  :func:`~repro.distributed.columnar.int_column_bits`, shared with the
+  targeted collection path) pinned by tests to equal
   :func:`~repro.distributed.encoding.estimate_bits` on every value the
   kernels emit — ``estimate_bits`` itself never runs inside
   ``vector_round`` (reprolint REP006 enforces this);
@@ -69,7 +71,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.distributed.columnar import BroadcastAccounting
+from repro.distributed.columnar import BroadcastAccounting, int_column_bits
 from repro.distributed.errors import RoundLimitExceededError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,27 +108,6 @@ def repetition_frame_bits(value: int, copies: int) -> int:
     :class:`~repro.core.robust_coding.RedundantFloodMaxProgram`.
     """
     return 2 + copies * (2 + int_payload_bits(value))
-
-
-def _np_payload_bits(values, copies: int | None):
-    """Vectorized closed forms over a *nonnegative* ``int64`` value column.
-
-    Bit-for-bit :func:`int_payload_bits` (or :func:`repetition_frame_bits`
-    with ``copies``) per entry: the bit length is accumulated with at most
-    64 whole-column shift passes, so no float log is ever trusted near a
-    power-of-two boundary.
-    """
-    x = values.copy()
-    bit_length = np.zeros(x.shape[0], dtype=np.int64)
-    nonzero = x > 0
-    while nonzero.any():
-        bit_length += nonzero
-        x >>= 1
-        nonzero = x > 0
-    payload = np.where(bit_length == 0, 1, bit_length) + 1
-    if copies is None:
-        return payload
-    return 2 + copies * (2 + payload)
 
 
 def _shared_ints(values) -> list[int]:
@@ -545,7 +526,7 @@ class MaxFloodKernel(VectorKernel):
             view.clear_broadcasts()
             return
         if self._monotone:
-            view.bits_np[:] = _np_payload_bits(self.best, self.copies)
+            view.bits_np[:] = int_column_bits(self.best, self.copies)
         else:
             self._refresh_bits(view, range(n), labels)
         view.queue_broadcast_alive()

@@ -9,9 +9,11 @@ on the mega-scale workload itself; admission rejections only where the model
 or the one-broadcast-per-round interning demands them; an enforced
 violation raises with the indexed engine's message and the documented
 partially flushed metrics, on the stepped, lowered and targeted paths; the
-payload size table must agree with ``estimate_bits`` on every payload shape.
+payload size table and the whole-column int kernel must agree with
+``estimate_bits`` on every payload shape.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import run_clique_two_spanner, run_flood_max
@@ -31,7 +33,7 @@ from repro.distributed import (
     run_program,
 )
 from repro.distributed.adversary import build_adversary
-from repro.distributed.columnar import ColumnarInbox
+from repro.distributed.columnar import ColumnarInbox, exact_int_column, int_column_bits
 from repro.distributed.encoding import PayloadSizeTable, estimate_bits
 from repro.graphs import Graph, gnp_random_graph, path_graph, sparse_gnp_graph, star_graph
 
@@ -452,6 +454,49 @@ class TestPayloadSizeTable:
         values = [10, 200, 3000, 40000, 2**33]
         assert [table.measure(v) for v in values] == [estimate_bits(v) for v in values]
         assert len(table.int_sizes) <= 2
+
+
+class TestIntColumnBits:
+    """The shared whole-column int sizing kernel and its exact-type gate."""
+
+    BOUNDARIES = sorted(
+        {0, 1, 2**63 - 1}
+        | {v for k in range(1, 63) for v in (2**k - 1, 2**k, 2**k + 1)}
+    )
+
+    def test_matches_estimate_bits_at_every_power_of_two_boundary(self):
+        values = exact_int_column(self.BOUNDARIES)
+        assert values is not None
+        got = int_column_bits(values).tolist()
+        assert got == [estimate_bits(v) for v in self.BOUNDARIES]
+
+    def test_repetition_frame_matches_estimate_bits(self):
+        values = np.array(self.BOUNDARIES, dtype=np.int64)
+        got = int_column_bits(values, 3).tolist()
+        assert got == [estimate_bits((v,) * 3) for v in self.BOUNDARIES]
+
+    @pytest.mark.parametrize(
+        "odd", [True, False, -1, -(2**63), 2**63, 2**70, 1.0, None, (1,)], ids=repr
+    )
+    def test_non_kernel_entries_take_the_exact_fallback(self, odd):
+        # One entry the kernel cannot size exactly sends the whole column
+        # to the per-payload fallback, wherever it sits.
+        for column in ([odd], [odd, 5, 6], [5, odd, 6], [5, 6, odd]):
+            assert exact_int_column(column) is None
+
+    def test_empty_column_takes_the_fallback(self):
+        assert exact_int_column([]) is None
+
+    def test_int_subclass_takes_the_fallback(self):
+        class Label(int):
+            pass
+
+        assert exact_int_column([3, Label(4)]) is None
+
+    def test_exact_ints_become_an_int64_column(self):
+        values = exact_int_column([0, 7, 2**63 - 1])
+        assert values.dtype == np.int64
+        assert values.tolist() == [0, 7, 2**63 - 1]
 
 
 class TestColumnarAdmission:

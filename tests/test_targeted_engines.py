@@ -12,6 +12,8 @@ Plus unit coverage for :class:`~repro.distributed.targeted.TargetedInbox`,
 the lazy Mapping view the fault-free kernel hands receivers.
 """
 
+import weakref
+
 import pytest
 
 from repro.distributed import (
@@ -26,6 +28,7 @@ from repro.distributed import (
     local_model,
 )
 from repro.distributed.adversary import build_adversary
+from repro.distributed.targeted import _DeliveryPlan
 from repro.graphs import gnp_random_graph, path_graph
 
 N = 24
@@ -158,15 +161,23 @@ def test_broadcast_only_model_rejects_send_semantically(engine):
         sim.run(max_rounds=5)
 
 
+def _plan(srcs, pays):
+    """A delivery plan serving the given sorted sender/payload columns."""
+    plan = _DeliveryPlan([], [])
+    plan.srcs = srcs
+    plan.serve(pays)
+    return plan
+
+
 class TestTargetedInbox:
     """Unit coverage for the lazy scatter-segment Mapping view."""
 
     def _view(self):
-        # One receiver's segment [2, 6) of a round's scatter columns,
+        # One receiver's segment [2, 7) of a round's scatter columns,
         # senders pre-sorted ascending with a run of repeats.
         srcs = [0, 0, 1, 1, 1, 4, 9, 9]
         pays = [10, 11, 20, 21, 22, 40, 90, 91]
-        return TargetedInbox(srcs, pays, 2, 7)
+        return TargetedInbox(_plan(srcs, pays), 2, 7)
 
     def test_items_groups_runs_in_sender_order(self):
         assert self._view().items() == [(1, [20, 21, 22]), (4, [40]), (9, [90])]
@@ -183,7 +194,7 @@ class TestTargetedInbox:
         assert dict(view) == {1: [20, 21, 22], 4: [40], 9: [90]}
 
     def test_empty_segment(self):
-        view = TargetedInbox([], [], 0, 0)
+        view = TargetedInbox(_plan([], []), 0, 0)
         assert len(view) == 0
         assert view.items() == []
         assert view.max_heard(-5) == -5
@@ -193,4 +204,29 @@ class TestTargetedInbox:
         assert view.max_heard(0) == 90
         assert view.max_heard(1000) == 1000
         # Fold did not have to materialise the run list first.
-        assert TargetedInbox([1], [7], 0, 1).max_heard(3) == 7
+        assert TargetedInbox(_plan([1], [7]), 0, 1).max_heard(3) == 7
+
+    def test_reused_view_serves_the_new_payload_column(self):
+        # A reused delivery plan serves the round's payload column to the
+        # same views: a view must regroup, not serve stale runs.
+        plan = _plan([1, 1, 4], [5, 6, 7])
+        view = TargetedInbox(plan, 0, 3)
+        assert view.items() == [(1, [5, 6]), (4, [7])]
+        plan.serve([50, 60, 70])
+        assert view.items() == [(1, [50, 60]), (4, [70])]
+        assert view.max_heard(0) == 70
+        assert dict(view) == {1: [50, 60], 4: [70]}
+
+    def test_grouped_view_does_not_pin_a_served_column(self):
+        # A view grouped in one round and never read again must not keep
+        # that round's payloads alive once the plan serves the next round.
+        class Token:
+            pass
+
+        plan = _plan([1, 1, 4], [Token(), Token(), Token()])
+        refs = [weakref.ref(tok) for tok in plan.pays]
+        view = TargetedInbox(plan, 0, 3)
+        assert len(view.items()) == 2
+        plan.serve([5, 6, 7])
+        assert [ref() for ref in refs] == [None, None, None]
+        assert view.items() == [(1, [5, 6]), (4, [7])]

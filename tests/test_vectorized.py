@@ -36,11 +36,11 @@ from repro.distributed import (
 )
 from repro.distributed import simulator as simulator_module
 from repro.distributed.adversary import build_adversary
+from repro.distributed.columnar import int_column_bits
 from repro.distributed.encoding import estimate_bits
 from repro.distributed.node import NodeContext
 from repro.distributed.vectorize import (
     EngineView,
-    _np_payload_bits,
     int_payload_bits,
     repetition_frame_bits,
 )
@@ -567,14 +567,14 @@ class TestClosedFormSizes:
                 (v,) * copies
             ), (v, copies)
 
-    def test_np_payload_bits_matches_scalar_forms(self):
+    def test_int_column_bits_matches_scalar_forms(self):
         values = np.array(
             [0, 1, 2, 3, 4, 255, 256, 1023, 1024, 2**40 - 1, 2**40, 2**62],
             dtype=np.int64,
         )
-        plain = _np_payload_bits(values, None)
+        plain = int_column_bits(values)
         assert plain.tolist() == [int_payload_bits(int(v)) for v in values]
-        framed = _np_payload_bits(values, 3)
+        framed = int_column_bits(values, 3)
         assert framed.tolist() == [
             repetition_frame_bits(int(v), 3) for v in values
         ]
