@@ -5,14 +5,20 @@ sender per round — so per-message work collapses into per-sender work, and
 per-delivery work (one inbox dict insert per receiver) disappears too: one
 round of broadcast traffic becomes a handful of flat-array operations —
 
-* **gather** — each sender's interned payload is drained into persistent
-  per-round columns: a ``sent`` flag byte per node, a 64-bit size slot
-  (``bits_col``) and the payload object column;
-* **size table** — payload sizes come from a run-lifetime
-  :class:`~repro.distributed.encoding.PayloadSizeTable` keyed by
-  ``(exact type, value)`` (with a dedicated exact-``int`` fast dictionary),
-  so :func:`~repro.distributed.encoding.estimate_bits` runs once per
-  distinct payload value per run, not once per sender per round;
+* **gather** — ``ctx.broadcast`` writes the payload and a flag byte
+  straight into the run's outgoing columns
+  (:class:`~repro.distributed.node.SendColumns`, indexed by node), and
+  each collection pass copies them into the round's ``sent`` flag and
+  payload columns with two C-level slice copies — no per-sender Python
+  runs — then masks out degree-0 senders;
+* **sizing** — one pass over the whole payload column: when every entry is
+  an exact ``int`` in ``[0, 2**63)`` (:func:`exact_int_column`) the shared
+  kernel :func:`int_column_bits` sizes the column into ``bits_col``, and
+  the same ``int64`` column feeds the receivers' row-max fold; any other
+  column is sized per sender through a run-lifetime
+  :class:`~repro.distributed.encoding.PayloadSizeTable`, so
+  :func:`~repro.distributed.encoding.estimate_bits` runs once per distinct
+  payload value per run;
 * **accounting** — :class:`BroadcastAccounting`, the one kernel both the
   stepped collect and lowered rounds
   (:class:`~repro.distributed.vectorize.EngineView`) call once per pass:
@@ -73,10 +79,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
-from repro.distributed.encoding import PayloadSizeTable, estimate_bits
+from repro.distributed.encoding import PayloadSizeTable
 from repro.distributed.errors import BandwidthExceededError
 from repro.distributed.metrics import Metrics, RoundTally, flush_round_tally
-from repro.distributed.node import NO_BROADCAST, NodeContext
+from repro.distributed.node import NodeContext, SendColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.adversary import DeliveryFilter
@@ -92,23 +98,26 @@ def have_numpy() -> bool:
     return True
 
 
+#: ``2**k`` for ``k`` in ``0..62``: the bit length of ``0 <= v < 2**63``
+#: is the number of these that are ``<= v``.
+_POWERS_OF_TWO = np.array([1 << k for k in range(63)], dtype=np.int64)
+
+
 def int_column_bits(values: np.ndarray, copies: int | None = None) -> np.ndarray:
     """Wire size of every entry of a *nonnegative* ``int64`` column.
 
     Bit-for-bit :func:`~repro.distributed.encoding.estimate_bits` per
-    entry: the shared whole-column sizing kernel of the lowered rounds and
-    the targeted collection path.  Each entry costs ``max(1, bit_length) + 1``
-    bits (with ``copies``: the size of the ``copies``-tuple repetition frame
-    of the value, ``2 + copies * (2 + that)``).  The bit length of ``v >= 0``
-    is the number of powers of two ``2**k <= v``, counted with one exact
-    integer comparison pass per bit of the column maximum, so no float log
-    is ever trusted near a power-of-two boundary.
+    entry: the shared whole-column sizing kernel of the stepped and lowered
+    broadcast rounds and the targeted collection path.  Each entry costs
+    ``max(1, bit_length) + 1`` bits (with ``copies``: the size of the
+    ``copies``-tuple repetition frame of the value, ``2 + copies * (2 +
+    that)``).  The bit length of ``v >= 0`` is the number of powers of two
+    ``2**k <= v``, found by one binary search per entry over the int64
+    powers of two — exact integer comparisons, so no float log is ever
+    trusted near a power-of-two boundary.
     """
-    bit_length = np.zeros(values.shape[0], dtype=np.uint8)  # at most 63
-    if values.shape[0]:
-        for k in range(int(values.max()).bit_length()):
-            bit_length += values >= (1 << k)
-    payload = np.maximum(bit_length, 1).astype(np.int64) + 1
+    bit_length = np.searchsorted(_POWERS_OF_TWO, values, side="right")
+    payload = np.maximum(bit_length, 1) + 1
     if copies is None:
         return payload
     return 2 + copies * (2 + payload)
@@ -140,30 +149,33 @@ class _RoundState:
     All :class:`ColumnarInbox` views of a run alias one instance, so
     resetting the round costs a few slice assignments instead of
     re-constructing one view per receiver per round.  The primary store is
-    the ``pays`` payload *column* (payload object per sender index); the
-    Mapping contract's per-sender singleton lists (``plists``) are
-    materialised lazily via :meth:`ensure_plists`, only on rounds where a
-    program actually uses the dict-like accessors — a pure fold like
-    flood-max's :meth:`ColumnarInbox.max_heard` never pays for them.
+    the ``pays`` payload *column* (payload object per sender index, copied
+    from the contexts' outgoing column); the Mapping contract's per-sender
+    singleton lists (``plists``) are materialised lazily via
+    :meth:`ensure_plists`, only on rounds where a program actually uses the
+    dict-like accessors — a pure fold like flood-max's
+    :meth:`ColumnarInbox.max_heard` never pays for them.
 
-    ``flat`` caches the round's bulk-gathered payload lists and
-    ``pays_flat`` the bulk-gathered raw payloads (both aligned with the
-    concatenated sorted neighbour rows, hence sliceable by CSR ``indptr``
-    bounds); each is built on first access and only for all-senders rounds.
-    Stale column entries are guarded by the ``sent`` flags, so per-round
-    reset clears only ``sent`` and the caches.
+    ``ints`` is the round's payload column as ``int64`` when every entry is
+    an exact nonnegative int (the column the sizing kernel read, reused by
+    the row-max fold), else ``None``.  ``flat`` caches the round's
+    bulk-gathered payload lists and ``pays_flat`` the bulk-gathered raw
+    payloads (both aligned with the concatenated sorted neighbour rows,
+    hence sliceable by CSR ``indptr`` bounds); each is built on first access
+    and only for all-senders rounds.  Stale column entries are guarded by
+    the ``sent`` flags, so per-round reset clears only the caches.
     """
 
     __slots__ = (
         "pays",
         "plists",
         "plists_valid",
-        "senders",
+        "sender_list",
         "sent",
         "labels",
         "index",
         "all_sent",
-        "ints_only",
+        "ints",
         "flat",
         "build_flat",
         "pays_flat",
@@ -172,27 +184,23 @@ class _RoundState:
         "build_row_max",
     )
 
-    def __init__(
-        self, n: int, labels: list[Any], index: dict[Any, int], sent: bytearray
-    ) -> None:
-        # Initialised to 0 (an int), not None: isolated vertices never send,
-        # so their column slots must stay convertible when the whole column
-        # is lowered to an int64 array for the reduceat fold kernel.
+    def __init__(self, accounting: "BroadcastAccounting") -> None:
+        n = accounting.n
         self.pays: list[Any] = [0] * n
         self.plists: list[list[Any] | None] = [None] * n
         self.plists_valid = False
-        self.senders: list[int] = []
-        self.sent = sent
-        self.labels = labels
-        self.index = index
+        self.sender_list = accounting.sender_list
+        self.sent = accounting.sent
+        self.labels = accounting.labels
+        self.index = accounting.index
         self.all_sent = False
-        self.ints_only = False
+        self.ints: np.ndarray | None = None
         self.flat: list[list[Any]] | None = None
         self.build_flat: Callable[[], list[list[Any]]] | None = None
         self.pays_flat: list[Any] | None = None
         self.build_pays_flat: Callable[[], list[Any]] | None = None
         self.row_max: list[int] | None = None
-        self.build_row_max: Callable[[], list[int] | None] | None = None
+        self.build_row_max: Callable[[], list[int]] | None = None
 
     def ensure_plists(self) -> list[list[Any] | None]:
         """Materialise the round's per-sender singleton payload lists.
@@ -206,7 +214,7 @@ class _RoundState:
         plists = self.plists
         if not self.plists_valid:
             pays = self.pays
-            for j in self.senders:
+            for j in self.sender_list():
                 plists[j] = [pays[j]]
             self.plists_valid = True
         return plists
@@ -319,23 +327,18 @@ class ColumnarInbox(Mapping):
         """
         st = self._st
         row_max = st.row_max
+        if row_max is None and st.all_sent and st.ints is not None:
+            row_max = st.build_row_max()
         if row_max is not None:
-            # Fastest path: the whole round's per-receiver maxima were
-            # computed by one ``np.maximum.reduceat`` over the flat int64
-            # payload column (entries of empty rows are garbage, hence the
-            # degree guard).
+            # Fastest path: the whole round's per-receiver maxima, computed
+            # by one ``np.maximum.reduceat`` over the flat int64 payload
+            # column (entries of empty rows are garbage, hence the degree
+            # guard).
             if self._lo == self._hi:
                 return default
             heard = row_max[self._i]
             return heard if heard > default else default
         if st.all_sent:
-            if st.ints_only:
-                row_max = st.build_row_max()
-                if row_max is not None:
-                    if self._lo == self._hi:
-                        return default
-                    heard = row_max[self._i]
-                    return heard if heard > default else default
             flat = st.pays_flat
             if flat is None:
                 flat = st.build_pays_flat()
@@ -385,8 +388,9 @@ class BroadcastAccounting:
     and, when the run lowers, :class:`~repro.distributed.vectorize.EngineView`
     — so the two can never account a broadcast pass differently.  It owns:
 
-    * the run-lifetime columns: degrees, ``n_connected`` (the
-      positive-degree vertex count: degree-0 vertices never send and sit in
+    * the run-lifetime columns: degrees, ``nonempty_np`` (the
+      positive-degree mask) and ``n_connected`` (the positive-degree vertex
+      count: degree-0 vertices never send and sit in
       no receiver's row, so ``sent_count == n_connected`` is an all-senders
       pass), the cut-crossing and overlay per-node count columns, and under
       an adversary the sorted neighbour *label* rows ``deliver_mask`` takes;
@@ -431,6 +435,7 @@ class BroadcastAccounting:
         "sent_count",
         "senders",
         "deg_np",
+        "nonempty_np",
         "bits_np",
         "sent_np",
         "cut_np",
@@ -462,7 +467,8 @@ class BroadcastAccounting:
         self.indices = topo.indices
         self.degrees = list(topo.degrees)
         deg_np = self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
-        self.n_connected = int(np.count_nonzero(deg_np))
+        self.nonempty_np = deg_np > 0
+        self.n_connected = int(np.count_nonzero(self.nonempty_np))
         cut = sim.cut
         self.cut_counts = (
             _crossing_counts(topo, [labels[i] in cut for i in range(n)])
@@ -517,8 +523,7 @@ class BroadcastAccounting:
         """Ascending sender indices of the pass (derived from ``sent`` once)."""
         senders = self.senders
         if senders is None:
-            sent = self.sent
-            senders = self.senders = [i for i in range(self.n) if sent[i]]
+            senders = self.senders = np.flatnonzero(self.sent_np).tolist()
         return senders
 
     def _walk(self, senders: list[int]) -> None:
@@ -609,7 +614,7 @@ class BroadcastAccounting:
 def build_columnar_collect(
     accounting: BroadcastAccounting,
     contexts: list[NodeContext],
-    tsignal: list[bool] | None = None,
+    shared: SendColumns,
 ) -> Callable[[Iterable[int]], list[Any]]:
     """Build the columnar engine's stepped per-round ``collect`` callable.
 
@@ -618,32 +623,35 @@ def build_columnar_collect(
     stepped-only state — the payload size table, the per-receiver inbox
     views and their bulk-gather kernels — and returns the closure
     :meth:`~repro.distributed.simulator.Simulator._drive` calls once per
-    round.  ``tsignal`` is the contexts' shared targeted-traffic signal
-    cell: rounds that saw a ``ctx.send`` delegate to the shared targeted
-    fast path (:func:`~repro.distributed.targeted.build_targeted_collect`,
-    built lazily on first use and sharing this run's payload size table).
+    round.  ``shared`` holds the contexts' outgoing broadcast columns and
+    their targeted-traffic signal cell: rounds that saw a ``ctx.send``
+    delegate to the shared targeted fast path
+    (:func:`~repro.distributed.targeted.build_targeted_collect`, built
+    lazily on first use and sharing this run's payload size table).
     """
     n = accounting.n
     labels = accounting.labels
     indptr = accounting.indptr
     rows = accounting.rows
-    degrees = accounting.degrees
     metrics = accounting.metrics
     filt = accounting.filt
     account = accounting.account
+    sender_list = accounting.sender_list
 
     size_table = PayloadSizeTable()
-    int_sizes = size_table.int_sizes
-    size_cap = size_table.cap
     measure = size_table.measure
 
     # Persistent per-round columns: the shared sent-flag and size columns,
     # plus the payload object column (the Mapping facade's singleton lists
     # materialise lazily from it, see ``_RoundState.ensure_plists``).
-    state = _RoundState(n, labels, accounting.index, accounting.sent)
+    state = _RoundState(accounting)
     sent = state.sent
     pays = state.pays
     bits_col = accounting.bits_col
+    bits_np = accounting.bits_np
+    out_pays = shared.pays
+    out_sent = shared.sent
+    tsignal = shared.targeted
     zero_bytes = bytes(n)
     none_list: list[Any] = [None] * n
 
@@ -677,23 +685,15 @@ def build_columnar_collect(
 
         # Only all-senders rounds fold through this, and those have arcs, so
         # ``reduce_idx`` (``None`` on an arc-free graph) is set whenever it runs.
-        def build_row_max() -> list[int] | None:
+        def build_row_max() -> list[int]:
             """Per-receiver payload maxima in one C reduction.
 
-            Lowers the round's payload column to int64 and folds
-            every receiver's row with ``np.maximum.reduceat``.
-            Returns ``None`` (and clears the round's ``ints_only``
-            flag so the fallback is not retried per receiver) when
-            the column does not fit int64.
+            Folds every receiver's row of the round's ``int64`` payload
+            column (the one the sizing pass built) with
+            ``np.maximum.reduceat``.
             """
-            try:
-                ints = np.fromiter(pays, dtype=np.int64, count=n)
-            except (OverflowError, TypeError, ValueError):
-                state.ints_only = False
-                return None
-            gathered = ints[all_rows_np]
-            row_max = np.maximum.reduceat(gathered, reduce_idx).tolist()
-            state.row_max = row_max
+            gathered = state.ints[all_rows_np]
+            row_max = state.row_max = np.maximum.reduceat(gathered, reduce_idx).tolist()
             return row_max
 
         state.build_row_max = build_row_max
@@ -701,17 +701,18 @@ def build_columnar_collect(
     # Adversary path only: neighbour label rows handed to deliver_mask.
     mask_rows = accounting.mask_rows
 
-    # The degree-0 guard in the gather loop exists only for graphs that
-    # actually contain isolated vertices; compile it out otherwise.
+    # Degree-0 broadcasts are no-ops; masking them out exists only for
+    # graphs that actually contain isolated vertices.
     n_connected = accounting.n_connected
-    has_isolated = n_connected != n
+    nonempty_np = accounting.nonempty_np if n_connected != n else None
+    sent_np = accounting.sent_np
 
     # Targeted fast path, built on first use so broadcast-only programs
     # never construct it.
     targeted_collect: list[Callable[[Iterable[int]], list[Any]] | None] = [None]
 
     def collect(sender_ids: Iterable[int]) -> list[Any]:
-        if tsignal is not None and tsignal[0]:
+        if tsignal[0]:
             # At least one ctx.send this round: the whole round (broadcasts
             # included, replayed at their outbox positions) goes through the
             # shared targeted-delivery path, reusing this run's size table.
@@ -721,78 +722,50 @@ def build_columnar_collect(
                 from repro.distributed.targeted import build_targeted_collect
 
                 targeted = targeted_collect[0] = build_targeted_collect(
-                    accounting.sim, contexts, metrics, accounting.graph_sets, filt,
-                    size_table,
+                    accounting.sim, contexts, shared, metrics, accounting.graph_sets,
+                    filt, size_table,
                 )
             return targeted(sender_ids)
-        # ---- reset the persistent round columns.  Stale ``pays``/
-        # ``plists`` entries are guarded by the ``sent`` flags, so only the
-        # flags and the round caches need clearing (C-level slice write).
-        sent[:] = zero_bytes
+        # ---- gather: the contexts' outgoing columns become the round's
+        # columns by C-level slice copies.  Stale ``pays``/``plists``
+        # entries are guarded by the ``sent`` flags, so only the round
+        # caches need clearing.
+        sent[:] = out_sent
+        out_sent[:] = zero_bytes
+        pays[:] = out_pays
+        if nonempty_np is not None:
+            # Degree-0 broadcast: a no-op, exactly like the indexed engine's
+            # empty outbox (no metrics, no payload counter).
+            np.logical_and(sent_np, nonempty_np, out=sent_np)
+        sent_count = accounting.sent_count = sent.count(1)
+        accounting.senders = None
         state.all_sent = False
         state.flat = None
         state.pays_flat = None
         state.row_max = None
         state.plists_valid = False
 
-        # ---- gather: drain interned payloads into the round's columns.
-        # Hot names are re-bound as locals: the loop body runs once per
-        # sender per round, and LOAD_FAST beats cell/global loads there.
-        ctxs = contexts
-        degs = degrees
-        isizes = int_sizes
-        probe_int = isizes.get
-        gen_measure = measure
-        no_bcast = NO_BROADCAST
-        sent_l = sent
-        bits_l = bits_col
-        pays_l = pays
-        isolated = has_isolated
-        ints_only = True
-        senders: list[int] = []
-        senders_append = senders.append
-        for src_i in sender_ids:
-            ctx = ctxs[src_i]
-            payload = ctx._batch_payload
-            if payload is no_bcast:
-                continue
-            ctx._batch_payload = no_bcast
-            if isolated and not degs[src_i]:
-                # Degree-0 broadcast: a no-op, exactly like the indexed
-                # engine's empty outbox (no metrics, no payload counter).
-                continue
-            # Inlined PayloadSizeTable fast path: exact ints (the dominant
-            # broadcast payload class) hit one dict probe, everything else
-            # takes the generic value-keyed table.
-            if payload.__class__ is int:
-                bits = probe_int(payload)
-                if bits is None:
-                    # This *is* the PayloadSizeTable int fast path, inlined;
-                    # the direct call only runs on a table miss.
-                    bits = estimate_bits(payload)  # reprolint: disable=REP006
-                    if len(isizes) < size_cap:
-                        isizes[payload] = bits
+        # ---- sizing: one exact whole-column kernel when every entry is a
+        # nonnegative int64-sized exact int (non-senders' stale entries
+        # get sizes nobody reads), the size table per sender otherwise.  A
+        # round without senders hands out no views, so its ``ints`` is
+        # never read.
+        if sent_count:
+            ints = state.ints = exact_int_column(pays)
+            if ints is not None:
+                bits_np[:] = int_column_bits(ints)
             else:
-                bits = gen_measure(payload)
-                ints_only = False
-            senders_append(src_i)
-            sent_l[src_i] = 1
-            bits_l[src_i] = bits
-            pays_l[src_i] = payload
-        state.senders = senders
-        state.ints_only = ints_only
-
-        accounting.senders = senders
-        accounting.sent_count = len(senders)
+                for src_i in sender_list():
+                    bits_col[src_i] = measure(pays[src_i])
 
         # ---- accounting: the shared kernel, one RoundTally flush.
         account()
 
         # ---- delivery: persistent lazy views (fault-free) or masked dicts.
-        if not senders:
+        if not sent_count:
             return none_list
         if filt is None:
-            state.all_sent = len(senders) == n_connected
+            state.all_sent = sent_count == n_connected
             return views
         # Adversary seam: one deliver_mask call per sender (keyed-hash mask
         # for drops, a deliver() loop otherwise), then eager per-receiver
@@ -801,6 +774,7 @@ def build_columnar_collect(
         halted = [ctx.halted for ctx in contexts]
         eager: list[dict[Any, list[Any]] | None] = [None] * n
         deliver_mask = filt.deliver_mask
+        senders = sender_list()
         if not filt.transforms:
             for src_i in senders:
                 src = labels[src_i]

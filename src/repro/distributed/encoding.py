@@ -197,10 +197,9 @@ class PayloadSizeTable:
 
     Exact ``int`` payloads — the dominant broadcast payload class (vertex
     labels, counters) — get a dedicated ``int_sizes`` dictionary keyed by
-    the raw value: one dict probe, no key-tuple allocation.  It is public
-    so the columnar engine's gather loop can alias it locally and inline
-    the probe; ``bool`` never lands there (``True.__class__ is bool``), so
-    the ``True == 1`` aliasing trap stays closed.
+    the raw value: one dict probe, no key-tuple allocation.  ``bool`` never
+    lands there (``True.__class__ is bool``), so the ``True == 1`` aliasing
+    trap stays closed.
     """
 
     __slots__ = ("_table", "int_sizes", "cap")

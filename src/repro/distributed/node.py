@@ -10,9 +10,29 @@ from repro.distributed.errors import MessageAdmissionError, NotANeighborError
 
 Node = Hashable
 
-#: Sentinel marking "no broadcast queued this round" in batch-collection
-#: mode; distinct from ``None``, which is a perfectly legal payload.
-NO_BROADCAST: Any = object()
+
+class SendColumns:
+    """One run's shared send state, written by its contexts.
+
+    ``pays`` and ``sent`` are the outgoing broadcast columns, indexed by
+    the context's node index: ``ctx.broadcast`` stores the payload and sets
+    the flag byte, and the columnar engine copies both into its round state
+    once per collection pass (two C-level slice copies) instead of visiting
+    every sender.  ``targeted`` and ``halted`` are one-element signal
+    cells: ``ctx.send`` flags the first, so the engine learns in O(1)
+    whether a round needs the targeted collection path, and ``ctx.halt``
+    flags the second, so the round loop rebuilds its active list only after
+    some node halted.  Contexts built outside an engine get a private
+    one-node instance.
+    """
+
+    __slots__ = ("pays", "sent", "targeted", "halted")
+
+    def __init__(self, n: int) -> None:
+        self.pays: list[Any] = [0] * n
+        self.sent = bytearray(n)
+        self.targeted = [False]
+        self.halted = [False]
 
 
 class NodeContext:
@@ -35,20 +55,21 @@ class NodeContext:
     Under the batch-collecting ``columnar`` engine (``batch=True``) the
     context collects traffic in struct-of-arrays form instead of
     materialising one ``(dst, payload)`` tuple per message: the round's
-    single broadcast payload is interned by reference (one broadcast per
+    single broadcast is written straight into the run's outgoing
+    :class:`SendColumns` at the context's node ``index`` (one broadcast per
     round is admitted regardless of the communication model — the engine
-    interns the payload once per sender), and targeted sends append into
-    the per-sender grouped outbox
-    (``_t_dsts`` / ``_t_pays`` parallel columns) consumed by the shared
-    targeted-delivery fast path (:mod:`repro.distributed.targeted`).
-    ``_t_bpos`` records where in that stream the broadcast was issued, so
-    mixed rounds replay in exactly the indexed engine's outbox order.
-    ``engine_label`` and ``model_name`` name the engine and model in
-    admission errors.
+    sizes and delivers one payload per sender), and targeted sends append
+    into the per-sender grouped outbox (``_t_dsts`` / ``_t_pays`` parallel
+    columns) consumed by the shared targeted-delivery fast path
+    (:mod:`repro.distributed.targeted`).  ``_t_bpos`` records where in
+    that stream the broadcast was issued (written only when targeted sends
+    precede it, else 0), so mixed rounds replay in exactly the indexed
+    engine's outbox order.  ``engine_label`` and
+    ``model_name`` name the engine and model in admission errors.
 
     The class is slotted: contexts sit on every engine's per-round hot path
-    (``round``/``halted`` reads in the driver, ``_batch_payload`` and the
-    targeted columns in the columnar engine), and at E23's n = 10^6 point a million
+    (``round`` writes in the driver, the outgoing columns and the targeted
+    columns in the columnar engine), and at E23's n = 10^6 point a million
     instances exist at once.
     """
 
@@ -68,11 +89,14 @@ class NodeContext:
         "_model_name",
         "_last_broadcast_round",
         "_outbox",
-        "_batch_payload",
+        "_index",
+        "_out_pays",
+        "_out_sent",
         "_t_dsts",
         "_t_pays",
         "_t_bpos",
         "_t_signal",
+        "_halt_signal",
     )
 
     def __init__(
@@ -86,6 +110,8 @@ class NodeContext:
         batch: bool = False,
         engine_label: str = "columnar",
         model_name: str = "LOCAL",
+        index: int = 0,
+        shared: SendColumns | None = None,
     ) -> None:
         self.node_id = node_id
         self.neighbors = neighbors
@@ -113,19 +139,23 @@ class NodeContext:
         self._model_name = model_name
         self._last_broadcast_round = -1
         self._outbox: list[tuple[Node, Any]] = []
-        self._batch_payload: Any = NO_BROADCAST
+        # The engines pass their run's shared columns and signal cells; a
+        # directly constructed context gets private one-node ones, which
+        # keeps the send, broadcast and halt hot paths branch-free.
+        if shared is None:
+            shared = SendColumns(1 if batch else 0)
+            index = 0
+        self._index = index
+        self._out_pays = shared.pays
+        self._out_sent = shared.sent
+        self._t_signal = shared.targeted
+        self._halt_signal = shared.halted
         # Per-sender grouped outbox of the batch-collecting engine:
-        # parallel destination/payload columns (struct of arrays), the
-        # broadcast's interleave position, and the engine's shared
-        # round-had-targeted-traffic signal cell (a one-element list, so
-        # flagging it is one store — no per-round scan over all contexts).
-        # The cell is never None — the columnar engine overwrites it with its
-        # shared cell, and the private default keeps the send hot path
-        # branch-free for directly constructed contexts.
+        # parallel destination/payload columns (struct of arrays) and the
+        # broadcast's interleave position.
         self._t_dsts: list[Node] = []
         self._t_pays: list[Any] = []
-        self._t_bpos = -1
-        self._t_signal: list[bool] = [False]
+        self._t_bpos = 0
 
     @property
     def rng(self) -> random.Random:
@@ -165,8 +195,11 @@ class NodeContext:
             if self._last_broadcast_round == self.round:
                 raise self._double_broadcast_error()
             self._last_broadcast_round = self.round
-            self._batch_payload = payload
-            self._t_bpos = len(self._t_dsts)
+            index = self._index
+            self._out_pays[index] = payload
+            self._out_sent[index] = 1
+            if self._t_dsts:
+                self._t_bpos = len(self._t_dsts)
             return
         if self._broadcast_only:
             if self._last_broadcast_round == self.round:
@@ -200,6 +233,7 @@ class NodeContext:
     def halt(self) -> None:
         """Stop participating; the node neither sends nor receives afterwards."""
         self.halted = True
+        self._halt_signal[0] = True
 
     # --------------------------------------------------------------- internals
     def _drain_outbox(self) -> list[tuple[Node, Any]]:

@@ -29,8 +29,10 @@ Three engines share the public API and produce identical results:
 * ``columnar`` (default) — the flat-array engine
   (:mod:`repro.distributed.columnar`).  Broadcast rounds exploit the
   broadcast-admission invariant (one identical payload per sender per
-  round): each sender's payload is interned once and sized from a
-  run-lifetime :class:`~repro.distributed.encoding.PayloadSizeTable`,
+  round): contexts write each broadcast into shared outgoing columns, a
+  round's payload column is sized in one whole-column pass (exact ints;
+  other payloads through a run-lifetime
+  :class:`~repro.distributed.encoding.PayloadSizeTable`),
   accounting reduces over preallocated per-node count columns (NumPy
   kernels) into one :class:`~repro.distributed.metrics.RoundTally` flush per round,
   and fault-free delivery hands each receiver a lazy CSR-backed inbox view
@@ -73,7 +75,7 @@ from repro.distributed.encoding import BitsMemo, congest_budget_bits
 from repro.distributed.errors import BandwidthExceededError, RoundLimitExceededError
 from repro.distributed.metrics import LinkLedger, Metrics, flush_round_tally
 from repro.distributed.models import CommunicationModel, LocalModel, Model, ModelConfig
-from repro.distributed.node import NodeContext
+from repro.distributed.node import NodeContext, SendColumns
 from repro.distributed.program import NodeProgram
 from repro.distributed.vectorize import EngineView, try_lower
 from repro.graphs.digraph import DiGraph
@@ -264,7 +266,8 @@ class Simulator:
         metrics: Metrics,
         max_rounds: int,
         raise_on_limit: bool,
-        filt: DeliveryFilter | None = None,
+        filt: DeliveryFilter | None,
+        halts: list[bool],
     ) -> list[int]:
         """The shared round loop of the list-indexed engines.
 
@@ -272,19 +275,25 @@ class Simulator:
         with ``collect`` (which drains the queued traffic of the given
         senders and returns sparse inboxes) until every node halts.  An
         active adversary filter sees each round begin before any program
-        executes (crash schedules force-halt contexts there, which the loop
-        then skips).  Returns the final active set (empty iff the run
-        completed).
+        executes (crash schedules force-halt contexts there, and the loop
+        drops them before any handler runs).  ``halts`` is the contexts'
+        shared halt cell: the active list is rebuilt only after some
+        context called ``halt()``.  Returns the final active set (empty iff
+        the run completed).
         """
         n = len(contexts)
         for i in range(n):
             programs[i].on_start(contexts[i])
 
+        def live(ids: Iterable[int]) -> list[int]:
+            halts[0] = False
+            return [i for i in ids if not contexts[i].halted]
+
         # Bind the round handlers once: the loop below runs n times per round
         # at E23 scale and the repeated method lookup is measurable.
         handlers = [program.on_round for program in programs]
         pending = collect(range(n))
-        active = [i for i in range(n) if not contexts[i].halted]
+        active = live(range(n)) if halts[0] else list(range(n))
 
         while active:
             if metrics.rounds >= max_rounds:
@@ -297,15 +306,16 @@ class Simulator:
             current_round = metrics.rounds
             if filt is not None:
                 filt.on_round_begin(current_round, (contexts[i] for i in active))
+                if halts[0]:
+                    active = live(active)  # crash-stopped at the top of this round
             for i in active:
                 ctx = contexts[i]
-                if ctx.halted:
-                    continue  # crash-stopped at the top of this round
                 ctx.round = current_round
                 inbox = pending[i]
                 handlers[i](ctx, inbox if inbox is not None else {})
             pending = collect(active)
-            active = [i for i in active if not contexts[i].halted]
+            if halts[0]:
+                active = live(active)
         return active
 
     def _build_programs(self) -> list[NodeProgram]:
@@ -327,7 +337,7 @@ class Simulator:
 
     def _build_contexts(
         self, graph_sets: list[frozenset[Node]] | None
-    ) -> tuple[list[NodeContext], list[bool] | None]:
+    ) -> tuple[list[NodeContext], SendColumns]:
         """Seed RNGs and build the per-node contexts of the list-indexed engines.
 
         Shared by the indexed and columnar engines so that the master-RNG
@@ -336,11 +346,11 @@ class Simulator:
         Programs are built separately (:meth:`_build_programs`): the columnar
         engine decides lowering from them before any context exists.
 
-        Columnar contexts collect traffic in batch form and additionally
-        share one targeted-traffic signal cell (returned as the second
-        element): ``ctx.send`` flags it, so the engine learns in O(1)
-        whether a round needs the targeted collection path — pure-broadcast
-        rounds never pay a per-sender scan.
+        Every context shares the run's :class:`~repro.distributed.node.SendColumns`
+        (returned as the second element): its halt cell on both engines,
+        and on the columnar engine also the outgoing broadcast columns and
+        the targeted-traffic signal cell, so the engine learns in O(1)
+        whether a round needs the targeted collection path.
         """
         topo = self.topology
         model = self.model
@@ -352,11 +362,10 @@ class Simulator:
         broadcast_only = model.broadcast_only
         model_name = model.name
         batch = self.engine == "columnar"
-        tsignal: list[bool] | None = [False] if batch else None
+        shared = SendColumns(n if batch else 0)
 
-        contexts: list[NodeContext] = []
-        for i in range(n):
-            ctx = NodeContext(
+        contexts = [
+            NodeContext(
                 node_id=labels[i],
                 neighbors=topo.neighbor_label_set(i),
                 n=n,
@@ -366,11 +375,12 @@ class Simulator:
                 batch=batch,
                 engine_label=self.engine,
                 model_name=model_name,
+                index=i,
+                shared=shared,
             )
-            if tsignal is not None:
-                ctx._t_signal = tsignal
-            contexts.append(ctx)
-        return contexts, tsignal
+            for i in range(n)
+        ]
+        return contexts, shared
 
     # -------------------------------------------------------- indexed engine
     def _run_indexed(self, max_rounds: int, raise_on_limit: bool) -> RunResult:
@@ -380,7 +390,7 @@ class Simulator:
         labels = topo.labels
         programs = self._build_programs()
         graph_sets = self._graph_sets()
-        contexts, _ = self._build_contexts(graph_sets)
+        contexts, shared = self._build_contexts(graph_sets)
 
         metrics = self._new_metrics()
         model.init_metrics(metrics)
@@ -397,7 +407,8 @@ class Simulator:
             )
 
         active = self._drive(
-            contexts, programs, collect, metrics, max_rounds, raise_on_limit, filt
+            contexts, programs, collect, metrics, max_rounds, raise_on_limit, filt,
+            shared.halted,
         )
         outputs = {labels[i]: contexts[i].output for i in range(n)}
         return RunResult(outputs=outputs, metrics=metrics, completed=not active)
@@ -519,9 +530,10 @@ class Simulator:
         programs before any context exists; fault-free lowered runs build
         none and report the view's output column); otherwise the
         per-round collection pass is the stepped columnar collect
-        (:func:`~repro.distributed.columnar.build_columnar_collect`): a
-        run-lifetime payload size table and lazy CSR-backed inbox views in
-        place of per-delivery dict inserts, with rounds of targeted traffic
+        (:func:`~repro.distributed.columnar.build_columnar_collect`): the
+        contexts' outgoing columns copied and sized whole, and lazy
+        CSR-backed inbox views in place of per-delivery dict inserts, with
+        rounds of targeted traffic
         delegated to the targeted fast path
         (:func:`~repro.distributed.targeted.build_targeted_collect`).
         Bit-for-bit identical to the indexed engine for every program under
@@ -558,10 +570,11 @@ class Simulator:
             active = lowered.execute(max_rounds, raise_on_limit)
             outputs = dict(zip(labels, lowered.outputs))
         else:
-            contexts, tsignal = self._build_contexts(graph_sets)
-            collect = build_columnar_collect(accounting, contexts, tsignal)
+            contexts, shared = self._build_contexts(graph_sets)
+            collect = build_columnar_collect(accounting, contexts, shared)
             active = self._drive(
-                contexts, programs, collect, metrics, max_rounds, raise_on_limit, filt
+                contexts, programs, collect, metrics, max_rounds, raise_on_limit, filt,
+                shared.halted,
             )
             outputs = {label: ctx.output for label, ctx in zip(labels, contexts)}
         return RunResult(outputs=outputs, metrics=metrics, completed=not active)

@@ -98,7 +98,7 @@ from repro.distributed.columnar import exact_int_column, int_column_bits
 from repro.distributed.encoding import PayloadSizeTable
 from repro.distributed.errors import BandwidthExceededError
 from repro.distributed.metrics import Metrics, RoundTally, flush_round_tally
-from repro.distributed.node import NO_BROADCAST, NodeContext
+from repro.distributed.node import NodeContext, SendColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.adversary import DeliveryFilter
@@ -260,6 +260,7 @@ class _DeliveryPlan:
 def build_targeted_collect(
     sim: "Simulator",
     contexts: list[NodeContext],
+    shared: SendColumns,
     metrics: Metrics,
     graph_sets,
     filt: "DeliveryFilter | None",
@@ -270,8 +271,10 @@ def build_targeted_collect(
     Invoked lazily by the columnar engine the first time a run actually
     sees a targeted send (broadcast-only runs never pay for it).  ``sim``
     supplies the compiled topology, model and cut exactly as the engines
-    see them; ``size_table`` lets the columnar engine share its run-lifetime
-    payload size cache with this path (``None`` builds a private table).
+    see them; ``shared`` holds the contexts' outgoing broadcast columns,
+    which a mixed round's broadcasts are read from; ``size_table`` lets the
+    columnar engine share its run-lifetime payload size cache with this
+    path (``None`` builds a private table).
     """
     topo = sim.topology
     model = sim.model
@@ -286,6 +289,9 @@ def build_targeted_collect(
         size_table = PayloadSizeTable()
     measure = size_table.measure
     index_get = index.__getitem__
+    out_pays = shared.pays
+    out_sent = shared.sent
+    zero_bytes = bytes(n)
 
     # Label identity: every shipped graph family labels vertices by their
     # dense index, making destination resolution a C-level list extend.
@@ -538,25 +544,21 @@ def build_targeted_collect(
         t_dst_extend = t_dst.extend
         t_pay_extend = t_pay.extend
         ctxs = contexts
-        no_bcast = NO_BROADCAST
         ident = identity
         get_i = index_get
 
         for src_i in sender_ids:
             ctx = ctxs[src_i]
             tdsts = ctx._t_dsts
-            bpay = ctx._batch_payload
-            if not tdsts and bpay is no_bcast:
+            broadcast = out_sent[src_i]
+            if not tdsts and not broadcast:
                 continue
             tpays = ctx._t_pays
             ctx._t_dsts = []
             ctx._t_pays = []
             start = len(t_dst)
-            if bpay is no_bcast:
+            if not broadcast:
                 # Pure targeted sender: two C-level column extends.
-                # ``_t_bpos`` may hold a stale value here, but it is only
-                # ever read in the broadcast branch below, and broadcast()
-                # always writes it fresh before setting ``_batch_payload``.
                 if ident:
                     t_dst_extend(tdsts)
                 else:
@@ -567,11 +569,10 @@ def build_targeted_collect(
             # Sender broadcast this round (possibly mixed with targeted
             # sends): expand the broadcast into the columns at its call
             # position so per-link message order matches the oracle.
+            # ``_t_bpos`` is written only when sends preceded the
+            # broadcast, so it is reset to 0 here.
             bpos = ctx._t_bpos
-            ctx._t_bpos = -1
-            ctx._batch_payload = no_bcast
-            if bpos < 0:
-                bpos = 0
+            ctx._t_bpos = 0
             if bpos:
                 pre_d = tdsts[:bpos]
                 if ident:
@@ -584,7 +585,7 @@ def build_targeted_collect(
             b_lo = len(t_dst)
             if deg:
                 t_dst_extend(row)
-                t_pay_extend([bpay] * deg)
+                t_pay_extend([out_pays[src_i]] * deg)
             b_hi = len(t_dst)
             if bpos < len(tdsts):
                 post_d = tdsts[bpos:]
@@ -594,6 +595,7 @@ def build_targeted_collect(
                     t_dst_extend(map(get_i, post_d))
                 t_pay_extend(tpays[bpos:])
             groups_append((src_i, start, len(t_dst), b_lo, b_hi))
+        out_sent[:] = zero_bytes
 
         m = len(t_dst)
         if not m:

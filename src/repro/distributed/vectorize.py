@@ -45,7 +45,7 @@ adversaries.  The load-bearing details:
 * payload sizes come from closed forms (:func:`int_payload_bits`,
   :func:`repetition_frame_bits`, and their whole-column form
   :func:`~repro.distributed.columnar.int_column_bits`, shared with the
-  targeted collection path) pinned by tests to equal
+  stepped broadcast and targeted collection paths) pinned by tests to equal
   :func:`~repro.distributed.encoding.estimate_bits` on every value the
   kernels emit — ``estimate_bits`` itself never runs inside
   ``vector_round`` (reprolint REP006 enforces this);
@@ -241,7 +241,7 @@ class EngineView:
             self._zero_arcs = bytes(indptr[n])
 
         self.alive_np = np.frombuffer(self.alive, dtype=np.uint8).view(np.bool_)
-        self.nonempty_np = accounting.deg_np > 0
+        self.nonempty_np = accounting.nonempty_np
         self.t_idx = None
         m2 = indptr[n]
         if filt is not None and m2:
@@ -259,7 +259,7 @@ class EngineView:
             self.t_idx = t_idx
 
     # ------------------------------------------------------------ kernel API
-    def fold_max(self, bits=None):
+    def fold_max(self):
         """Per-receiver max over the payloads delivered this round.
 
         Returns ``None`` when no traffic is pending; otherwise an ``int64``
@@ -269,14 +269,9 @@ class EngineView:
         zero-degree receivers are unspecified — gate on degree.  The
         delivered set honours the adversary masks computed by the previous
         collection pass, so decisions and fault counters match the stepped
-        engine exactly.
-
-        With ``bits`` (a per-sender wire-size ``int64`` column) the return is a ``(heard, heard_bits)`` pair: the bits column
-        is folded through the same delivery mask, with 0 marking "nothing
-        delivered".  Valid only when wire size is monotone nondecreasing in
-        payload value (all-nonnegative payloads): then the folded max bits
-        *is* the wire size of the folded max payload, and kernels can
-        refresh sizes with no per-node Python at all.
+        engine exactly.  Only payloads are folded: a kernel sizes the
+        maxima it adopts itself (for nonnegative payloads the size of the
+        delivered max is the max of the delivered sizes).
         """
         accounting = self.accounting
         sent_count = accounting.sent_count
@@ -285,24 +280,15 @@ class EngineView:
         all_rows_np = accounting.all_rows_np
         if not len(all_rows_np):
             return None
-        reduce_idx = accounting.reduce_idx
-        gathered = self._kernel.payload_column()[all_rows_np]
-        dmask = None
+        gathered = np.take(self._kernel.payload_column(), all_rows_np)
         if self.filt is not None:
             dmask = np.frombuffer(self.mask_flat, dtype=np.uint8).view(np.bool_)[
                 self.t_idx
             ]
+            gathered = np.where(dmask, gathered, INT64_MIN)
         elif sent_count != accounting.n_connected:
-            dmask = accounting.sent_np[all_rows_np]
-        vals = gathered if dmask is None else np.where(dmask, gathered, INT64_MIN)
-        heard = np.maximum.reduceat(vals, reduce_idx)
-        if bits is None:
-            return heard
-        del gathered, vals  # one arc-length gather alive at a time
-        gathered_bits = bits[all_rows_np]
-        if dmask is not None:
-            gathered_bits = np.where(dmask, gathered_bits, 0)
-        return heard, np.maximum.reduceat(gathered_bits, reduce_idx)
+            gathered = np.where(accounting.sent_np[all_rows_np], gathered, INT64_MIN)
+        return np.maximum.reduceat(gathered, accounting.reduce_idx)
 
     def retire(self, node_ids: list[int], outputs: list[Any]) -> None:
         """Halt ``node_ids`` voluntarily with ``outputs``.
@@ -472,8 +458,9 @@ class MaxFloodKernel(VectorKernel):
         self.best: Any = None
         self.stable: Any = None
         self._size_cache: dict[int, int] = {}
-        # All-nonnegative labels make wire size monotone in the payload, so
-        # sizes can ride the same reduceat fold as the payloads.
+        # All-nonnegative labels: every payload is an exact int the
+        # whole-column sizing kernel takes, so adopted maxima are sized in
+        # one pass instead of through the per-value cache.
         self._monotone = False
         # Whether the previous round improved no node (see vector_round).
         self._quiet = False
@@ -544,14 +531,9 @@ class MaxFloodKernel(VectorKernel):
         collection pass charges every round's traffic either way.
         """
         best = self.best
-        heard = heard_bits = None
+        heard = None
         if not (self._quiet and view.filt is None):
-            if self._monotone:
-                folded = view.fold_max(bits=view.bits_np)
-                if folded is not None:
-                    heard, heard_bits = folded
-            else:
-                heard = view.fold_max()
+            heard = view.fold_max()
         alive = view.alive_np
         improved = None
         if heard is not None:
@@ -560,13 +542,12 @@ class MaxFloodKernel(VectorKernel):
                 improved = None
         self._quiet = improved is None
         if improved is not None:
-            best[improved] = heard[improved]
-            if heard_bits is not None:
-                view.bits_np[improved] = heard_bits[improved]
+            adopted = heard[improved]
+            best[improved] = adopted
+            if self._monotone:
+                view.bits_np[improved] = int_column_bits(adopted, self.copies)
             else:
-                self._refresh_bits(
-                    view, np.nonzero(improved)[0].tolist(), best[improved].tolist()
-                )
+                self._refresh_bits(view, np.nonzero(improved)[0].tolist(), adopted.tolist())
         if self.patience is not None:
             stable = self.stable
             stable += 1

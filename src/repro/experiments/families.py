@@ -14,8 +14,11 @@ particular) reuse the same immutable
 mega-scale graph once per scenario.  Only :class:`FrozenGraph` results are
 cached — mutable :class:`~repro.graphs.graph.Graph` instances may be edited
 by scenario runners (e.g. weight assignment in the spanner tier), so they
-are always rebuilt.  Determinism is unaffected: a memo hit returns the
-byte-identical arrays the generator would have rebuilt from the same seed.
+are always rebuilt, unless a caller that never edits its graph asks for
+:func:`build_frozen_graph`, which memoizes a mutable family's frozen view
+in the same bounded memo.  Determinism is unaffected: a memo hit returns
+the byte-identical arrays the generator would have rebuilt from the same
+seed.
 """
 
 from __future__ import annotations
@@ -124,7 +127,31 @@ def build_graph(family_spec: Sequence[Any]) -> Any:
         raise KeyError(f"unknown graph family {family!r} (known: {known})") from None
     graph = builder(*args)
     if isinstance(graph, FrozenGraph):
-        while len(_TOPOLOGY_MEMO) >= _TOPOLOGY_MEMO_CAP:
-            _TOPOLOGY_MEMO.pop(next(iter(_TOPOLOGY_MEMO)))
-        _TOPOLOGY_MEMO[key] = graph
+        _memoize(key, graph)
     return graph
+
+
+def build_frozen_graph(family_spec: Sequence[Any]) -> FrozenGraph:
+    """:func:`build_graph`'s instance as an immutable, memoized :class:`FrozenGraph`.
+
+    For callers that never edit their graph: a mutable family's graph is
+    built and frozen once per worker process and shares the memo (and
+    :func:`clear_graph_memo`) with the frozen-CSR families, while
+    :func:`build_graph` keeps returning a fresh mutable graph for it.
+    """
+    key = family_spec_hash(["frozen", *family_spec])
+    hit = _TOPOLOGY_MEMO.get(key)
+    if hit is not None:
+        return hit
+    graph = build_graph(family_spec)
+    if not isinstance(graph, FrozenGraph):
+        graph = FrozenGraph(graph.freeze())
+        _memoize(key, graph)
+    return graph
+
+
+def _memoize(key: str, graph: FrozenGraph) -> None:
+    """Store ``graph`` under ``key``, evicting the oldest entries past the cap."""
+    while len(_TOPOLOGY_MEMO) >= _TOPOLOGY_MEMO_CAP:
+        _TOPOLOGY_MEMO.pop(next(iter(_TOPOLOGY_MEMO)))
+    _TOPOLOGY_MEMO[key] = graph

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import run_clique_two_spanner, run_flood_max
 from repro.core.flood_max import FloodMaxProgram
+from repro.core.robust_coding import RedundantFloodMaxProgram
 from repro.distributed import (
     BandwidthExceededError,
     BroadcastNodeProgram,
@@ -576,6 +577,176 @@ class TestColumnarAdmission:
 
         message = "message(s) on link 0->1 use 153620 bits, budget is 64 (CONGEST)"
         assert attempt("columnar") == attempt("indexed") == message
+
+
+def _broadcast_twice_in(where):
+    """A program whose node 0 broadcasts twice in ``on_start`` or round 1."""
+
+    def on_start(ctx):
+        ctx.broadcast(1)
+        if where == "on_start" and ctx.node_id == 0:
+            ctx.broadcast(2)
+
+    def on_round(ctx, inbox):
+        ctx.broadcast(3)
+        if ctx.node_id == 0:
+            ctx.broadcast(4)
+
+    return lambda v: FunctionProgram(on_start, on_round)
+
+
+class _Scripted(NodeProgram):
+    """Node ``v`` broadcasts ``script[round][v]`` (nothing when ``NO``).
+
+    Logs every inbox as ``repr`` of its items, so ``True`` vs ``1`` is a
+    difference, and halts after the last scripted round — or right after
+    its broadcast in the round ``halt_at`` names for it.
+    """
+
+    NO = object()
+
+    def __init__(self, v, script, halt_at=None):
+        self.v = v
+        self.script = script
+        self.halt_at = halt_at or {}
+        self.heard = []
+
+    def on_start(self, ctx):
+        self._act(ctx, 0)
+
+    def on_round(self, ctx, inbox):
+        self.heard.append(repr(sorted(inbox.items(), key=repr)))
+        if ctx.round >= len(self.script):
+            ctx.set_output(tuple(self.heard))
+            ctx.halt()
+            return
+        self._act(ctx, ctx.round)
+
+    def _act(self, ctx, r):
+        payload = self.script[r].get(self.v, self.NO)
+        if payload is not self.NO:
+            ctx.broadcast(payload)
+        if self.halt_at.get(self.v) == r:
+            ctx.set_output(tuple(self.heard))
+            ctx.halt()
+
+
+def _scripted_runs(graph, script, model_factory, halt_at=None, engines=("columnar", "reference")):
+    n = graph.number_of_nodes()
+    return {
+        engine: _run(
+            graph, lambda v: _Scripted(v, script, halt_at), model_factory(n), engine
+        )
+        for engine in engines
+    }
+
+
+class TestBroadcastColumns:
+    """The contexts' outgoing broadcast columns and the whole-column sizing pass."""
+
+    LOCAL_TEXT = (
+        "node 0: the columnar engine admits one broadcast per node per round "
+        "(its fast path interns the round's payload once per sender)"
+    )
+
+    @pytest.mark.parametrize("where", ["on_start", "on_round"])
+    def test_second_broadcast_raises_the_same_text_under_local(self, where):
+        with pytest.raises(MessageAdmissionError) as info:
+            run_program(path_graph(4), _broadcast_twice_in(where), model=local_model(4))
+        assert str(info.value) == self.LOCAL_TEXT
+
+    @pytest.mark.parametrize("where", ["on_start", "on_round"])
+    def test_second_broadcast_raises_the_same_text_under_broadcast_congest(self, where):
+        def message(engine):
+            with pytest.raises(MessageAdmissionError) as info:
+                run_program(
+                    path_graph(4),
+                    _broadcast_twice_in(where),
+                    model=broadcast_congest_model(4),
+                    engine=engine,
+                )
+            return str(info.value)
+
+        expected = (
+            "node 0: the broadcast-only model BROADCAST-CONGEST admits one "
+            "identical payload to all neighbours per round"
+        )
+        assert message("columnar") == message("reference") == expected
+
+    @pytest.mark.parametrize("payload", [7, ("t", 7)], ids=["int", "tuple"])
+    def test_degree_zero_broadcasts_charge_nothing(self, payload):
+        # Isolated vertices broadcast beside connected ones every round: the
+        # degree-0 mask must drop them from messages, bits and the
+        # broadcast-payload counter on both sizing paths.
+        g = path_graph(5)
+        g.add_nodes_from([5, 6, 7])
+        script = [{v: payload for v in range(8)}] * 3
+        runs = _scripted_runs(
+            g, script, lambda n: broadcast_congest_model(n, enforce=False)
+        )
+        _assert_identical(runs["columnar"], runs["reference"])
+        metrics = runs["columnar"].metrics.as_dict()
+        assert metrics["messages_sent"] == 3 * 2 * 4
+        assert metrics["broadcast_payloads"] == 3 * 5
+
+    @pytest.mark.parametrize("model_factory", ALL_MODELS[:3])
+    def test_broadcast_then_halt_is_still_delivered(self, model_factory):
+        g = path_graph(4)
+        script = [{v: ("r", r, v) for v in range(4)} for r in range(4)]
+        runs = _scripted_runs(g, script, model_factory, halt_at={0: 1, 2: 2})
+        _assert_identical(runs["columnar"], runs["reference"])
+        # Node 1 heard node 0's round-1 broadcast in round 2, after node 0
+        # halted in round 1; nothing from node 0 after that.
+        heard = runs["columnar"].outputs[1]
+        assert "('r', 1, 0)" in heard[1]
+        assert all("(0, [" not in log for log in heard[2:])
+
+    @pytest.mark.parametrize("model_factory", [ALL_MODELS[0], ALL_MODELS[2]])
+    def test_odd_entries_in_an_int_column_size_like_reference(self, model_factory):
+        # Each round is all exact nonnegative ints but for one odd entry; the
+        # last round holds all of them at once, and nodes 6 and 7 skip some
+        # rounds, so stale entries sit in the column too.
+        odd = [True, -5, 2**63, 2**64 + 3, ("x", 1)]
+        g = gnp_random_graph(10, 0.5, seed=4)
+        script = [{v: v * 37 for v in range(10)}]
+        for k, value in enumerate(odd):
+            script.append({v: (value if v == k else v + 2**k) for v in range(10) if v != 7})
+        script.append({v: odd[v % len(odd)] if v < 5 else v for v in range(10) if v != 6})
+        runs = _scripted_runs(g, script, model_factory)
+        _assert_identical(runs["columnar"], runs["reference"])
+
+    @pytest.mark.parametrize("adversary", [None, "drop:0.3:5"])
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda v: FloodMaxProgram(v, 12), lambda v: RedundantFloodMaxProgram(v, 3, 3)],
+        ids=["flood_max", "redundant"],
+    )
+    def test_lowered_sizes_adopted_maxima_like_stepped(self, factory, adversary):
+        # On a path labelled 0..39 every node's best climbs one label per
+        # round, so the folded maxima cross 2, 4, 8, 16 and 32 mid-run and
+        # each round's total bits depends on every adopted size.
+        g = path_graph(40)
+        runs = {}
+        for name, engine, vectorize in (
+            ("lowered", "columnar", True),
+            ("stepped", "columnar", False),
+            ("reference", "reference", False),
+        ):
+            sim = Simulator(
+                g,
+                factory,
+                model=broadcast_congest_model(40, enforce=False),
+                seed=2,
+                engine=engine,
+                adversary=build_adversary(adversary) if adversary else None,
+                vectorize=vectorize,
+            )
+            runs[name] = sim.run()
+            assert sim.lowered == (name == "lowered")
+        _assert_identical(runs["lowered"], runs["stepped"])
+        _assert_identical(runs["lowered"], runs["reference"])
+        per_round = list(runs["lowered"].metrics.bits_per_round)
+        assert len(set(per_round[1:6])) > 1
 
 
 class _MetricsKeeper(Simulator):

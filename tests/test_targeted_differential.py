@@ -16,7 +16,14 @@ cache sees both sides of its key:
   length, must miss);
 * ``resplit`` — the same flat destination column split differently across
   senders (must miss);
-* ``fresh`` — a new pattern, with broadcasts at mixed outbox positions.
+* ``fresh`` — a new pattern, with broadcasts at mixed outbox positions;
+* ``bcast`` — broadcasts only, so the round takes the columnar engine's
+  pure-broadcast collect instead of the targeted path.
+
+Scripts also halt nodes early, in a round where they broadcast last or
+in one where they stay silent, and one configuration crash-stops nodes
+(``crash:NODE@ROUND``), so the round loop's halt bookkeeping is
+differential-tested too.
 
 Payloads mix exact non-negative ints (the whole-column sizing kernel) with
 every shape that must take the size-table fallback: ``bool``, negative
@@ -62,6 +69,7 @@ CONFIGS = {
     "congest-enforcing": (lambda n: congest_model(n, enforce=True), None),
     "clique": (lambda n: congested_clique_model(n, enforce=False), None),
     "congest-drop": (lambda n: congest_model(n, enforce=False), "drop:0.3:5"),
+    "congest-crash": (lambda n: congest_model(n, enforce=False), "crash:1@1,2@2,5@3"),
 }
 
 NONNEG_INTS = st.integers(0, 2**20)
@@ -79,10 +87,11 @@ PAYLOADS = st.one_of(
 #: Each round draws its payloads from one of these.
 ROUND_PAYLOADS = st.sampled_from([NONNEG_INTS, INT_LIKE, PAYLOADS])
 
-#: One node's part of a round: ``(targets, payloads, bpos, bpay)``.  A
-#: ``bpos`` of ``None`` means no broadcast; otherwise ``ctx.broadcast``
-#: runs before the ``bpos``-th send (after all of them if ``bpos`` equals
-#: the send count).
+#: One node's part of a round: ``(targets, payloads, bpos, bpay)``, plus an
+#: optional fifth ``halt`` flag.  A ``bpos`` of ``None`` means no
+#: broadcast; otherwise ``ctx.broadcast`` runs before the ``bpos``-th send
+#: (after all of them if ``bpos`` equals the send count).  With ``halt``
+#: the node outputs its log and halts once the round's part is played.
 EMPTY = ((), (), None, None)
 
 
@@ -101,6 +110,31 @@ def _fresh(draw, n):
         else:
             round_.append((targets, pays, None, None))
     return tuple(round_)
+
+
+def _broadcasts(draw, n):
+    """A broadcast-only round: each node broadcasts or stays silent."""
+    payloads = draw(ROUND_PAYLOADS)
+    return tuple(
+        ((), (), 0, draw(payloads)) if draw(st.booleans()) else EMPTY for _ in range(n)
+    )
+
+
+def _with_halts(draw, rounds, n):
+    """Mark some nodes to halt early, with or without a last broadcast."""
+    rounds = [list(round_) for round_ in rounds]
+    for v in range(n):
+        if draw(st.integers(0, 2)):
+            continue
+        r = draw(st.integers(0, len(rounds) - 1))
+        targets, pays, bpos, bpay = rounds[r][v]
+        if draw(st.booleans()):
+            if bpos is None:
+                bpos, bpay = len(targets), draw(PAYLOADS)
+        else:
+            bpos = bpay = None
+        rounds[r][v] = (targets, pays, bpos, bpay, True)
+    return tuple(tuple(round_) for round_ in rounds)
 
 
 def _repeat(draw, prev):
@@ -151,7 +185,11 @@ def scripts(draw):
     p = draw(st.sampled_from([0.5, 0.8, 1.0]))
     graph_seed = draw(st.integers(0, 999))
     kinds = draw(
-        st.lists(st.sampled_from(["fresh", "repeat", "move", "resplit"]), min_size=1, max_size=5)
+        st.lists(
+            st.sampled_from(["fresh", "repeat", "move", "resplit", "bcast"]),
+            min_size=1,
+            max_size=5,
+        )
     )
     rounds = [_fresh(draw, n)]
     for kind in kinds:
@@ -162,9 +200,11 @@ def scripts(draw):
             rounds.append(_move(prev, n))
         elif kind == "resplit":
             rounds.append(_resplit(prev) or _repeat(draw, prev))
+        elif kind == "bcast":
+            rounds.append(_broadcasts(draw, n))
         else:
             rounds.append(_fresh(draw, n))
-    return n, p, graph_seed, tuple(rounds)
+    return n, p, graph_seed, _with_halts(draw, rounds, n)
 
 
 class ScriptProgram(NodeProgram):
@@ -194,7 +234,7 @@ class ScriptProgram(NodeProgram):
         self._act(ctx, ctx.round)
 
     def _act(self, ctx, r):
-        targets, pays, bpos, bpay = self.script[r][self.node]
+        targets, pays, bpos, bpay, *halt = self.script[r][self.node]
         nbrs = sorted(ctx.neighbors)
         for k, (target, payload) in enumerate(zip(targets, pays)):
             if k == bpos:
@@ -205,6 +245,9 @@ class ScriptProgram(NodeProgram):
                 ctx.send(nbrs[target % len(nbrs)], payload)
         if bpos is not None and bpos >= len(targets):
             ctx.broadcast(bpay)
+        if halt:
+            ctx.set_output(tuple(self.heard))
+            ctx.halt()
 
 
 def _outcome(engine, config, case):
@@ -268,12 +311,29 @@ _INT_FALLBACKS = (
 )
 
 
+#: Early halts on the 4-clique: node 1 halts right after a last mixed
+#: broadcast, node 2 silently, node 3 after a pure-broadcast round; the
+#: rest of the script keeps sending to them.  Node 0 broadcasts after its
+#: sends in round 0 and before them in round 1, so a broadcast position
+#: left over from round 0 would reorder node 3's round-1 inbox.
+_HALTS = (
+    4, 1.0, 3,
+    (
+        (((1, 2), (5, 6), 2, 11), ((0,), (7,), 1, 9, True), ((3,), (8,), None, None, True), EMPTY),
+        (((3,), (4,), 0, 12), EMPTY, EMPTY, ((0,), (1,), None, None)),
+        (((), (), 0, 1), EMPTY, EMPTY, ((), (), 0, 2**63, True)),
+        (((1, 2, 3), (4, 5, 6), 0, 3), EMPTY, EMPTY, EMPTY),
+    ),
+)
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @DIFF
 @given(case=scripts())
 @example(case=_CLIQUE_REPEAT)
 @example(case=_ALL_PAYLOADS)
 @example(case=_INT_FALLBACKS)
+@example(case=_HALTS)
 def test_columnar_and_indexed_match_reference(config, case):
     expected = _outcome("reference", config, case)
     assert _outcome("columnar", config, case) == expected

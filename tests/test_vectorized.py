@@ -46,8 +46,14 @@ from repro.distributed.vectorize import (
 )
 from repro.core.robust_coding import CodedFloodMaxProgram, RedundantFloodMaxProgram
 from repro.experiments import families
-from repro.experiments.families import build_graph, clear_graph_memo, family_spec_hash
+from repro.experiments.families import (
+    build_frozen_graph,
+    build_graph,
+    clear_graph_memo,
+    family_spec_hash,
+)
 from repro.graphs import Graph, barabasi_albert_csr, gnp_random_graph, path_graph
+from repro.graphs.topology import FrozenGraph
 
 ALL_MODELS = [
     lambda n: local_model(n),
@@ -633,6 +639,24 @@ class TestGraphMemoization:
         spec = ("gnp", 30, 0.2, 1)
         assert build_graph(spec) is not build_graph(spec)
         assert not families._TOPOLOGY_MEMO
+
+    def test_frozen_view_of_a_mutable_family_memoized(self):
+        spec = ("sparse_connected_gnp", 300, 0.02, 4)
+        frozen = build_frozen_graph(spec)
+        assert isinstance(frozen, FrozenGraph)
+        assert build_frozen_graph(list(spec)) is frozen
+        # build_graph still hands out a fresh mutable graph: same topology.
+        mutable = build_graph(spec)
+        assert isinstance(mutable, Graph) and mutable is not build_graph(spec)
+        topo, expected = frozen.freeze(), mutable.freeze()
+        assert topo.labels == expected.labels
+        assert bytes(topo.indptr) == bytes(expected.indptr)
+        assert bytes(topo.indices) == bytes(expected.indices)
+        clear_graph_memo()
+        assert build_frozen_graph(spec) is not frozen
+        # A frozen-CSR family's own memo entry is the frozen view.
+        csr = ("barabasi_albert_csr", 200, 3, 5)
+        assert build_frozen_graph(csr) is build_graph(csr)
 
     def test_memo_is_bounded(self):
         for seed in range(families._TOPOLOGY_MEMO_CAP + 2):
