@@ -19,6 +19,7 @@ message loss and is the E19 robustness workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import countOf
 from typing import Any
@@ -94,19 +95,11 @@ class FloodMaxProgram(VectorProgram, NodeProgram):
         ctx.broadcast(best)
 
     @classmethod
-    def vector_kernel(cls, programs, view: EngineView) -> MaxFloodKernel | None:
-        """Lower a homogeneous fixed-budget flood-max run to the max-fold kernel."""
+    def vector_kernel(cls, probe, view: EngineView) -> MaxFloodKernel | None:
+        """Lower a fixed-budget flood-max run to the max-fold kernel."""
         if cls is not FloodMaxProgram:
             return None
-        rounds = programs[0].rounds
-        # One pass and one list equality: a program with another budget
-        # drops out of the list, and every other one must still hold its
-        # own label.  (A comprehension's slot reads beat ``attrgetter``
-        # maps, and a per-program loop, here.)
-        best = [program.best for program in programs if program.rounds == rounds]
-        if best != view.labels:
-            return None
-        return MaxFloodKernel(rounds=rounds)
+        return MaxFloodKernel(rounds=probe.rounds)
 
 
 def run_flood_max(
@@ -137,7 +130,7 @@ def run_flood_max(
     model = model if model is not None else broadcast_congest_model(n)
     sim = Simulator(
         graph,
-        lambda v: FloodMaxProgram(v, rounds),
+        partial(FloodMaxProgram, rounds=rounds),
         model=model,
         seed=seed,
         engine=engine,
@@ -219,8 +212,8 @@ class RobustFloodMaxProgram(VectorProgram, NodeProgram):
         ctx.broadcast(best)
 
     @classmethod
-    def vector_kernel(cls, programs, view: EngineView) -> MaxFloodKernel | None:
-        """Lower a homogeneous retransmitting flood-max run to the max-fold kernel.
+    def vector_kernel(cls, probe, view: EngineView) -> MaxFloodKernel | None:
+        """Lower a retransmitting flood-max run to the max-fold kernel.
 
         Subclasses (:class:`~repro.core.robust_coding.RedundantFloodMaxProgram`,
         :class:`~repro.core.robust_coding.CodedFloodMaxProgram`) change the wire
@@ -229,15 +222,7 @@ class RobustFloodMaxProgram(VectorProgram, NodeProgram):
         """
         if cls is not RobustFloodMaxProgram:
             return None
-        patience = programs[0].patience
-        best = [
-            program.best
-            for program in programs
-            if program.patience == patience and program.stable == 0
-        ]
-        if best != view.labels:
-            return None
-        return MaxFloodKernel(patience=patience)
+        return MaxFloodKernel(patience=probe.patience)
 
 
 def robust_flood_max_round_bound(n: int, patience: int) -> int:
@@ -275,7 +260,7 @@ def run_robust_flood_max(
         max_rounds = robust_flood_max_round_bound(n, patience)
     sim = Simulator(
         graph,
-        lambda v: RobustFloodMaxProgram(v, patience),
+        partial(RobustFloodMaxProgram, patience=patience),
         model=model,
         seed=seed,
         engine=engine,

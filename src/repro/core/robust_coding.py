@@ -39,6 +39,7 @@ explicit ``max_rounds`` when driven under a corrupting adversary.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.core.clique_two_spanner import (
@@ -154,8 +155,8 @@ class RedundantFloodMaxProgram(RobustFloodMaxProgram):
         ctx.broadcast((best,) * copies)
 
     @classmethod
-    def vector_kernel(cls, programs, view: EngineView) -> MaxFloodKernel | None:
-        """Lower a homogeneous repetition-coded flood to the max-fold kernel.
+    def vector_kernel(cls, probe, view: EngineView) -> MaxFloodKernel | None:
+        """Lower a repetition-coded flood to the max-fold kernel.
 
         Sound without a transforming filter in the loop (which
         :func:`repro.distributed.vectorize.try_lower` already rules out):
@@ -167,18 +168,7 @@ class RedundantFloodMaxProgram(RobustFloodMaxProgram):
         """
         if cls is not RedundantFloodMaxProgram:
             return None
-        patience = programs[0].patience
-        copies = programs[0].copies
-        labels = view.labels
-        for i, program in enumerate(programs):
-            if (
-                program.patience != patience
-                or program.copies != copies
-                or program.best != labels[i]
-                or program.stable != 0
-            ):
-                return None
-        return MaxFloodKernel(patience=patience, copies=copies)
+        return MaxFloodKernel(patience=probe.patience, copies=probe.copies)
 
 
 class CodedFloodMaxProgram(RobustFloodMaxProgram):
@@ -272,7 +262,7 @@ def run_redundant_flood_max(
         max_rounds = robust_flood_max_round_bound(n, patience)
     sim = Simulator(
         graph,
-        lambda v: RedundantFloodMaxProgram(v, patience, copies),
+        partial(RedundantFloodMaxProgram, patience=patience, copies=copies),
         model=model,
         seed=seed,
         engine=engine,
@@ -300,7 +290,7 @@ def run_coded_flood_max(
         max_rounds = robust_flood_max_round_bound(n, patience)
     sim = Simulator(
         graph,
-        lambda v: CodedFloodMaxProgram(v, patience),
+        partial(CodedFloodMaxProgram, patience=patience),
         model=model,
         seed=seed,
         engine=engine,

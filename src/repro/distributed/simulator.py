@@ -344,7 +344,8 @@ class Simulator:
         consumption order and the context wiring can never diverge between
         them (the bit-for-bit engine-parity contract depends on both).
         Programs are built separately (:meth:`_build_programs`): the columnar
-        engine decides lowering from them before any context exists.
+        engine decides lowering from the program factory before either
+        exists.
 
         Every context shares the run's :class:`~repro.distributed.node.SendColumns`
         (returned as the second element): its halt cell on both engines,
@@ -527,8 +528,9 @@ class Simulator:
         drivers charge every collection pass through.  A lowerable run
         executes as whole-round kernels
         (:func:`~repro.distributed.vectorize.try_lower`, decided from the
-        programs before any context exists; fault-free lowered runs build
-        none and report the view's output column); otherwise the
+        program factory before any program or context exists; fault-free
+        lowered runs build neither and report the view's output column);
+        otherwise the programs are built and the
         per-round collection pass is the stepped columnar collect
         (:func:`~repro.distributed.columnar.build_columnar_collect`): the
         contexts' outgoing columns copied and sized whole, and lazy
@@ -540,7 +542,6 @@ class Simulator:
         every communication model and adversary.
         """
         labels = self.topology.labels
-        programs = self._build_programs()
         graph_sets = self._graph_sets()
 
         metrics = self._new_metrics()
@@ -548,17 +549,17 @@ class Simulator:
         filt = self._bind_adversary(metrics)
 
         accounting = BroadcastAccounting(self, metrics, graph_sets, filt)
-        # Program lowering (the E23 fast path): when every program is the
-        # same opted-in VectorProgram class and the run admits it, whole
-        # rounds execute as array kernels with zero per-node Python calls —
-        # bit-for-bit identical to the stepped path below.  ``lowered``
-        # records the decision for callers (benchmarks, the E23 twins) and
-        # ``lowering`` its reason.
-        # The decision comes before any per-node context exists: a
-        # fault-free lowered run never builds one, and its outputs are the
-        # view's output column.
+        # Program lowering (the E23 fast path): when the factory is a
+        # VectorProgram partial and the run admits it, whole rounds execute
+        # as array kernels with zero per-node Python calls — bit-for-bit
+        # identical to the stepped path below.  ``lowered`` records the
+        # decision for callers (benchmarks, the E23 twins) and ``lowering``
+        # its reason.  The decision comes before any per-node program or
+        # context exists: a fault-free lowered run builds neither.
         decision = (
-            try_lower(accounting, programs) if self.vectorize else "vectorize off"
+            try_lower(accounting, self.program_factory)
+            if self.vectorize
+            else "vectorize off"
         )
         lowered = decision if isinstance(decision, EngineView) else None
         self.lowered = lowered is not None
@@ -566,10 +567,12 @@ class Simulator:
         if lowered is not None:
             if filt is not None:
                 # The filter's round hook halts *contexts* (crash schedules).
-                lowered.contexts, _ = self._build_contexts(graph_sets)
+                lowered.contexts, shared = self._build_contexts(graph_sets)
+                lowered.halts = shared.halted
             active = lowered.execute(max_rounds, raise_on_limit)
-            outputs = dict(zip(labels, lowered.outputs))
+            outputs = dict(zip(labels, lowered.outputs.tolist()))
         else:
+            programs = self._build_programs()
             contexts, shared = self._build_contexts(graph_sets)
             collect = build_columnar_collect(accounting, contexts, shared)
             active = self._drive(

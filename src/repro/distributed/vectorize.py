@@ -8,22 +8,24 @@ loop for programs that opt in.
 
 A lowerable program class implements the **VectorProgram protocol**:
 
-* :meth:`VectorProgram.vector_kernel` — a classmethod receiving every
-  program instance of the run plus the :class:`EngineView`; it validates
-  that the instances are homogeneous (same configuration, untouched
-  per-node state) and returns a :class:`VectorKernel`, or ``None`` to
-  decline;
+* :meth:`VectorProgram.vector_kernel` — a classmethod receiving one
+  *probe* program (built for the first label) plus the
+  :class:`EngineView`; it reads the configuration off the probe and
+  returns a :class:`VectorKernel`, or ``None`` to decline;
 * the kernel declares its flat column state (:meth:`VectorKernel.state_columns`)
   and executes whole rounds (:meth:`VectorKernel.vector_round`) against the
   view's CSR neighbour arrays and shared payload columns — e.g. flood-max
   becomes one ``np.maximum.reduceat`` plus a halt-mask update per round;
 * the program's ordinary ``on_round`` is the **exact per-node fallback**:
-  whenever lowering is declined the columnar engine runs the stepped path,
-  bit-for-bit identically.
+  whenever lowering is declined the columnar engine builds one program per
+  node and runs the stepped path, bit-for-bit identically.
 
 The columnar engine attempts lowering (:func:`try_lower`) when
 
-* every program instance is the *exact same* opted-in class,
+* the run's program factory is ``functools.partial(Cls, **config)`` with
+  ``Cls`` a :class:`VectorProgram` subclass: it builds ``Cls(label,
+  **config)`` for every node, so the programs are homogeneous by
+  construction and none is built or scanned (any other factory steps),
 * the delivery filter is absent or non-transforming (drop and crash
   adversaries are supported through the existing per-sender
   ``deliver_mask`` seam; the corruption adversary forces the fallback),
@@ -31,7 +33,7 @@ The columnar engine attempts lowering (:func:`try_lower`) when
   of every shipped graph family).
 
 Parity contract: a lowered run is **bit-for-bit identical** to the stepped
-columnar run (and hence to the indexed oracle) — outputs,
+columnar run (and hence to the ``reference`` oracle) — outputs,
 ``Metrics.as_dict()``, ``bits_per_round``, fault counters, enforcement
 raises — under all four communication models and under drop/crash
 adversaries.  The load-bearing details:
@@ -49,15 +51,15 @@ adversaries.  The load-bearing details:
   :func:`~repro.distributed.encoding.estimate_bits` on every value the
   kernels emit — ``estimate_bits`` itself never runs inside
   ``vector_round`` (reprolint REP006 enforces this);
-* lowering is decided from the program instances alone, before any
-  per-node context exists: a fault-free lowered run builds no
-  :class:`~repro.distributed.node.NodeContext`, draws no per-node seeds from
-  the master RNG and materialises no neighbour sets — the kernels never
-  read them, and with no context in existence no program can observe the
-  skipped draws.  Outputs live in the view's output column
+* lowering is decided before any per-node program or context exists: a
+  fault-free lowered run builds one program (the probe), no
+  :class:`~repro.distributed.node.NodeContext`, draws no per-node seeds
+  from the master RNG and materialises no neighbour sets — the kernels
+  never read them, and with no context in existence no program can
+  observe the skipped draws.  Outputs live in the view's output column
   (:attr:`EngineView.outputs`).  Under a drop or crash adversary the
-  engine builds the contexts after lowering (the filter's round hook halts
-  contexts), exactly as the stepped path would;
+  engine builds the contexts after lowering (the filter's round hook
+  halts contexts), exactly as the stepped path would;
 * adversary seams fire exactly like the stepped columnar engine: the
   filter sees each round begin before any state updates (crash schedules
   force-halt contexts there), and ``deliver_mask`` is called once per
@@ -66,8 +68,9 @@ adversaries.  The load-bearing details:
 
 from __future__ import annotations
 
+from functools import partial
 from operator import countOf
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -76,7 +79,7 @@ from repro.distributed.errors import RoundLimitExceededError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.node import NodeContext
-    from repro.distributed.program import NodeProgram
+    from repro.distributed.program import Node, NodeProgram
 
 #: int64 bounds: labels outside this range decline lowering, and the
 #: minimum doubles as the "nothing heard" fold identity (safe because the
@@ -110,16 +113,17 @@ def repetition_frame_bits(value: int, copies: int) -> int:
     return 2 + copies * (2 + int_payload_bits(value))
 
 
-def _shared_ints(values) -> list[int]:
-    """``values.tolist()``, sharing one int object when all entries agree.
+def _shared_ints(values):
+    """``values``, or one shared ``int`` when all entries agree.
 
-    A converged flood retires every node with the same label: one shared
-    object instead of ``n`` equal ones keeps the outputs small and makes
-    later equality folds over them (a leader check) identity hits.
+    A converged flood retires every node with the same label: writing one
+    shared object into the output column instead of ``n`` equal ones keeps
+    the outputs small and makes later equality folds over them (a leader
+    check) identity hits.
     """
     if len(values) > 1 and values.min() == values.max():
-        return [int(values[0])] * len(values)
-    return values.tolist()
+        return int(values[0])
+    return values
 
 
 class VectorProgram:
@@ -127,25 +131,27 @@ class VectorProgram:
 
     Subclasses override :meth:`vector_kernel`.  The columnar engine calls
     it once per run (after binding the adversary, before any per-node
-    context is built) when every program instance is the exact same class;
-    returning ``None`` declines lowering and the run proceeds on the
-    stepped per-node path — the program's ``on_round`` is the exact
-    fallback, so declining is always safe.
+    program or context is built) when the run's factory is
+    ``functools.partial(cls, **config)``; returning ``None`` declines
+    lowering and the run proceeds on the stepped per-node path — the
+    program's ``on_round`` is the exact fallback, so declining is always
+    safe.  The constructor contract is ``cls(label, **config)``: two
+    nodes' programs differ only in what the kernel derives from labels.
     """
 
     __slots__ = ()
 
     @classmethod
     def vector_kernel(
-        cls, programs: "list[NodeProgram]", view: "EngineView"
+        cls, probe: "NodeProgram", view: "EngineView"
     ) -> "VectorKernel | None":
-        """Return a :class:`VectorKernel` for ``programs``, or ``None``.
+        """Return a :class:`VectorKernel` configured from ``probe``, or ``None``.
 
-        Implementations must verify homogeneity — identical configuration
-        across instances and untouched per-node state — because the kernel
-        replaces every instance's execution wholesale.  Subclasses that do
-        not re-implement the protocol must be declined here (guard on
-        ``cls``), never silently lowered with the parent's semantics.
+        ``probe`` is the factory's program for the first label (its
+        construction also raises any constructor error, as stepping would).
+        Subclasses that do not re-implement the protocol must be declined
+        here (guard on ``cls``), never silently lowered with the parent's
+        semantics.
         """
         return None
 
@@ -186,8 +192,7 @@ class EngineView:
     primitive :meth:`fold_max`, the broadcast queue
     (:meth:`queue_broadcast_alive` over the ``bits_col`` size column and
     its ``bits_np`` view) and the retirement seam
-    :meth:`retire` (the only per-node Python in a lowered run: each node is
-    touched once when it halts), which fills the ``outputs`` column the
+    :meth:`retire`, which fills the object-dtype ``outputs`` column the
     engine reports.  The columns and the accounting kernel belong to the
     run's :class:`~repro.distributed.columnar.BroadcastAccounting` — the
     same instance the stepped path would have used — and everything else
@@ -215,6 +220,7 @@ class EngineView:
         "bits_np",
         "nonempty_np",
         "t_idx",
+        "halts",
     )
 
     def __init__(self, accounting: BroadcastAccounting) -> None:
@@ -223,7 +229,8 @@ class EngineView:
         indptr = accounting.indptr
         self.accounting = accounting
         self.contexts: "list[NodeContext] | None" = None
-        self.outputs: list[Any] = [None] * n
+        self.halts: list[bool] | None = None  # the contexts' halt cell
+        self.outputs = np.full(n, None, dtype=object)
         self.filt = filt
         self.n = n
         self.labels = accounting.labels
@@ -290,28 +297,25 @@ class EngineView:
             gathered = np.where(accounting.sent_np[all_rows_np], gathered, INT64_MIN)
         return np.maximum.reduceat(gathered, accounting.reduce_idx)
 
-    def retire(self, node_ids: list[int], outputs: list[Any]) -> None:
-        """Halt ``node_ids`` voluntarily with ``outputs``.
+    def retire(self, idxs, outputs) -> None:
+        """Halt the nodes at index array ``idxs`` voluntarily with ``outputs``.
 
-        The one per-node Python seam of a lowered run: each node passes
-        through here exactly once, when it halts, and its output lands in
-        the ``outputs`` column (and its context, when contexts exist).
-        Crash-stopped nodes never do (the adversary halts their contexts
-        directly and they keep output ``None``, exactly like the stepped
-        engines).
+        ``outputs`` is a column aligned with ``idxs`` or one value shared
+        by every retiring node; each node retires once, through two whole
+        column writes (and its context, when contexts exist).  Crash-stopped
+        nodes never do (the adversary halts their contexts directly and
+        they keep output ``None``, exactly like the stepped engines).
         """
         column = self.outputs
-        alive = self.alive
-        for i, out in zip(node_ids, outputs):
-            column[i] = out
-            alive[i] = 0
+        column[idxs] = outputs
+        self.alive_np[idxs] = False
+        self.alive_count -= len(idxs)
         contexts = self.contexts
         if contexts is not None:
-            for i, out in zip(node_ids, outputs):
+            for i in idxs.tolist():
                 ctx = contexts[i]
-                ctx.output = out
+                ctx.output = column[i]
                 ctx.halted = True
-        self.alive_count -= len(node_ids)
 
     def queue_broadcast_alive(self) -> None:
         """Queue a broadcast from every live node for the next delivery pass.
@@ -372,7 +376,16 @@ class EngineView:
         return (contexts[i] for i in range(self.n) if alive[i])
 
     def _sync_crashes(self) -> None:
-        """Fold force-halts from ``on_round_begin`` back into the columns."""
+        """Fold force-halts from ``on_round_begin`` back into the columns.
+
+        Scans the contexts only when the shared halt cell says some context
+        called ``halt()`` since the last scan (retirement sets
+        ``ctx.halted`` directly and never raises the cell).
+        """
+        halts = self.halts
+        if not halts[0]:
+            return
+        halts[0] = False
         contexts = self.contexts
         alive = self.alive
         crashed = 0
@@ -509,7 +522,7 @@ class MaxFloodKernel(VectorKernel):
         if self.rounds is not None and self.rounds <= 0:
             # Zero-budget flood-max: output the own label and halt in
             # on_start, queueing no traffic at all.
-            view.retire(list(range(n)), list(labels))
+            view.retire(np.arange(n), _shared_ints(self.best))
             view.clear_broadcasts()
             return
         if self._monotone:
@@ -553,52 +566,47 @@ class MaxFloodKernel(VectorKernel):
             stable += 1
             if improved is not None:
                 stable[improved] = 0
-            halters = alive & (stable >= self.patience)
-            if halters.any():
-                view.retire(
-                    np.nonzero(halters)[0].tolist(), _shared_ints(best[halters])
-                )
+            halters = np.flatnonzero(alive & (stable >= self.patience))
+            if len(halters):
+                view.retire(halters, _shared_ints(best[halters]))
         elif view.round >= self.rounds:
-            idxs = np.nonzero(alive)[0].tolist()
-            view.retire(idxs, _shared_ints(best[alive]))
+            idxs = np.flatnonzero(alive)
+            view.retire(idxs, _shared_ints(best[idxs]))
             view.clear_broadcasts()
             return
         view.queue_broadcast_alive()
 
 
 def try_lower(
-    accounting: BroadcastAccounting, programs: "list[NodeProgram]"
+    accounting: BroadcastAccounting, factory: "Callable[[Node], NodeProgram]"
 ) -> "EngineView | str":
     """Attempt to lower a columnar run; returns the armed view or a reason.
 
-    Lowering engages when every program instance is the exact same
-    :class:`VectorProgram` class (which then validates homogeneity and
-    supplies the kernel), the delivery filter is absent or
-    non-transforming, and every vertex label is an exact 64-bit ``int``.
-    Any refusal returns a short string naming the check that refused, and
-    the caller runs the stepped columnar path over the same ``accounting``
-    — the per-node fallback the protocol guarantees is exact.  Only the
-    programs are consulted: the decision precedes per-node context
-    construction, which a fault-free lowered run skips altogether.
+    Lowering engages when ``factory`` is ``functools.partial(Cls,
+    **config)`` with no positional arguments and ``Cls`` a
+    :class:`VectorProgram` subclass, the delivery filter is absent or
+    non-transforming, every vertex label is an exact 64-bit ``int``, and
+    ``Cls.vector_kernel`` accepts a probe built for the first label.  Any
+    refusal returns a short string naming the check that refused, and the
+    caller builds the programs and runs the stepped columnar path over the
+    same ``accounting`` — the per-node fallback the protocol guarantees is
+    exact.
     """
-    if not programs:
+    labels = accounting.labels
+    if not labels:
         return "no programs"
-    cls = type(programs[0])
-    if not issubclass(cls, VectorProgram):
-        return "not a VectorProgram"
-    # Exact-type counts at C level: no per-instance Python in the scans.
-    if countOf(map(type, programs), cls) != len(programs):
-        return "mixed program classes"
+    cls = factory.func if type(factory) is partial and not factory.args else None
+    if not (isinstance(cls, type) and issubclass(cls, VectorProgram)):
+        return "factory not a VectorProgram partial"
     filt = accounting.filt
     if filt is not None and filt.transforms:
         return "transforming filter"
-    labels = accounting.labels
     if countOf(map(type, labels), int) != len(labels):
         return "labels not all int"
     if not (INT64_MIN <= min(labels) and max(labels) <= INT64_MAX):
         return "labels outside int64"
     view = EngineView(accounting)
-    kernel = cls.vector_kernel(programs, view)
+    kernel = cls.vector_kernel(factory(labels[0]), view)
     if kernel is None:
         return "kernel declined"
     view._kernel = kernel

@@ -29,6 +29,7 @@ so CLI sweeps on loaded machines never flake.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.core.flood_max import (
@@ -101,10 +102,10 @@ def _run_e23(spec: ScenarioSpec) -> dict[str, Any]:
     # engine (``run --engine``) steps there.
     lowered = bool(spec.param("lowered", True)) and engine == "columnar"
     if workload == "fixed":
-        program = lambda v: FloodMaxProgram(v, budget)  # noqa: E731
+        program = partial(FloodMaxProgram, rounds=budget)
         max_rounds = 10_000
     else:
-        program = lambda v: RobustFloodMaxProgram(v, budget)  # noqa: E731
+        program = partial(RobustFloodMaxProgram, patience=budget)
         max_rounds = robust_flood_max_round_bound(n, budget)
     sim = Simulator(
         graph,

@@ -8,6 +8,8 @@ behaviour (golden dictionary shape included); fault counters live in
 adversary is active.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.core import (
@@ -76,7 +78,7 @@ class TestEngineParityUnderFaults:
     def test_flood_max_identical_across_engines(self, model_factory, adversary):
         g = gnp_random_graph(40, 0.15, seed=5)
         runs = _run_all_engines(
-            g, lambda v: FloodMaxProgram(v, 6), model_factory(40), adversary
+            g, partial(FloodMaxProgram, rounds=6), model_factory(40), adversary
         )
         indexed, columnar, reference = (
             runs["indexed"],
@@ -97,7 +99,7 @@ class TestEngineParityUnderFaults:
         g = gnp_random_graph(30, 0.25, seed=4)
         cut = set(range(15))
         faulty = _run_all_engines(
-            g, lambda v: FloodMaxProgram(v, 4), congest_model(30, enforce=False),
+            g, partial(FloodMaxProgram, rounds=4), congest_model(30, enforce=False),
             adversary, cut=cut,
         )
         assert (
@@ -115,11 +117,11 @@ class TestEngineParityUnderFaults:
         g = gnp_random_graph(30, 0.25, seed=4)
         cut = set(range(15))
         clean = Simulator(
-            g, lambda v: FloodMaxProgram(v, 4),
+            g, partial(FloodMaxProgram, rounds=4),
             model=congest_model(30, enforce=False), seed=9, cut=cut,
         ).run()
         dropped = Simulator(
-            g, lambda v: FloodMaxProgram(v, 4),
+            g, partial(FloodMaxProgram, rounds=4),
             model=congest_model(30, enforce=False), seed=9, cut=cut,
             adversary=DropAdversary(0.2),
         ).run()
@@ -176,11 +178,11 @@ class TestNoAdversaryIdentity:
     def test_metrics_dict_shape_unchanged(self, engine):
         g = gnp_random_graph(25, 0.2, seed=3)
         plain = run_program(
-            g, lambda v: FloodMaxProgram(v, 4), seed=5, engine=engine
+            g, partial(FloodMaxProgram, rounds=4), seed=5, engine=engine
         )
         identity = run_program(
             g,
-            lambda v: FloodMaxProgram(v, 4),
+            partial(FloodMaxProgram, rounds=4),
             seed=5,
             engine=engine,
             adversary=NoAdversary(),
@@ -191,9 +193,9 @@ class TestNoAdversaryIdentity:
 
     def test_zero_rate_drop_only_adds_zero_counters(self):
         g = gnp_random_graph(25, 0.2, seed=3)
-        plain = run_program(g, lambda v: FloodMaxProgram(v, 4), seed=5)
+        plain = run_program(g, partial(FloodMaxProgram, rounds=4), seed=5)
         zero = run_program(
-            g, lambda v: FloodMaxProgram(v, 4), seed=5, adversary=DropAdversary(0.0)
+            g, partial(FloodMaxProgram, rounds=4), seed=5, adversary=DropAdversary(0.0)
         )
         assert zero.outputs == plain.outputs
         assert zero.metrics.per_adversary == {

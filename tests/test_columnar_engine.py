@@ -13,6 +13,8 @@ payload size table and the whole-column int kernel must agree with
 ``estimate_bits`` on every payload shape.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ class TestColumnarDifferential:
         runs = {
             engine: _run(
                 g,
-                lambda v: FloodMaxProgram(v, 5),
+                partial(FloodMaxProgram, rounds=5),
                 model_factory(40),
                 engine,
                 seed=9,
@@ -206,7 +208,7 @@ class TestColumnarDifferential:
         runs = {
             engine: _run(
                 g,
-                lambda v: FloodMaxProgram(v, 6),
+                partial(FloodMaxProgram, rounds=6),
                 model_factory(30),
                 engine,
                 seed=4,
@@ -224,7 +226,7 @@ class TestColumnarDifferential:
         runs = {
             engine: _run(
                 g,
-                lambda v: FloodMaxProgram(v, 4),
+                partial(FloodMaxProgram, rounds=4),
                 congest_model(30, enforce=False),
                 engine,
                 cut=cut,
@@ -368,7 +370,7 @@ class TestScaleDifferential:
         runs = {
             engine: _run(
                 scale_graph,
-                lambda v: FloodMaxProgram(v, 4),
+                partial(FloodMaxProgram, rounds=4),
                 model_factory(20000),
                 engine,
                 seed=3,
@@ -384,7 +386,7 @@ class TestScaleDifferential:
         runs = {
             engine: _run(
                 scale_graph,
-                lambda v: FloodMaxProgram(v, 4),
+                partial(FloodMaxProgram, rounds=4),
                 broadcast_congest_model(20000),
                 engine,
                 seed=3,
@@ -508,11 +510,11 @@ class TestColumnarAdmission:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            Simulator(path_graph(3), lambda v: FloodMaxProgram(v, 1), engine="bogus")
+            Simulator(path_graph(3), partial(FloodMaxProgram, rounds=1), engine="bogus")
 
     def test_retired_batch_engine_rejected_naming_columnar(self):
         with pytest.raises(ValueError, match="batch was retired: use 'columnar'"):
-            Simulator(path_graph(3), lambda v: FloodMaxProgram(v, 1), engine="batch")
+            Simulator(path_graph(3), partial(FloodMaxProgram, rounds=1), engine="batch")
 
     def test_targeted_send_accepted_and_matches_indexed(self):
         # Since the targeted fast path the columnar engine admits targeted
@@ -718,7 +720,7 @@ class TestBroadcastColumns:
     @pytest.mark.parametrize("adversary", [None, "drop:0.3:5"])
     @pytest.mark.parametrize(
         "factory",
-        [lambda v: FloodMaxProgram(v, 12), lambda v: RedundantFloodMaxProgram(v, 3, 3)],
+        [partial(FloodMaxProgram, rounds=12), partial(RedundantFloodMaxProgram, patience=3, copies=3)],
         ids=["flood_max", "redundant"],
     )
     def test_lowered_sizes_adopted_maxima_like_stepped(self, factory, adversary):
@@ -879,7 +881,7 @@ class TestEnforcedRaiseMetrics:
         outcomes = {
             vectorize: _raise_outcome(
                 g,
-                lambda v: FloodMaxProgram(v, 6),
+                partial(FloodMaxProgram, rounds=6),
                 model_factory(self.N, logn_factor=1),
                 "columnar",
                 cut=cut,
@@ -892,7 +894,7 @@ class TestEnforcedRaiseMetrics:
         assert lowered[:3] == stepped[:3]
         indexed_message = _raise_outcome(
             g,
-            lambda v: FloodMaxProgram(v, 6),
+            partial(FloodMaxProgram, rounds=6),
             model_factory(self.N, logn_factor=1),
             "indexed",
             cut=cut,

@@ -21,6 +21,7 @@ Three contracts under test:
 """
 
 import json
+from functools import partial
 
 import pytest
 
@@ -298,7 +299,7 @@ def test_reference_engine_full_metric_parity_on_broadcast_traffic():
     runs = {
         engine: run_program(
             g,
-            lambda v: FloodMaxProgram(v, 6),
+            partial(FloodMaxProgram, rounds=6),
             seed=5,
             engine=engine,
             adversary=build_adversary("corrupt:0.2"),
@@ -323,7 +324,7 @@ class TestCorruptionDeterminism:
         def signature(seed):
             result = run_program(
                 g,
-                lambda v: FloodMaxProgram(v, 5),
+                partial(FloodMaxProgram, rounds=5),
                 seed=seed,
                 adversary=CorruptAdversary(0.2),
             )
@@ -341,7 +342,7 @@ class TestCorruptionDeterminism:
         def outputs(salt):
             return run_program(
                 g,
-                lambda v: FloodMaxProgram(v, 5),
+                partial(FloodMaxProgram, rounds=5),
                 seed=7,
                 adversary=CorruptAdversary(0.3, salt=salt),
             ).outputs
@@ -354,10 +355,10 @@ class TestCorruptionDeterminism:
         # accounting, so message counts match the fault-free run exactly
         # (the fixed-budget flood broadcasts every round regardless).
         g = gnp_random_graph(30, 0.25, seed=4)
-        clean = run_program(g, lambda v: FloodMaxProgram(v, 4), seed=9)
+        clean = run_program(g, partial(FloodMaxProgram, rounds=4), seed=9)
         corrupted = run_program(
             g,
-            lambda v: FloodMaxProgram(v, 4),
+            partial(FloodMaxProgram, rounds=4),
             seed=9,
             adversary=CorruptAdversary(0.2),
         )
@@ -375,10 +376,10 @@ class TestCorruptionDeterminism:
 
     def test_zero_rate_corrupt_only_adds_zero_counters(self):
         g = gnp_random_graph(25, 0.2, seed=3)
-        plain = run_program(g, lambda v: FloodMaxProgram(v, 4), seed=5)
+        plain = run_program(g, partial(FloodMaxProgram, rounds=4), seed=5)
         zero = run_program(
             g,
-            lambda v: FloodMaxProgram(v, 4),
+            partial(FloodMaxProgram, rounds=4),
             seed=5,
             adversary=CorruptAdversary(0.0),
         )

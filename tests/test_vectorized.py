@@ -18,6 +18,8 @@ infrastructure (graph memoization, the O(n + m) Barabási–Albert CSR
 family) is covered here too.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.core.flood_max import (
     FloodMaxProgram,
     RobustFloodMaxProgram,
     run_flood_max,
+    run_robust_flood_max,
 )
 from repro.distributed import (
     NodeProgram,
@@ -44,8 +47,13 @@ from repro.distributed.vectorize import (
     int_payload_bits,
     repetition_frame_bits,
 )
-from repro.core.robust_coding import CodedFloodMaxProgram, RedundantFloodMaxProgram
-from repro.experiments import families
+from repro.core.robust_coding import (
+    CodedFloodMaxProgram,
+    RedundantFloodMaxProgram,
+    run_redundant_flood_max,
+)
+from repro.experiments import families, get_experiment
+from repro.experiments.runner import execute_scenario
 from repro.experiments.families import (
     build_frozen_graph,
     build_graph,
@@ -64,10 +72,14 @@ ALL_MODELS = [
 
 #: The three shipped lowerable workloads (redundant = repetition frames).
 WORKLOADS = {
-    "fixed": lambda v: FloodMaxProgram(v, 6),
-    "robust": lambda v: RobustFloodMaxProgram(v, 3),
-    "redundant": lambda v: RedundantFloodMaxProgram(v, 3, 3),
+    "fixed": partial(FloodMaxProgram, rounds=6),
+    "robust": partial(RobustFloodMaxProgram, patience=3),
+    "redundant": partial(RedundantFloodMaxProgram, patience=3, copies=3),
 }
+
+#: The reason a factory that is not ``partial(VectorProgram subclass, **config)``
+#: records: it steps without building a probe.
+NOT_A_PARTIAL = "factory not a VectorProgram partial"
 
 
 def _last_deviates(program_cls, budget, last, **state):
@@ -95,6 +107,22 @@ class _EchoProgram(NodeProgram):
 
     def on_round(self, ctx, inbox):
         ctx.halt()
+
+
+class _LabelledEcho(_EchoProgram):
+    """:class:`_EchoProgram` built from a label, so ``partial`` can build it."""
+
+    def __init__(self, node):
+        self.node = node
+
+
+class _SwappedFlood(FloodMaxProgram):
+    """A flood-max whose constructor takes the budget first."""
+
+    __slots__ = ()
+
+    def __init__(self, rounds, node):
+        super().__init__(node, rounds)
 
 
 def _run(graph, factory, model, engine, seed=1, adversary=None, vectorize=True):
@@ -195,7 +223,7 @@ class TestLoweredDifferential:
         for a, b in zip(labels, labels[1:]):
             g.add_edge(a, b)
         g.add_edge(labels[0], labels[-1])
-        factory = lambda v: FloodMaxProgram(v, 6)  # noqa: E731
+        factory = partial(FloodMaxProgram, rounds=6)
         lowered_sim, lowered = _run(
             g, factory, broadcast_congest_model(8), "columnar", seed=2
         )
@@ -257,9 +285,34 @@ class TestLoweringDecision:
         assert result.outputs == {}
 
     def test_plain_node_program_declines(self):
-        # A program outside the VectorProgram protocol: the first check refuses.
+        # A program outside the VectorProgram protocol: the factory check
+        # refuses, whether or not the factory is a partial.
         g = gnp_random_graph(20, 0.3, seed=4)
-        self._parity_with_indexed(g, lambda v: _EchoProgram(), "not a VectorProgram")
+        self._parity_with_indexed(g, lambda v: _EchoProgram(), NOT_A_PARTIAL)
+        self._parity_with_indexed(g, partial(_LabelledEcho), NOT_A_PARTIAL)
+
+    def test_partial_with_positional_config_declines(self):
+        # ``partial(Cls, 6)`` would build ``Cls(6, label)``: not the
+        # ``Cls(label, **config)`` shape lowering relies on.
+        g = gnp_random_graph(20, 0.3, seed=4)
+        self._parity_with_indexed(
+            g, partial(_SwappedFlood, 6), NOT_A_PARTIAL
+        )
+
+    def test_lowering_lambda_twin_steps_identically(self):
+        # The same programs through a lambda step, and match the lowered run.
+        g = gnp_random_graph(20, 0.3, seed=4)
+        self._parity_with_indexed(g, lambda v: FloodMaxProgram(v, 6), NOT_A_PARTIAL)
+        sim, lowered = _run(
+            g, WORKLOADS["fixed"], broadcast_congest_model(20, enforce=False),
+            "columnar", seed=3,
+        )
+        _, stepped = _run(
+            g, lambda v: FloodMaxProgram(v, 6),
+            broadcast_congest_model(20, enforce=False), "columnar", seed=3,
+        )
+        assert sim.lowered
+        _assert_identical(lowered, stepped)
 
     def test_transforming_adversary_declines(self):
         # Corruption mutates payloads in flight; the flat fold cannot model
@@ -275,7 +328,7 @@ class TestLoweringDecision:
         # and must decline rather than lower with the parent's semantics.
         g = gnp_random_graph(25, 0.25, seed=1)
         self._parity_with_indexed(
-            g, lambda v: CodedFloodMaxProgram(v, 3), "kernel declined"
+            g, partial(CodedFloodMaxProgram, patience=3), "kernel declined"
         )
 
     def test_mixed_program_classes_decline(self):
@@ -283,7 +336,7 @@ class TestLoweringDecision:
         factory = lambda v: (  # noqa: E731
             FloodMaxProgram(v, 6) if v % 2 == 0 else RobustFloodMaxProgram(v, 3)
         )
-        self._parity_with_indexed(g, factory, "mixed program classes")
+        self._parity_with_indexed(g, factory, NOT_A_PARTIAL)
 
     @pytest.mark.parametrize(
         "factory",
@@ -298,11 +351,11 @@ class TestLoweringDecision:
     )
     def test_tampered_initial_state_declines(self, factory):
         # best != own label (or a robust program already counting stable
-        # rounds) means per-node state was touched before the run; the
-        # kernel cannot reproduce it wholesale, so lowering declines.
+        # rounds) means per-node state was touched before the run; only a
+        # factory outside the partial shape can do that, so it steps.
         g = gnp_random_graph(20, 0.3, seed=4)
         assert g.freeze().labels[-1] == 19
-        self._parity_with_indexed(g, factory, "kernel declined")
+        self._parity_with_indexed(g, factory, NOT_A_PARTIAL)
 
     @pytest.mark.parametrize(
         "factory",
@@ -316,7 +369,7 @@ class TestLoweringDecision:
     def test_heterogeneous_config_declines(self, factory):
         g = gnp_random_graph(20, 0.3, seed=4)
         assert g.freeze().labels[-1] == 19
-        self._parity_with_indexed(g, factory, "kernel declined")
+        self._parity_with_indexed(g, factory, NOT_A_PARTIAL)
 
     def test_non_int_labels_decline(self):
         g = Graph()
@@ -324,7 +377,7 @@ class TestLoweringDecision:
         for a, b in zip(names, names[1:]):
             g.add_edge(a, b)
         self._parity_with_indexed(
-            g, lambda v: FloodMaxProgram(v, 4), "labels not all int"
+            g, partial(FloodMaxProgram, rounds=4), "labels not all int"
         )
 
     def test_bool_labels_decline(self):
@@ -332,7 +385,7 @@ class TestLoweringDecision:
         g = Graph()
         g.add_edge(False, True)
         self._parity_with_indexed(
-            g, lambda v: FloodMaxProgram(v, 4), "labels not all int"
+            g, partial(FloodMaxProgram, rounds=4), "labels not all int"
         )
 
     def test_labels_beyond_int64_decline(self):
@@ -341,7 +394,7 @@ class TestLoweringDecision:
         for a, b in zip(labels, labels[1:]):
             g.add_edge(a, b)
         self._parity_with_indexed(
-            g, lambda v: FloodMaxProgram(v, 4), "labels outside int64"
+            g, partial(FloodMaxProgram, rounds=4), "labels outside int64"
         )
 
     @pytest.mark.parametrize("edge", [(2**63 - 1, 2**63), (-(2**63), -(2**63) - 1)])
@@ -349,7 +402,7 @@ class TestLoweringDecision:
         g = Graph()
         g.add_edge(*edge)
         self._parity_with_indexed(
-            g, lambda v: FloodMaxProgram(v, 4), "labels outside int64"
+            g, partial(FloodMaxProgram, rounds=4), "labels outside int64"
         )
 
     def test_labels_at_the_int64_bounds_lower(self):
@@ -364,7 +417,7 @@ class TestLoweringDecision:
 
     def test_zero_round_budget_lowers_and_halts_in_on_start(self):
         g = gnp_random_graph(15, 0.3, seed=5)
-        factory = lambda v: FloodMaxProgram(v, 0)  # noqa: E731
+        factory = partial(FloodMaxProgram, rounds=0)
         sim, lowered = _run(g, factory, broadcast_congest_model(15), "columnar")
         _, indexed = _run(g, factory, broadcast_congest_model(15), "indexed")
         assert sim.lowered
@@ -382,9 +435,9 @@ class TestQuietRoundSkip:
 
     #: Budgets far past the diameter of the test graph (at most ~8 hops).
     QUIET_WORKLOADS = {
-        "fixed": lambda v: FloodMaxProgram(v, 30),
-        "robust": lambda v: RobustFloodMaxProgram(v, 9),
-        "redundant": lambda v: RedundantFloodMaxProgram(v, 9, 3),
+        "fixed": partial(FloodMaxProgram, rounds=30),
+        "robust": partial(RobustFloodMaxProgram, patience=9),
+        "redundant": partial(RedundantFloodMaxProgram, patience=9, copies=3),
     }
 
     @pytest.fixture
@@ -431,7 +484,7 @@ class TestQuietRoundSkip:
         # Ascending labels on a path: node 0 hears n - 1 in round n - 1, so
         # round n is the first quiet one and no later round folds.
         sim, result = _run(
-            path_graph(n), lambda v: FloodMaxProgram(v, 3 * n),
+            path_graph(n), partial(FloodMaxProgram, rounds=3 * n),
             broadcast_congest_model(n), "columnar",
         )
         assert sim.lowered
@@ -445,12 +498,13 @@ class TestQuietRoundSkip:
         for a, b in zip(labels, labels[1:]):
             g.add_edge(a, b)
         sim, lowered = _run(
-            g, lambda v: FloodMaxProgram(v, 15), broadcast_congest_model(5), "columnar"
+            g, partial(FloodMaxProgram, rounds=15), broadcast_congest_model(5),
+            "columnar",
         )
         assert sim.lowered and folds[0] == 5
         _, stepped = _run(
             g,
-            lambda v: FloodMaxProgram(v, 15),
+            partial(FloodMaxProgram, rounds=15),
             broadcast_congest_model(5),
             "columnar",
             vectorize=False,
@@ -462,7 +516,7 @@ class TestQuietRoundSkip:
         n = 10
         sim, result = _run(
             path_graph(n),
-            lambda v: FloodMaxProgram(v, 3 * n),
+            partial(FloodMaxProgram, rounds=3 * n),
             broadcast_congest_model(n, enforce=False),
             "columnar",
             adversary=adversary,
@@ -551,6 +605,161 @@ class TestContextFreeLowering:
         assert list(lowered.outputs.items()) == list(stepped.outputs.items())
         assert lowered.as_dict() == stepped.as_dict()
         _assert_identical(lowered, stepped)
+
+
+class TestFactoryLowering:
+    """Lowering is decided from the factory: one probe, no per-node programs.
+
+    Programs are counted at their constructors.  Retirement writes the
+    output column whole, so staggered (patience-driven) and all-at-once
+    (round-budget) halting are both pinned against the ``reference``
+    oracle, fault-free and under each filter kind.
+    """
+
+    N = 30
+
+    @staticmethod
+    def _count_constructions(monkeypatch, cls):
+        """Count ``cls(...)`` calls (not its parents' ``__init__`` calls)."""
+        counter = [0]
+        init = vars(cls)["__init__"]
+
+        def counting(self, *args, **kwargs):
+            if type(self) is cls:
+                counter[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+        return counter
+
+    @pytest.mark.parametrize("adversary", [None, "drop:0.2"], ids=str)
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS), ids=str)
+    def test_lowered_run_builds_only_the_probe(self, monkeypatch, workload, adversary):
+        factory = WORKLOADS[workload]
+        constructed = self._count_constructions(monkeypatch, factory.func)
+        g = gnp_random_graph(self.N, 0.2, seed=3)
+        model = broadcast_congest_model(self.N, enforce=False)
+        sim, lowered = _run(g, factory, model, "columnar", adversary=adversary)
+        assert sim.lowered
+        assert constructed[0] == 1
+        stepped_sim, stepped = _run(
+            g, factory, model, "columnar", adversary=adversary, vectorize=False
+        )
+        assert not stepped_sim.lowered
+        assert constructed[0] == 1 + self.N
+        _assert_identical(lowered, stepped)
+
+    @pytest.mark.parametrize(
+        "factory, message",
+        [
+            (partial(RobustFloodMaxProgram, patience=0), "patience must be >= 1, got 0"),
+            (
+                partial(RedundantFloodMaxProgram, patience=3, copies=2),
+                "copies must be an odd int >= 3, got 2",
+            ),
+        ],
+        ids=["robust-patience", "redundant-copies"],
+    )
+    def test_constructor_errors_raise_alike_on_every_path(self, factory, message):
+        g = gnp_random_graph(12, 0.3, seed=1)
+        model = broadcast_congest_model(12)
+        for engine, vectorize in (
+            ("columnar", True), ("columnar", False), ("reference", False)
+        ):
+            with pytest.raises(ValueError) as info:
+                _run(g, factory, model, engine, vectorize=vectorize)
+            assert str(info.value) == message
+
+    def test_shipped_runners_lower(self, monkeypatch):
+        decisions = []
+        run = Simulator.run
+
+        def spying(self, *args, **kwargs):
+            try:
+                return run(self, *args, **kwargs)
+            finally:
+                decisions.append(self.lowering)
+
+        monkeypatch.setattr(Simulator, "run", spying)
+        g = gnp_random_graph(self.N, 0.2, seed=3)
+        run_flood_max(g, 6, seed=1)
+        run_robust_flood_max(g, 3, seed=1)
+        run_redundant_flood_max(g, 3, seed=1)
+        (anchor,) = [
+            spec for spec in get_experiment("E23").scenarios
+            if spec.name == "parity n=2000 lowered"
+        ]
+        execute_scenario(anchor)
+        assert decisions == ["lowered"] * 4
+
+    @pytest.fixture
+    def retirements(self, monkeypatch):
+        sizes = []
+        retire = EngineView.retire
+
+        def recording(self, idxs, outputs):
+            sizes.append(len(idxs))
+            retire(self, idxs, outputs)
+
+        monkeypatch.setattr(EngineView, "retire", recording)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "adversary", [None, "drop:0.3", "crash:3@1,11@2,24@5"], ids=str
+    )
+    @pytest.mark.parametrize(
+        "factory, staggered",
+        [
+            (partial(RobustFloodMaxProgram, patience=2), True),
+            (partial(RedundantFloodMaxProgram, patience=2, copies=3), True),
+            (partial(FloodMaxProgram, rounds=40), False),
+        ],
+        ids=["robust", "redundant", "fixed"],
+    )
+    def test_retirement_matches_reference(
+        self, retirements, factory, staggered, adversary
+    ):
+        # Ascending labels on a path: the maximum walks one hop per round,
+        # so patience-driven nodes halt a few at a time, far end last.
+        n = self.N
+        g = path_graph(n)
+        model = broadcast_congest_model(n, enforce=False)
+        sim, lowered = _run(g, factory, model, "columnar", seed=5, adversary=adversary)
+        _, reference = _run(g, factory, model, "reference", seed=5, adversary=adversary)
+        assert sim.lowered
+        _assert_identical(lowered, reference)
+        assert (len(retirements) > 1) == staggered
+        if adversary is None:
+            assert sum(retirements) == n
+            # A converged run retires every node with one shared leader.
+            assert len({id(v) for v in lowered.outputs.values()}) == 1
+
+    @pytest.mark.parametrize(
+        "adversary, scanned",
+        [("drop:0.2", []), ("crash:3@1,11@2,24@3", [1, 2, 3])],
+        ids=["drop", "crash"],
+    )
+    def test_crash_sync_scans_only_after_a_halt(self, monkeypatch, adversary, scanned):
+        rounds = []
+        sync = EngineView._sync_crashes
+
+        def recording(self):
+            if self.halts[0]:
+                rounds.append(self.round)
+            sync(self)
+
+        monkeypatch.setattr(EngineView, "_sync_crashes", recording)
+        g = gnp_random_graph(self.N, 0.2, seed=6)
+        model = broadcast_congest_model(self.N, enforce=False)
+        sim, lowered = _run(
+            g, WORKLOADS["robust"], model, "columnar", seed=4, adversary=adversary
+        )
+        _, reference = _run(
+            g, WORKLOADS["robust"], model, "reference", seed=4, adversary=adversary
+        )
+        assert sim.lowered
+        assert rounds == scanned
+        _assert_identical(lowered, reference)
 
 
 class TestClosedFormSizes:
