@@ -78,6 +78,9 @@ class DirectedTwoSpannerProgram(TwoSpannerProgram):
         super().__init__(*args, **kwargs)
         self.announced: set[Arc] = set()  # arcs announced as covered via me
 
+    def _index_partners(self, between: set[Arc]) -> None:
+        """Nothing to index: pairs covered via me are found from the spanner arcs."""
+
     def _covered_via_me(self) -> list[Arc]:
         me, known, announced = self.node, self.known_targets, self.announced
         in_span = {u for (u, w) in self.incident_spanner if w == me}
@@ -92,7 +95,7 @@ class DirectedTwoSpannerProgram(TwoSpannerProgram):
         self._cover(newly)
         return newly
 
-    def _open_targets(self, between: list[Arc]) -> set[Arc]:
+    def _open_targets(self, between: set[Arc]) -> set[Arc]:
         """Uncovered known arcs (u, w) my full star can span: (u, me) and (me, w) exist."""
         known, me, covered = self.known_targets, self.node, self.covered
         return {
@@ -119,8 +122,8 @@ class DirectedTwoSpannerProgram(TwoSpannerProgram):
     def _star_edges(self) -> frozenset[Arc]:
         return self.candidate_star
 
-    def _absorb_star(self, center: Node, arcs) -> None:
-        self._absorb_edges(arcs)
+    def _absorb_star(self, center: Node, arcs):
+        return self._absorb_edges(arcs)
 
     def _star_sides(self, center: Node, arcs) -> tuple[set[Node], set[Node]]:
         # (u, w) is spanned iff (u, center) and (center, w) are star arcs.

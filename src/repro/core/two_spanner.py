@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 from repro.core.star_selection import StarSelectionState, choose_candidate_star
@@ -96,12 +97,19 @@ class TwoSpannerProgram(NodeProgram):
     This is the phase shell of every 2-spanner variant.  A *target* is an
     element that must end up covered: an undirected edge here, an arc in
     :class:`~repro.core.directed_two_spanner.DirectedTwoSpannerProgram`,
-    which overrides only the geometry hooks (``_covered_via_me``,
-    ``_open_targets``, ``_star_density``, ``_densities``, ``_star``,
-    ``_star_edges``, ``_absorb_star``, ``_star_sides``, ``_ballots``), the
-    two message builders and the payload field names below.  A hook runs
-    once per phase, once per received star message or once per run, never
-    per pair or per edge.
+    which overrides only the geometry hooks (``_index_partners``,
+    ``_covered_via_me``, ``_open_targets``, ``_star_density``,
+    ``_densities``, ``_star``, ``_star_edges``, ``_absorb_star``,
+    ``_star_sides``, ``_ballots``), the two message builders and the payload
+    field names below.  A hook runs once per phase, once per received star
+    message or once per run, never per pair or per edge.
+
+    A vertex keeps only what the paper's Section 4 vertex uses: its incident
+    targets and the targets joining two of its neighbours
+    (``known_targets``), and which of those are covered (``covered``, plus
+    its own spanner edges).  Each phase handler intersects the neighbours'
+    target lists of the whole inbox with ``known_targets`` in one set
+    operation, so nothing else a neighbour reports is stored.
     """
 
     TARGETS_FIELD = "targets"  # hello
@@ -127,7 +135,11 @@ class TwoSpannerProgram(NodeProgram):
         )
 
         # --- knowledge ---------------------------------------------------
-        # Targets incident to me or to a neighbour (learned from hello).
+        # The targets I can use: my incident ones, and (from hello) those
+        # joining two of my neighbours, the only ones a star of mine can
+        # span.  A neighbour's other targets are never kept, and a covered
+        # target is kept only if known (or a spanner edge of mine), so
+        # ``covered`` is queried only for targets it may hold.
         self.known_targets: set[Edge] = set(setup.target_incident)
         self.covered: set[Edge] = set()
         self.incident_spanner: set[Edge] = set(setup.initial_spanner)
@@ -144,7 +156,7 @@ class TwoSpannerProgram(NodeProgram):
         # Scan position of each paired spanner neighbour; ``_partners[u]``
         # lists each neighbour w with ``edge_key(u, w)`` a known target.
         self._scan_position: dict[Node, int] = {}
-        self._partners: dict[Node, list[Node]] = {}
+        self._partners: dict[Node, tuple[Node, ...]] = {}
         self._density_cache: tuple[int, tuple[Fraction, Fraction]] | None = None
         # Leaves of the densest star over the whole pool and ``star_hv``
         # (``None`` while ``current_hv`` is empty): the candidate phase
@@ -196,27 +208,37 @@ class TwoSpannerProgram(NodeProgram):
 
     # --------------------------------------------------------------- handlers
     def _process_hello(self, inbox: Inbox) -> None:
-        for payloads in inbox.values():
-            for msg in payloads:
-                # Targets travel as canonical keys; no re-canonicalisation.
-                self.known_targets.update(msg[self.TARGETS_FIELD])
+        # A target a star of mine can span, or my spanner edges can cover,
+        # joins two of my neighbours: of their hello lists (canonical keys,
+        # not re-canonicalised) I keep only those.
+        nbrs = self.setup.neighbors
+        between = {
+            e
+            for payloads in inbox.values()
+            for msg in payloads
+            for e in msg[self.TARGETS_FIELD]
+            if e[0] in nbrs and e[1] in nbrs
+        }
+        self.known_targets |= between
         # Edges of the initial spanner are covered from the start.
         self.covered |= self.incident_spanner
-        # A target a star of mine can span, or my spanner edges can cover,
-        # joins two of my neighbours.
-        nbrs = self.setup.neighbors
-        between = [e for e in self.known_targets if e[0] in nbrs and e[1] in nbrs]
         self.current_hv = self.star_hv = self._open_targets(between)
+        self._index_partners(between)
+
+    def _index_partners(self, between: set[Edge]) -> None:
+        """Fill ``_partners``, which only the undirected ``_covered_via_me`` reads."""
         # Nodes with equal reprs never pair (a per-pair scan's rule).  Both
         # orientations of a pair are known when ``edge_key`` is asymmetric.
+        partners: dict[Node, dict[Node, None]] = {}
+        reprs = {u: repr(u) for u in self.setup.neighbors}
         for x, y in between:
-            if repr(x) != repr(y):
+            if reprs[x] != reprs[y]:
                 for u, w in ((x, y), (y, x)):
-                    partners = self._partners.setdefault(u, [])
-                    if edge_key(u, w) in self.known_targets and w not in partners:
-                        partners.append(w)
+                    if edge_key(u, w) in between:
+                        partners.setdefault(u, {})[w] = None
+        self._partners = {u: tuple(ws) for u, ws in partners.items()}
 
-    def _open_targets(self, between: list[Edge]) -> set[Edge]:
+    def _open_targets(self, between: set[Edge]) -> set[Edge]:
         """The uncovered targets among ``between`` that my full star could span."""
         pool, covered = self.setup.star_pool, self.covered
         return {e for e in between if e not in covered and e[0] in pool and e[1] in pool}
@@ -226,26 +248,34 @@ class TwoSpannerProgram(NodeProgram):
         self.covered.update(targets)
         self.current_hv.difference_update(targets)
 
+    def _cover_known(self, lists) -> None:
+        """Cover the known targets among the neighbours' ``lists`` (one set intersection)."""
+        self._cover(self.known_targets.intersection(chain.from_iterable(lists)))
+
     # phase "cover": process ADD messages, announce pairs covered via me.
     def _phase_cover(self, ctx: NodeContext, inbox: Inbox) -> None:
+        added = []
         for sender, payloads in inbox.items():
             for msg in payloads:
                 kind = msg.get("kind")
                 if kind == "added_star":
-                    self._absorb_star(sender, msg[self.STAR_FIELD])
+                    added.append(self._absorb_star(sender, msg[self.STAR_FIELD]))
                 elif kind == self.ADDED_KIND:
-                    self._absorb_edges(msg[self.EDGES_FIELD])
+                    added.append(self._absorb_edges(msg[self.EDGES_FIELD]))
+        self._cover_known(added)
         self._send_cover(ctx)
 
-    def _absorb_edges(self, edges) -> None:
-        for e in edges:
-            if self.node in e:
-                self.incident_spanner.add(e)
-        self._cover(edges)
+    def _absorb_edges(self, edges):
+        """Take those of ``edges`` incident to me as spanner edges; return ``edges``."""
+        me = self.node
+        self.incident_spanner.update(e for e in edges if me in e)
+        return edges
 
-    def _absorb_star(self, center: Node, leaves) -> None:
+    def _absorb_star(self, center: Node, leaves):
+        """Absorb a neighbour's added star; return the targets it covers for me."""
         if self.node in leaves:
-            self._absorb_edges((edge_key(self.node, center),))
+            return self._absorb_edges((edge_key(self.node, center),))
+        return ()
 
     def _send_cover(self, ctx: NodeContext) -> None:
         ctx.broadcast({"kind": "cover", "pairs": self._covered_via_me()})
@@ -276,13 +306,7 @@ class TwoSpannerProgram(NodeProgram):
 
     # phase "report": process COVER messages, report newly covered incident targets.
     def _phase_report(self, ctx: NodeContext, inbox: Inbox) -> None:
-        me, nbrs = self.node, self.setup.neighbors
-        for payloads in inbox.values():
-            for msg in payloads:
-                # Only pairs I can use (incident, or between two neighbours) are kept.
-                pairs = msg.get("pairs", ())
-                usable = [e for e in pairs if me in e or (e[0] in nbrs and e[1] in nbrs)]
-                self._cover(usable)
+        self._cover_known(msg.get("pairs", ()) for payloads in inbox.values() for msg in payloads)
 
         if (
             self.locally_done
@@ -309,10 +333,12 @@ class TwoSpannerProgram(NodeProgram):
 
     # phase "density": process REPORT messages, broadcast densities.
     def _phase_density(self, ctx: NodeContext, inbox: Inbox) -> None:
+        reports = []
         for sender, payloads in inbox.items():
             for msg in payloads:
                 self.neighbor_done[sender] = bool(msg.get("done", False))
-                self._cover(msg.get("covered", ()))
+                reports.append(msg.get("covered", ()))
+        self._cover_known(reports)
 
         self.rho, self.rho_rounded = self._densities()
         ctx.broadcast(
@@ -367,7 +393,6 @@ class TwoSpannerProgram(NodeProgram):
         self.candidate_leaves = frozenset()
         self.candidate_star = frozenset()
         self.candidate_cv = set()
-        self.votes_received = set()
 
         if not self.locally_done and rho_max2 < threshold:
             self.is_finishing = True
@@ -456,13 +481,14 @@ class TwoSpannerProgram(NodeProgram):
     # phase "add": candidates with enough votes add their stars; finishing vertices
     # add their remaining uncovered incident targets directly (step 7).
     def _phase_add(self, ctx: NodeContext, inbox: Inbox) -> None:
-        for _, payloads in inbox.items():
-            for msg in payloads:
-                if msg.get("kind") != "vote":
-                    continue
-                for e in msg[self.EDGES_FIELD]:
-                    if e in self.candidate_cv:
-                        self.votes_received.add(e)
+        self.votes_received = self.candidate_cv.intersection(
+            chain.from_iterable(
+                msg[self.EDGES_FIELD]
+                for payloads in inbox.values()
+                for msg in payloads
+                if msg.get("kind") == "vote"
+            )
+        )
 
         if self.is_candidate and self.candidate_cv:
             if len(self.votes_received) >= len(self.candidate_cv) * self.options.vote_fraction:

@@ -138,17 +138,18 @@ def densest_subgraph_exact(
     for a, b in ends:
         degree[a] += 1
         degree[b] += 1
-    # Arc endpoints do not depend on the density guess: lay them out once.
+    # Arcs do not depend on the density guess: lay the network out once.
     k = len(active)
     firsts = [a for a, _ in ends]
     seconds = [b for _, b in ends]
     tails = [k] * k + list(range(k)) + firsts + seconds
     heads = list(range(k)) + [k + 1] * k + seconds + firsts
+    net = MaxFlowNetwork.indexed(k + 2, tails, heads)
 
     best_set = set(node_list)
     best_density = Fraction(len(edge_list) * scale, sum(int_weight.values()))
     while True:
-        side = _improving_subset(tails, heads, degree, net_weights, scale, best_density)
+        side = _improving_subset(net, degree, net_weights, scale, best_density)
         if side is None:
             return best_set, best_density
         count = sum(1 for a, b in ends if a in side and b in side)
@@ -160,8 +161,7 @@ def densest_subgraph_exact(
 
 
 def _improving_subset(
-    tails: list[int],
-    heads: list[int],
+    net: MaxFlowNetwork,
     degree: list[int],
     weights: list[int],
     scale: int,
@@ -169,6 +169,8 @@ def _improving_subset(
 ) -> set[int] | None:
     """Indices of a subset with density strictly above ``g``, or ``None``.
 
+    ``net`` is the solve's network layout (``k`` source arcs, ``k`` sink
+    arcs, then two arcs per edge); each call gives it fresh capacities.
     Vertex ``i`` (of ``k``; the source is ``k``, the sink ``k + 1``) has
     degree ``degree[i]`` and real weight ``weights[i] / scale``.  For
     ``g = p / q`` the real capacities (source -> i: ``deg(i)``; i -> sink:
@@ -186,7 +188,7 @@ def _improving_subset(
     k = len(degree)
     unit = g.denominator * scale
     two_p = 2 * g.numerator
-    edge_arcs = len(tails) - 2 * k
+    edge_arcs = sum(degree)  # two arcs per edge, one degree at each end
     source_caps = [d * unit for d in degree]
     sink_caps = [two_p * w for w in weights]
     direct = 0
@@ -195,9 +197,7 @@ def _improving_subset(
         source_caps[i] -= both
         sink_caps[i] -= both
         direct += both
-    net = MaxFlowNetwork.indexed(
-        k + 2, tails, heads, source_caps + sink_caps + [unit] * edge_arcs
-    )
+    net.set_capacities(source_caps + sink_caps + [unit] * edge_arcs)
     if direct + net.max_flow(k, k + 1) >= edge_arcs * unit:
         return None
     side = net.min_cut_source_side(k)

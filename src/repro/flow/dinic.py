@@ -1,8 +1,9 @@
 """Dinic's maximum-flow algorithm over arbitrary hashable node labels.
 
 Capacities may be ``int``, ``float`` or :class:`fractions.Fraction`.  The
-densest-subgraph solver builds its networks with exact integer capacities
-through the bulk :meth:`MaxFlowNetwork.indexed` constructor.
+densest-subgraph solver builds one network per solve through the bulk
+:meth:`MaxFlowNetwork.indexed` constructor and gives it exact integer
+capacities per density guess with :meth:`MaxFlowNetwork.set_capacities`.
 
 The blocking-flow search is iterative (an explicit path stack with
 current-arc pointers), so augmenting paths of any length are fine: there is
@@ -60,30 +61,39 @@ class MaxFlowNetwork:
 
     @classmethod
     def indexed(
-        cls, n: int, tails: Sequence[int], heads: Sequence[int], caps: Sequence[int]
+        cls, n: int, tails: Sequence[int], heads: Sequence[int]
     ) -> "MaxFlowNetwork":
         """A network on the nodes ``0..n-1`` with arcs ``tails[i] -> heads[i]``.
 
         Bulk construction from flat arc lists for callers that already work
         with dense indices (the densest-subgraph solver): no per-arc method
-        call or hash-table lookup.  Capacities must be non-negative integers;
-        this is not checked.
+        call or hash-table lookup.  Every arc has capacity 0 until
+        :meth:`set_capacities`.
         """
         net = cls()
         net._labels = list(range(n))
         net._index = dict(zip(net._labels, net._labels))
         adj: list[list[int]] = [[] for _ in range(n)]
-        to = [0] * (2 * len(caps))
+        to = [0] * (2 * len(tails))
         to[0::2] = heads
         to[1::2] = tails
-        cap = [0] * (2 * len(caps))
-        cap[0::2] = caps
         for eid, u in enumerate(tails):
             adj[u].append(2 * eid)
         for eid, v in enumerate(heads):
             adj[v].append(2 * eid + 1)
-        net._adj, net._to, net._cap = adj, to, cap
+        net._adj, net._to, net._cap = adj, to, [0] * (2 * len(tails))
         return net
+
+    def set_capacities(self, caps: Sequence[int]) -> None:
+        """Give the ``i``-th arc of an :meth:`indexed` network capacity ``caps[i]``.
+
+        Capacities must be non-negative integers; this is not checked.  All
+        flow is cleared; the arc layout (adjacency and heads) is kept, so a
+        caller solving many flow problems on one layout builds it once.
+        """
+        cap = [0] * (2 * len(caps))
+        cap[0::2] = caps
+        self._cap = cap
 
     # ------------------------------------------------------------------- flow
     def max_flow(self, source: Node, sink: Node) -> Number:

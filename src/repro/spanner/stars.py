@@ -85,15 +85,6 @@ def rounded_up_power_of_two(value: Fraction) -> Fraction:
     return power
 
 
-def rounded_density(
-    leaves: Iterable[Node],
-    candidate_edges: Iterable[Edge],
-    leaf_weights: dict[Node, Fraction] | None = None,
-) -> Fraction:
-    """rho~ = the density rounded up to the next power of two."""
-    return rounded_up_power_of_two(star_density(leaves, candidate_edges, leaf_weights))
-
-
 # ------------------------------------------------------------ densest stars
 def densest_star(
     pool: Iterable[Node],

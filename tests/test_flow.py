@@ -94,9 +94,30 @@ class TestDinic:
         tails = [u for u, _, _ in arcs]
         heads = [v for _, v, _ in arcs]
         caps = [c for _, _, c in arcs]
-        bulk = MaxFlowNetwork.indexed(n, tails, heads, caps)
+        bulk = MaxFlowNetwork.indexed(n, tails, heads)
+        bulk.set_capacities(caps)
         value = bulk.max_flow(0, n - 1)
         assert (value, bulk.min_cut_source_side(0)) == max_flow_min_cut(arcs, 0, n - 1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**20))
+    def test_second_flow_on_a_reused_layout_matches_a_fresh_network(self, n, seed):
+        rng = random.Random(seed)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.4]
+        tails = [u for u, _ in arcs]
+        heads = [v for _, v in arcs]
+        first = [rng.randint(0, 5) for _ in arcs]
+        second = [rng.randint(0, 5) for _ in arcs]
+        reused = MaxFlowNetwork.indexed(n, tails, heads)
+        reused.set_capacities(first)
+        reused.max_flow(0, n - 1)  # leaves residual flow behind
+        reused.set_capacities(second)
+        fresh = MaxFlowNetwork.indexed(n, tails, heads)
+        fresh.set_capacities(second)
+        assert (reused.max_flow(0, n - 1), reused.min_cut_source_side(0)) == (
+            fresh.max_flow(0, n - 1),
+            fresh.min_cut_source_side(0),
+        )
 
 
 class TestDensestSubgraphExact:

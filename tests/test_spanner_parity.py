@@ -17,6 +17,12 @@ metrics must pass ``Metrics.check_invariants``.
 Tier-1 runs a few derandomized examples per variant; set
 ``REPRO_SPANNER_PARITY_EXAMPLES`` for more (CI's ``bench-smoke`` job runs
 300).
+
+``TestVertexStateInvariant`` checks what a vertex keeps on the same
+generated instances: after every round its ``known_targets`` are exactly its
+incident targets and the targets joining two of its neighbours, and its
+``covered`` set holds nothing else but its own spanner edges.  Set
+``REPRO_SPANNER_STATE_EXAMPLES`` for more examples than tier-1's.
 """
 
 import os
@@ -37,8 +43,14 @@ from repro.distributed import DEFAULT_ENGINE, ENGINES
 from repro.graphs import DiGraph, Graph
 from repro.graphs.client_server import ClientServerInstance
 from repro.graphs.graph import edge_key
+from repro.spanner.verify import (
+    is_client_server_2_spanner,
+    is_k_spanner,
+    is_k_spanner_directed,
+)
 
 EXAMPLES = int(os.environ.get("REPRO_SPANNER_PARITY_EXAMPLES", "8"))
+STATE_EXAMPLES = int(os.environ.get("REPRO_SPANNER_STATE_EXAMPLES", "25"))
 
 LABELS = st.one_of(
     st.integers(min_value=-40, max_value=40),
@@ -94,6 +106,13 @@ def _assert_engines_agree(program, graph, variant, seed):
         assert outcome == expected, engine
 
 
+def _client_server(graph, links, marks):
+    # mark 0: client only, 1: server only, 2-3: both.
+    clients = {edge_key(u, v) for (u, v), mark in zip(links, marks) if mark != 1}
+    servers = {edge_key(u, v) for (u, v), mark in zip(links, marks) if mark != 0}
+    return ClientServerInstance(graph, clients, servers)
+
+
 def test_default_engine_is_columnar():
     assert DEFAULT_ENGINE == "columnar"
 
@@ -122,10 +141,7 @@ class TestSpannerEngineParity:
     def test_client_server(self, instance):
         labels, links, marks, seed = instance
         graph = _graph(Graph, labels, links)
-        # mark 0: client only, 1: server only, 2-3: both.
-        clients = {edge_key(u, v) for (u, v), mark in zip(links, marks) if mark != 1}
-        servers = {edge_key(u, v) for (u, v), mark in zip(links, marks) if mark != 0}
-        variant = ClientServerVariant(ClientServerInstance(graph, clients, servers))
+        variant = ClientServerVariant(_client_server(graph, links, marks))
         _assert_engines_agree(TwoSpannerProgram, graph, variant, seed)
 
     @PARITY
@@ -134,6 +150,61 @@ class TestSpannerEngineParity:
         labels, links, _, seed = instance
         graph = _graph(DiGraph, labels, links)
         _assert_engines_agree(DirectedTwoSpannerProgram, graph, DirectedVariant(), seed)
+
+
+def _run_state_checked(program_cls, graph, variant, seed):
+    """Run ``program_cls``, checking every vertex's kept state after each of its rounds."""
+    targets = set().union(*(variant.node_setup(graph, v).target_incident for v in graph.nodes()))
+
+    class StateChecked(program_cls):
+        def on_round(self, ctx, inbox):
+            super().on_round(ctx, inbox)
+            nbrs = self.setup.neighbors
+            between = {e for e in targets if e[0] in nbrs and e[1] in nbrs}
+            assert self.known_targets == self.setup.target_incident | between
+            assert self.covered <= self.known_targets | self.incident_spanner
+
+    chosen, _ = run_spanner_program(StateChecked, graph, variant, None, seed, None, 200_000)
+    return chosen
+
+
+STATE = settings(max_examples=STATE_EXAMPLES, deadline=None, derandomize=True)
+
+
+class TestVertexStateInvariant:
+    @STATE
+    @given(instances())
+    def test_unweighted(self, instance):
+        labels, links, _, seed = instance
+        graph = _graph(Graph, labels, links)
+        chosen = _run_state_checked(TwoSpannerProgram, graph, UnweightedVariant(), seed)
+        assert is_k_spanner(graph, chosen, 2)
+
+    @STATE
+    @given(instances())
+    def test_weighted_with_zero_weights(self, instance):
+        labels, links, marks, seed = instance
+        weights = [(0.0, 1.0, 2.5, 4.0)[mark] for mark in marks]
+        graph = _graph(Graph, labels, links, weights)
+        chosen = _run_state_checked(TwoSpannerProgram, graph, WeightedVariant(), seed)
+        assert is_k_spanner(graph, chosen, 2)
+
+    @STATE
+    @given(instances())
+    def test_client_server(self, instance):
+        labels, links, marks, seed = instance
+        graph = _graph(Graph, labels, links)
+        cs = _client_server(graph, links, marks)
+        chosen = _run_state_checked(TwoSpannerProgram, graph, ClientServerVariant(cs), seed)
+        assert is_client_server_2_spanner(cs, chosen)
+
+    @STATE
+    @given(instances(directed=True))
+    def test_directed(self, instance):
+        labels, links, _, seed = instance
+        graph = _graph(DiGraph, labels, links)
+        chosen = _run_state_checked(DirectedTwoSpannerProgram, graph, DirectedVariant(), seed)
+        assert is_k_spanner_directed(graph, chosen, 2)
 
 
 @pytest.mark.parametrize(
