@@ -107,9 +107,9 @@ class TwoSpannerProgram(NodeProgram):
     A vertex keeps only what the paper's Section 4 vertex uses: its incident
     targets and the targets joining two of its neighbours
     (``known_targets``), and which of those are covered (``covered``, plus
-    its own spanner edges).  Each phase handler intersects the neighbours'
-    target lists of the whole inbox with ``known_targets`` in one set
-    operation, so nothing else a neighbour reports is stored.
+    its own spanner edges).  The cover, report and density phases each
+    intersect the whole inbox's target lists with ``known_targets`` in one
+    set operation, so nothing else a neighbour reports is stored.
     """
 
     TARGETS_FIELD = "targets"  # hello
