@@ -12,50 +12,18 @@ E16/E23, the threshold is an environment knob so CI can relax it on noisy
 shared runners without touching the registry.
 """
 
-import gc
 import os
-import time
 
-from repro.core import run_flood_max
 from repro.distributed import NoAdversary
 from repro.experiments import bench_experiment
 from repro.experiments.families import build_graph
 
+from common import FLOOD_GRAPH, best_flood_times
+
 #: The adversary seam's admissible no-fault slowdown on the stepped columnar path.
 MAX_NO_ADVERSARY_OVERHEAD = float(os.environ.get("E19_MAX_OVERHEAD", "0.10"))
 
-#: E23's n=20000 anchor instance, trimmed to 5 rounds: large enough that per-message
-#: work dominates, small enough for a tier-1-friendly wall time.
-_GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
-_ROUNDS = 5
 _REPEATS = 5
-
-
-def _best_times(graph) -> tuple[float, float]:
-    """Best stepped columnar flood-max wall times without and with ``NoAdversary``.
-
-    The two sides alternate within each of ``_REPEATS`` repeats, so a change
-    in machine load during the measurement reaches both instead of one.
-    """
-    sides = (None, NoAdversary())
-    best = [float("inf"), float("inf")]
-    for _ in range(_REPEATS):
-        for side, adversary in enumerate(sides):
-            # Every run starts from the same collector state, so a full
-            # collection left over from an earlier run cannot land in it.
-            gc.collect()
-            start = time.perf_counter()
-            result = run_flood_max(
-                graph,
-                rounds=_ROUNDS,
-                seed=3,
-                engine="columnar",
-                adversary=adversary,
-                vectorize=False,
-            )
-            best[side] = min(best[side], time.perf_counter() - start)
-            assert result.rounds == _ROUNDS
-    return best[0], best[1]
 
 
 def test_e19_robustness(benchmark):
@@ -74,8 +42,8 @@ def test_e19_robustness(benchmark):
 
     # NoAdversary overhead guard: one shared graph, the two sides alternated
     # and best-of-5 each to shed scheduler noise.
-    graph = build_graph(_GRAPH)
-    baseline, identity = _best_times(graph)
+    graph = build_graph(FLOOD_GRAPH)
+    baseline, identity = best_flood_times(graph, (None, NoAdversary()), _REPEATS)
     overhead = identity / baseline - 1.0
     benchmark.extra_info["no_adversary_overhead"] = overhead
     assert overhead < MAX_NO_ADVERSARY_OVERHEAD, (

@@ -20,12 +20,12 @@ touching the registry.
 """
 
 import os
-import time
 
-from repro.core import run_flood_max
 from repro.distributed import CorruptAdversary, DropAdversary
 from repro.experiments import bench_experiment
 from repro.experiments.families import build_graph
+
+from common import FLOOD_GRAPH, best_flood_times
 
 #: Admissible slowdown of the per-edge transform path over the shared-plist
 #: adversary path, as a fraction (1.5 = "at most 2.5x as slow"; measured
@@ -36,29 +36,6 @@ MAX_TRANSFORM_OVERHEAD = float(os.environ.get("E22_MAX_OVERHEAD", "1.5"))
 #: (deterministic: keyed hashes of a fixed seed/graph) yet every trial is
 #: still hashed, keeping both timed paths' per-edge work identical.
 _EPSILON_RATE = 1e-9
-
-#: E19's instance: large enough that per-message work dominates, small
-#: enough for a tier-1-friendly wall time.
-_GRAPH = ("sparse_connected_gnp", 20000, 0.0005, 18)
-_ROUNDS = 5
-
-
-def _best_of(graph, repeats: int, adversary) -> float:
-    """Best wall time of ``repeats`` stepped columnar flood-max runs on ``graph``."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_flood_max(
-            graph,
-            rounds=_ROUNDS,
-            seed=3,
-            engine="columnar",
-            adversary=adversary,
-            vectorize=False,
-        )
-        best = min(best, time.perf_counter() - start)
-        assert result.rounds == _ROUNDS
-    return best
 
 
 def test_e22_corruption(benchmark):
@@ -86,13 +63,14 @@ def test_e22_corruption(benchmark):
     assert results["floodmax checksum corrupt=0.10"]["recovered"]
 
     # Transform-seam overhead guard: epsilon-rate corrupt (per-edge path)
-    # vs epsilon-rate drop (shared-plist path) on one shared graph,
-    # best-of-3 each to shed scheduler noise.  Both hash every edge and
-    # neither ever fires, so the difference is purely the materialization
-    # fallback.
-    graph = build_graph(_GRAPH)
-    shared = _best_of(graph, 3, DropAdversary(_EPSILON_RATE))
-    per_edge = _best_of(graph, 3, CorruptAdversary(_EPSILON_RATE))
+    # vs epsilon-rate drop (shared-plist path) on one shared graph, the two
+    # sides alternated and best-of-3 each to shed scheduler noise.  Both hash
+    # every edge and neither ever fires, so the difference is purely the
+    # materialization fallback.
+    graph = build_graph(FLOOD_GRAPH)
+    shared, per_edge = best_flood_times(
+        graph, (DropAdversary(_EPSILON_RATE), CorruptAdversary(_EPSILON_RATE)), 3
+    )
     overhead = per_edge / shared - 1.0
     benchmark.extra_info["transform_seam_overhead"] = overhead
     assert overhead < MAX_TRANSFORM_OVERHEAD, (

@@ -8,7 +8,6 @@ from repro.baselines.baswana_sen import (
 from repro.baselines.kortsarz_peleg import (
     greedy_client_server_two_spanner,
     greedy_two_spanner,
-    greedy_two_spanner_size_bound,
 )
 from repro.baselines.mds_baselines import (
     exact_dominating_set,
@@ -16,22 +15,17 @@ from repro.baselines.mds_baselines import (
     greedy_dominating_set,
 )
 from repro.baselines.trivial import (
-    bfs_tree_edges,
     take_all_spanner,
-    trivial_approximation_ratio,
 )
 
 __all__ = [
     "baswana_sen_spanner",
-    "bfs_tree_edges",
     "exact_dominating_set",
     "expectation_randomized_mds",
     "expected_size_bound",
     "greedy_client_server_two_spanner",
     "greedy_dominating_set",
     "greedy_two_spanner",
-    "greedy_two_spanner_size_bound",
     "implied_approximation_ratio",
     "take_all_spanner",
-    "trivial_approximation_ratio",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.graphs.graph import Edge, Graph, Node, edge_key
-from repro.spanner.stars import densest_star_of_vertex, spanned_edges
+from repro.spanner.stars import densest_star_of_vertex
 
 
 def _coverage_update(
@@ -75,13 +75,6 @@ def greedy_two_spanner(
         spanner |= star_edges
         _coverage_update(graph, spanner, covered, star_edges)
     return spanner
-
-
-def greedy_two_spanner_size_bound(graph: Graph) -> float:
-    """Kortsarz-Peleg's O(log(m/n)) yardstick, exposed for benchmark reporting."""
-    from repro.graphs.properties import log_m_over_n
-
-    return log_m_over_n(graph)
 
 
 def greedy_client_server_two_spanner(instance, method: str = "exact") -> set[Edge]:

@@ -1,49 +1,17 @@
-"""Trivial baselines the paper uses as reference points.
+"""The trivial baseline the paper uses as a reference point.
 
 Taking the whole graph is a valid k-spanner for every k and requires no
 communication; because every spanner of a connected graph has at least n-1
 edges, this is an n-approximation (the paper contrasts its lower bounds with
-exactly this observation).  A BFS tree is the other extreme: it is *not* a
-k-spanner in general but is the sparsest connected subgraph, useful as a
-size floor in benchmark tables.
+exactly this observation).
 """
 
 from __future__ import annotations
 
-from repro.graphs.digraph import Arc, DiGraph
-from repro.graphs.graph import Edge, Graph, edge_key
+from repro.graphs.digraph import DiGraph
+from repro.graphs.graph import Graph
 
 
 def take_all_spanner(graph: Graph | DiGraph) -> set:
     """The whole edge set: a k-spanner for every k, an n-approximation."""
     return set(graph.edges())
-
-
-def bfs_tree_edges(graph: Graph, root=None) -> set[Edge]:
-    """Edges of a BFS forest (a size floor: any spanner has at least this many edges)."""
-    remaining = set(graph.nodes())
-    edges: set[Edge] = set()
-    while remaining:
-        start = root if root in remaining else sorted(remaining, key=repr)[0]
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in sorted(graph.neighbors(u), key=repr):
-                    if w not in seen:
-                        seen.add(w)
-                        edges.add(edge_key(u, w))
-                        nxt.append(w)
-            frontier = nxt
-        remaining -= seen
-        root = None
-    return edges
-
-
-def trivial_approximation_ratio(graph: Graph) -> float:
-    """m / (n - 1): the approximation ratio of taking the whole graph."""
-    n = graph.number_of_nodes()
-    if n <= 1:
-        return 1.0
-    return graph.number_of_edges() / (n - 1)

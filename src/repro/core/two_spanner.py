@@ -528,19 +528,33 @@ class TwoSpannerProgram(NodeProgram):
 def _fold_maxima(inbox: Inbox, maxima: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Component-wise maxima of ``maxima`` and the inbox's density messages.
 
-    Compares integer cross products, not ``Fraction``s, and keeps the first
-    maximum on ties as ``max`` does.  A message without ``wmax`` (the
-    directed variant's) leaves that component alone.
+    One pass over the messages.  Compares integer cross products, not
+    ``Fraction``s, and keeps the first maximum on ties as ``max`` does.  A
+    message without ``wmax`` (the directed variant's) leaves that component
+    alone.
     """
-    messages = [msg for payloads in inbox.values() for msg in payloads]
-    folded = []
-    for best, key in zip(maxima, ("rho", "rho_rounded", "wmax")):
-        num, den = best.numerator, best.denominator
-        for value in [msg[key] for msg in messages if key in msg]:
-            if value.numerator * den > num * value.denominator:
-                best, num, den = value, value.numerator, value.denominator
-        folded.append(best)
-    return tuple(folded)
+    rho, rounded, wmax = maxima
+    rho_n, rho_d = rho.numerator, rho.denominator
+    rounded_n, rounded_d = rounded.numerator, rounded.denominator
+    wmax_n, wmax_d = wmax.numerator, wmax.denominator
+    for payloads in inbox.values():
+        for msg in payloads:
+            value = msg.get("rho")
+            if value is not None:
+                num, den = value.numerator, value.denominator
+                if num * rho_d > rho_n * den:
+                    rho, rho_n, rho_d = value, num, den
+            value = msg.get("rho_rounded")
+            if value is not None:
+                num, den = value.numerator, value.denominator
+                if num * rounded_d > rounded_n * den:
+                    rounded, rounded_n, rounded_d = value, num, den
+            value = msg.get("wmax")
+            if value is not None:
+                num, den = value.numerator, value.denominator
+                if num * wmax_d > wmax_n * den:
+                    wmax, wmax_n, wmax_d = value, num, den
+    return rho, rounded, wmax
 
 
 # ---------------------------------------------------------------------- runner

@@ -271,7 +271,3 @@ class Metrics:
                     )
                 out[key] = value
         return out
-
-    def summary(self) -> dict[str, int]:
-        """Backwards-compatible alias of :meth:`as_dict`."""
-        return self.as_dict()

@@ -35,7 +35,6 @@ The four shipped models:
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.distributed.encoding import congest_budget_bits
@@ -47,15 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graphs.base import BaseGraph
 
     Node = Hashable
-
-
-class Model(enum.Enum):
-    """The synchronous models of distributed graph algorithms supported."""
-
-    LOCAL = "LOCAL"
-    CONGEST = "CONGEST"
-    BROADCAST_CONGEST = "BROADCAST-CONGEST"
-    CONGESTED_CLIQUE = "CONGESTED-CLIQUE"
 
 
 class CommunicationModel:
@@ -72,7 +62,8 @@ class CommunicationModel:
 
     __slots__ = ("n", "enforce")
 
-    model: ClassVar[Model]
+    #: the model's literature name (e.g. ``"BROADCAST-CONGEST"``).
+    name: ClassVar[str]
     #: admission policy: one identical payload to all neighbours per round.
     broadcast_only: ClassVar[bool] = False
     #: True when messages travel on a virtual overlay, not the input graph.
@@ -113,16 +104,11 @@ class CommunicationModel:
             metrics.per_model.setdefault(key, 0)
 
     # ---------------------------------------------------------------- dunder
-    @property
-    def name(self) -> str:
-        """The model's literature name (e.g. ``"BROADCAST-CONGEST"``)."""
-        return self.model.value
-
     def _key(self) -> tuple:
         return (type(self), self.n, self.enforce)
 
     def __eq__(self, other: object) -> bool:
-        # Value semantics, as the frozen-dataclass ModelConfig had.
+        # Value semantics: equal policies work as cache keys.
         return isinstance(other, CommunicationModel) and self._key() == other._key()
 
     def __hash__(self) -> int:
@@ -137,7 +123,7 @@ class LocalModel(CommunicationModel):
 
     __slots__ = ()
 
-    model = Model.LOCAL
+    name = "LOCAL"
 
 
 class CongestModel(CommunicationModel):
@@ -145,7 +131,7 @@ class CongestModel(CommunicationModel):
 
     __slots__ = ("logn_factor",)
 
-    model = Model.CONGEST
+    name = "CONGEST"
 
     def __init__(self, n: int, enforce: bool = True, logn_factor: int = 32) -> None:
         super().__init__(n, enforce)
@@ -173,7 +159,7 @@ class BroadcastCongestModel(CongestModel):
 
     __slots__ = ()
 
-    model = Model.BROADCAST_CONGEST
+    name = "BROADCAST-CONGEST"
     broadcast_only = True
     counters = ("broadcast_payloads",)
 
@@ -191,7 +177,7 @@ class CongestedCliqueModel(CongestModel):
 
     __slots__ = ("_overlay",)
 
-    model = Model.CONGESTED_CLIQUE
+    name = "CONGESTED-CLIQUE"
     uses_overlay = True
     counters = ("virtual_link_messages",)
 
@@ -209,30 +195,6 @@ class CongestedCliqueModel(CongestModel):
     def reference_neighbors(self, graph: "BaseGraph") -> dict["Node", frozenset["Node"]]:
         nodes = list(graph.nodes())
         return {v: frozenset(u for u in nodes if u != v) for v in nodes}
-
-
-_MODEL_CLASSES: dict[Model, type[CommunicationModel]] = {
-    Model.LOCAL: LocalModel,
-    Model.CONGEST: CongestModel,
-    Model.BROADCAST_CONGEST: BroadcastCongestModel,
-    Model.CONGESTED_CLIQUE: CongestedCliqueModel,
-}
-
-
-def ModelConfig(
-    model: Model, n: int, enforce: bool = True, logn_factor: int = 32
-) -> CommunicationModel:
-    """Backwards-compatible factory (pre-policy API) returning a policy object.
-
-    ``ModelConfig`` used to be a frozen dataclass; it is now a function, so
-    construction calls and value equality/hashing of the results still work,
-    but ``isinstance(x, ModelConfig)`` does not — test against
-    :class:`CommunicationModel` (or a concrete policy class) instead.
-    """
-    cls = _MODEL_CLASSES[model]
-    if cls is LocalModel:
-        return LocalModel(n, enforce)
-    return cls(n, enforce, logn_factor)
 
 
 def local_model(n: int) -> LocalModel:
@@ -265,8 +227,6 @@ __all__ = [
     "CongestModel",
     "CongestedCliqueModel",
     "LocalModel",
-    "Model",
-    "ModelConfig",
     "broadcast_congest_model",
     "congest_model",
     "congested_clique_model",

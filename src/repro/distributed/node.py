@@ -48,9 +48,12 @@ class NodeContext:
 
     Under a broadcast-only model (broadcast-CONGEST) targeted sends are
     rejected and at most one broadcast per round is admitted.  That is the
-    only *semantic* send restriction: it belongs to the communication
-    model, never to an engine — every engine accepts every admission-legal
-    program.
+    only *semantic* send restriction; it belongs to the communication
+    model.  The ``columnar`` engine adds one restriction of its own: it
+    admits one broadcast per node per round under every model, so a program
+    that broadcasts twice in a round under LOCAL runs on ``indexed`` and
+    ``reference`` (which deliver both payloads) but raises
+    :class:`~repro.distributed.errors.MessageAdmissionError` on ``columnar``.
 
     Under the batch-collecting ``columnar`` engine (``batch=True``) the
     context collects traffic in struct-of-arrays form instead of

@@ -16,7 +16,8 @@ clique) decouple the *communication* topology from the input graph: messages
 travel on a virtual complete graph while programs still compute on the input
 graph exposed as ``ctx.graph_neighbors``.
 
-Three engines share the public API and produce identical results:
+Three engines share the public API and produce identical results (``columnar``
+states the one exception):
 
 * ``indexed`` — runs on the model's compiled communication
   topology (:meth:`~repro.distributed.models.CommunicationModel.communication_topology`):
@@ -40,8 +41,12 @@ Three engines share the public API and produce identical results:
   :class:`~repro.distributed.vectorize.VectorProgram` lower whole rounds
   to array kernels over the same accounting.  Rounds with targeted traffic
   take the targeted fast path (:mod:`repro.distributed.targeted`).
-  Bit-for-bit identical to ``indexed`` for any program, including under
-  every adversary.
+  Bit-for-bit identical to ``indexed``, including under every adversary,
+  for any program that broadcasts at most once per node per round.  A
+  second broadcast in a round raises
+  :class:`~repro.distributed.errors.MessageAdmissionError` here under every
+  model, where ``indexed`` and ``reference`` deliver both payloads unless
+  the model is broadcast-only.
 * ``reference`` — the original dict-of-dicts engine, kept as the
   differential-testing oracle and as the baseline the throughput benchmark
   (E16) measures speedups against.
@@ -74,7 +79,7 @@ from repro.distributed.columnar import BroadcastAccounting, build_columnar_colle
 from repro.distributed.encoding import BitsMemo, congest_budget_bits
 from repro.distributed.errors import BandwidthExceededError, RoundLimitExceededError
 from repro.distributed.metrics import LinkLedger, Metrics, flush_round_tally
-from repro.distributed.models import CommunicationModel, LocalModel, Model, ModelConfig
+from repro.distributed.models import CommunicationModel, LocalModel
 from repro.distributed.node import NodeContext, SendColumns
 from repro.distributed.program import NodeProgram
 from repro.distributed.vectorize import EngineView, try_lower
@@ -744,8 +749,6 @@ def congest_overhead_report(result: RunResult, n: int, logn_factor: int = 32) ->
 
 __all__ = [
     "ENGINES",
-    "Model",
-    "ModelConfig",
     "RunResult",
     "Simulator",
     "congest_overhead_report",

@@ -101,14 +101,6 @@ class BaseGraph(ABC):
         return len(self._node_store())
 
     # ------------------------------------------------------------------ edges
-    def add_edges_from(self, edges: Iterable[Edge], weight: float = DEFAULT_WEIGHT) -> None:
-        for u, v in edges:
-            self.add_edge(u, v, weight)
-
-    def add_weighted_edges_from(self, edges: Iterable[tuple[Node, Node, float]]) -> None:
-        for u, v, w in edges:
-            self.add_edge(u, v, w)
-
     def edge_set(self) -> set[Edge]:
         return set(self.edges())
 

@@ -9,7 +9,6 @@ by a path of length at most k.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.graphs.graph import Edge, Graph, edge_key
@@ -80,10 +79,6 @@ class ClientServerInstance:
             if commons:
                 coverable.add(edge_key(u, w))
         return coverable
-
-
-def make_instance(graph: Graph, clients: Iterable[Edge], servers: Iterable[Edge]) -> ClientServerInstance:
-    return ClientServerInstance(graph=graph, clients=set(clients), servers=set(servers))
 
 
 def all_edges_both(graph: Graph) -> ClientServerInstance:

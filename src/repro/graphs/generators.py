@@ -105,19 +105,6 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return g
 
 
-def hypercube_graph(dim: int) -> Graph:
-    """Hypercube on ``2**dim`` nodes (nodes are integers, edges flip one bit)."""
-    g = Graph()
-    n = 1 << dim
-    g.add_nodes_from(range(n))
-    for v in range(n):
-        for b in range(dim):
-            u = v ^ (1 << b)
-            if u > v:
-                g.add_edge(v, u)
-    return g
-
-
 # -------------------------------------------------------------- random graphs
 def _chain_components(g: Graph, rng: random.Random) -> None:
     """Connect ``g`` in place by a random spanning path over component reps.
@@ -146,24 +133,6 @@ def gnp_random_graph(n: int, p: float, seed: int | random.Random | None = None) 
         for j in range(i + 1, n):
             if rng.random() < p:
                 g.add_edge(i, j)
-    return g
-
-
-def gnm_random_graph(n: int, m: int, seed: int | random.Random | None = None) -> Graph:
-    """Uniform random graph with exactly ``m`` edges (m <= n*(n-1)/2)."""
-    max_edges = n * (n - 1) // 2
-    if m > max_edges:
-        raise ValueError(f"m={m} exceeds the maximum {max_edges} for n={n}")
-    rng = _rng(seed)
-    g = Graph()
-    g.add_nodes_from(range(n))
-    added = 0
-    while added < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v)
-            added += 1
     return g
 
 
@@ -602,32 +571,6 @@ def connected_gnp_graph(
     g = gnp_random_graph(n, p, rng)
     _chain_components(g, rng)
     return g
-
-
-def random_regular_graph(
-    n: int, d: int, seed: int | random.Random | None = None, max_tries: int = 200
-) -> Graph:
-    """Random d-regular graph via the configuration model with restarts."""
-    if (n * d) % 2 != 0:
-        raise ValueError("n * d must be even")
-    if d >= n:
-        raise ValueError("d must be smaller than n")
-    rng = _rng(seed)
-    for _ in range(max_tries):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        g = Graph()
-        g.add_nodes_from(range(n))
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or g.has_edge(u, v):
-                ok = False
-                break
-            g.add_edge(u, v)
-        if ok:
-            return g
-    raise RuntimeError("failed to generate a simple regular graph; try another seed")
 
 
 def barabasi_albert_graph(

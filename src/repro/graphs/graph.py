@@ -2,9 +2,8 @@
 
 The simulator and the spanner algorithms need a small, predictable graph
 container with O(1) neighbour lookups, canonical undirected edge keys, and
-cheap copies.  ``networkx`` is supported through :mod:`repro.graphs.nx_interop`
-for interoperability, but the hot paths use this class — or, once the graph
-is built, its compiled CSR view (:meth:`Graph.freeze`).
+cheap copies.  The hot paths use this class — or, once the graph is built,
+its compiled CSR view (:meth:`Graph.freeze`).
 """
 
 from __future__ import annotations

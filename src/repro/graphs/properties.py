@@ -12,15 +12,7 @@ import math
 from collections.abc import Iterable
 
 from repro.graphs.digraph import DiGraph
-from repro.graphs.graph import Graph, Node, edge_key
-
-
-def average_degree(graph: Graph) -> float:
-    """2m / n (0 for the empty graph)."""
-    n = graph.number_of_nodes()
-    if n == 0:
-        return 0.0
-    return 2.0 * graph.number_of_edges() / n
+from repro.graphs.graph import Graph, Node
 
 
 def density_ratio(graph: Graph) -> float:
@@ -53,30 +45,6 @@ def diameter(graph: Graph) -> int:
             raise ValueError("diameter is only defined for connected graphs")
         best = max(best, ecc)
     return best
-
-
-def two_neighborhood(graph: Graph, v: Node) -> set[Node]:
-    """All vertices at distance at most 2 from ``v`` (excluding ``v`` itself)."""
-    topo = graph.freeze()
-    labels = topo.labels
-    return {labels[i] for i, d in topo.bfs_reach(topo.index[v], max_depth=2) if d > 0}
-
-
-def edges_between(graph: Graph, nodes: Iterable[Node]) -> set[tuple[Node, Node]]:
-    """Canonical keys of the graph edges with both endpoints in ``nodes``."""
-    topo = graph.freeze()
-    index = topo.index
-    labels = topo.labels
-    ids = {index[u] for u in nodes if u in index}
-    result: set[tuple[Node, Node]] = set()
-    indptr, indices = topo.indptr, topo.indices
-    for i in ids:
-        u = labels[i]
-        for pos in range(indptr[i], indptr[i + 1]):
-            j = indices[pos]
-            if j in ids:
-                result.add(edge_key(u, labels[j]))
-    return result
 
 
 def power_graph(graph: Graph, r: int) -> Graph:
@@ -126,11 +94,3 @@ def is_vertex_cover(graph: Graph, cover: Iterable[Node]) -> bool:
             if indices[pos] not in cover_ids:
                 return False
     return True
-
-
-def degree_histogram(graph: Graph) -> dict[int, int]:
-    """Mapping degree -> number of vertices with that degree."""
-    hist: dict[int, int] = {}
-    for d in graph.freeze().degrees:
-        hist[d] = hist.get(d, 0) + 1
-    return hist

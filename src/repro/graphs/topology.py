@@ -122,18 +122,6 @@ class CompiledTopology:
             ]
         return rows
 
-    # ----------------------------------------------------------- flat buffers
-    def flat_csr(self) -> tuple[memoryview, memoryview, memoryview]:
-        """Zero-copy typed views of the ``(indptr, indices, weights)`` arrays.
-
-        The views expose the CSR arrays through the buffer protocol with
-        their native item types (64-bit signed offsets/indices, 64-bit float
-        weights), so array-kernel consumers can wrap them without copying —
-        e.g. ``numpy.frombuffer(indices_view, dtype=numpy.int64)`` — while
-        the stdlib ``array`` objects remain the single source of truth.
-        """
-        return memoryview(self.indptr), memoryview(self.indices), memoryview(self.weights)
-
     def arc_position(self, src: int, dst: int) -> int:
         """Global CSR position of the link ``src -> dst``.
 

@@ -22,8 +22,6 @@ from repro.lowerbounds.construction_gw import (
 from repro.lowerbounds.mvc_reduction import (
     MVCReduction,
     build_mvc_reduction,
-    simulation_round_overhead,
-    spanner_cost,
     spanner_to_vertex_cover,
     vertex_cover_to_spanner,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "random_far_from_disjoint_instance",
     "random_intersecting_instance",
     "simulate_reduction",
-    "simulation_round_overhead",
-    "spanner_cost",
     "spanner_to_vertex_cover",
     "theorem_1_1_parameters",
     "theorem_2_8_parameters",

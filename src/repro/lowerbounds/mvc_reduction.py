@@ -81,15 +81,3 @@ def spanner_to_vertex_cover(reduction: MVCReduction, spanner: set[Edge]) -> set[
             (tag_a, va), _ = e
             cover.add(va)
     return cover
-
-
-def spanner_cost(reduction: MVCReduction, spanner: set[Edge]) -> float:
-    return sum(reduction.reduced.weight(*e) for e in spanner)
-
-
-def simulation_round_overhead(rounds_on_reduced: int) -> int:
-    """Lemma 3.2: one round on G_S costs at most three rounds on G.
-
-    (Each original edge carries the traffic of its three reduction edges.)
-    """
-    return 3 * rounds_on_reduced

@@ -9,7 +9,7 @@ approximate MVC solvers the benchmark compares against.
 
 from __future__ import annotations
 
-from repro.graphs.graph import Graph, Node, edge_key
+from repro.graphs.graph import Graph, Node
 
 
 def greedy_matching_vertex_cover(graph: Graph) -> set[Node]:
@@ -60,13 +60,3 @@ def exact_vertex_cover(graph: Graph, node_budget: int = 2_000_000) -> set[Node]:
 def is_vertex_cover(graph: Graph, cover: set[Node]) -> bool:
     """True iff every edge of the graph has an endpoint in ``cover``."""
     return all(u in cover or v in cover for u, v in graph.edges())
-
-
-def cover_from_edges(graph: Graph, edge_list) -> set[Node]:
-    """Endpoints of a set of edges (useful when converting matchings)."""
-    cover: set[Node] = set()
-    for u, v in edge_list:
-        e = edge_key(u, v)
-        cover.add(e[0])
-        cover.add(e[1])
-    return cover

@@ -16,15 +16,12 @@ the exact solver).  The LP is solved with ``scipy.optimize.linprog`` (HiGHS).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from repro.graphs.client_server import ClientServerInstance
 from repro.graphs.digraph import Arc, DiGraph
-from repro.graphs.graph import Edge, Graph, edge_key
+from repro.graphs.graph import Graph
 from repro.spanner.optimal import covering_options, covering_options_directed
 
 
@@ -112,25 +109,3 @@ def lp_lower_bound_2spanner_directed(graph: DiGraph, use_weights: bool = False) 
     options = {t: covering_options_directed(graph, t, 2) for t in targets}
     cost = {a: (graph.weight(*a) if use_weights else 1.0) for a in graph.edges()}
     return lp_cover_lower_bound(targets, options, cost)
-
-
-def lp_lower_bound_client_server(instance: ClientServerInstance) -> float:
-    """LP lower bound for the client-server 2-spanner (coverable clients only)."""
-    targets = sorted(instance.coverable_clients(), key=repr)
-    allowed = instance.servers
-    options = {}
-    for t in targets:
-        opts = [o for o in covering_options(instance.graph, t, 2) if o <= allowed]
-        options[t] = opts
-    cost = {e: 1.0 for e in allowed}
-    return lp_cover_lower_bound(targets, options, cost)
-
-
-def lp_lower_bound_targets(
-    graph: Graph, targets: Iterable[Edge], k: int = 2, use_weights: bool = False
-) -> float:
-    """LP lower bound for covering only ``targets`` with paths of length <= k."""
-    target_list = [edge_key(u, v) for u, v in targets]
-    options = {t: covering_options(graph, t, k) for t in target_list}
-    cost = {e: (graph.weight(*e) if use_weights else 1.0) for e in graph.edges()}
-    return lp_cover_lower_bound(target_list, options, cost)

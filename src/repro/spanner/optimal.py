@@ -236,12 +236,3 @@ def minimum_client_server_2_spanner_exact(instance: ClientServerInstance) -> set
     return minimum_k_spanner_exact(
         instance.graph, k=2, targets=targets, allowed_edges=instance.servers
     )
-
-
-def spanner_size_lower_bound(graph: Graph) -> int:
-    """Any spanner of a graph contains at least n - (#components) edges.
-
-    For connected graphs this is the paper's repeatedly-used ``n - 1`` bound
-    (the reason a trivial n-approximation needs no communication).
-    """
-    return graph.number_of_nodes() - len(graph.connected_components())

@@ -1,12 +1,9 @@
 """Tests for the baseline algorithms (Kortsarz-Peleg, Baswana-Sen, MDS, trivial)."""
 
-import math
-
 import pytest
 
 from repro.baselines import (
     baswana_sen_spanner,
-    bfs_tree_edges,
     exact_dominating_set,
     expectation_randomized_mds,
     expected_size_bound,
@@ -15,7 +12,6 @@ from repro.baselines import (
     greedy_two_spanner,
     implied_approximation_ratio,
     take_all_spanner,
-    trivial_approximation_ratio,
 )
 from repro.graphs import (
     all_edges_both,
@@ -27,12 +23,14 @@ from repro.graphs import (
     is_dominating_set,
     log_m_over_n,
     path_graph,
+    random_digraph,
     random_split_instance,
     star_graph,
 )
 from repro.spanner import (
     is_client_server_2_spanner,
     is_k_spanner,
+    is_k_spanner_directed,
     minimum_k_spanner_exact,
     spanner_cost,
 )
@@ -121,19 +119,10 @@ class TestTrivialBaselines:
         g = connected_gnp_graph(12, 0.4, seed=1)
         assert take_all_spanner(g) == g.edge_set()
 
-    def test_bfs_tree_size(self):
-        g = connected_gnp_graph(20, 0.3, seed=2)
-        tree = bfs_tree_edges(g)
-        assert len(tree) == g.number_of_nodes() - 1
-
-    def test_bfs_tree_disconnected(self):
-        g = path_graph(3)
-        g.add_edge(10, 11)
-        assert len(bfs_tree_edges(g)) == 3
-
-    def test_trivial_ratio(self):
-        g = complete_graph(10)
-        assert math.isclose(trivial_approximation_ratio(g), 45 / 9)
+    def test_take_all_directed(self):
+        d = random_digraph(10, 0.3, seed=2)
+        assert take_all_spanner(d) == d.edge_set()
+        assert is_k_spanner_directed(d, take_all_spanner(d), 2)
 
 
 class TestMDSBaselines:

@@ -657,6 +657,33 @@ class TestBroadcastColumns:
             run_program(path_graph(4), _broadcast_twice_in(where), model=local_model(4))
         assert str(info.value) == self.LOCAL_TEXT
 
+    @pytest.mark.parametrize("engine", ["columnar", "indexed", "reference"])
+    def test_double_broadcast_under_local_differs_by_engine(self, engine):
+        # Not every engine runs every LOCAL-legal program: indexed and
+        # reference deliver both broadcasts, columnar refuses the second.
+        def on_start(ctx):
+            ctx.broadcast(("a", ctx.node_id))
+            ctx.broadcast(("b", ctx.node_id))
+
+        def on_round(ctx, inbox):
+            ctx.set_output({src: list(pays) for src, pays in inbox.items()})
+            ctx.halt()
+
+        def program(v):
+            return FunctionProgram(on_start, on_round)
+
+        def run():
+            return run_program(path_graph(3), program, model=local_model(3), engine=engine)
+
+        if engine == "columnar":
+            with pytest.raises(MessageAdmissionError) as info:
+                run()
+            assert str(info.value) == self.LOCAL_TEXT
+            return
+        result = run()
+        assert result.outputs[1] == {0: [("a", 0), ("b", 0)], 2: [("a", 2), ("b", 2)]}
+        assert result.metrics.messages_sent == 8
+
     @pytest.mark.parametrize("where", ["on_start", "on_round"])
     def test_second_broadcast_raises_the_same_text_under_broadcast_congest(self, where):
         def message(engine):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.graphs import (
     assign_random_weights,
     assign_weights_from_choices,
+    barabasi_albert_csr,
     barabasi_albert_graph,
     bidirect,
     cluster_graph,
@@ -25,17 +26,15 @@ from repro.graphs import (
     complete_graph,
     connected_gnp_graph,
     cycle_graph,
-    gnm_random_graph,
     gnp_random_graph,
     grid_graph,
-    hypercube_graph,
     orient_randomly,
     overlapping_stars_graph,
     path_graph,
     random_digraph,
-    random_regular_graph,
     random_tournament,
     sparse_gnp_csr,
+    sparse_gnp_graph,
     star_graph,
 )
 from repro.graphs.generators import _skip_lengths, _sparse_gnp_csr_loop
@@ -83,11 +82,6 @@ class TestDeterministicGenerators:
         assert g.number_of_edges() == 3 * 3 + 2 * 4
         assert g.is_connected()
 
-    def test_hypercube(self):
-        g = hypercube_graph(4)
-        assert g.number_of_nodes() == 16
-        assert all(g.degree(v) == 4 for v in g.nodes())
-
 
 class TestRandomGenerators:
     def test_gnp_bounds_and_determinism(self):
@@ -105,26 +99,32 @@ class TestRandomGenerators:
         assert gnp_random_graph(10, 0.0, seed=1).number_of_edges() == 0
         assert gnp_random_graph(10, 1.0, seed=1).number_of_edges() == 45
 
-    def test_gnm_exact_edge_count(self):
-        g = gnm_random_graph(15, 30, seed=2)
-        assert g.number_of_edges() == 30
+    def test_sparse_gnp_extremes(self):
+        assert sparse_gnp_graph(10, 0.0, seed=1).number_of_edges() == 0
+        assert sparse_gnp_graph(10, 1.0, seed=1).edge_set() == complete_graph(10).edge_set()
 
-    def test_gnm_too_many_edges(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gnp_random_graph(5, -0.1),
+            lambda: sparse_gnp_graph(5, -0.1),
+            lambda: sparse_gnp_graph(5, 1.5),
+            lambda: sparse_gnp_csr(5, -0.1),
+            lambda: barabasi_albert_graph(5, 0),
+            lambda: barabasi_albert_graph(5, 5),
+            lambda: barabasi_albert_csr(5, 0),
+            lambda: barabasi_albert_csr(5, 5),
+            lambda: overlapping_stars_graph(3, 4, 4),
+        ],
+    )
+    def test_invalid_parameters_raise(self, build):
         with pytest.raises(ValueError):
-            gnm_random_graph(4, 10)
+            build()
 
     def test_connected_gnp_is_connected(self):
         for seed in range(5):
             g = connected_gnp_graph(25, 0.05, seed=seed)
             assert g.is_connected()
-
-    def test_random_regular(self):
-        g = random_regular_graph(12, 3, seed=3)
-        assert all(g.degree(v) == 3 for v in g.nodes())
-
-    def test_random_regular_parity(self):
-        with pytest.raises(ValueError):
-            random_regular_graph(5, 3)
 
     def test_barabasi_albert(self):
         g = barabasi_albert_graph(50, 2, seed=4)
@@ -200,8 +200,6 @@ class TestSparseGnpCsr:
         # Identical randomness consumption: whenever the raw sample is
         # already connected (no patching), the two generators must produce
         # the exact same edge set.
-        from repro.graphs import sparse_gnp_graph
-
         csr = sparse_gnp_csr(400, 0.03, seed=11, connect=False)
         dict_based = sparse_gnp_graph(400, 0.03, seed=11, connect=False)
         assert csr.number_of_nodes() == dict_based.number_of_nodes() == 400

@@ -28,13 +28,13 @@ from repro.lowerbounds import (
     vertex_cover_to_spanner,
     zero_cost_spanner,
 )
-from repro.lowerbounds.mvc_reduction import spanner_cost as reduction_cost
 from repro.lowerbounds.two_party import DisjointnessInstance
 from repro.graphs import connected_gnp_graph, cycle_graph, path_graph, star_graph
 from repro.spanner import (
     is_k_spanner,
     is_k_spanner_directed,
     minimum_k_spanner_exact,
+    spanner_cost,
 )
 
 
@@ -235,7 +235,7 @@ class TestMVCReduction:
         cover = greedy_matching_vertex_cover(g)
         spanner = vertex_cover_to_spanner(reduction, cover)
         assert is_k_spanner(reduction.reduced, spanner, 2)
-        assert reduction_cost(reduction, spanner) == pytest.approx(float(len(cover)))
+        assert spanner_cost(reduction.reduced, spanner) == pytest.approx(float(len(cover)))
 
     def test_spanner_to_cover_direction(self):
         g = connected_gnp_graph(8, 0.35, seed=3)
@@ -243,18 +243,13 @@ class TestMVCReduction:
         opt_spanner = minimum_k_spanner_exact(reduction.reduced, 2, use_weights=True)
         cover = spanner_to_vertex_cover(reduction, opt_spanner)
         assert is_vertex_cover(g, cover)
-        assert len(cover) <= reduction_cost(reduction, opt_spanner) + 1e-9
+        assert len(cover) <= spanner_cost(reduction.reduced, opt_spanner) + 1e-9
 
     def test_reduction_graph_shape(self):
         g = path_graph(4)
         reduction = build_mvc_reduction(g)
         assert reduction.reduced.number_of_nodes() == 3 * 4
         assert reduction.reduced.number_of_edges() == 3 * 4 + 3 * 3
-
-    def test_simulation_overhead_factor(self):
-        from repro.lowerbounds import simulation_round_overhead
-
-        assert simulation_round_overhead(10) == 30
 
 
 class TestVertexCoverHelpers:

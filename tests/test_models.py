@@ -11,8 +11,6 @@ from repro.distributed import (
     LocalModel,
     MessageAdmissionError,
     Metrics,
-    Model,
-    ModelConfig,
     NodeProgram,
     NotANeighborError,
     broadcast_congest_model,
@@ -49,21 +47,22 @@ class TestPolicyObjects:
         assert congested_clique_model(5).uses_overlay
         assert not congested_clique_model(5).broadcast_only
 
-    def test_model_config_compat_factory(self):
-        for member, cls in [
-            (Model.LOCAL, LocalModel),
-            (Model.CONGEST, CongestModel),
-            (Model.BROADCAST_CONGEST, BroadcastCongestModel),
-            (Model.CONGESTED_CLIQUE, CongestedCliqueModel),
-        ]:
-            policy = ModelConfig(model=member, n=12, enforce=False)
-            assert type(policy) is cls
-            assert policy.model is member
-            assert policy.n == 12 and policy.enforce is False
+    @pytest.mark.parametrize(
+        "factory, name",
+        [
+            (local_model, "LOCAL"),
+            (congest_model, "CONGEST"),
+            (broadcast_congest_model, "BROADCAST-CONGEST"),
+            (congested_clique_model, "CONGESTED-CLIQUE"),
+        ],
+    )
+    def test_literature_names(self, factory, name):
+        policy = factory(12)
+        assert policy.name == type(policy).name == name
+        assert policy.n == 12
 
     def test_value_equality_and_hashing(self):
-        # The pre-policy ModelConfig was a frozen dataclass; keep value
-        # semantics so configs still work as cache keys.
+        # Value semantics, so policies work as cache keys.
         assert congest_model(10) == congest_model(10)
         assert hash(congest_model(10)) == hash(congest_model(10))
         assert congest_model(10) != congest_model(11)

@@ -10,10 +10,8 @@ from repro.graphs import (
     complete_graph,
     connected_gnp_graph,
     cycle_graph,
-    degree_histogram,
     density_ratio,
     diameter,
-    edges_between,
     gnp_random_graph,
     is_dominating_set,
     is_vertex_cover,
@@ -23,15 +21,12 @@ from repro.graphs import (
     power_graph,
     random_split_instance,
     star_graph,
-    two_neighborhood,
 )
-from repro.graphs.properties import average_degree
 
 
 class TestScalarProperties:
-    def test_average_degree_and_density(self):
+    def test_density_ratio(self):
         g = cycle_graph(10)
-        assert average_degree(g) == 2.0
         assert density_ratio(g) == 1.0
 
     def test_log_m_over_n_floor(self):
@@ -55,21 +50,8 @@ class TestScalarProperties:
         with pytest.raises(ValueError):
             diameter(g)
 
-    def test_degree_histogram(self):
-        g = star_graph(4)
-        assert degree_histogram(g) == {4: 1, 1: 4}
-
 
 class TestNeighborhoods:
-    def test_two_neighborhood(self):
-        g = path_graph(6)
-        assert two_neighborhood(g, 0) == {1, 2}
-        assert two_neighborhood(g, 2) == {0, 1, 3, 4}
-
-    def test_edges_between(self):
-        g = complete_graph(5)
-        assert len(edges_between(g, {0, 1, 2})) == 3
-
     def test_power_graph_of_path(self):
         g = path_graph(5)
         p2 = power_graph(g, 2)

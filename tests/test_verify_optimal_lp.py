@@ -30,12 +30,10 @@ from repro.spanner import (
     is_k_spanner_directed,
     lp_lower_bound_2spanner,
     lp_lower_bound_2spanner_directed,
-    lp_lower_bound_client_server,
     minimum_client_server_2_spanner_exact,
     minimum_k_spanner_exact,
     minimum_k_spanner_exact_directed,
     spanner_cost,
-    spanner_size_lower_bound,
     stretch_of,
     uncovered_edges,
 )
@@ -180,10 +178,15 @@ class TestExactSolver:
         opt = minimum_client_server_2_spanner_exact(inst)
         assert is_client_server_2_spanner(inst, opt)
 
+    def test_all_edges_both_optimum_is_plain_optimum(self):
+        g = connected_gnp_graph(9, 0.45, seed=6)
+        opt = minimum_client_server_2_spanner_exact(all_edges_both(g))
+        assert len(opt) == len(minimum_k_spanner_exact(g, 2))
+
     def test_size_lower_bound(self):
+        # A spanner of a connected graph is connected: at least n - 1 edges.
         g = connected_gnp_graph(12, 0.3, seed=9)
-        assert spanner_size_lower_bound(g) == 11
-        assert len(minimum_k_spanner_exact(g, 2)) >= 11
+        assert len(minimum_k_spanner_exact(g, 2)) >= g.number_of_nodes() - 1
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**20))
@@ -220,8 +223,9 @@ class TestLPBound:
         assert lp <= len(opt) + 1e-6
 
     def test_client_server_lp(self):
+        # all_edges_both(g) has the plain optimum, so the plain LP bounds it.
         inst = all_edges_both(connected_gnp_graph(8, 0.5, seed=4))
-        lp = lp_lower_bound_client_server(inst)
+        lp = lp_lower_bound_2spanner(inst.graph)
         opt = minimum_client_server_2_spanner_exact(inst)
         assert lp <= len(opt) + 1e-6
 
