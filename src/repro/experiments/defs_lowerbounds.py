@@ -8,6 +8,7 @@ from repro.core import WeightedVariant, run_two_spanner
 from repro.experiments.families import build_graph
 from repro.experiments.registry import Experiment, check, register
 from repro.experiments.spec import ScenarioSpec
+from repro.graphs import is_vertex_cover
 from repro.lowerbounds import (
     build_construction_g,
     build_construction_gw,
@@ -20,7 +21,6 @@ from repro.lowerbounds import (
     greedy_matching_vertex_cover,
     has_zero_cost_spanner,
     has_zero_cost_spanner_undirected,
-    is_vertex_cover,
     minimum_required_d_edges,
     random_disjoint_instance,
     random_far_from_disjoint_instance,

@@ -14,11 +14,7 @@ import random
 from array import array
 from collections.abc import Sequence
 
-# SciPy is imported here rather than inside the bulk CSR build so a first
-# cold build does not pay the import.
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
@@ -198,9 +194,9 @@ def sparse_gnp_csr(
     :func:`sparse_gnp_graph`, so for the same seed the sampled edge set is
     the same; when that sample is already connected, the two generators
     produce exactly the same graph.  Connectivity patching differs: the
-    component representatives are the minimum-index members (from SciPy's
-    connected components in bulk, a union-find in the loop) rather than the
-    smallest-by-``repr`` members of a component scan of the built graph, so
+    component representatives are the minimum-index members (from a
+    hook-and-compress kernel in bulk, a union-find in the loop) rather than
+    the smallest-by-``repr`` members of a component scan of the built graph, so
     disconnected samples are chained along a different — but equally
     random — spanning path; treat ``connect=True`` instances as their own
     scenario family, as E23 does.  ``connect`` defaults to True because the
@@ -399,6 +395,41 @@ def _gnp_pair_positions(n: int, p: float, rng: random.Random):
     return np.concatenate(chunks)
 
 
+def _component_minima(n: int, v: np.ndarray, w: np.ndarray) -> list[int]:
+    """Minimum member of every connected component, ascending.
+
+    The graph is ``0..n-1`` with edges ``(v[i], w[i])``, ``w < v``.
+    Hook-and-compress: every root with an edge into a lower root is hooked
+    onto the lowest such root (``np.minimum.at``), then pointer jumping
+    makes every vertex point at its root.  Hooks only ever lower a parent,
+    so ``parent[x] <= x`` throughout and a component's minimum member is
+    never hooked: once no edge joins two roots it is the component's one
+    root.  Each round merges every tree with a lower neighbour, and a
+    locally minimal tree merges the round after its neighbours do, so the
+    tree count at least halves every two rounds.  Edges inside one tree
+    stay inside it and are dropped after the first round.
+    """
+    parent = np.arange(n, dtype=v.dtype)
+    # While parent is the identity every endpoint is its own root: hook v on w.
+    hi, lo = v, w
+    while True:
+        np.minimum.at(parent, hi, lo)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        hi = parent[v]
+        lo = parent[w]
+        cross = hi != lo
+        if not cross.any():
+            break
+        v, w = hi[cross], lo[cross]
+        hi = np.maximum(v, w)
+        lo = np.minimum(v, w)
+    return np.flatnonzero(parent == np.arange(n, dtype=parent.dtype)).tolist()
+
+
 def _sparse_gnp_csr_numpy(
     n: int, p: float, rng: random.Random, connect: bool
 ) -> FrozenGraph:
@@ -406,13 +437,12 @@ def _sparse_gnp_csr_numpy(
 
     The skip stream (:func:`_gnp_pair_positions`) is decoded to ``(v, w)``
     with an exact integer fix-up of a float square root; the connectivity
-    patch takes its component minima from SciPy's connected components of
-    the symmetric core arc matrix (the union-find's roots, since both pick
-    each component's minimum index) and shuffles them with ``rng`` like the
-    stdlib path; and the CSR arrays come
-    from one sort of ``row * n + column`` arc keys — every row ascending,
-    which is exactly what the stdlib's counting scatter (plus its re-sort of
-    chain-touched rows) produces.
+    patch takes its component minima from :func:`_component_minima` (the
+    union-find's roots, since both pick each component's minimum index)
+    and shuffles them with ``rng`` like the stdlib path; and the CSR arrays
+    come from one sort of ``row * n + column`` arc keys — every row
+    ascending, which is exactly what the stdlib's counting scatter (plus
+    its re-sort of chain-touched rows) produces.
     """
     pos = _gnp_pair_positions(n, p, rng)
     v = ((1.0 + np.sqrt(8.0 * pos + 1.0)) * 0.5).astype(np.int64)
@@ -427,36 +457,29 @@ def _sparse_gnp_csr_numpy(
             v[under] += 1
             continue
         break
-    w = pos - base
+    label = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    w = (pos - base).astype(label)
+    v = v.astype(label)
     del pos, base
+    # Components first, so the kernel's temporaries do not stack on the keys.
+    reps = _component_minima(n, v, w) if connect and n > 1 else []
     m = len(v)
     keys = np.empty(2 * m, dtype=np.int64)
-    np.multiply(v, n, out=keys[:m])
+    np.multiply(v, n, out=keys[:m], dtype=np.int64)
     keys[:m] += w
-    np.multiply(w, n, out=keys[m:])
+    np.multiply(w, n, out=keys[m:], dtype=np.int64)
     keys[m:] += v
     del v, w
     keys.sort()
+    if len(reps) > 1:
+        rng.shuffle(reps)
+        a = np.array(reps[:-1], dtype=np.int64)
+        b = np.array(reps[1:], dtype=np.int64)
+        chain = np.sort(np.concatenate((a * n + b, b * n + a)))
+        keys = np.insert(keys, np.searchsorted(keys, chain), chain)
+
     # Row i's arcs are the keys in [i*n, (i+1)*n): CSR offsets by bisection.
     row_starts = np.arange(n + 1, dtype=np.int64) * n
-    if connect and n > 1:
-        core_indptr = np.searchsorted(keys, row_starts)
-        core = csr_matrix(
-            (np.ones(2 * m, dtype=np.int8), keys % n, core_indptr), shape=(n, n)
-        )
-        # The arc matrix holds both arcs of every edge, so it is symmetric
-        # and its strong components are exactly the undirected components —
-        # found without the transpose the undirected mode builds.
-        _, comp = connected_components(core, directed=True, connection="strong")
-        # First occurrence of each component label = its minimum member.
-        reps = np.sort(np.unique(comp, return_index=True)[1]).tolist()
-        if len(reps) > 1:
-            rng.shuffle(reps)
-            a = np.array(reps[:-1], dtype=np.int64)
-            b = np.array(reps[1:], dtype=np.int64)
-            chain = np.sort(np.concatenate((a * n + b, b * n + a)))
-            keys = np.insert(keys, np.searchsorted(keys, chain), chain)
-
     indptr = array("q", np.searchsorted(keys, row_starts).tobytes())
     indices = array("q", (keys % n).tobytes())
     weights = array("d", [1.0]) * len(keys)

@@ -42,7 +42,6 @@ from repro.lowerbounds.two_party import (
 from repro.lowerbounds.vertex_cover import (
     exact_vertex_cover,
     greedy_matching_vertex_cover,
-    is_vertex_cover,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "has_zero_cost_spanner",
     "has_zero_cost_spanner_undirected",
     "implied_round_lower_bound",
-    "is_vertex_cover",
     "minimum_required_d_edges",
     "random_disjoint_instance",
     "random_far_from_disjoint_instance",

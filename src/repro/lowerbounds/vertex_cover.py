@@ -55,8 +55,3 @@ def exact_vertex_cover(graph: Graph, node_budget: int = 2_000_000) -> set[Node]:
 
     search(set())
     return best[0]
-
-
-def is_vertex_cover(graph: Graph, cover: set[Node]) -> bool:
-    """True iff every edge of the graph has an endpoint in ``cover``."""
-    return all(u in cover or v in cover for u, v in graph.edges())

@@ -12,13 +12,14 @@ never exceeds the true optimum:
 
 where the covering options P are single edges or 2-paths (the same options as
 the exact solver).  The LP is solved with ``scipy.optimize.linprog`` (HiGHS).
+SciPy is imported inside :func:`lp_cover_lower_bound`, the package's only
+SciPy caller, so the simulator, the 2-spanner and the graph builds never load
+it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from repro.graphs.digraph import Arc, DiGraph
 from repro.graphs.graph import Graph
@@ -38,6 +39,9 @@ def lp_cover_lower_bound(
     """
     if not targets:
         return 0.0
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     for t in targets:
         if not options[t]:
             raise ValueError(f"target {t!r} has no covering option; instance infeasible")

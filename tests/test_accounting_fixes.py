@@ -5,22 +5,20 @@ experiment-orchestration PR:
   payload objects (no ``__dict__``), under-billing CONGEST accounting;
 * ``Metrics.as_dict()`` used to let a ``per_model`` counter silently
   overwrite a core counter of the same name;
-* ``benchmarks/common.py::record`` claimed to flatten ``as_dict()`` values
-  but stored nested dicts, hiding per-model counters from flat JSON
-  consumers.
+* benchmark records used to store ``as_dict()`` values as nested dicts,
+  hiding per-model counters from flat JSON consumers; ``flatten_info``
+  flattens them into dotted keys.
 
 It also pins ``estimate_bits``'s exact-type fast path and its closed forms
 (``Fraction``, int and int-pair items) to the generic ``isinstance`` chain
 they short-cut.
 """
 
-import importlib.util
 import re
 from collections import OrderedDict, namedtuple
 from collections.abc import Mapping, Sequence, Set
 from enum import IntEnum
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -274,19 +272,6 @@ class TestMetricsInvariants:
         metrics.check_invariants()
 
 
-class _FakeBenchmark:
-    def __init__(self):
-        self.extra_info = {}
-
-
-def _load_benchmarks_common():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "common.py"
-    spec = importlib.util.spec_from_file_location("benchmarks_common", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestRecordFlattening:
     def test_flatten_info_uses_dotted_keys(self):
         flat = flatten_info({"metrics": {"rounds": 3, "per": {"x": 1}}, "n": 5})
@@ -302,17 +287,3 @@ class TestRecordFlattening:
     def test_flatten_info_indexes_sequences_of_mappings(self):
         flat = flatten_info({"instances": [{"n": 48}, {"n": 96}]})
         assert flat == {"instances.0.n": 48, "instances.1.n": 96}
-
-    def test_record_flattens_metrics(self):
-        common = _load_benchmarks_common()
-        metrics = Metrics(rounds=7, bits_sent=99)
-        metrics.bump("broadcast_payloads", 2)
-        benchmark = _FakeBenchmark()
-        common.record(benchmark, metrics=metrics, n=10)
-        assert benchmark.extra_info["n"] == 10
-        assert benchmark.extra_info["metrics.rounds"] == 7
-        # the per-model counter no longer vanishes into a nested dict
-        assert benchmark.extra_info["metrics.broadcast_payloads"] == 2
-        assert not any(
-            isinstance(value, dict) for value in benchmark.extra_info.values()
-        )

@@ -1,9 +1,10 @@
 """Unit tests for the graph generators (structure, determinism, parameters).
 
 The bulk ``sparse_gnp_csr`` build is checked against the stdlib loop on
-Hypothesis-generated parameters too; tier-1 runs a few derandomized
-examples and ``REPRO_CSR_IDENTITY_EXAMPLES`` asks for more (CI's
-``bench-smoke`` job runs 500).
+Hypothesis-generated parameters too, and its component kernel against
+SciPy's connected components; tier-1 runs a few derandomized examples and
+``REPRO_CSR_IDENTITY_EXAMPLES`` asks for more (CI's ``bench-smoke`` job
+runs 500).
 """
 
 import math
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.graphs import (
     assign_random_weights,
@@ -37,7 +40,11 @@ from repro.graphs import (
     sparse_gnp_graph,
     star_graph,
 )
-from repro.graphs.generators import _skip_lengths, _sparse_gnp_csr_loop
+from repro.graphs.generators import (
+    _component_minima,
+    _skip_lengths,
+    _sparse_gnp_csr_loop,
+)
 
 CSR_IDENTITY_EXAMPLES = int(os.environ.get("REPRO_CSR_IDENTITY_EXAMPLES", "15"))
 
@@ -435,3 +442,37 @@ class TestGeneratedBulkIdentity:
                 _sparse_gnp_csr_loop(n, p, random.Random(seed), connect)
             return
         _assert_paths_identical(n, p, seed, connect)
+
+
+@st.composite
+def _component_graphs(draw):
+    """``(n, edges)`` with ``w < v`` per edge: few random edges (isolated
+    vertices, many components) plus up to three paths along a random vertex
+    order, which take the kernel several hook rounds (up to 6 at n = 300).
+    """
+    n = draw(st.integers(0, 300))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        order = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+        pairs += zip(order, order[1:])
+    return n, [(max(a, b), min(a, b)) for a, b in pairs if a != b]
+
+
+class TestComponentMinima:
+    """The bulk build's component kernel gives SciPy's component minima."""
+
+    @settings(max_examples=CSR_IDENTITY_EXAMPLES, deadline=None, derandomize=True)
+    @given(graph=_component_graphs(), label=st.sampled_from([np.int32, np.int64]))
+    def test_matches_scipy_components(self, graph, label):
+        n, edges = graph
+        v = np.array([a for a, _ in edges], dtype=label)
+        w = np.array([b for _, b in edges], dtype=label)
+        expect = []
+        if n:
+            arcs = coo_matrix((np.ones(len(edges)), (v, w)), shape=(n, n))
+            _, comp = connected_components(arcs, directed=False)
+            expect = np.sort(np.unique(comp, return_index=True)[1]).tolist()
+        assert _component_minima(n, v, w) == expect

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graphs import is_vertex_cover
 from repro.lowerbounds import (
     SPANNER_CONSTANT_C,
     build_construction_g,
@@ -16,7 +17,6 @@ from repro.lowerbounds import (
     has_zero_cost_spanner,
     has_zero_cost_spanner_undirected,
     implied_round_lower_bound,
-    is_vertex_cover,
     minimum_required_d_edges,
     random_disjoint_instance,
     random_far_from_disjoint_instance,
