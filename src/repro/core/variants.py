@@ -100,7 +100,7 @@ class WeightedVariant(SpannerVariant):
         i = topo.index[v]
         neighbors = topo.neighbor_label_set(i)
         incident = frozenset(edge_key(v, u) for u in neighbors)
-        weights = {u: Fraction(w) for u, w in topo.neighbor_items(i)}
+        weights = {u: Fraction(graph.weight(v, u)) for u in topo.neighbor_labels(i)}
         zero = frozenset(u for u, w in weights.items() if w == 0)
         initial = frozenset(edge_key(v, u) for u in zero)
         wmax = max(weights.values(), default=Fraction(1))

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Hashable, Iterable, Mapping, Sequence
+from operator import countOf
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.distributed.encoding import CORRUPTED, corrupt_payload
@@ -262,22 +263,34 @@ class _DropFilter(DeliveryFilter):
         """Keyed-hash mask over ``(round, src, dst)`` for one broadcast row.
 
         Evaluates the same per-destination BLAKE2 trials as :meth:`deliver`
-        (decisions are bit-identical) but hoists the round/key/rate lookups
-        out of the loop and folds the fault-counter bumps into two bulk
-        updates — the totals equal ``dropped`` per-message bumps exactly.
+        (decisions are bit-identical) but keys the hash once per call and
+        copies the keyed state per destination, and folds the fault-counter
+        bumps into two bulk updates — the totals equal ``dropped``
+        per-message bumps exactly.  When the round, ``src`` and every
+        destination are exact ``int``s the hashed text is formatted as
+        ``b"(%d, %d, %d)"``, which is what ``repr`` of the triple gives for
+        them; any other label (``bool`` and NumPy scalars included) keeps
+        ``repr``.
         """
         round_ = self.metrics.rounds
         rate = self.rate
-        key = self.key
-        blake2b = hashlib.blake2b
+        keyed = hashlib.blake2b(key=self.key, digest_size=8)
         from_bytes = int.from_bytes
+        if (
+            type(round_) is int
+            and type(src) is int
+            and countOf(map(type, dsts), int) == len(dsts)
+        ):
+            head = b"(%d, %d, " % (round_, src)
+            texts = [head + b"%d)" % dst for dst in dsts]
+        else:
+            texts = [repr((round_, src, dst)).encode("utf-8") for dst in dsts]
         mask = bytearray(len(dsts))
         dropped = 0
-        for i, dst in enumerate(dsts):
-            digest = blake2b(
-                repr((round_, src, dst)).encode("utf-8"), key=key, digest_size=8
-            ).digest()
-            if from_bytes(digest, "big") / 2.0**64 < rate:
+        for i, text in enumerate(texts):
+            trial = keyed.copy()
+            trial.update(text)
+            if from_bytes(trial.digest(), "big") / 2.0**64 < rate:
                 dropped += 1
             else:
                 mask[i] = 1

@@ -173,7 +173,7 @@ class _RoundState:
         "sender_list",
         "sent",
         "labels",
-        "index",
+        "topology",
         "all_sent",
         "ints",
         "flat",
@@ -192,7 +192,7 @@ class _RoundState:
         self.sender_list = accounting.sender_list
         self.sent = accounting.sent
         self.labels = accounting.labels
-        self.index = accounting.index
+        self.topology = accounting.sim.topology  # label lookups: ``index``
         self.all_sent = False
         self.ints: np.ndarray | None = None
         self.flat: list[list[Any]] | None = None
@@ -279,7 +279,7 @@ class ColumnarInbox(Mapping):
 
     def __getitem__(self, src: Any) -> list[Any]:
         st = self._st
-        j = st.index.get(src, -1)
+        j = st.topology.index.get(src, -1)
         if j >= 0 and st.sent[j] and j in self._row:
             plist = st.ensure_plists()[j]
             if plist is not None:
@@ -394,15 +394,19 @@ class BroadcastAccounting:
       no receiver's row, so ``sent_count == n_connected`` is an all-senders
       pass), the cut-crossing and overlay per-node count columns, and under
       an adversary the sorted neighbour *label* rows ``deliver_mask`` takes;
-      also their zero-copy NumPy views, the concatenated sorted rows
-      ``all_rows_np`` (sliceable by CSR ``indptr`` bounds, derived from the
-      CSR arrays by one sort of ``row * n + column`` arc keys) and the
-      per-receiver segment starts ``reduce_idx`` for ``reduceat`` (clipped
-      in range, so entries of empty rows are garbage — consumers gate on
-      degree);
-    * the ascending-sorted neighbour tuple rows (:attr:`rows`), built on
-      first access only: the stepped collect and the adversary label rows
-      read them, a fault-free lowered run never does;
+      also their zero-copy NumPy views, including ``indices_np`` over the
+      CSR ``indices``, and the per-receiver segment starts ``reduce_idx``
+      for ``reduceat`` (clipped in range, so entries of empty rows are
+      garbage — consumers gate on degree).  Order-free folds (a row max)
+      gather through ``indices_np`` directly;
+    * two columns built on first access only, which a fault-free lowered
+      run never reads: the concatenated ascending rows :attr:`all_rows_np`
+      (sliceable by CSR ``indptr`` bounds; read by the stepped bulk payload
+      gathers and the filtered lowered path's arc map) and the
+      ascending-sorted neighbour tuple rows (:attr:`rows`; read by the
+      stepped collect and the adversary label rows).  The topology's label
+      index is not copied either: the views' ``__getitem__`` reads it when
+      a program looks a sender up by label;
     * the send state of the pass being collected, filled by the round driver:
       the ``sent`` flag byte and ``bits_col`` payload size per sender,
       ``sent_count``, and the ascending ``senders`` list (``None`` until
@@ -417,7 +421,6 @@ class BroadcastAccounting:
         "filt",
         "n",
         "labels",
-        "index",
         "indptr",
         "indices",
         "degrees",
@@ -440,7 +443,8 @@ class BroadcastAccounting:
         "sent_np",
         "cut_np",
         "virt_np",
-        "all_rows_np",
+        "indices_np",
+        "_all_rows_np",
         "reduce_idx",
     )
 
@@ -462,7 +466,6 @@ class BroadcastAccounting:
         self.filt = filt
         self.n = n
         self.labels = labels
-        self.index = topo.index
         self.indptr = indptr
         self.indices = topo.indices
         self.degrees = list(topo.degrees)
@@ -503,16 +506,31 @@ class BroadcastAccounting:
         if self.virtual_counts is not None:
             self.virt_np = np.frombuffer(self.virtual_counts, dtype=np.int64)
         arcs = indptr[n]
-        # Sorting every arc by its (row, column) key concatenates the sorted
-        # neighbour rows — the column order ``rows`` yields.
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg_np)
-        keys += np.frombuffer(topo.indices, dtype=np.int64)
-        keys.sort()
-        keys %= n  # in place: one arc-length column, not two
-        self.all_rows_np = keys
+        self.indices_np = np.frombuffer(topo.indices, dtype=np.int64)
+        self._all_rows_np: np.ndarray | None = None
         if arcs:
             indptr_np = np.frombuffer(indptr, dtype=np.int64)
             self.reduce_idx = np.minimum(indptr_np[:n], arcs - 1)
+
+    @property
+    def all_rows_np(self) -> np.ndarray:
+        """The concatenated ascending neighbour rows (built on first read).
+
+        Sliceable by CSR ``indptr`` bounds.  Only order-sensitive consumers
+        read it: the stepped bulk payload gathers and the filtered lowered
+        path's sender-side arc map; order-free folds read ``indices_np``.
+        """
+        keys = self._all_rows_np
+        if keys is None:
+            n = self.n
+            # Sorting every arc by its (row, column) key concatenates the
+            # sorted neighbour rows — the column order ``rows`` yields.
+            keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.deg_np)
+            keys += self.indices_np
+            keys.sort()
+            keys %= n  # in place: one arc-length column, not two
+            self._all_rows_np = keys
+        return keys
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
@@ -664,20 +682,25 @@ def build_columnar_collect(
             ColumnarInbox(rows[i], indptr[i], indptr[i + 1], i, state)
             for i in range(n)
         ]
-        all_rows_np = accounting.all_rows_np
+        indices_np = accounting.indices_np
         reduce_idx = accounting.reduce_idx
         obj_np = np.empty(n, dtype=object)
 
         def build_flat() -> list[list[Any]]:
             """Bulk-gather every receiver's payload lists in two C passes."""
             obj_np[:] = state.ensure_plists()
-            flat = state.flat = obj_np[all_rows_np].tolist()
+            flat = state.flat = obj_np[accounting.all_rows_np].tolist()
             return flat
 
         def build_pays_flat() -> list[Any]:
-            """Bulk-gather every receiver's raw payloads (fold pushdown)."""
+            """Bulk-gather every receiver's raw payloads (fold pushdown).
+
+            Along the sorted rows: ``max`` keeps the first of equal
+            payloads of different types (``1`` and ``True``), so this
+            fold depends on order.
+            """
             obj_np[:] = pays
-            flat = state.pays_flat = obj_np[all_rows_np].tolist()
+            flat = state.pays_flat = obj_np[accounting.all_rows_np].tolist()
             return flat
 
         state.build_flat = build_flat
@@ -690,9 +713,10 @@ def build_columnar_collect(
 
             Folds every receiver's row of the round's ``int64`` payload
             column (the one the sizing pass built) with
-            ``np.maximum.reduceat``.
+            ``np.maximum.reduceat``.  A max does not depend on the order
+            of its row, so it gathers through the raw CSR ``indices``.
             """
-            gathered = state.ints[all_rows_np]
+            gathered = state.ints[indices_np]
             row_max = state.row_max = np.maximum.reduceat(gathered, reduce_idx).tolist()
             return row_max
 

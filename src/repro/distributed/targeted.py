@@ -280,7 +280,6 @@ def build_targeted_collect(
     model = sim.model
     n = topo.n
     labels = topo.labels
-    index = topo.index
     cut = sim.cut
     budget = model.bandwidth_bits
     enforce = model.enforce
@@ -288,7 +287,6 @@ def build_targeted_collect(
     if size_table is None:
         size_table = PayloadSizeTable()
     measure = size_table.measure
-    index_get = index.__getitem__
     out_pays = shared.pays
     out_sent = shared.sent
     zero_bytes = bytes(n)
@@ -296,6 +294,7 @@ def build_targeted_collect(
     # Label identity: every shipped graph family labels vertices by their
     # dense index, making destination resolution a C-level list extend.
     identity = all(labels[i] == i for i in range(n))
+    index_get = None if identity else topo.index.__getitem__
 
     cut_side: list[bool] | None = None
     if cut is not None:
@@ -326,10 +325,11 @@ def build_targeted_collect(
         nonlocal graph_keys_arr
         if graph_keys_arr is None:
             keys = []
+            index = topo.index
             for i in range(n):
                 base = i * n
                 for lbl in graph_sets[i]:
-                    keys.append(base + index_get(lbl))
+                    keys.append(base + index[lbl])
             arr = np.fromiter(keys, np.int64, len(keys))
             arr.sort()
             graph_keys_arr = arr

@@ -282,19 +282,22 @@ class EngineView:
         """
         accounting = self.accounting
         sent_count = accounting.sent_count
-        if not sent_count:
+        if not sent_count or accounting.reduce_idx is None:
             return None
-        all_rows_np = accounting.all_rows_np
-        if not len(all_rows_np):
-            return None
-        gathered = np.take(self._kernel.payload_column(), all_rows_np)
+        payloads = self._kernel.payload_column()
         if self.filt is not None:
+            # The delivery mask is laid out along the sorted rows.
+            gathered = np.take(payloads, accounting.all_rows_np)
             dmask = np.frombuffer(self.mask_flat, dtype=np.uint8).view(np.bool_)[
                 self.t_idx
             ]
             gathered = np.where(dmask, gathered, INT64_MIN)
-        elif sent_count != accounting.n_connected:
-            gathered = np.where(accounting.sent_np[all_rows_np], gathered, INT64_MIN)
+        else:
+            # A max is order-free: gather along the raw CSR rows.
+            rows = accounting.indices_np
+            gathered = np.take(payloads, rows)
+            if sent_count != accounting.n_connected:
+                gathered = np.where(accounting.sent_np[rows], gathered, INT64_MIN)
         return np.maximum.reduceat(gathered, accounting.reduce_idx)
 
     def retire(self, idxs, outputs) -> None:

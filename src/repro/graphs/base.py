@@ -74,7 +74,7 @@ class BaseGraph(ABC):
         """The compiled CSR view of this graph (cached until the next mutation).
 
         The returned object maps nodes to dense ``0..n-1`` indices and exposes
-        ``indptr``/``indices``/``weights`` adjacency arrays; see
+        ``indptr``/``indices`` adjacency arrays; see
         :class:`~repro.graphs.topology.CompiledTopology`.
         """
         topo = self._topology

@@ -312,11 +312,8 @@ def _sparse_gnp_csr_loop(
             row = sorted(indices[indptr[i] : indptr[i + 1]])
             indices[indptr[i] : indptr[i + 1]] = array("q", row)
 
-    weights = array("d", [1.0]) * total
     edge_count = len(esrc) + len(chain)
-    topo = CompiledTopology(
-        list(range(n)), indptr, indices, weights, edge_count, directed=False
-    )
+    topo = CompiledTopology(list(range(n)), indptr, indices, edge_count, directed=False)
     return FrozenGraph(topo)
 
 
@@ -479,13 +476,17 @@ def _sparse_gnp_csr_numpy(
         keys = np.insert(keys, np.searchsorted(keys, chain), chain)
 
     # Row i's arcs are the keys in [i*n, (i+1)*n): CSR offsets by bisection.
+    # The arrays are filled from byte views of the NumPy buffers, and the
+    # keys are reduced to columns in place: no intermediate bytes copies.
     row_starts = np.arange(n + 1, dtype=np.int64) * n
-    indptr = array("q", np.searchsorted(keys, row_starts).tobytes())
-    indices = array("q", (keys % n).tobytes())
-    weights = array("d", [1.0]) * len(keys)
-    topo = CompiledTopology(
-        list(range(n)), indptr, indices, weights, len(keys) // 2, directed=False
-    )
+    indptr = array("q")
+    indptr.frombytes(np.searchsorted(keys, row_starts).view(np.uint8))
+    np.remainder(keys, n, out=keys)
+    indices = array("q")
+    indices.frombytes(keys.view(np.uint8))
+    edge_count = len(keys) // 2
+    del keys  # before the label list and degree column are allocated
+    topo = CompiledTopology(list(range(n)), indptr, indices, edge_count, directed=False)
     return FrozenGraph(topo)
 
 
@@ -575,10 +576,7 @@ def barabasi_albert_csr(
         indices[cursor[w]] = esrc[k]
         cursor[w] += 1
 
-    weights = array("d", [1.0]) * total
-    topo = CompiledTopology(
-        list(range(n)), indptr, indices, weights, len(esrc), directed=False
-    )
+    topo = CompiledTopology(list(range(n)), indptr, indices, len(esrc), directed=False)
     return FrozenGraph(topo)
 
 

@@ -10,9 +10,12 @@ stored in compressed-sparse-row (CSR) form —
 * ``indices`` — neighbour indices, concatenated per node in the graph's
   insertion order (for digraphs: successors first, then the predecessors that
   are not also successors);
-* ``weights`` — the weight carried at the same CSR position (for the extra
-  predecessor entries of a digraph this is the weight of the reverse arc);
-* ``degrees`` — per-node communication degree (``indptr`` deltas).
+* ``degrees`` — per-node communication degree (``indptr`` deltas);
+* ``index`` — the label → index dict, built on first read (a fault-free
+  lowered run never reads it).
+
+Edge weights are not compiled: they stay on the graph (``graph.weight``),
+whose one CSR-order reader is the weighted 2-spanner's node setup.
 
 Hash-based containers make every neighbour scan pay dict overhead and every
 per-link table pay tuple hashing; the CSR view replaces both with array
@@ -30,7 +33,6 @@ from collections.abc import Hashable, Iterator
 Node = Hashable
 
 _INDEX_TYPECODE = "q"  # 64-bit signed: node indices and CSR offsets
-_WEIGHT_TYPECODE = "d"
 
 
 class CompiledTopology:
@@ -40,10 +42,9 @@ class CompiledTopology:
         "n",
         "directed",
         "labels",
-        "index",
+        "_index",
         "indptr",
         "indices",
-        "weights",
         "degrees",
         "arc_count",
         "edge_count",
@@ -57,17 +58,16 @@ class CompiledTopology:
         labels: list[Node],
         indptr: array,
         indices: array,
-        weights: array,
         edge_count: int,
         directed: bool,
+        index: dict[Node, int] | None = None,
     ) -> None:
         self.n = len(labels)
         self.directed = directed
         self.labels = labels
-        self.index: dict[Node, int] = {v: i for i, v in enumerate(labels)}
+        self._index = index
         self.indptr = indptr
         self.indices = indices
-        self.weights = weights
         # indptr deltas, pairwise at C level (NumPy stays out of this module).
         self.degrees = array(
             _INDEX_TYPECODE, map(operator.sub, indptr[1 : self.n + 1], indptr[: self.n])
@@ -77,6 +77,14 @@ class CompiledTopology:
         self._label_sets: list[frozenset[Node] | None] = [None] * self.n
         self._position_maps: list[dict[int, int] | None] = [None] * self.n
         self._sorted_rows: list[tuple[int, ...]] | None = None
+
+    @property
+    def index(self) -> dict[Node, int]:
+        """Label → dense index (built on first read, then cached)."""
+        index = self._index
+        if index is None:
+            index = self._index = {v: i for i, v in enumerate(self.labels)}
+        return index
 
     # ------------------------------------------------------------- neighbours
     def neighbor_indices(self, i: int) -> array:
@@ -93,13 +101,6 @@ class CompiledTopology:
         if cached is None:
             cached = self._label_sets[i] = frozenset(self.neighbor_labels(i))
         return cached
-
-    def neighbor_items(self, i: int) -> Iterator[tuple[Node, float]]:
-        """Yield ``(neighbour label, weight)`` pairs in CSR order."""
-        labels = self.labels
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        for pos in range(lo, hi):
-            yield labels[self.indices[pos]], self.weights[pos]
 
     def degree_of(self, i: int) -> int:
         return self.degrees[i]
@@ -269,6 +270,12 @@ class FrozenGraph:
             return False
         return True
 
+    def weight(self, u: Node, v: Node) -> float:
+        """``1.0`` for an edge (CSR generators build unit weights only)."""
+        if not self.has_edge(u, v):
+            raise KeyError(f"edge {(u, v)!r} not in graph")
+        return 1.0
+
     def neighbors(self, v: Node) -> set[Node]:
         """The neighbour label set of node ``v``."""
         topo = self._topology
@@ -300,13 +307,10 @@ def compile_adjacency(
     index = {v: i for i, v in enumerate(labels)}
     indptr = array(_INDEX_TYPECODE, [0]) * (len(labels) + 1)
     indices = array(_INDEX_TYPECODE)
-    weights = array(_WEIGHT_TYPECODE)
     for i, v in enumerate(labels):
-        nbrs = adj[v]
-        indices.extend(index[u] for u in nbrs)
-        weights.extend(nbrs.values())
+        indices.extend(map(index.__getitem__, adj[v]))
         indptr[i + 1] = len(indices)
-    return CompiledTopology(labels, indptr, indices, weights, edge_count, directed)
+    return CompiledTopology(labels, indptr, indices, edge_count, directed, index)
 
 
 def compile_graph(graph: "object") -> CompiledTopology:
@@ -319,8 +323,7 @@ def compile_digraph(graph: "object") -> CompiledTopology:
 
     The CSR rows hold the *communication* neighbourhood (successors first,
     then predecessors that are not successors), matching the bidirectional
-    links the simulator and the paper's Section 1.5 assume.  The weight of a
-    predecessor-only entry is the weight of the reverse arc.
+    links the simulator and the paper's Section 1.5 assume.
     """
     succ: dict[Node, dict[Node, float]] = graph._succ
     pred: dict[Node, dict[Node, float]] = graph._pred
@@ -328,18 +331,13 @@ def compile_digraph(graph: "object") -> CompiledTopology:
     index = {v: i for i, v in enumerate(labels)}
     indptr = array(_INDEX_TYPECODE, [0]) * (len(labels) + 1)
     indices = array(_INDEX_TYPECODE)
-    weights = array(_WEIGHT_TYPECODE)
     for i, v in enumerate(labels):
         out = succ[v]
-        indices.extend(index[u] for u in out)
-        weights.extend(out.values())
-        for u, w in pred[v].items():
-            if u not in out:
-                indices.append(index[u])
-                weights.append(w)
+        indices.extend(map(index.__getitem__, out))
+        indices.extend(index[u] for u in pred[v] if u not in out)
         indptr[i + 1] = len(indices)
     return CompiledTopology(
-        labels, indptr, indices, weights, graph.number_of_edges(), directed=True
+        labels, indptr, indices, graph.number_of_edges(), directed=True, index=index
     )
 
 
@@ -350,7 +348,6 @@ def complete_overlay(labels: list[Node]) -> CompiledTopology:
     on an implicit complete graph regardless of the input graph's edges.
     Neighbours of node ``i`` appear in label order (skipping ``i`` itself),
     which is the same deterministic order both simulator engines observe.
-    All overlay links carry weight 1.0.
     """
     n = len(labels)
     indptr = array(_INDEX_TYPECODE, [0]) * (n + 1)
@@ -358,9 +355,8 @@ def complete_overlay(labels: list[Node]) -> CompiledTopology:
     for i in range(n):
         indices.extend(j for j in range(n) if j != i)
         indptr[i + 1] = len(indices)
-    weights = array(_WEIGHT_TYPECODE, [1.0]) * len(indices)
     return CompiledTopology(
-        list(labels), indptr, indices, weights, n * (n - 1) // 2, directed=False
+        list(labels), indptr, indices, n * (n - 1) // 2, directed=False
     )
 
 

@@ -6,11 +6,20 @@ models; a ``None``/``NoAdversary`` adversary is byte-for-byte the fault-free
 behaviour (golden dictionary shape included); fault counters live in
 ``Metrics.per_adversary`` and appear in ``as_dict()`` only when an
 adversary is active.
+
+The drop filter's per-row ``deliver_mask`` is checked against its
+per-message ``deliver`` on Hypothesis-generated labels; tier-1 runs a few
+derandomized examples and ``REPRO_DROP_MASK_EXAMPLES`` asks for more (CI's
+``bench-smoke`` job runs 500).
 """
 
+import os
 from functools import partial
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     robust_flood_max_round_bound,
@@ -43,6 +52,8 @@ ALL_MODELS = [
     lambda n: broadcast_congest_model(n, enforce=False),
     lambda n: congested_clique_model(n, enforce=False),
 ]
+
+DROP_MASK_EXAMPLES = int(os.environ.get("REPRO_DROP_MASK_EXAMPLES", "40"))
 
 ADVERSARIES = [
     DropAdversary(0.1),
@@ -440,3 +451,60 @@ class TestAdversarySpecs:
         }
         assert runs["indexed"].edges == runs["columnar"].edges == runs["reference"].edges
         assert is_k_spanner(g, runs["indexed"].edges, 2)
+
+
+#: Label kinds the drop filter hashes: exact ints of any sign and size
+#: (negative, >= 2**63), and the kinds that must keep ``repr``: ``bool``
+#: (``repr(True)`` is not ``"%d" % True``), NumPy scalars and strings.
+_INTS = st.integers(-(2**70), 2**70) | st.sampled_from(
+    [0, -1, 2**63 - 1, 2**63, 2**64 + 3, -(2**63) - 1]
+)
+_LABELS = (
+    _INTS
+    | st.booleans()
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.text(max_size=4)
+)
+
+
+class TestDropMaskDifferential:
+    """``_DropFilter.deliver_mask`` equals one ``deliver`` per destination."""
+
+    @settings(max_examples=DROP_MASK_EXAMPLES, deadline=None, derandomize=True)
+    @given(
+        rate=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32),
+        salt=st.integers(0, 3),
+        round_=st.integers(0, 10**6),
+        src=_LABELS,
+        dsts=st.lists(_INTS, max_size=12)
+        | st.lists(_INTS | st.booleans(), max_size=12)
+        | st.lists(_LABELS, max_size=12),
+        bits=st.integers(1, 2**20),
+    )
+    @example(
+        rate=0.5, seed=1, salt=0, round_=3, src=1, dsts=[0, True, 1, False], bits=8
+    )
+    @example(
+        rate=0.5, seed=1, salt=0, round_=3, src=1, dsts=[0, np.int64(1), 2], bits=8
+    )
+    @example(
+        rate=0.5, seed=1, salt=0, round_=3, src=True, dsts=[0, 1, 2, 3], bits=8
+    )
+    @example(
+        rate=0.5, seed=2, salt=0, round_=0, src=np.int64(-4), dsts=[-4, 2**63], bits=3
+    )
+    @example(
+        rate=0.5, seed=3, salt=1, round_=7, src=-5, dsts=[-(2**63) - 1, 2**64, 0], bits=2
+    )
+    def test_mask_matches_per_message_deliver(
+        self, rate, seed, salt, round_, src, dsts, bits
+    ):
+        masked, each = Metrics(), Metrics()
+        masked.rounds = each.rounds = round_
+        row_filter = DropAdversary(rate, salt).bind(seed, masked)
+        message_filter = DropAdversary(rate, salt).bind(seed, each)
+        mask = row_filter.deliver_mask(src, dsts, bits)
+        expected = bytearray(message_filter.deliver(src, dst, bits) for dst in dsts)
+        assert mask == expected
+        assert masked.per_adversary == each.per_adversary

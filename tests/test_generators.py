@@ -298,7 +298,6 @@ def _build_csr(n, p, seed, connect, bulk):
     return (
         topo.indptr.tobytes(),
         topo.indices.tobytes(),
-        topo.weights.tobytes(),
         topo.edge_count,
         rng.random(),
     )
@@ -307,9 +306,9 @@ def _build_csr(n, p, seed, connect, bulk):
 def _assert_paths_identical(n, p, seed, connect=True):
     bulk = _build_csr(n, p, seed, connect, bulk=True)
     loop = _build_csr(n, p, seed, connect, bulk=False)
-    assert bulk[3] == loop[3], "edge_count"
-    assert bulk[:3] == loop[:3], "CSR bytes"
-    assert bulk[4] == loop[4], "caller RNG state"
+    assert bulk[2] == loop[2], "edge_count"
+    assert bulk[:2] == loop[:2], "CSR bytes"
+    assert bulk[3] == loop[3], "caller RNG state"
 
 
 #: Generated edge cases: tiny n, p = 0, a p so small every float skip

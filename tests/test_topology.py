@@ -1,14 +1,20 @@
 """Unit tests for the compiled CSR topology layer (`graphs/topology.py`)."""
 
+from fractions import Fraction
+
 import pytest
 
+from repro.core.variants import WeightedVariant
 from repro.graphs import CompiledTopology, DiGraph, Graph
 from repro.graphs.generators import (
     gnp_random_graph,
     grid_graph,
+    path_graph,
     random_digraph,
+    sparse_gnp_csr,
     star_graph,
 )
+from repro.graphs.topology import FrozenGraph
 
 
 class TestCompileUndirected:
@@ -26,14 +32,37 @@ class TestCompileUndirected:
             assert set(topo.neighbor_labels(i)) == g.neighbors(v)
             assert topo.neighbor_label_set(i) == frozenset(g.neighbors(v))
 
-    def test_weights_follow_csr_positions(self):
-        g = Graph()
-        g.add_edge("a", "b", 2.5)
-        g.add_edge("b", "c", 7.0)
+    @pytest.mark.parametrize("frozen", [False, True], ids=["Graph", "FrozenGraph"])
+    def test_weighted_leaf_weights_follow_graph_weight(self, frozen):
+        # Weights are not compiled into the CSR view: the weighted variant's
+        # node setup reads ``graph.weight`` in CSR neighbour order.
+        if frozen:
+            g = sparse_gnp_csr(30, 0.2, seed=1)
+        else:
+            g = Graph()
+            g.add_edge("a", "b", 2.5)
+            g.add_edge("c", "b", 7.0)
+            g.add_edge("b", "d", 0.0)
+            g.add_node("e")
         topo = g.freeze()
-        for u, v in g.edges():
-            pos = topo.arc_position(topo.index[u], topo.index[v])
-            assert topo.weights[pos] == g.weight(u, v)
+        variant = WeightedVariant()
+        for v in g.nodes():
+            setup = variant.node_setup(g, v)
+            i = topo.index[v]
+            assert list(setup.leaf_weights) == topo.neighbor_labels(i)
+            for u, w in setup.leaf_weights.items():
+                assert w == Fraction(g.weight(v, u))
+
+    def test_frozen_graph_weight_matches_graph_contract(self):
+        g = path_graph(4)
+        frozen = FrozenGraph(g.freeze())
+        assert frozen.weight(1, 2) == frozen.weight(2, 1) == g.weight(1, 2) == 1.0
+        for u, v in ((0, 2), (0, 99)):
+            with pytest.raises(KeyError) as graph_err:
+                g.weight(u, v)
+            with pytest.raises(KeyError) as frozen_err:
+                frozen.weight(u, v)
+            assert str(frozen_err.value) == str(graph_err.value)
 
     def test_arc_position_unique_and_dense(self):
         g = grid_graph(4, 4)

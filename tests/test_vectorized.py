@@ -18,7 +18,9 @@ infrastructure (graph memoization, the O(n + m) Barabási–Albert CSR
 family) is covered here too.
 """
 
+import random
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -60,7 +62,13 @@ from repro.experiments.families import (
     clear_graph_memo,
     family_spec_hash,
 )
-from repro.graphs import Graph, barabasi_albert_csr, gnp_random_graph, path_graph
+from repro.graphs import (
+    Graph,
+    barabasi_albert_csr,
+    gnp_random_graph,
+    path_graph,
+    sparse_gnp_csr,
+)
 from repro.graphs.topology import FrozenGraph
 
 ALL_MODELS = [
@@ -123,6 +131,43 @@ class _SwappedFlood(FloodMaxProgram):
 
     def __init__(self, rounds, node):
         super().__init__(node, rounds)
+
+
+class _InboxOrderProgram(NodeProgram):
+    """Broadcast the label once; output the round-1 inbox in iteration order."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def on_start(self, ctx):
+        ctx.broadcast(self.node)
+
+    def on_round(self, ctx, inbox):
+        ctx.set_output((list(inbox), [p for ps in inbox.values() for p in ps]))
+        ctx.halt()
+
+
+class _TieMaxProgram(NodeProgram):
+    """Broadcast ``True``, ``1`` or ``1.0``; output the ``repr`` of the max heard.
+
+    The three payloads compare equal, so which one a max returns depends on
+    the order it reads the senders in (ascending sender index on every
+    engine).
+    """
+
+    def __init__(self, node):
+        self.node = node
+
+    def on_start(self, ctx):
+        ctx.broadcast((True, 1, 1.0)[self.node % 3])
+
+    def on_round(self, ctx, inbox):
+        if hasattr(inbox, "max_heard"):
+            heard = inbox.max_heard(0)
+        else:
+            heard = max(chain.from_iterable(inbox.values()), default=0)
+        ctx.set_output(repr(heard))
+        ctx.halt()
 
 
 def _run(graph, factory, model, engine, seed=1, adversary=None, vectorize=True):
@@ -605,6 +650,95 @@ class TestContextFreeLowering:
         assert list(lowered.outputs.items()) == list(stepped.outputs.items())
         assert lowered.as_dict() == stepped.as_dict()
         _assert_identical(lowered, stepped)
+
+
+class TestLeanCSR:
+    """What a lowered run builds of the compiled topology, and order-free folds.
+
+    A fault-free lowered flood-max reads neither the topology's label index
+    nor the accounting's sorted arc column: its fold is a max, which gathers
+    along the raw CSR rows.  On graphs whose CSR rows are not ascending the
+    lowered, stepped and ``reference`` runs still agree bit for bit, with
+    and without a drop filter (which takes the sorted path).
+    """
+
+    @pytest.fixture
+    def accountings(self, monkeypatch):
+        seen = []
+        original = simulator_module.try_lower
+
+        def recording(accounting, factory):
+            seen.append(accounting)
+            return original(accounting, factory)
+
+        monkeypatch.setattr(simulator_module, "try_lower", recording)
+        return seen
+
+    def test_fault_free_lowered_run_builds_no_index_or_sorted_arcs(self, accountings):
+        g = sparse_gnp_csr(3000, 0.002, seed=5)
+        topo = g.freeze()
+        model = broadcast_congest_model(3000)
+        sim, result = _run(g, WORKLOADS["fixed"], model, "columnar")
+        assert sim.lowered and result.completed
+        (accounting,) = accountings
+        assert topo._index is None
+        assert accounting._all_rows_np is None
+        # Positive control: a drop filter maps arcs through the sorted rows.
+        sim, _ = _run(g, WORKLOADS["fixed"], model, "columnar", adversary="drop:0.1")
+        assert sim.lowered
+        assert accountings[1]._all_rows_np is not None
+
+    @staticmethod
+    def _unsorted_graph(seed):
+        """G(n, p), a path tail and isolated vertices, inserted shuffled.
+
+        The maximum connected label sits at the end of the tail, so patience
+        variants halt some nodes while the flood is still spreading: rounds
+        with some senders silent fold with the sent mask.
+        """
+        rng = random.Random(seed)
+        base = gnp_random_graph(24, 0.2, seed=seed)
+        nodes = list(range(44))  # 40..43 stay isolated
+        edges = list(base.edges()) + [(v, v + 1) for v in range(23, 39)]
+        rng.shuffle(nodes)
+        rng.shuffle(edges)
+        g = Graph()
+        g.add_nodes_from(nodes)
+        for u, v in edges:
+            g.add_edge(u, v)
+        topo = g.freeze()
+        rows = [list(topo.neighbor_indices(i)) for i in range(topo.n)]
+        assert any(row != sorted(row) for row in rows)
+        assert any(not row for row in rows)
+        return g
+
+    @pytest.mark.parametrize("adversary", [None, "drop:0.3:5"])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS), ids=str)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_unsorted_rows_agree_across_paths(self, seed, workload, adversary):
+        g = self._unsorted_graph(seed)
+        model = broadcast_congest_model(g.number_of_nodes(), enforce=False)
+        factory = WORKLOADS[workload]
+        run = partial(_run, g, factory, model, seed=seed, adversary=adversary)
+        sim, lowered = run("columnar")
+        assert sim.lowered
+        step_sim, stepped = run("columnar", vectorize=False)
+        assert not step_sim.lowered
+        _, reference = run("reference")
+        _assert_identical(lowered, stepped)
+        _assert_identical(lowered, reference)
+
+    @pytest.mark.parametrize("program", [_InboxOrderProgram, _TieMaxProgram])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_unsorted_rows_keep_ascending_sender_order(self, seed, program):
+        # Stepped bulk gathers read the sorted arc column: inbox order and
+        # a max over equal payloads of different types see ascending senders.
+        g = self._unsorted_graph(seed)
+        model = local_model(g.number_of_nodes())
+        _, columnar = _run(g, program, model, "columnar", seed=seed)
+        for engine in ("indexed", "reference"):
+            _, other = _run(g, program, model, engine, seed=seed)
+            _assert_identical(columnar, other)
 
 
 class TestFactoryLowering:
