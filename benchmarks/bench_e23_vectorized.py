@@ -30,6 +30,14 @@ nearly free quiet rounds.  Throughput is ``2m / per_round`` messages/sec
 (every vertex broadcasts every round, so a round moves exactly ``2m``
 directed messages).
 
+A third guard bounds memory: E23's n=10^6 point (graph build plus a
+12-round lowered run with streaming metrics), run alone in a fresh
+interpreter so that its ``ru_maxrss`` is its own, must peak at
+``MAX_MEGA_RSS_MB`` (300 MB) or less.  It read 396 MB with a 64-bit CSR
+neighbour column, whole-column fold temporaries and a sort of 2m arc keys,
+and 244 MB with the 32-bit column, the blocked fold and the bounded bulk
+build (2-core x86-64 container); 250 MB is the stretch goal.
+
 Measured on a 2-core container over four runs: at n=20000, stepped
 ~9–17 ms/round vs lowered ~0.8–1.4 ms/round (7.0–20.5x); at n=2000,
 ``reference`` ~68–89 ms/round vs stepped ~1.7–2.0 ms/round (36–52x),
@@ -40,8 +48,12 @@ record's ``extra_info``.
 """
 
 import gc
+import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from repro.core.flood_max import run_flood_max
 from repro.experiments.families import build_graph
@@ -63,6 +75,27 @@ _LONG_ROUNDS = 6
 _REPEATS = 5
 #: Measurements of one side before a non-positive round cost fails the guard.
 _ATTEMPTS = 3
+
+#: E23's n=10^6 point: graph, round budget, and its peak-RSS ceiling in MB.
+_MEGA = ("sparse_gnp_csr", 1000000, 1.4e-5, 22)
+_MEGA_ROUNDS = 12
+MAX_MEGA_RSS_MB = 300.0
+
+#: Child process of the memory guard: build, run lowered, report the peak.
+_MEGA_CHILD = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from repro.core.flood_max import run_flood_max
+from repro.experiments.families import build_graph
+spec, rounds, seed = json.loads(sys.argv[2])
+graph = build_graph(tuple(spec))
+result = run_flood_max(graph, rounds, seed=seed, engine="columnar", streaming_metrics=True)
+print(json.dumps({
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "converged": result.converged,
+    "leader": result.leader,
+}))
+"""
 
 
 def _best_times(graph, engine: str, vectorize: bool) -> tuple[float, float]:
@@ -162,4 +195,36 @@ def test_e23_stepped_columnar_over_reference(benchmark):
         {"reference": ("reference", False), "stepped": ("columnar", False)},
         MIN_REFERENCE_SPEEDUP,
         "stepped columnar rounds",
+    )
+
+
+def test_e23_mega_point_peak_rss(benchmark):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    args = json.dumps([list(_MEGA), _MEGA_ROUNDS, _SEED])
+    child = benchmark.pedantic(
+        lambda: subprocess.run(
+            [sys.executable, "-c", _MEGA_CHILD, src, args],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=600,
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    record = json.loads(child.stdout.splitlines()[-1])
+    assert record["converged"] and record["leader"] == _MEGA[1] - 1
+    peak = record["peak_rss_mb"]
+    benchmark.extra_info.update(
+        {
+            "graph": list(_MEGA),
+            "rounds": _MEGA_ROUNDS,
+            "peak_rss_mb": peak,
+            "ceiling_mb": MAX_MEGA_RSS_MB,
+            "headroom_mb": MAX_MEGA_RSS_MB - peak,
+        }
+    )
+    print(f"\nE23 n=10^6: peak RSS {peak:.1f} MB (ceiling {MAX_MEGA_RSS_MB:.0f} MB)")
+    assert peak <= MAX_MEGA_RSS_MB, (
+        f"E23's n=10^6 point peaked at {peak:.1f} MB (ceiling {MAX_MEGA_RSS_MB:.0f} MB)"
     )

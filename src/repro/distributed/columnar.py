@@ -116,11 +116,93 @@ def int_column_bits(values: np.ndarray, copies: int | None = None) -> np.ndarray
     powers of two — exact integer comparisons, so no float log is ever
     trusted near a power-of-two boundary.
     """
-    bit_length = np.searchsorted(_POWERS_OF_TWO, values, side="right")
-    payload = np.maximum(bit_length, 1) + 1
-    if copies is None:
-        return payload
-    return 2 + copies * (2 + payload)
+    bits = np.searchsorted(_POWERS_OF_TWO, values, side="right")  # bit length
+    np.maximum(bits, 1, out=bits)
+    bits += 1
+    if copies is not None:
+        bits += 2
+        bits *= copies
+        bits += 2
+    return bits
+
+
+#: int64 minimum: the "nothing heard" identity of :class:`BlockedRowMax` (safe
+#: because the fold is a pure max — an identity-valued *delivered* label
+#: folds to the identity, and ``heard > best`` is then false exactly as in
+#: the stepped per-node fold).
+INT64_MIN = -(2**63)
+
+#: Arcs one :class:`BlockedRowMax` block gathers (plus at most one row's length).
+_FOLD_BLOCK = 1 << 16
+
+
+class BlockedRowMax:
+    """Per-row maximum of a payload column gathered along one CSR's rows.
+
+    ``fold(values, cols)`` returns a column whose entry ``i`` is the max
+    of ``values[cols[a]]`` over the arcs ``a`` in
+    ``indptr[i]:indptr[i + 1]``; arcs whose sender's ``live`` flag (a node
+    column) or whose own ``keep`` flag (an arc column aligned with
+    ``cols``) is off fold as :data:`INT64_MIN`.  Entries of empty rows are
+    unspecified — gate on degree.  ``values`` is an ``int64`` column and
+    ``cols`` any arc column laid out by ``indptr`` (the raw CSR
+    ``indices`` or the sorted rows).  The one fold of the stepped
+    all-senders rounds and the lowered rounds.
+
+    The rows are folded in blocks of whole rows that hold about
+    :data:`_FOLD_BLOCK` arcs, so no temporary is arc-count long: a max does
+    not depend on where blocks split, as long as they split between rows.
+    The block plan depends on ``indptr`` alone and is made once, and every
+    block reuses one ``intp`` index and one payload buffer: a whole-column
+    ``np.take`` with ``int32`` indices would first copy them to ``intp``,
+    and fresh block temporaries on every call cost page faults.  A block's
+    reduction stops at its last nonempty row: a trailing empty row's
+    segment start would lie past the block's arcs.
+    """
+
+    __slots__ = ("indptr", "blocks", "_index", "_gathered")
+
+    def __init__(self, indptr: np.ndarray) -> None:
+        n = len(indptr) - 1
+        arcs = int(indptr[n])
+        # Each block starts at the row holding every _FOLD_BLOCK-th arc.
+        splits = np.searchsorted(indptr, np.arange(_FOLD_BLOCK, arcs, _FOLD_BLOCK), "right")
+        splits -= 1
+        bounds = list(dict.fromkeys([0, *splits.tolist(), n]))  # ascending, distinct
+        self.indptr = indptr
+        #: ``(first row, row past the last nonempty one, first arc, end arc)``
+        self.blocks: list[tuple[int, int, int, int]] = []
+        size = 0
+        for r0, r1 in zip(bounds, bounds[1:]):
+            lo, hi = int(indptr[r0]), int(indptr[r1])
+            if lo < hi:
+                stop = r0 + int(np.searchsorted(indptr[r0:r1], hi))
+                self.blocks.append((r0, stop, lo, hi))
+                size = max(size, hi - lo)
+        self._index = np.empty(size, dtype=np.intp)
+        self._gathered = np.empty(size, dtype=np.int64)
+
+    def fold(
+        self,
+        values: np.ndarray,
+        cols: np.ndarray,
+        live: np.ndarray | None = None,
+        keep: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The per-row maxima of ``values`` along ``cols`` (see the class)."""
+        indptr = self.indptr
+        out = np.empty(len(indptr) - 1, dtype=np.int64)
+        for r0, stop, lo, hi in self.blocks:
+            index = self._index[: hi - lo]
+            index[:] = cols[lo:hi]
+            # "clip" never fires on CSR indices; "raise" would buffer ``out``.
+            gathered = np.take(values, index, out=self._gathered[: hi - lo], mode="clip")
+            if live is not None:
+                np.putmask(gathered, ~np.take(live, index), INT64_MIN)
+            if keep is not None:
+                np.putmask(gathered, ~keep[lo:hi], INT64_MIN)
+            np.maximum.reduceat(gathered, indptr[r0:stop] - lo, out=out[r0:stop])
+        return out
 
 
 def exact_int_column(payloads: list) -> np.ndarray | None:
@@ -330,10 +412,9 @@ class ColumnarInbox(Mapping):
         if row_max is None and st.all_sent and st.ints is not None:
             row_max = st.build_row_max()
         if row_max is not None:
-            # Fastest path: the whole round's per-receiver maxima, computed
-            # by one ``np.maximum.reduceat`` over the flat int64 payload
-            # column (entries of empty rows are garbage, hence the degree
-            # guard).
+            # Fastest path: the whole round's per-receiver maxima, one
+            # BlockedRowMax fold of the int64 payload column (entries of
+            # empty rows are unspecified, hence the degree guard).
             if self._lo == self._hi:
                 return default
             heard = row_max[self._i]
@@ -394,11 +475,10 @@ class BroadcastAccounting:
       no receiver's row, so ``sent_count == n_connected`` is an all-senders
       pass), the cut-crossing and overlay per-node count columns, and under
       an adversary the sorted neighbour *label* rows ``deliver_mask`` takes;
-      also their zero-copy NumPy views, including ``indices_np`` over the
-      CSR ``indices``, and the per-receiver segment starts ``reduce_idx``
-      for ``reduceat`` (clipped in range, so entries of empty rows are
-      garbage — consumers gate on degree).  Order-free folds (a row max)
-      gather through ``indices_np`` directly;
+      also their zero-copy NumPy views, including ``indptr_np`` and the
+      ``int32`` ``indices_np`` over the CSR arrays, and the run's row-max
+      fold ``row_fold`` (:class:`BlockedRowMax`).  Order-free folds (a row
+      max) gather through ``indices_np`` directly;
     * two columns built on first access only, which a fault-free lowered
       run never reads: the concatenated ascending rows :attr:`all_rows_np`
       (sliceable by CSR ``indptr`` bounds; read by the stepped bulk payload
@@ -443,9 +523,10 @@ class BroadcastAccounting:
         "sent_np",
         "cut_np",
         "virt_np",
+        "indptr_np",
         "indices_np",
         "_all_rows_np",
-        "reduce_idx",
+        "row_fold",
     )
 
     def __init__(
@@ -468,7 +549,7 @@ class BroadcastAccounting:
         self.labels = labels
         self.indptr = indptr
         self.indices = topo.indices
-        self.degrees = list(topo.degrees)
+        self.degrees = topo.degrees
         deg_np = self.deg_np = np.frombuffer(topo.degrees, dtype=np.int64)
         self.nonempty_np = deg_np > 0
         self.n_connected = int(np.count_nonzero(self.nonempty_np))
@@ -500,17 +581,15 @@ class BroadcastAccounting:
         # Zero-copy boolean view of the sent column; the bytearray is never
         # resized, so the exported buffer stays valid all run.
         self.sent_np = np.frombuffer(self.sent, dtype=np.uint8).view(np.bool_)
-        self.cut_np = self.virt_np = self.reduce_idx = None
+        self.cut_np = self.virt_np = None
         if self.cut_counts is not None:
             self.cut_np = np.frombuffer(self.cut_counts, dtype=np.int64)
         if self.virtual_counts is not None:
             self.virt_np = np.frombuffer(self.virtual_counts, dtype=np.int64)
-        arcs = indptr[n]
-        self.indices_np = np.frombuffer(topo.indices, dtype=np.int64)
+        self.indptr_np = np.frombuffer(indptr, dtype=np.int64)
+        self.indices_np = np.frombuffer(topo.indices, dtype=np.int32)
         self._all_rows_np: np.ndarray | None = None
-        if arcs:
-            indptr_np = np.frombuffer(indptr, dtype=np.int64)
-            self.reduce_idx = np.minimum(indptr_np[:n], arcs - 1)
+        self.row_fold = BlockedRowMax(self.indptr_np)
 
     @property
     def all_rows_np(self) -> np.ndarray:
@@ -682,8 +761,8 @@ def build_columnar_collect(
             ColumnarInbox(rows[i], indptr[i], indptr[i + 1], i, state)
             for i in range(n)
         ]
+        fold = accounting.row_fold.fold
         indices_np = accounting.indices_np
-        reduce_idx = accounting.reduce_idx
         obj_np = np.empty(n, dtype=object)
 
         def build_flat() -> list[list[Any]]:
@@ -706,19 +785,16 @@ def build_columnar_collect(
         state.build_flat = build_flat
         state.build_pays_flat = build_pays_flat
 
-        # Only all-senders rounds fold through this, and those have arcs, so
-        # ``reduce_idx`` (``None`` on an arc-free graph) is set whenever it runs.
         def build_row_max() -> list[int]:
-            """Per-receiver payload maxima in one C reduction.
+            """Per-receiver payload maxima of an all-senders round.
 
             Folds every receiver's row of the round's ``int64`` payload
-            column (the one the sizing pass built) with
-            ``np.maximum.reduceat``.  A max does not depend on the order
-            of its row, so it gathers through the raw CSR ``indices``.
+            column (the one the sizing pass built) with the run's
+            :class:`BlockedRowMax`.  A max does not depend on the order of
+            its row, so it gathers through the raw CSR ``indices``.
             """
-            gathered = state.ints[indices_np]
-            row_max = state.row_max = np.maximum.reduceat(gathered, reduce_idx).tolist()
-            return row_max
+            maxima = state.row_max = fold(state.ints, indices_np).tolist()
+            return maxima
 
         state.build_row_max = build_row_max
 
@@ -849,6 +925,7 @@ def build_columnar_collect(
 
 
 __all__ = [
+    "BlockedRowMax",
     "BroadcastAccounting",
     "ColumnarInbox",
     "build_columnar_collect",

@@ -575,7 +575,7 @@ class Simulator:
                 lowered.contexts, shared = self._build_contexts(graph_sets)
                 lowered.halts = shared.halted
             active = lowered.execute(max_rounds, raise_on_limit)
-            outputs = dict(zip(labels, lowered.outputs.tolist()))
+            outputs = dict(zip(labels, lowered.outputs))
         else:
             programs = self._build_programs()
             contexts, shared = self._build_contexts(graph_sets)

@@ -293,7 +293,9 @@ def build_targeted_collect(
 
     # Label identity: every shipped graph family labels vertices by their
     # dense index, making destination resolution a C-level list extend.
-    identity = all(labels[i] == i for i in range(n))
+    # Exact ints only: ``False == 0`` and ``1.0 == 1``, but such a label
+    # must reach the inbox as itself, not as its index.
+    identity = all(type(label) is int and label == i for i, label in enumerate(labels))
     index_get = None if identity else topo.index.__getitem__
 
     cut_side: list[bool] | None = None

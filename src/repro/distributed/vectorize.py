@@ -15,7 +15,9 @@ A lowerable program class implements the **VectorProgram protocol**:
 * the kernel declares its flat column state (:meth:`VectorKernel.state_columns`)
   and executes whole rounds (:meth:`VectorKernel.vector_round`) against the
   view's CSR neighbour arrays and shared payload columns — e.g. flood-max
-  becomes one ``np.maximum.reduceat`` plus a halt-mask update per round;
+  becomes one blocked row-max fold
+  (:class:`~repro.distributed.columnar.BlockedRowMax`) plus a halt-mask
+  update per round;
 * the program's ordinary ``on_round`` is the **exact per-node fallback**:
   whenever lowering is declined the columnar engine builds one program per
   node and runs the stepped path, bit-for-bit identically.
@@ -74,19 +76,15 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.distributed.columnar import BroadcastAccounting, int_column_bits
+from repro.distributed.columnar import INT64_MIN, BroadcastAccounting, int_column_bits
 from repro.distributed.errors import RoundLimitExceededError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.node import NodeContext
     from repro.distributed.program import Node, NodeProgram
 
-#: int64 bounds: labels outside this range decline lowering, and the
-#: minimum doubles as the "nothing heard" fold identity (safe because the
-#: fold is a pure max — an identity-valued *delivered* label folds to the
-#: identity, and ``heard > best`` is then false exactly as in the stepped
-#: per-node fold).
-INT64_MIN = -(2**63)
+#: int64 bounds: labels outside ``INT64_MIN..INT64_MAX`` decline lowering
+#: (the minimum doubles as the fold's "nothing heard" identity).
 INT64_MAX = 2**63 - 1
 
 
@@ -282,23 +280,18 @@ class EngineView:
         """
         accounting = self.accounting
         sent_count = accounting.sent_count
-        if not sent_count or accounting.reduce_idx is None:
+        if not sent_count:  # senders have degree > 0, so arcs exist below
             return None
         payloads = self._kernel.payload_column()
-        if self.filt is not None:
-            # The delivery mask is laid out along the sorted rows.
-            gathered = np.take(payloads, accounting.all_rows_np)
-            dmask = np.frombuffer(self.mask_flat, dtype=np.uint8).view(np.bool_)[
-                self.t_idx
-            ]
-            gathered = np.where(dmask, gathered, INT64_MIN)
-        else:
-            # A max is order-free: gather along the raw CSR rows.
-            rows = accounting.indices_np
-            gathered = np.take(payloads, rows)
-            if sent_count != accounting.n_connected:
-                gathered = np.where(accounting.sent_np[rows], gathered, INT64_MIN)
-        return np.maximum.reduceat(gathered, accounting.reduce_idx)
+        fold = accounting.row_fold.fold
+        if self.filt is None:
+            # A max is order-free: fold along the raw CSR rows, masking
+            # silent senders when some node stayed quiet.
+            live = None if sent_count == accounting.n_connected else accounting.sent_np
+            return fold(payloads, accounting.indices_np, live)
+        # The delivery mask is laid out along the sorted rows.
+        delivered = np.frombuffer(self.mask_flat, dtype=np.uint8).view(np.bool_)
+        return fold(payloads, accounting.all_rows_np, keep=delivered[self.t_idx])
 
     def retire(self, idxs, outputs) -> None:
         """Halt the nodes at index array ``idxs`` voluntarily with ``outputs``.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from array import array
 from collections.abc import Sequence
 
@@ -18,10 +19,19 @@ import numpy as np
 
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
-from repro.graphs.topology import CompiledTopology, FrozenGraph
+from repro.graphs.topology import (
+    NEIGHBOR_TYPECODE,
+    CompiledTopology,
+    FrozenGraph,
+    check_node_count,
+)
 
 #: Skip-stream doubles drawn per NumPy batch (bounds the transient columns).
-_SKIP_BATCH = 1 << 20
+_SKIP_BATCH = 1 << 16
+#: Edges per block of the bulk build's component and scatter passes.
+_EDGE_BLOCK = 1 << 16
+#: The column half of a packed ``row << 32 | column`` arc key.
+_LOW_HALF = (1 << 32) - 1
 
 
 def _rng(seed: int | random.Random | None) -> random.Random:
@@ -183,9 +193,10 @@ def sparse_gnp_csr(
     (dict-of-dicts adjacency) that ``freeze()`` then re-walks: at n = 10^6
     the intermediate adjacency costs gigabytes of peak RSS and most of the
     build time.  This generator streams the sampled edge endpoints into flat
-    ``array("q")`` buffers and scatters them directly into the
-    :class:`~repro.graphs.topology.CompiledTopology` CSR arrays — peak
-    memory is O(m) machine words, no per-edge dict entries ever exist, and
+    columns and scatters them directly into the
+    :class:`~repro.graphs.topology.CompiledTopology` CSR arrays (64-bit
+    offsets, 32-bit neighbour indices) — peak memory is O(m) words, no
+    per-edge dict entries ever exist, and
     the result is returned as an immutable
     :class:`~repro.graphs.topology.FrozenGraph` the simulator stack consumes
     as-is (``freeze()`` is the identity).
@@ -216,6 +227,7 @@ def sparse_gnp_csr(
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("p must be in [0, 1) for the CSR generator")
+    check_node_count(n)
     rng = _rng(seed)
     if rng.__class__ is random.Random:
         return _sparse_gnp_csr_numpy(n, p, rng, connect)
@@ -289,7 +301,7 @@ def _sparse_gnp_csr_loop(
         total += degrees[i]
     indptr[n] = total
 
-    indices = array("q", [0]) * total
+    indices = array(NEIGHBOR_TYPECODE, [0]) * total
     cursor = array("q", indptr[:n])
     for k in range(len(esrc)):
         v = esrc[k]
@@ -310,7 +322,7 @@ def _sparse_gnp_csr_loop(
             touched.add(b)
         for i in touched:
             row = sorted(indices[indptr[i] : indptr[i + 1]])
-            indices[indptr[i] : indptr[i + 1]] = array("q", row)
+            indices[indptr[i] : indptr[i + 1]] = array(NEIGHBOR_TYPECODE, row)
 
     edge_count = len(esrc) + len(chain)
     topo = CompiledTopology(list(range(n)), indptr, indices, edge_count, directed=False)
@@ -342,18 +354,55 @@ def _skip_lengths(x, log_q: float, logs, cap: float):
     return q.astype(np.int64)
 
 
-def _gnp_pair_positions(n: int, p: float, rng: random.Random):
-    """Linear pair indices of the geometric-skip stream, drawn in bulk.
+def _edge_capacity(p: float, pairs: int) -> int:
+    """Length the bulk build reserves for the skip stream's edge keys.
 
-    Pairs ``(v, w)`` with ``w < v`` are numbered ``v(v-1)/2 + w`` in the
-    lexicographic order the stdlib loop walks.  A legacy NumPy
-    ``RandomState`` loaded with ``rng``'s MT19937 state yields exactly
-    ``rng.random()``'s doubles; the skip lengths take one NumPy ``log``
-    over each batch, with the per-draw ``math.log`` recomputing only the
-    draws where the two logs could truncate differently
-    (:func:`_skip_lengths`).  ``rng`` is finally advanced by exactly the
-    stdlib loop's draw count: one per sampled edge plus the draw that
-    overshoots the last pair.
+    The edge count is Binomial(pairs, p): its mean plus eight standard
+    deviations is exceeded with negligible probability, and
+    :func:`_gnp_edges` grows the column if it ever is.  Reserved but
+    unwritten pages are never touched, so they cost no resident memory.
+    """
+    mean = p * pairs
+    return int(mean + 8.0 * math.sqrt(mean)) + 64
+
+
+def _decode_pairs(pos: np.ndarray) -> np.ndarray:
+    """The packed keys ``v << 32 | w`` of the pairs numbered ``pos`` (in place).
+
+    Pair ``(v, w)``, ``w < v``, is numbered ``v(v-1)/2 + w``; ``v`` comes
+    from a float square root with an exact integer fix-up.
+    """
+    v = ((1.0 + np.sqrt(8.0 * pos + 1.0)) * 0.5).astype(np.int64)
+    while True:
+        base = v * (v - 1) // 2
+        over = base > pos
+        if over.any():
+            v[over] -= 1
+            continue
+        under = base + v <= pos
+        if under.any():
+            v[under] += 1
+            continue
+        break
+    pos -= base
+    v <<= 32
+    pos |= v
+    return pos
+
+
+def _gnp_edges(n: int, p: float, rng: random.Random) -> np.ndarray:
+    """The geometric-skip stream's edges ``(v, w)``, ``w < v``, drawn in bulk.
+
+    Returns one ``int64`` column of packed keys ``v << 32 | w`` (see
+    :func:`_edge_columns`) in the lexicographic ``(v, w)`` order the stdlib
+    loop walks, i.e. ascending.  A legacy NumPy ``RandomState`` loaded with
+    ``rng``'s MT19937 state yields exactly ``rng.random()``'s doubles; the
+    skip lengths take one NumPy ``log`` over each batch, with the per-draw
+    ``math.log`` recomputing only the draws where the two logs could
+    truncate differently (:func:`_skip_lengths`).  Each batch is decoded
+    straight into the key column, so no other stream-length column ever
+    exists.  ``rng`` is finally advanced by exactly the stdlib loop's draw
+    count: one per sampled edge plus the draw that overshoots the last pair.
     """
     pairs = n * (n - 1) // 2
     if p == 0.0 or not pairs:
@@ -367,7 +416,8 @@ def _gnp_pair_positions(n: int, p: float, rng: random.Random):
     mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
     batch = min(_SKIP_BATCH, int(p * pairs * 1.01) + 64)
     cap = float(pairs)
-    chunks = []
+    keys = np.empty(_edge_capacity(p, pairs), dtype=np.int64)
+    m = 0
     last = -1
     while True:
         before = mt.get_state()
@@ -378,18 +428,31 @@ def _gnp_pair_positions(n: int, p: float, rng: random.Random):
         np.cumsum(pos, out=pos)
         pos += last
         past = pos >= pairs
-        if past.any():
+        done = bool(past.any())
+        if done:
             k = int(past.argmax())
-            chunks.append(pos[:k])
+            pos = pos[:k]
+        else:
+            last = int(pos[-1])
+        if m + len(pos) > len(keys):
+            keys = np.concatenate((keys[:m], np.empty(m + len(pos), dtype=np.int64)))
+        keys[m : m + len(pos)] = _decode_pairs(pos)
+        m += len(pos)
+        if done:
             break
-        chunks.append(pos)
-        last = int(pos[-1])
     # Rewind to the last batch and redraw only the doubles the loop used.
     mt.set_state(before)
     mt.random_sample(k + 1)
     _, key, index = mt.get_state()[:3]
     rng.setstate((version, (*key.tolist(), int(index)), gauss))
-    return np.concatenate(chunks)
+    return keys[:m]
+
+
+def _edge_columns(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy ``int32`` views of the high and low halves of packed keys."""
+    halves = keys.view(np.int32)
+    high = 1 if sys.byteorder == "little" else 0
+    return halves[high::2], halves[1 - high :: 2]
 
 
 def _component_minima(n: int, v: np.ndarray, w: np.ndarray) -> list[int]:
@@ -403,28 +466,79 @@ def _component_minima(n: int, v: np.ndarray, w: np.ndarray) -> list[int]:
     never hooked: once no edge joins two roots it is the component's one
     root.  Each round merges every tree with a lower neighbour, and a
     locally minimal tree merges the round after its neighbours do, so the
-    tree count at least halves every two rounds.  Edges inside one tree
-    stay inside it and are dropped after the first round.
+    tree count at least halves every two rounds.
+
+    A round reads the edges in blocks of :data:`_EDGE_BLOCK` and hooks each
+    block's crossing pairs before reading the next, so no temporary is
+    edge-count long.  After a round's pointer jumping every non-root points
+    at its root and hooks rewrite root entries only, so a later block of
+    the round reads either that root or the lower root it was hooked onto:
+    every hook still joins two roots of the round's start, downwards.
     """
     parent = np.arange(n, dtype=v.dtype)
-    # While parent is the identity every endpoint is its own root: hook v on w.
-    hi, lo = v, w
     while True:
-        np.minimum.at(parent, hi, lo)
+        hooked = False
+        for k in range(0, len(v), _EDGE_BLOCK):
+            a = parent[v[k : k + _EDGE_BLOCK]]
+            b = parent[w[k : k + _EDGE_BLOCK]]
+            cross = a != b
+            if cross.any():
+                a = a[cross]
+                b = b[cross]
+                np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+                hooked = True
+        if not hooked:
+            break
         while True:
             jumped = parent[parent]
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
-        hi = parent[v]
-        lo = parent[w]
-        cross = hi != lo
-        if not cross.any():
-            break
-        v, w = hi[cross], lo[cross]
-        hi = np.maximum(v, w)
-        lo = np.minimum(v, w)
     return np.flatnonzero(parent == np.arange(n, dtype=parent.dtype)).tolist()
+
+
+def _counts(n: int, col: np.ndarray) -> np.ndarray:
+    """How often each of ``0..n-1`` occurs in ``col``, counted block by block.
+
+    ``np.bincount`` would first copy a strided ``int32`` column to ``intp``.
+    """
+    counts = np.zeros(n, dtype=np.int64)
+    for k in range(0, len(col), _EDGE_BLOCK):
+        np.add.at(counts, col[k : k + _EDGE_BLOCK], 1)
+    return counts
+
+
+def _scatter_rows(indices: np.ndarray, offsets: np.ndarray, keys: np.ndarray) -> None:
+    """Write each ascending packed arc key ``row << 32 | column`` into its row.
+
+    The ``k``-th key goes to ``indices[offsets[row] + k]``, where
+    ``offsets[row]`` is the row's first free slot minus the position of
+    the row's first key.  Runs over blocks of :data:`_EDGE_BLOCK` keys.
+    """
+    for k in range(0, len(keys), _EDGE_BLOCK):
+        block = keys[k : k + _EDGE_BLOCK]
+        dest = offsets[block >> 32]
+        dest += np.arange(k, k + len(block))
+        indices[dest] = block & _LOW_HALF
+
+
+def _swap_halves(keys: np.ndarray) -> None:
+    """Turn every packed key ``high << 32 | low`` into ``low << 32 | high``."""
+    for k in range(0, len(keys), _EDGE_BLOCK):
+        block = keys[k : k + _EDGE_BLOCK]
+        block[:] = (block & _LOW_HALF) << 32 | block >> 32
+
+
+def _sort_rows(indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray, n: int) -> None:
+    """Sort the CSR rows ``rows`` (ascending, distinct) in place."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    pos += np.arange(len(pos))
+    keys = np.repeat(np.arange(len(rows), dtype=np.int64) * n, lens)
+    keys += indices[pos]
+    keys.sort()
+    indices[pos] = keys % n
 
 
 def _sparse_gnp_csr_numpy(
@@ -432,60 +546,52 @@ def _sparse_gnp_csr_numpy(
 ) -> FrozenGraph:
     """:func:`sparse_gnp_csr`, built with array kernels instead of loops.
 
-    The skip stream (:func:`_gnp_pair_positions`) is decoded to ``(v, w)``
-    with an exact integer fix-up of a float square root; the connectivity
-    patch takes its component minima from :func:`_component_minima` (the
-    union-find's roots, since both pick each component's minimum index)
-    and shuffles them with ``rng`` like the stdlib path; and the CSR arrays
-    come from one sort of ``row * n + column`` arc keys — every row
-    ascending, which is exactly what the stdlib's counting scatter (plus
-    its re-sort of chain-touched rows) produces.
+    The skip stream (:func:`_gnp_edges`) arrives as one ascending column
+    of packed ``v << 32 | w`` edge keys; the connectivity patch takes its
+    component minima from :func:`_component_minima` (the union-find's
+    roots, since both pick each component's minimum index) and shuffles
+    them with ``rng`` like the stdlib path.  The CSR arrays are the
+    stdlib's two-pass scatter: the keys in stream order put every ``w``
+    into row ``v``, then, with their halves swapped and sorted in place,
+    every ``v`` into row ``w`` (:func:`_scatter_rows`), both written
+    through NumPy views straight into the ``array`` buffers the topology
+    keeps; the rows the chain touched are re-sorted.  The largest columns
+    alive at once are the keys and ``indices``.
     """
-    pos = _gnp_pair_positions(n, p, rng)
-    v = ((1.0 + np.sqrt(8.0 * pos + 1.0)) * 0.5).astype(np.int64)
-    while True:
-        base = v * (v - 1) // 2
-        over = base > pos
-        if over.any():
-            v[over] -= 1
-            continue
-        under = base + v <= pos
-        if under.any():
-            v[under] += 1
-            continue
-        break
-    label = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    w = (pos - base).astype(label)
-    v = v.astype(label)
-    del pos, base
-    # Components first, so the kernel's temporaries do not stack on the keys.
+    keys = _gnp_edges(n, p, rng)
+    v, w = _edge_columns(keys)
     reps = _component_minima(n, v, w) if connect and n > 1 else []
-    m = len(v)
-    keys = np.empty(2 * m, dtype=np.int64)
-    np.multiply(v, n, out=keys[:m], dtype=np.int64)
-    keys[:m] += w
-    np.multiply(w, n, out=keys[m:], dtype=np.int64)
-    keys[m:] += v
-    del v, w
-    keys.sort()
+    chain = np.empty(0, dtype=np.int64)
     if len(reps) > 1:
         rng.shuffle(reps)
-        a = np.array(reps[:-1], dtype=np.int64)
-        b = np.array(reps[1:], dtype=np.int64)
-        chain = np.sort(np.concatenate((a * n + b, b * n + a)))
-        keys = np.insert(keys, np.searchsorted(keys, chain), chain)
-
-    # Row i's arcs are the keys in [i*n, (i+1)*n): CSR offsets by bisection.
-    # The arrays are filled from byte views of the NumPy buffers, and the
-    # keys are reduced to columns in place: no intermediate bytes copies.
-    row_starts = np.arange(n + 1, dtype=np.int64) * n
-    indptr = array("q")
-    indptr.frombytes(np.searchsorted(keys, row_starts).view(np.uint8))
-    np.remainder(keys, n, out=keys)
-    indices = array("q")
-    indices.frombytes(keys.view(np.uint8))
-    edge_count = len(keys) // 2
-    del keys  # before the label list and degree column are allocated
+        chain = np.array(reps, dtype=np.int64)
+    a, b = chain[:-1], chain[1:]
+    small = _counts(n, v)  # neighbours below each vertex
+    large = _counts(n, w)  # neighbours above it
+    del v, w
+    indptr = array("q", [0]) * (n + 1)
+    indptr_np = np.frombuffer(indptr, dtype=np.int64)
+    degrees = small + large
+    degrees[a] += 1  # the entries of a are distinct, and so are b's
+    degrees[b] += 1
+    np.cumsum(degrees, out=indptr_np[1:])
+    del degrees
+    indices = array(NEIGHBOR_TYPECODE, [0]) * int(indptr_np[n])
+    indices_np = np.frombuffer(indices, dtype=np.int32)
+    _scatter_rows(indices_np, indptr_np[:n] - (np.cumsum(small) - small), keys)
+    _swap_halves(keys)
+    keys.sort()
+    _scatter_rows(indices_np, indptr_np[:n] + small - (np.cumsum(large) - large), keys)
+    edge_count = len(keys) + len(a)
+    del keys
+    if len(a):
+        # Chain arcs go after each row's core arcs; those rows are re-sorted.
+        end = indptr_np[:n] + small + large
+        indices_np[end[a]] = b
+        end[a] += 1
+        indices_np[end[b]] = a
+        _sort_rows(indices_np, indptr_np, np.sort(chain), n)
+    del small, large  # before the label list and degree column are allocated
     topo = CompiledTopology(list(range(n)), indptr, indices, edge_count, directed=False)
     return FrozenGraph(topo)
 
@@ -501,10 +607,11 @@ def barabasi_albert_csr(
     per-edge dict entries dominate once n reaches the hundreds of thousands.
     This generator keeps the classic repeated-endpoints trick (one uniform
     index into the endpoint multiset is a degree-proportional draw) but
-    streams every sampled edge into flat ``array("q")`` buffers and scatters
-    them directly into :class:`~repro.graphs.topology.CompiledTopology` CSR
-    arrays, exactly like :func:`sparse_gnp_csr`: total work and peak memory
-    are O(n + m_attach) machine words, and the result is an immutable
+    streams every sampled edge into flat columns and scatters them directly
+    into :class:`~repro.graphs.topology.CompiledTopology` CSR arrays (64-bit
+    offsets, 32-bit neighbour indices), exactly like :func:`sparse_gnp_csr`:
+    total work and peak memory are O(n + m_attach) words, and the result is
+    an immutable
     :class:`~repro.graphs.topology.FrozenGraph`.
 
     Same distribution as :func:`barabasi_albert_graph`, *not* the same graph
@@ -518,6 +625,7 @@ def barabasi_albert_csr(
     """
     if m < 1 or m >= n:
         raise ValueError("need 1 <= m < n")
+    check_node_count(n)
     rng = _rng(seed)
     esrc = array("q")
     edst = array("q")
@@ -565,7 +673,7 @@ def barabasi_albert_csr(
         total += degrees[i]
     indptr[n] = total
 
-    indices = array("q", [0]) * total
+    indices = array(NEIGHBOR_TYPECODE, [0]) * total
     cursor = array("q", indptr[:n])
     for k in range(len(esrc)):
         v = esrc[k]

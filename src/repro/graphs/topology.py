@@ -5,14 +5,17 @@ A :class:`CompiledTopology` is an immutable, array-based snapshot of a
 nodes are mapped to dense ``0..n-1`` integers and the adjacency structure is
 stored in compressed-sparse-row (CSR) form —
 
-* ``indptr`` — ``n + 1`` offsets; the *communication* neighbours of node ``i``
-  occupy positions ``indptr[i]:indptr[i + 1]`` of ``indices``;
-* ``indices`` — neighbour indices, concatenated per node in the graph's
-  insertion order (for digraphs: successors first, then the predecessors that
-  are not also successors);
-* ``degrees`` — per-node communication degree (``indptr`` deltas);
+* ``indptr`` — ``n + 1`` 64-bit offsets (``array("q")``); the
+  *communication* neighbours of node ``i`` occupy positions
+  ``indptr[i]:indptr[i + 1]`` of ``indices``;
+* ``indices`` — 32-bit neighbour indices (``array("i")``, so a graph has
+  fewer than ``2**31`` nodes: :func:`check_node_count`), concatenated per
+  node in the graph's insertion order (for digraphs: successors first, then
+  the predecessors that are not also successors);
+* ``degrees`` — per-node communication degree (``indptr`` deltas, 64-bit);
 * ``index`` — the label → index dict, built on first read (a fault-free
-  lowered run never reads it).
+  lowered run never reads it), like the per-node neighbour label sets and
+  arc position maps.
 
 Edge weights are not compiled: they stay on the graph (``graph.weight``),
 whose one CSR-order reader is the weighted 2-spanner's node setup.
@@ -32,7 +35,27 @@ from collections.abc import Hashable, Iterator
 
 Node = Hashable
 
-_INDEX_TYPECODE = "q"  # 64-bit signed: node indices and CSR offsets
+_INDEX_TYPECODE = "q"  # 64-bit signed: CSR offsets, degrees, distances
+
+#: The one typecode of every graph's CSR neighbour column: 4-byte signed.
+NEIGHBOR_TYPECODE = "i"
+if array(NEIGHBOR_TYPECODE).itemsize != 4:  # pragma: no cover - C int is 32-bit
+    raise ImportError(f"array({NEIGHBOR_TYPECODE!r}) is not 4 bytes on this platform")
+
+#: Node indices must fit the 32-bit neighbour column.
+_MAX_NODES = 2**31 - 1
+
+
+def check_node_count(n: int) -> None:
+    """Raise ``ValueError`` unless ``n`` nodes fit the 32-bit ``indices`` column.
+
+    Every CSR constructor calls this before it allocates anything.
+    """
+    if n > _MAX_NODES:
+        raise ValueError(
+            f"{n} nodes do not fit the 32-bit CSR neighbour column "
+            f"(at most {_MAX_NODES} nodes)"
+        )
 
 
 class CompiledTopology:
@@ -68,14 +91,16 @@ class CompiledTopology:
         self._index = index
         self.indptr = indptr
         self.indices = indices
-        # indptr deltas, pairwise at C level (NumPy stays out of this module).
+        # indptr deltas, pairwise at C level over zero-copy views (NumPy
+        # stays out of this module).
+        offsets = memoryview(indptr)
         self.degrees = array(
-            _INDEX_TYPECODE, map(operator.sub, indptr[1 : self.n + 1], indptr[: self.n])
+            _INDEX_TYPECODE, map(operator.sub, offsets[1 : self.n + 1], offsets[: self.n])
         )
         self.arc_count = len(indices)
         self.edge_count = edge_count
-        self._label_sets: list[frozenset[Node] | None] = [None] * self.n
-        self._position_maps: list[dict[int, int] | None] = [None] * self.n
+        self._label_sets: dict[int, frozenset[Node]] = {}
+        self._position_maps: dict[int, dict[int, int]] = {}
         self._sorted_rows: list[tuple[int, ...]] | None = None
 
     @property
@@ -97,7 +122,7 @@ class CompiledTopology:
 
     def neighbor_label_set(self, i: int) -> frozenset[Node]:
         """Frozen label set of node ``i``'s neighbours (cached per node)."""
-        cached = self._label_sets[i]
+        cached = self._label_sets.get(i)
         if cached is None:
             cached = self._label_sets[i] = frozenset(self.neighbor_labels(i))
         return cached
@@ -131,7 +156,7 @@ class CompiledTopology:
         preallocated per-link accounting array needs.  Raises ``KeyError``
         for non-adjacent pairs.
         """
-        posmap = self._position_maps[src]
+        posmap = self._position_maps.get(src)
         if posmap is None:
             lo, hi = self.indptr[src], self.indptr[src + 1]
             posmap = self._position_maps[src] = {
@@ -304,9 +329,10 @@ def compile_adjacency(
 ) -> CompiledTopology:
     """Compile a dict-of-dicts adjacency structure into CSR form."""
     labels = list(adj)
+    check_node_count(len(labels))
     index = {v: i for i, v in enumerate(labels)}
     indptr = array(_INDEX_TYPECODE, [0]) * (len(labels) + 1)
-    indices = array(_INDEX_TYPECODE)
+    indices = array(NEIGHBOR_TYPECODE)
     for i, v in enumerate(labels):
         indices.extend(map(index.__getitem__, adj[v]))
         indptr[i + 1] = len(indices)
@@ -328,9 +354,10 @@ def compile_digraph(graph: "object") -> CompiledTopology:
     succ: dict[Node, dict[Node, float]] = graph._succ
     pred: dict[Node, dict[Node, float]] = graph._pred
     labels = list(succ)
+    check_node_count(len(labels))
     index = {v: i for i, v in enumerate(labels)}
     indptr = array(_INDEX_TYPECODE, [0]) * (len(labels) + 1)
-    indices = array(_INDEX_TYPECODE)
+    indices = array(NEIGHBOR_TYPECODE)
     for i, v in enumerate(labels):
         out = succ[v]
         indices.extend(map(index.__getitem__, out))
@@ -350,8 +377,9 @@ def complete_overlay(labels: list[Node]) -> CompiledTopology:
     which is the same deterministic order both simulator engines observe.
     """
     n = len(labels)
+    check_node_count(n)
     indptr = array(_INDEX_TYPECODE, [0]) * (n + 1)
-    indices = array(_INDEX_TYPECODE)
+    indices = array(NEIGHBOR_TYPECODE)
     for i in range(n):
         indices.extend(j for j in range(n) if j != i)
         indptr[i + 1] = len(indices)
@@ -361,8 +389,10 @@ def complete_overlay(labels: list[Node]) -> CompiledTopology:
 
 
 __all__ = [
+    "NEIGHBOR_TYPECODE",
     "CompiledTopology",
     "FrozenGraph",
+    "check_node_count",
     "compile_adjacency",
     "compile_digraph",
     "compile_graph",

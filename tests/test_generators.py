@@ -40,6 +40,7 @@ from repro.graphs import (
     sparse_gnp_graph,
     star_graph,
 )
+from repro.graphs import generators
 from repro.graphs.generators import (
     _component_minima,
     _skip_lengths,
@@ -350,6 +351,13 @@ class TestSparseGnpCsrBulkIdentity:
 
     @pytest.mark.parametrize("n, p, seed, connect", EDGE_CASES)
     def test_edge_cases(self, n, p, seed, connect):
+        _assert_paths_identical(n, p, seed, connect)
+
+    @pytest.mark.parametrize("n, p, seed, connect", EDGE_CASES[-4:])
+    def test_key_column_growth(self, monkeypatch, n, p, seed, connect):
+        # A reserved key column too short for the stream grows batch by batch.
+        monkeypatch.setattr(generators, "_edge_capacity", lambda p, pairs: 1)
+        monkeypatch.setattr(generators, "_SKIP_BATCH", 64)
         _assert_paths_identical(n, p, seed, connect)
 
     def test_p_below_float_resolution_raises_like_the_loop(self):

@@ -29,7 +29,7 @@ from repro.distributed import (
 )
 from repro.distributed.adversary import build_adversary
 from repro.distributed.targeted import _DeliveryPlan
-from repro.graphs import gnp_random_graph, path_graph
+from repro.graphs import Graph, gnp_random_graph, path_graph
 
 N = 24
 
@@ -124,6 +124,38 @@ def test_engine_matches_indexed_bit_for_bit(engine, model_key, mix, adversary):
         assert str(got) == str(expected)
     else:
         assert got == expected
+
+
+class ReprSender(NodeProgram):
+    """Sends its label's ``repr`` to every neighbour, outputs the inbox reprs."""
+
+    def on_start(self, ctx):
+        for dst in sorted(ctx.neighbors, key=repr):
+            ctx.send(dst, repr(ctx.node_id))
+
+    def on_round(self, ctx, inbox):
+        ctx.set_output([(repr(src), plist) for src, plist in inbox.items()])
+        ctx.halt()
+
+
+@pytest.mark.parametrize("engine", ["columnar", "indexed"])
+def test_bool_labels_reach_the_inbox_as_themselves(engine):
+    """``False``/``True`` equal 0/1, yet they are labels, not indices."""
+    graph = Graph()
+    graph.add_edge(False, True)
+    graph.add_edge(True, 2)
+
+    def outputs(name):
+        sim = Simulator(graph, lambda v: ReprSender(), seed=0, engine=name)
+        return sim.run(max_rounds=5).outputs
+
+    expected = outputs("reference")
+    assert expected == {
+        False: [("True", ["True"])],
+        True: [("False", ["False"]), ("2", ["2"])],
+        2: [("True", ["True"])],
+    }
+    assert outputs(engine) == expected
 
 
 @pytest.mark.parametrize("mix", [False, True], ids=["targeted", "mixed"])

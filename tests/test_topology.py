@@ -1,5 +1,6 @@
 """Unit tests for the compiled CSR topology layer (`graphs/topology.py`)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from repro.core.variants import WeightedVariant
 from repro.graphs import CompiledTopology, DiGraph, Graph
 from repro.graphs.generators import (
+    _sparse_gnp_csr_loop,
+    barabasi_albert_csr,
     gnp_random_graph,
     grid_graph,
     path_graph,
@@ -14,7 +17,12 @@ from repro.graphs.generators import (
     sparse_gnp_csr,
     star_graph,
 )
-from repro.graphs.topology import FrozenGraph
+from repro.graphs.topology import (
+    NEIGHBOR_TYPECODE,
+    FrozenGraph,
+    check_node_count,
+    complete_overlay,
+)
 
 
 class TestCompileUndirected:
@@ -157,3 +165,46 @@ class TestTraversals:
         g.add_node(3)
         topo = g.freeze()
         assert topo.eccentricity(topo.index[1]) == -1
+
+
+class TestCsrColumns:
+    """Every CSR constructor keeps 64-bit offsets and a 32-bit neighbour column."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gnp_random_graph(30, 0.2, seed=1).freeze(),
+            lambda: random_digraph(20, 0.2, seed=2).freeze(),
+            lambda: complete_overlay(list(range(9))),
+            lambda: sparse_gnp_csr(300, 0.01, seed=3).freeze(),
+            lambda: _sparse_gnp_csr_loop(300, 0.01, random.Random(3), True).freeze(),
+            lambda: barabasi_albert_csr(200, 3, seed=4).freeze(),
+        ],
+        ids=["graph", "digraph", "overlay", "gnp-bulk", "gnp-loop", "ba"],
+    )
+    def test_typecodes(self, build):
+        topo = build()
+        assert topo.arc_count > 0
+        assert topo.indices.typecode == NEIGHBOR_TYPECODE
+        assert topo.indices.itemsize == 4
+        assert topo.indptr.itemsize == topo.degrees.itemsize == 8
+
+    def test_node_count_guard(self):
+        check_node_count(2**31 - 1)
+        with pytest.raises(ValueError, match="32-bit"):
+            check_node_count(2**31)
+        # The generators check before they allocate anything.
+        with pytest.raises(ValueError, match="32-bit"):
+            sparse_gnp_csr(2**31, 0.0)
+        with pytest.raises(ValueError, match="32-bit"):
+            barabasi_albert_csr(2**31, 1)
+
+    def test_neighbour_caches_fill_on_first_read(self):
+        topo = gnp_random_graph(30, 0.2, seed=1).freeze()
+        assert topo._label_sets == {} and topo._position_maps == {}
+        i = 5
+        j = topo.indices[topo.indptr[i]]
+        assert topo.neighbor_label_set(i) == frozenset(topo.neighbor_labels(i))
+        assert topo.arc_position(i, j) == topo.indptr[i]
+        assert list(topo._label_sets) == [i]
+        assert list(topo._position_maps) == [i]

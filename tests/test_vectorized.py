@@ -24,6 +24,8 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.flood_max import (
     FloodMaxProgram,
@@ -41,7 +43,8 @@ from repro.distributed import (
 )
 from repro.distributed import simulator as simulator_module
 from repro.distributed.adversary import build_adversary
-from repro.distributed.columnar import int_column_bits
+from repro.distributed import columnar as columnar_module
+from repro.distributed.columnar import INT64_MIN, BlockedRowMax, int_column_bits
 from repro.distributed.encoding import estimate_bits
 from repro.distributed.node import NodeContext
 from repro.distributed.vectorize import (
@@ -682,6 +685,7 @@ class TestLeanCSR:
         assert sim.lowered and result.completed
         (accounting,) = accountings
         assert topo._index is None
+        assert topo._label_sets == {} and topo._position_maps == {}
         assert accounting._all_rows_np is None
         # Positive control: a drop filter maps arcs through the sorted rows.
         sim, _ = _run(g, WORKLOADS["fixed"], model, "columnar", adversary="drop:0.1")
@@ -739,6 +743,118 @@ class TestLeanCSR:
         for engine in ("indexed", "reference"):
             _, other = _run(g, program, model, engine, seed=seed)
             _assert_identical(columnar, other)
+
+
+@st.composite
+def _csr_folds(draw):
+    """A CSR (empty rows, rows longer than a 7-arc block) and a payload column."""
+    n = draw(st.integers(1, 30))
+    lengths = draw(
+        st.lists(st.one_of(st.just(0), st.integers(1, 20)), min_size=n, max_size=n)
+    )
+    arcs = sum(lengths)
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=arcs, max_size=arcs))
+    values = draw(st.lists(st.integers(INT64_MIN, 2**63 - 1), min_size=n, max_size=n))
+    live = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    keep = draw(st.lists(st.booleans(), min_size=arcs, max_size=arcs))
+    return (
+        np.concatenate(([0], np.cumsum(lengths))).astype(np.int64),
+        np.array(cols, dtype=np.int32),
+        np.array(values, dtype=np.int64),
+        np.array(live, dtype=bool),
+        np.array(keep, dtype=bool),
+    )
+
+
+class TestRowMax:
+    """``BlockedRowMax``: the fold of the stepped and lowered columnar rounds."""
+
+    def test_silent_sender_mask_follows_csr_order(self):
+        # Row 0 lists its neighbours out of order, and its silent sender 3
+        # holds the row's largest (stale) payload: a mask read along the
+        # sorted row [1, 2, 3] would hide sender 2 and let 99 through.
+        indptr = np.array([0, 3, 4, 5, 6], dtype=np.int64)
+        cols = np.array([3, 1, 2, 0, 0, 0], dtype=np.int32)
+        values = np.array([5, 10, 20, 99], dtype=np.int64)
+        live = np.array([True, True, True, False])
+        oracle = [
+            max(
+                (int(values[j]) for j in cols[indptr[i] : indptr[i + 1]] if live[j]),
+                default=INT64_MIN,
+            )
+            for i in range(4)
+        ]
+        assert oracle == [20, 5, 5, 5]
+        fold = BlockedRowMax(indptr).fold
+        assert fold(values, cols, live).tolist() == oracle
+        assert fold(values, cols).tolist() == [99, 5, 5, 5]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_csr_folds(), mask=st.sampled_from([None, "live", "keep"]))
+    def test_blocks_match_one_whole_column_fold(self, case, mask):
+        indptr, cols, values, live, keep = case
+        gathered = values[cols]
+        if mask == "live":
+            gathered = np.where(live[cols], gathered, INT64_MIN)
+        elif mask == "keep":
+            gathered = np.where(keep, gathered, INT64_MIN)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(columnar_module, "_FOLD_BLOCK", 7)
+            fold = BlockedRowMax(indptr).fold
+        got = fold(
+            values,
+            cols,
+            live if mask == "live" else None,
+            keep if mask == "keep" else None,
+        )
+        rows = np.flatnonzero(np.diff(indptr))  # empty rows are unspecified
+        if len(rows):
+            expect = np.maximum.reduceat(gathered, indptr[rows])
+            assert got[rows].tolist() == expect.tolist()
+
+    @pytest.mark.parametrize("adversary", [None, "drop:0.01:3"])
+    def test_empty_rows_after_the_last_long_row(self, adversary):
+        # Node 1 (CSR row 2, neighbours [5, 9]) is followed by the isolated
+        # node 0: a fold whose last segment start is clipped into range
+        # drops the 9 and the flood never reaches node 5 either.
+        g = Graph()
+        g.add_nodes_from([5, 9, 1, 0])
+        g.add_edge(1, 5)
+        g.add_edge(1, 9)
+        outputs = {}
+        for engine, vectorize in (("reference", False), ("columnar", True), ("columnar", False)):
+            result = run_flood_max(
+                g,
+                4,
+                seed=0,
+                engine=engine,
+                vectorize=vectorize,
+                adversary=build_adversary(adversary) if adversary else None,
+            )
+            outputs[engine, vectorize] = result.node_outputs
+        assert outputs["reference", False] == {5: 9, 9: 9, 1: 9, 0: 0}
+        assert len(set(map(repr, outputs.values()))) == 1, outputs
+
+    def test_arcs_spanning_several_blocks_agree_across_paths(self):
+        # A 370-clique (136,530 arcs: three default blocks, whose edges fall
+        # mid-row) with a path tail, so the patience variant halts nodes
+        # while the flood still spreads and folds with the sent mask.
+        g = Graph()
+        clique = 370
+        for u in range(clique):
+            for v in range(u + 1, clique):
+                g.add_edge(u, v)
+        for v in range(clique - 1, clique + 5):
+            g.add_edge(v, v + 1)
+        assert g.freeze().arc_count > 2 * columnar_module._FOLD_BLOCK
+        model = broadcast_congest_model(g.number_of_nodes(), enforce=False)
+        run = partial(_run, g, WORKLOADS["robust"], model)
+        sim, lowered = run("columnar")
+        assert sim.lowered
+        _, stepped = run("columnar", vectorize=False)
+        _, reference = run("reference")
+        _assert_identical(lowered, stepped)
+        _assert_identical(lowered, reference)
 
 
 class TestFactoryLowering:
