@@ -30,13 +30,19 @@ nearly free quiet rounds.  Throughput is ``2m / per_round`` messages/sec
 (every vertex broadcasts every round, so a round moves exactly ``2m``
 directed messages).
 
-A third guard bounds memory: E23's n=10^6 point (graph build plus a
-12-round lowered run with streaming metrics), run alone in a fresh
-interpreter so that its ``ru_maxrss`` is its own, must peak at
-``MAX_MEGA_RSS_MB`` (300 MB) or less.  It read 396 MB with a 64-bit CSR
+Two more guards bound memory, each run alone in a fresh interpreter that
+reports the high-water resident size of its own address space
+(``VmHWM``; ``ru_maxrss`` where ``/proc`` is missing).  E23's n=10^6
+point (graph build plus a 12-round lowered run with streaming metrics)
+must peak at ``MAX_MEGA_RSS_MB`` (300 MB) or less.  It read 396 MB with a 64-bit CSR
 neighbour column, whole-column fold temporaries and a sort of 2m arc keys,
 and 244 MB with the 32-bit column, the blocked fold and the bounded bulk
-build (2-core x86-64 container); 250 MB is the stretch goal.
+build (2-core x86-64 container); 250 MB is the stretch goal.  A stepped
+flood-max on the n=20000 anchor (150 rounds, ``vectorize=False``) must
+peak at ``MAX_STEPPED_RSS_MB`` (80 MB) or less.  It read 95.7 MB while
+every context built its neighbour frozenset, every inbox view held its
+sorted neighbour row and every columnar context an unused outbox list,
+and 69.6 MB with all three built on first read.
 
 Measured on a 2-core container over four runs: at n=20000, stepped
 ~9–17 ms/round vs lowered ~0.8–1.4 ms/round (7.0–20.5x); at n=2000,
@@ -81,17 +87,32 @@ _MEGA = ("sparse_gnp_csr", 1000000, 1.4e-5, 22)
 _MEGA_ROUNDS = 12
 MAX_MEGA_RSS_MB = 300.0
 
-#: Child process of the memory guard: build, run lowered, report the peak.
-_MEGA_CHILD = """
+#: The stepped anchor run's round budget and its peak-RSS ceiling in MB.
+_STEPPED_ROUNDS = 150
+MAX_STEPPED_RSS_MB = 80.0
+
+#: Child process of the memory guards: build, run, report the peak.  On
+#: Linux a child's ``ru_maxrss`` starts at its parent's high-water mark
+#: (``execve`` keeps the larger of the two), so after the in-process
+#: guards above it would read the pytest process's peak; the child reads
+#: its own address space's ``VmHWM`` instead where ``/proc`` has it.
+_RSS_CHILD = """
 import json, resource, sys
 sys.path.insert(0, sys.argv[1])
 from repro.core.flood_max import run_flood_max
 from repro.experiments.families import build_graph
-spec, rounds, seed = json.loads(sys.argv[2])
+spec, rounds, seed, options = json.loads(sys.argv[2])
 graph = build_graph(tuple(spec))
-result = run_flood_max(graph, rounds, seed=seed, engine="columnar", streaming_metrics=True)
+result = run_flood_max(graph, rounds, seed=seed, engine="columnar", **options)
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    with open("/proc/self/status") as status:
+        hwm = [line for line in status if line.startswith("VmHWM:")]
+    peak_kb = int(hwm[0].split()[1])
+except (OSError, IndexError):
+    pass
 print(json.dumps({
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": peak_kb / 1024,
     "converged": result.converged,
     "leader": result.leader,
 }))
@@ -198,12 +219,13 @@ def test_e23_stepped_columnar_over_reference(benchmark):
     )
 
 
-def test_e23_mega_point_peak_rss(benchmark):
+def _peak_rss_guard(benchmark, family, rounds, options, ceiling, label):
+    """Run flood-max on ``family`` in a child; assert its peak RSS <= ``ceiling``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    args = json.dumps([list(_MEGA), _MEGA_ROUNDS, _SEED])
+    args = json.dumps([list(family), rounds, _SEED, options])
     child = benchmark.pedantic(
         lambda: subprocess.run(
-            [sys.executable, "-c", _MEGA_CHILD, src, args],
+            [sys.executable, "-c", _RSS_CHILD, src, args],
             capture_output=True,
             text=True,
             check=True,
@@ -213,18 +235,33 @@ def test_e23_mega_point_peak_rss(benchmark):
         iterations=1,
     )
     record = json.loads(child.stdout.splitlines()[-1])
-    assert record["converged"] and record["leader"] == _MEGA[1] - 1
+    assert record["converged"] and record["leader"] == family[1] - 1
     peak = record["peak_rss_mb"]
     benchmark.extra_info.update(
         {
-            "graph": list(_MEGA),
-            "rounds": _MEGA_ROUNDS,
+            "graph": list(family),
+            "rounds": rounds,
+            **options,
             "peak_rss_mb": peak,
-            "ceiling_mb": MAX_MEGA_RSS_MB,
-            "headroom_mb": MAX_MEGA_RSS_MB - peak,
+            "ceiling_mb": ceiling,
+            "headroom_mb": ceiling - peak,
         }
     )
-    print(f"\nE23 n=10^6: peak RSS {peak:.1f} MB (ceiling {MAX_MEGA_RSS_MB:.0f} MB)")
-    assert peak <= MAX_MEGA_RSS_MB, (
-        f"E23's n=10^6 point peaked at {peak:.1f} MB (ceiling {MAX_MEGA_RSS_MB:.0f} MB)"
+    print(f"\n{label}: peak RSS {peak:.1f} MB (ceiling {ceiling:.0f} MB)")
+    assert peak <= ceiling, (
+        f"{label} peaked at {peak:.1f} MB (ceiling {ceiling:.0f} MB)"
+    )
+
+
+def test_e23_mega_point_peak_rss(benchmark):
+    _peak_rss_guard(
+        benchmark, _MEGA, _MEGA_ROUNDS, {"streaming_metrics": True},
+        MAX_MEGA_RSS_MB, "E23's n=10^6 point",
+    )
+
+
+def test_e23_stepped_anchor_peak_rss(benchmark):
+    _peak_rss_guard(
+        benchmark, _ANCHOR, _STEPPED_ROUNDS, {"vectorize": False},
+        MAX_STEPPED_RSS_MB, "Stepped flood-max on the n=20000 anchor",
     )

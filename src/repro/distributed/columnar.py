@@ -33,7 +33,10 @@ round of broadcast traffic becomes a handful of flat-array operations —
   receivers are materialised by a single NumPy fancy-index over the
   concatenated (sorted) neighbour rows and each ``values()`` call is a
   C-level list slice; otherwise ``values()`` filters the receiver's row
-  against the ``sent`` column.
+  against the ``sent`` column.  The views hold no row of their own: the
+  sorted neighbour rows are built once, the first time a view walks one
+  in order, and order-free questions (``len``, ``bool``, membership) read
+  the raw CSR row.
 
 Rounds that contain targeted sends are not collected here at all: the
 contexts flag a shared signal cell and the engine delegates the whole
@@ -246,6 +249,9 @@ class _RoundState:
     hence sliceable by CSR ``indptr`` bounds); each is built on first access
     and only for all-senders rounds.  Stale column entries are guarded by
     the ``sent`` flags, so per-round reset clears only the caches.
+    ``indices`` is the raw CSR neighbour column, and ``rows`` the
+    topology's sorted neighbour rows once a view has walked one
+    (:meth:`sorted_row`).
     """
 
     __slots__ = (
@@ -256,6 +262,8 @@ class _RoundState:
         "sent",
         "labels",
         "topology",
+        "indices",
+        "rows",
         "all_sent",
         "ints",
         "flat",
@@ -274,7 +282,9 @@ class _RoundState:
         self.sender_list = accounting.sender_list
         self.sent = accounting.sent
         self.labels = accounting.labels
-        self.topology = accounting.sim.topology  # label lookups: ``index``
+        self.topology = accounting.sim.topology  # ``index`` and the sorted rows
+        self.indices = accounting.indices
+        self.rows: list[tuple[int, ...]] | None = None
         self.all_sent = False
         self.ints: np.ndarray | None = None
         self.flat: list[list[Any]] | None = None
@@ -301,6 +311,13 @@ class _RoundState:
             self.plists_valid = True
         return plists
 
+    def sorted_row(self, i: int) -> tuple[int, ...]:
+        """Receiver ``i``'s ascending neighbour row (all rows built on first use)."""
+        rows = self.rows
+        if rows is None:
+            rows = self.rows = self.topology.sorted_neighbor_rows()
+        return rows[i]
+
 
 class ColumnarInbox(Mapping):
     """Read-only inbox view: one receiver's window onto the round state.
@@ -313,19 +330,19 @@ class ColumnarInbox(Mapping):
     indexed engine's insertion order (ascending sender index), which the
     parity contract requires.  When every node broadcast, ``values()``
     degenerates to a C-level slice of the round's bulk-gathered flat
-    payload list.
+    payload list.  A view stores only its receiver index and CSR bounds:
+    the sorted row comes from the round state when a method walks it in
+    order, and ``len``, ``bool`` and membership, which do not depend on
+    order, read the raw CSR row.
 
     Views alias buffers the engine rewrites each round: read them only
     during the round they were handed to ``on_round`` for, and treat the
     (receiver-shared) payload lists as read-only.
     """
 
-    __slots__ = ("_row", "_lo", "_hi", "_i", "_st")
+    __slots__ = ("_lo", "_hi", "_i", "_st")
 
-    def __init__(
-        self, row: tuple[int, ...], lo: int, hi: int, i: int, st: _RoundState
-    ) -> None:
-        self._row = row
+    def __init__(self, lo: int, hi: int, i: int, st: _RoundState) -> None:
         self._lo = lo
         self._hi = hi
         self._i = i
@@ -334,18 +351,19 @@ class ColumnarInbox(Mapping):
     def __iter__(self):
         st = self._st
         labels = st.labels
+        row = st.sorted_row(self._i)
         if st.all_sent:
-            return iter([labels[j] for j in self._row])
+            return iter([labels[j] for j in row])
         sent = st.sent
-        return iter([labels[j] for j in self._row if sent[j]])
+        return iter([labels[j] for j in row if sent[j]])
 
     def __len__(self) -> int:
         st = self._st
         if st.all_sent:
-            return len(self._row)
+            return self._hi - self._lo
         sent = st.sent
         total = 0
-        for j in self._row:
+        for j in st.indices[self._lo : self._hi]:
             if sent[j]:
                 total += 1
         return total
@@ -355,14 +373,14 @@ class ColumnarInbox(Mapping):
         # instead of counting them all through ``__len__``.
         st = self._st
         if st.all_sent:
-            return bool(self._row)
+            return self._hi != self._lo
         sent = st.sent
-        return any(sent[j] for j in self._row)
+        return any(sent[j] for j in st.indices[self._lo : self._hi])
 
     def __getitem__(self, src: Any) -> list[Any]:
         st = self._st
         j = st.topology.index.get(src, -1)
-        if j >= 0 and st.sent[j] and j in self._row:
+        if j >= 0 and st.sent[j] and j in st.indices[self._lo : self._hi]:
             plist = st.ensure_plists()[j]
             if plist is not None:
                 return plist
@@ -380,17 +398,18 @@ class ColumnarInbox(Mapping):
             return st.build_flat()[self._lo : self._hi]
         sent = st.sent
         plists = st.ensure_plists()
-        return [plists[j] for j in self._row if sent[j]]
+        return [plists[j] for j in st.sorted_row(self._i) if sent[j]]
 
     def items(self):
         """``(sender label, payload list)`` pairs in ascending sender order."""
         st = self._st
         labels = st.labels
         plists = st.ensure_plists()
+        row = st.sorted_row(self._i)
         if st.all_sent:
-            return [(labels[j], plists[j]) for j in self._row]
+            return [(labels[j], plists[j]) for j in row]
         sent = st.sent
-        return [(labels[j], plists[j]) for j in self._row if sent[j]]
+        return [(labels[j], plists[j]) for j in row if sent[j]]
 
     def max_heard(self, default: Any) -> Any:
         """Fold-pushdown: max of ``default`` and the delivered payloads.
@@ -427,7 +446,7 @@ class ColumnarInbox(Mapping):
         else:
             pays = st.pays
             sent = st.sent
-            vals = [pays[j] for j in self._row if sent[j]]
+            vals = [pays[j] for j in st.sorted_row(self._i) if sent[j]]
         if vals:
             heard = max(vals)
             return heard if heard > default else default
@@ -484,7 +503,9 @@ class BroadcastAccounting:
       (sliceable by CSR ``indptr`` bounds; read by the stepped bulk payload
       gathers and the filtered lowered path's arc map) and the
       ascending-sorted neighbour tuple rows (:attr:`rows`; read by the
-      stepped collect and the adversary label rows).  The topology's label
+      stepped collect's adversary path and the adversary label rows; the
+      inbox views read the same topology cache when they walk a row in
+      order).  The topology's label
       index is not copied either: the views' ``__getitem__`` reads it when
       a program looks a sender up by label;
     * the send state of the pass being collected, filled by the round driver:
@@ -729,7 +750,6 @@ def build_columnar_collect(
     n = accounting.n
     labels = accounting.labels
     indptr = accounting.indptr
-    rows = accounting.rows
     metrics = accounting.metrics
     filt = accounting.filt
     account = accounting.account
@@ -757,10 +777,7 @@ def build_columnar_collect(
         # Sorted rows have the same per-node lengths as the CSR rows, so the
         # concatenated sorted-row offsets are exactly ``indptr`` — the flat
         # bulk-gather below can be sliced by plain CSR bounds.
-        views = [
-            ColumnarInbox(rows[i], indptr[i], indptr[i + 1], i, state)
-            for i in range(n)
-        ]
+        views = [ColumnarInbox(indptr[i], indptr[i + 1], i, state) for i in range(n)]
         fold = accounting.row_fold.fold
         indices_np = accounting.indices_np
         obj_np = np.empty(n, dtype=object)
@@ -798,8 +815,10 @@ def build_columnar_collect(
 
         state.build_row_max = build_row_max
 
-    # Adversary path only: neighbour label rows handed to deliver_mask.
+    # Adversary path only: the sorted neighbour rows and their label rows
+    # handed to deliver_mask.
     mask_rows = accounting.mask_rows
+    rows = accounting.rows if filt is not None else None
 
     # Degree-0 broadcasts are no-ops; masking them out exists only for
     # graphs that actually contain isolated vertices.

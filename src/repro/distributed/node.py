@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Hashable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.distributed.errors import MessageAdmissionError, NotANeighborError
+
+if TYPE_CHECKING:
+    from repro.graphs.topology import CompiledTopology
 
 Node = Hashable
 
@@ -73,13 +76,21 @@ class NodeContext:
     The class is slotted: contexts sit on every engine's per-round hot path
     (``round`` writes in the driver, the outgoing columns and the targeted
     columns in the columnar engine), and at E23's n = 10^6 point a million
-    instances exist at once.
+    instances exist at once.  So the ``columnar`` and ``indexed`` engines
+    pass ``topology`` instead of a neighbour set: ``neighbors`` (and
+    ``graph_neighbors`` outside overlays) is fetched from the topology's
+    per-node cache the first time the program or ``send`` reads it, and a
+    program that never reads it, like flood-max, builds no set.
+    ``columnar`` contexts carry no ``_outbox`` list (their traffic goes to
+    the shared columns).  The two properties are plain descriptors: a
+    ``__getattr__`` hook would slow every attribute lookup on the type.
     """
 
     __slots__ = (
         "node_id",
-        "neighbors",
-        "graph_neighbors",
+        "_neighbors",
+        "_graph_neighbors",
+        "_topology",
         "n",
         "_rng",
         "_rng_seed",
@@ -105,7 +116,7 @@ class NodeContext:
     def __init__(
         self,
         node_id: Node,
-        neighbors: frozenset[Node],
+        neighbors: frozenset[Node] | None,
         n: int,
         rng: random.Random | int,
         graph_neighbors: frozenset[Node] | None = None,
@@ -115,10 +126,13 @@ class NodeContext:
         model_name: str = "LOCAL",
         index: int = 0,
         shared: SendColumns | None = None,
+        topology: CompiledTopology | None = None,
     ) -> None:
         self.node_id = node_id
-        self.neighbors = neighbors
-        self.graph_neighbors = neighbors if graph_neighbors is None else graph_neighbors
+        # ``neighbors=None`` defers to ``topology``'s set of node ``index``.
+        self._neighbors = neighbors
+        self._graph_neighbors = graph_neighbors
+        self._topology = topology
         self.n = n
         # ``rng`` may be a ready random.Random or a bare seed.  A seed is
         # materialised lazily on first ``ctx.rng`` access: a Mersenne
@@ -141,13 +155,13 @@ class NodeContext:
         self._engine_label = engine_label
         self._model_name = model_name
         self._last_broadcast_round = -1
-        self._outbox: list[tuple[Node, Any]] = []
+        self._outbox: list[tuple[Node, Any]] | None = None if batch else []
         # The engines pass their run's shared columns and signal cells; a
-        # directly constructed context gets private one-node ones, which
-        # keeps the send, broadcast and halt hot paths branch-free.
+        # directly constructed context gets private ones (``index`` also
+        # names its node in ``topology``), which keeps the send, broadcast
+        # and halt hot paths branch-free.
         if shared is None:
-            shared = SendColumns(1 if batch else 0)
-            index = 0
+            shared = SendColumns(index + 1 if batch else 0)
         self._index = index
         self._out_pays = shared.pays
         self._out_sent = shared.sent
@@ -159,6 +173,21 @@ class NodeContext:
         self._t_dsts: list[Node] = []
         self._t_pays: list[Any] = []
         self._t_bpos = 0
+
+    @property
+    def neighbors(self) -> frozenset[Node]:
+        """The labels this node may message (fetched on first read)."""
+        neighbors = self._neighbors
+        if neighbors is None:
+            topology = self._topology
+            neighbors = self._neighbors = topology.neighbor_label_set(self._index)
+        return neighbors
+
+    @property
+    def graph_neighbors(self) -> frozenset[Node]:
+        """The node's input-graph neighbours (``neighbors`` unless overlaid)."""
+        graph_neighbors = self._graph_neighbors
+        return self.neighbors if graph_neighbors is None else graph_neighbors
 
     @property
     def rng(self) -> random.Random:
@@ -177,7 +206,10 @@ class NodeContext:
                 f"broadcast-only model {self._model_name} (running on the "
                 f"{self._engine_label} engine); use broadcast()"
             )
-        if dst not in self.neighbors:
+        neighbors = self._neighbors
+        if neighbors is None:
+            neighbors = self.neighbors
+        if dst not in neighbors:
             raise NotANeighborError(
                 f"node {self.node_id!r} tried to message non-neighbour {dst!r}"
             )

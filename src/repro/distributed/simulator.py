@@ -294,9 +294,6 @@ class Simulator:
             halts[0] = False
             return [i for i in ids if not contexts[i].halted]
 
-        # Bind the round handlers once: the loop below runs n times per round
-        # at E23 scale and the repeated method lookup is measurable.
-        handlers = [program.on_round for program in programs]
         pending = collect(range(n))
         active = live(range(n)) if halts[0] else list(range(n))
 
@@ -317,7 +314,7 @@ class Simulator:
                 ctx = contexts[i]
                 ctx.round = current_round
                 inbox = pending[i]
-                handlers[i](ctx, inbox if inbox is not None else {})
+                programs[i].on_round(ctx, inbox if inbox is not None else {})
             pending = collect(active)
             if halts[0]:
                 active = live(active)
@@ -356,7 +353,9 @@ class Simulator:
         (returned as the second element): its halt cell on both engines,
         and on the columnar engine also the outgoing broadcast columns and
         the targeted-traffic signal cell, so the engine learns in O(1)
-        whether a round needs the targeted collection path.
+        whether a round needs the targeted collection path.  Contexts
+        fetch their neighbour sets from the topology on first read, so a
+        program that never reads them builds none.
         """
         topo = self.topology
         model = self.model
@@ -373,7 +372,7 @@ class Simulator:
         contexts = [
             NodeContext(
                 node_id=labels[i],
-                neighbors=topo.neighbor_label_set(i),
+                neighbors=None,
                 n=n,
                 rng=node_seeds[i],
                 graph_neighbors=graph_sets[i] if graph_sets is not None else None,
@@ -383,6 +382,7 @@ class Simulator:
                 model_name=model_name,
                 index=i,
                 shared=shared,
+                topology=topo,
             )
             for i in range(n)
         ]

@@ -1,5 +1,7 @@
 """Unit tests for the LOCAL / CONGEST round simulator."""
 
+import random
+
 import pytest
 
 from repro.distributed import (
@@ -11,12 +13,15 @@ from repro.distributed import (
     Simulator,
     congest_budget_bits,
     congest_model,
+    broadcast_congest_model,
     congest_overhead_report,
+    congested_clique_model,
     estimate_bits,
     local_model,
     run_program,
 )
-from repro.graphs import Graph, cycle_graph, path_graph, star_graph
+from repro.distributed.node import NodeContext
+from repro.graphs import Graph, cycle_graph, gnp_random_graph, path_graph, star_graph
 
 
 class FloodMin(NodeProgram):
@@ -146,6 +151,126 @@ class TestSimulatorSemantics:
 
         result = run_program(g, lambda v: OutputDegree())
         assert result.outputs[99] == 0
+
+
+class _RecordNeighbours(NodeProgram):
+    """Output both neighbour sets, then broadcast once and halt."""
+
+    def on_start(self, ctx):
+        neighbors, graph_neighbors = ctx.neighbors, ctx.graph_neighbors
+        assert type(neighbors) is frozenset and type(graph_neighbors) is frozenset
+        assert ctx.neighbors is neighbors
+        ctx.set_output((sorted(neighbors, key=repr), sorted(graph_neighbors, key=repr)))
+        ctx.broadcast(0)
+
+    def on_round(self, ctx, inbox):
+        ctx.halt()
+
+
+def _mixed_label_graph(seed):
+    """``bool`` and int labels, isolated vertices, shuffled insertion order."""
+    rng = random.Random(seed)
+    base = gnp_random_graph(12, 0.3, seed=seed)
+    relabel = {0: False, 1: True}
+    nodes = [relabel.get(v, v) for v in range(15)]  # 12..14 stay isolated
+    edges = [(relabel.get(u, u), relabel.get(v, v)) for u, v in base.edges()]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    g = Graph()
+    g.add_nodes_from(nodes)
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
+_MODELS = {
+    "LOCAL": local_model,
+    "broadcast-CONGEST": lambda n: broadcast_congest_model(n, enforce=False),
+    "clique": lambda n: congested_clique_model(n, enforce=False),
+}
+
+
+class TestContextNeighbours:
+    """``ctx.neighbors`` and ``ctx.graph_neighbors`` on every engine.
+
+    The ``columnar`` and ``indexed`` engines fetch a context's sets from the
+    topology on first read; ``reference`` and directly built contexts pass
+    them explicitly.  All of them expose the same sets.
+    """
+
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_engines_agree(self, seed, model):
+        g = _mixed_label_graph(seed)
+        n = g.number_of_nodes()
+        outputs = {}
+        for engine in ("columnar", "indexed", "reference"):
+            result = run_program(
+                g, lambda v: _RecordNeighbours(), model=_MODELS[model](n), engine=engine
+            )
+            assert result.completed
+            outputs[engine] = result.outputs
+        assert outputs["columnar"] == outputs["indexed"] == outputs["reference"]
+        for v, (neighbors, graph_neighbors) in outputs["columnar"].items():
+            adjacent = sorted(g.neighbors(v), key=repr)
+            assert graph_neighbors == adjacent
+            if model == "clique":
+                assert neighbors == sorted((u for u in g.nodes() if u != v), key=repr)
+            else:
+                assert neighbors == adjacent
+
+    @pytest.mark.parametrize("engine", ["columnar", "indexed", "reference"])
+    def test_first_send_to_a_non_neighbour(self, engine):
+        lazy = engine != "reference"
+
+        def on_start(ctx):
+            # Nothing has read the set yet on the engines that defer it.
+            assert (ctx._neighbors is None) == lazy
+            ctx.send("not-there", 1)
+
+        with pytest.raises(NotANeighborError) as raised:
+            run_program(
+                path_graph(3),
+                lambda v: FunctionProgram(on_start, lambda ctx, inbox: None),
+                engine=engine,
+            )
+        assert str(raised.value) == "node 0 tried to message non-neighbour 'not-there'"
+
+    def test_direct_context(self):
+        neighbors = frozenset({"b", "c"})
+        ctx = NodeContext("a", neighbors, n=3, rng=7)
+        assert ctx.neighbors is neighbors and ctx.graph_neighbors is neighbors
+        overlay = NodeContext(
+            "a", neighbors, n=3, rng=7, graph_neighbors=frozenset({"b"})
+        )
+        assert overlay.neighbors is neighbors and overlay.graph_neighbors == {"b"}
+        with pytest.raises(NotANeighborError, match="non-neighbour 'd'"):
+            ctx.send("d", 1)
+        ctx.send("b", 1)
+        ctx.broadcast(2)
+        assert sorted(ctx._drain_outbox()) == [("b", 1), ("b", 2), ("c", 2)]
+        assert ctx._drain_outbox() == []
+        batch = NodeContext("a", neighbors, n=3, rng=7, batch=True)
+        batch.broadcast(5)
+        assert batch._out_pays == [5] and batch._out_sent == bytearray([1])
+
+    def test_direct_context_over_a_topology(self):
+        topo = path_graph(4).freeze()
+        ctx = NodeContext(2, None, n=4, rng=1, batch=True, index=2, topology=topo)
+        assert ctx._neighbors is None
+        ctx.broadcast(9)
+        assert ctx._out_pays[2] == 9
+        assert ctx.neighbors == {1, 3} and ctx.graph_neighbors is ctx.neighbors
+        assert ctx.neighbors is topo.neighbor_label_set(2)
+
+    def test_no_attribute_hook(self):
+        # A ``__getattr__`` anywhere on the type swaps CPython's attribute
+        # lookup for every access on every context, which cost 15-25% of a
+        # stepped flood-max; the lazy sets are plain properties instead.
+        assert not any("__getattr__" in vars(k) for k in NodeContext.__mro__)
+        assert NodeContext.__getattribute__ is object.__getattribute__
+        assert isinstance(vars(NodeContext)["neighbors"], property)
+        assert isinstance(vars(NodeContext)["graph_neighbors"], property)
 
 
 class TestCongestEnforcement:

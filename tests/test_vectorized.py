@@ -745,6 +745,128 @@ class TestLeanCSR:
             _assert_identical(columnar, other)
 
 
+class _ReadsNeighbours(NodeProgram):
+    """Broadcast once and halt; read ``ctx.neighbors`` at one node only."""
+
+    def __init__(self, node, reader):
+        self.node = node
+        self.reader = reader
+
+    def on_start(self, ctx):
+        if self.node == self.reader:
+            ctx.set_output(len(ctx.neighbors))
+        ctx.broadcast(self.node)
+
+    def on_round(self, ctx, inbox):
+        ctx.halt()
+
+
+class _InboxAccessors(NodeProgram):
+    """Broadcast on even rounds only; record what the inbox answers.
+
+    Odd rounds are silent for odd labels, so rounds alternate between
+    all-senders and some-senders inboxes.  ``accessor`` names the view
+    methods read: ``"order-free"`` (``len``, ``bool``, membership) or
+    ``"items"``.
+    """
+
+    def __init__(self, node, accessor="order-free", rounds=3):
+        self.node = node
+        self.accessor = accessor
+        self.rounds = rounds
+        self.seen = []
+
+    def on_start(self, ctx):
+        ctx.broadcast(self.node)
+
+    def on_round(self, ctx, inbox):
+        if self.accessor == "items":
+            self.seen.append([(k, list(v)) for k, v in inbox.items()])
+        else:
+            present = [k for k in (0, 1, 5, self.node) if k in inbox]
+            self.seen.append(
+                (len(inbox), bool(inbox), present, [inbox[k] for k in present])
+            )
+        if ctx.round >= self.rounds:
+            ctx.set_output(self.seen)
+            ctx.halt()
+        elif ctx.round % 2 == 0 or self.node % 2 == 0:
+            ctx.broadcast(self.node + ctx.round)
+
+
+class TestLeanStepped:
+    """What a stepped columnar run builds of the per-node neighbour state.
+
+    The topology caches the per-node neighbour label sets and the sorted
+    neighbour rows; contexts and inbox views read them only when a program
+    asks.  Each case builds its graph afresh, since the caches live on the
+    graph's compiled view.
+    """
+
+    N = 2000
+
+    def _graph(self):
+        return build_graph(("sparse_connected_gnp", self.N, 0.005, 18))
+
+    def test_fault_free_flood_builds_no_sets_or_sorted_rows(self):
+        g = self._graph()
+        topo = g.freeze()
+        result = run_flood_max(g, 12, seed=3, engine="columnar", vectorize=False)
+        assert result.converged and result.leader == self.N - 1
+        assert topo._label_sets == {}
+        assert topo._sorted_rows is None
+
+    def test_reading_neighbours_fills_that_node_only(self):
+        g = self._graph()
+        topo = g.freeze()
+        reader = 17
+        sim, result = _run(
+            g, partial(_ReadsNeighbours, reader=reader), local_model(self.N), "columnar"
+        )
+        assert not sim.lowered and result.completed
+        assert result.outputs[reader] == g.degree(reader)
+        assert list(topo._label_sets) == [topo.index[reader]]
+        assert topo._sorted_rows is None
+
+    def test_order_free_inbox_reads_build_no_sorted_rows(self):
+        g = self._graph()
+        topo = g.freeze()
+        _, result = _run(g, _InboxAccessors, local_model(self.N), "columnar")
+        assert result.completed
+        assert topo._sorted_rows is None and topo._label_sets == {}
+
+    def test_items_builds_the_sorted_rows(self):
+        g = self._graph()
+        topo = g.freeze()
+        factory = partial(_InboxAccessors, accessor="items", rounds=1)
+        _, result = _run(g, factory, local_model(self.N), "columnar")
+        assert result.completed
+        assert topo._sorted_rows is not None
+
+    def test_drop_filter_builds_the_sorted_rows(self):
+        g = self._graph()
+        topo = g.freeze()
+        run_flood_max(
+            g, 12, seed=3, engine="columnar", vectorize=False,
+            adversary=build_adversary("drop:0.05"),
+        )
+        assert topo._sorted_rows is not None
+
+    @pytest.mark.parametrize("accessor", ["order-free", "items"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_inbox_accessors_agree_on_unsorted_rows(self, seed, accessor):
+        # Order-free reads walk the raw CSR rows, ``items`` the sorted ones:
+        # on rows not in ascending order, with silent senders, both agree
+        # with the dict inboxes of the other engines.
+        g = TestLeanCSR._unsorted_graph(seed)
+        model = local_model(g.number_of_nodes())
+        factory = partial(_InboxAccessors, accessor=accessor)
+        _, columnar = _run(g, factory, model, "columnar", seed=seed)
+        for engine in ("indexed", "reference"):
+            _, other = _run(g, factory, model, engine, seed=seed)
+            _assert_identical(columnar, other)
+
+
 @st.composite
 def _csr_folds(draw):
     """A CSR (empty rows, rows longer than a 7-arc block) and a payload column."""
